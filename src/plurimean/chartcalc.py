@@ -8,7 +8,7 @@ axis ``n``.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -19,10 +19,6 @@ class BoundaryError(ValueError):
 
 class RankError(ValueError):
     """The differential does not have full rank 2m at some point."""
-
-
-class GaugeError(ValueError):
-    """A frame field jumped too much between neighbouring grid points."""
 
 
 def standard_J(m: int) -> np.ndarray:
@@ -76,7 +72,7 @@ class ChartedImmersion:
     complex_dim: int
     domain: np.ndarray  # (2m, 2) array of [lo, hi] per coordinate
     eval_fn: Callable[[np.ndarray], np.ndarray]  # (G, 2m) -> (G, n)
-    jet_fn: Optional[Callable[[np.ndarray], Jet3]] = None
+    jet_fn: Callable[[np.ndarray], Jet3]  # (G, 2m) -> order-3 jet
     J: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -179,8 +175,6 @@ def eval_jet(imm: ChartedImmersion, pts: np.ndarray,
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if mode == "analytic":
-        if imm.jet_fn is None:
-            raise ValueError(f"{imm.name}: no analytic jets available")
         jet = imm.jet_fn(pts)
         _check_rank(jet)
         return jet

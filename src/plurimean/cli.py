@@ -7,8 +7,10 @@ Verbs:
   list-fixtures  show the fixture registry and expected outcomes
 
 The `verify` exit code is the number of expectation mismatches (checks
-whose PASS/FAIL status disagrees with the fixture ledger), not the raw
-number of failing residuals: negative controls are supposed to fail.
+whose PASS/FAIL status disagrees with the fixture ledger) plus the
+number of checks that raised (ERROR), capped at 125 so that no count
+wraps to 0.  It is not the raw number of failing residuals: negative
+controls are supposed to fail.
 """
 
 import argparse
@@ -144,7 +146,8 @@ def cmd_verify(args) -> int:
         thetas=thetas, seed=args.seed)
     rep = pipeline.run(cfg, extra_records=extra)
     _emit(report.render_report(rep), args.report)
-    return len(rep.mismatches)
+    return min(125, sum(r.mismatch or r.status == pipeline.ERROR
+                        for r in rep.results))
 
 
 def cmd_family(args) -> int:

@@ -139,9 +139,6 @@ def rigid_match(A: np.ndarray, B: np.ndarray):
         raise ValueError("point clouds must have matching shapes")
     ca, cb = A.mean(axis=0), B.mean(axis=0)
     Ac, Bc = A - ca, B - cb
-    sv = np.linalg.svd(Ac, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0] and A.shape[1] > 1:
-        pass  # rank-deficient clouds still align; flag via rms only
     H = Ac.T @ Bc
     U, _, Vt = np.linalg.svd(H)
     Q = Vt.T @ U.T

@@ -1,18 +1,19 @@
 """Fixture zoo: explicit charted immersions with known verification flags.
 
-Each fixture ships closed-form jets to order 3 (generated symbolically at
-first use) and a ledger of expected classification flags; reproducing the
-ledger is the master regression property of the whole toolkit.
+Each fixture is one chart formula, a Python function of the chart
+coordinates: on float arrays it gives the immersion's values, on
+Taylor-mode jets (jets.py) its closed-form jets to order 3.  It comes
+with a ledger of expected classification flags; reproducing the ledger
+is the master regression property of the whole toolkit.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
+from . import jets
 from .chartcalc import ChartedImmersion
-from .jets_sym import AuxSeries, build_eval_fn, build_jet_fn
 
 FLAG_NAMES = ("kaehler", "ppmc", "pluriminimal", "half_isotropic",
               "isotropic", "spherical")
@@ -51,60 +52,53 @@ class FixtureRecord:
 
 def _stereo_sphere(u, v):
     """Stereographic chart of the unit sphere (south pole at the origin)."""
-    w = 1 + u**2 + v**2
-    return [2 * u / w, 2 * v / w, (u**2 + v**2 - 1) / w]
+    r2 = u**2 + v**2
+    iw = 1 / (1 + r2)
+    return [2 * u * iw, 2 * v * iw, (r2 - 1) * iw]
 
 
-def _formula_catalog():
-    """name -> (m, exprs, aux, default domain) in chart symbols."""
-    u, v = sp.symbols("u v")
-    u1, v1, u2, v2 = sp.symbols("u1 v1 u2 v2")
-    cat = {}
+def _spheroid(u, v):
+    """Spheroid with semi-axes (1, 1, 1.45) in a conformal chart."""
+    t = jets.polyval(u, _SPHEROID_T_COEFFS)
+    s = np.sin(t)
+    return [s * np.cos(v), s * np.sin(v), _SPHEROID_C * np.cos(t)]
 
-    cat["plane"] = (1, [u, v, sp.Integer(0)], (), [(-1, 1), (-1, 1)])
-    cat["skewed-plane"] = (1, [u + v / 2, v, sp.Integer(0)], (),
-                           [(-1, 1), (-1, 1)])
-    cat["sphere"] = (1, _stereo_sphere(u, v), (),
-                     [(-0.8, 0.8), (-0.8, 0.8)])
-    cat["cylinder"] = (1, [sp.cos(v), sp.sin(v), u], (),
-                       [(-1, 1), (-1, 1)])
-    cat["catenoid"] = (1, [sp.cosh(u) * sp.cos(v), sp.cosh(u) * sp.sin(v), u],
-                       (), [(-0.8, 0.8), (-0.8, 0.8)])
-    cat["helicoid"] = (1, [sp.sinh(u) * sp.cos(v), sp.sinh(u) * sp.sin(v), v],
-                       (), [(-0.8, 0.8), (-0.8, 0.8)])
-    cat["holomorphic-curve"] = (1, [u, v, u**2 - v**2, 2 * u * v], (),
-                                [(-0.7, 0.7), (-0.7, 0.7)])
 
-    # spheroid with semi-axes (1, 1, 1.45) in a conformal chart; the
-    # conformal latitude enters through its frozen Taylor polynomial
-    t = sp.Function("t")(u)
-    cat["ellipsoid"] = (
-        1,
-        [sp.sin(t) * sp.cos(v), sp.sin(t) * sp.sin(v),
-         _SPHEROID_C * sp.cos(t)],
-        (AuxSeries("t", 0, _SPHEROID_T_COEFFS),),
-        [(-0.35, 0.35), (-0.7, 0.7)])
+def _veronese(u, v):
+    """Unit-sphere point S maps to the rank-one projector S S^T, written
+    in coordinates making the Frobenius metric Euclidean."""
+    x, y, z = _stereo_sphere(u, v)
+    r2 = np.sqrt(2.0)
+    return [x**2, y**2, z**2, r2 * x * y, r2 * x * z, r2 * y * z]
 
-    s1 = _stereo_sphere(u1, v1)
-    s2 = _stereo_sphere(u2, v2)
-    cat["product-spheres"] = (2, s1 + s2, (),
-                              [(-0.6, 0.6)] * 4)
 
-    # Veronese: unit-sphere point S maps to the rank-one projector S S^T,
-    # written in coordinates making the Frobenius metric Euclidean
-    S = _stereo_sphere(u, v)
-    r2 = sp.sqrt(2)
-    cat["veronese"] = (
-        1,
-        [S[0]**2, S[1]**2, S[2]**2,
-         r2 * S[0] * S[1], r2 * S[0] * S[2], r2 * S[1] * S[2]],
-        (), [(-0.7, 0.7), (-0.7, 0.7)])
-
+# name -> (complex dimension m, chart formula, default domain)
+_CATALOG = {
+    "plane": (1, lambda u, v: [u, v, 0.0], [(-1, 1), (-1, 1)]),
+    "skewed-plane": (1, lambda u, v: [u + v / 2, v, 0.0],
+                     [(-1, 1), (-1, 1)]),
+    "sphere": (1, _stereo_sphere, [(-0.8, 0.8), (-0.8, 0.8)]),
+    "cylinder": (1, lambda u, v: [np.cos(v), np.sin(v), u],
+                 [(-1, 1), (-1, 1)]),
+    "catenoid": (1, lambda u, v: [np.cosh(u) * np.cos(v),
+                                  np.cosh(u) * np.sin(v), u],
+                 [(-0.8, 0.8), (-0.8, 0.8)]),
+    "helicoid": (1, lambda u, v: [np.sinh(u) * np.cos(v),
+                                  np.sinh(u) * np.sin(v), v],
+                 [(-0.8, 0.8), (-0.8, 0.8)]),
+    "holomorphic-curve": (1, lambda u, v: [u, v, u**2 - v**2, 2 * u * v],
+                          [(-0.7, 0.7), (-0.7, 0.7)]),
+    "ellipsoid": (1, _spheroid, [(-0.35, 0.35), (-0.7, 0.7)]),
+    "product-spheres": (2, lambda u1, v1, u2, v2: (_stereo_sphere(u1, v1)
+                                                   + _stereo_sphere(u2, v2)),
+                        [(-0.6, 0.6)] * 4),
+    "veronese": (1, _veronese, [(-0.7, 0.7), (-0.7, 0.7)]),
     # standard embedding p -> J_p of the sphere into the rotation algebra
     # (Frobenius norm sqrt(2) per unit vector)
-    cat["standard-embedding"] = (1, [r2 * e for e in S], (),
-                                 [(-0.7, 0.7), (-0.7, 0.7)])
-    return cat
+    "standard-embedding": (1, lambda u, v: [np.sqrt(2.0) * e for e in
+                                            _stereo_sphere(u, v)],
+                           [(-0.7, 0.7), (-0.7, 0.7)]),
+}
 
 
 _FLAGS = {
@@ -159,22 +153,18 @@ _GRID = {"product-spheres": 5}
 
 @functools.lru_cache(maxsize=None)
 def _build_immersion(name, domain_key=None):
-    cat = _formula_catalog()
-    if name not in cat:
+    if name not in _CATALOG:
         raise KeyError(f"unknown chart formula {name!r}")
-    m, exprs, aux, default_domain = cat[name]
-    domain = list(domain_key) if domain_key is not None else default_domain
-    if m == 1:
-        coords = sp.symbols("u v")
-    else:
-        coords = sp.symbols(" ".join(f"u{k+1} v{k+1}" for k in range(m)))
+    m, formula, default_domain = _CATALOG[name]
+    domain = np.asarray(domain_key if domain_key is not None
+                        else default_domain, dtype=float)
     return ChartedImmersion(
         name=name,
-        ambient_dim=len(exprs),
+        ambient_dim=len(formula(*domain.mean(axis=1))),
         complex_dim=m,
-        domain=np.asarray(domain, dtype=float),
-        eval_fn=build_eval_fn(coords, exprs, aux),
-        jet_fn=build_jet_fn(coords, exprs, aux),
+        domain=domain,
+        eval_fn=functools.partial(jets.values, formula),
+        jet_fn=functools.partial(jets.jet3, formula),
     )
 
 
@@ -212,7 +202,8 @@ def load_fixture_file(path) -> FixtureRecord:
     """Parse a structured-text fixture definition.
 
     Recognized keys (one `key: value` pair per line, '#' comments):
-    name, formula, n, m, domain (2m pairs of floats), jets, grid.
+    name, formula, n, m, domain (2m pairs of floats), jets (only
+    'analytic' is accepted), grid.
     The formula must name a chart from the built-in catalog; n and m, if
     given, are validated against it; domain overrides the default box.
     """
@@ -243,12 +234,8 @@ def load_fixture_file(path) -> FixtureRecord:
     if "m" in kv and int(kv["m"]) != imm.complex_dim:
         raise ValueError(f"complex dim mismatch: file says {kv['m']}, "
                          f"formula has {imm.complex_dim}")
-    if kv.get("jets", "analytic") not in ("analytic", "fd"):
-        raise ValueError("jets must be 'analytic' or 'fd'")
-    if kv.get("jets") == "fd":
-        imm = ChartedImmersion(name=imm.name, ambient_dim=imm.ambient_dim,
-                               complex_dim=imm.complex_dim, domain=imm.domain,
-                               eval_fn=imm.eval_fn, jet_fn=None)
+    if kv.get("jets", "analytic") != "analytic":
+        raise ValueError("jets must be 'analytic'")
     name = kv.get("name", formula)
     flags = dict(_FLAGS.get(formula, {f: None for f in FLAG_NAMES}))
     return FixtureRecord(name=name, immersion=imm, flags=flags,

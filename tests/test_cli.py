@@ -1,11 +1,16 @@
 """Command-line interface: verbs, flags, exit codes, exports."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plurimean import cli
+import plurimean
+from plurimean import cli, pipeline
 
 
 def test_theta_parsing():
@@ -38,6 +43,40 @@ def test_verify_exit_code_counts_mismatches(tmp_path):
     text = rpt.read_text()
     assert "expectation_mismatches: 0" in text
     assert "ellipsoid" in text
+
+
+def test_verify_exit_code_counts_errors(monkeypatch, tmp_path):
+    def boom(ctx):
+        raise RuntimeError("check body failed")
+
+    monkeypatch.setitem(pipeline.CHECKS, "ppmc", boom)
+    rpt = tmp_path / "report.txt"
+    code = cli.main(["verify", "--fixtures", "plane",
+                     "--checks", "kaehler,ppmc", "--grid", "5",
+                     "--report", str(rpt)])
+    assert code == 1
+    assert "RuntimeError: check body failed" in rpt.read_text()
+
+
+def test_verify_exit_code_never_wraps_to_zero(monkeypatch, tmp_path):
+    def wrong(ctx):
+        return 1.0, 1e-8, pipeline.PASS, {}  # FAIL where PASS is expected
+
+    monkeypatch.setattr(pipeline, "CHECKS",
+                        {f"wrong-{k}": wrong for k in range(256)})
+    code = cli.main(["verify", "--fixtures", "plane", "--checks", "all",
+                     "--report", str(tmp_path / "report.txt")])
+    assert code == 125
+
+
+def test_cli_import_leaves_out_sympy():
+    src = str(Path(plurimean.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, plurimean.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_unknown_fixture_errors(capsys):

@@ -77,19 +77,13 @@ def test_load_fixture_file_roundtrip(tmp_path):
     assert rec.immersion.jet_fn is not None
 
 
-def test_load_fixture_file_fd_jets(tmp_path):
-    path = tmp_path / "cat_fd.fixture"
-    path.write_text("formula: catenoid\njets: fd\n")
-    rec = load_fixture_file(path)
-    assert rec.immersion.jet_fn is None
-
-
 @pytest.mark.parametrize("body,err", [
     ("jets: analytic\n", "formula"),
     ("formula: catenoid\nn: 5\n", "ambient"),
     ("formula: catenoid\nm: 2\n", "complex"),
     ("formula: catenoid\ndomain: 1 2 3\n", "even number"),
     ("formula: catenoid\njets: symbolic\n", "jets"),
+    ("formula: catenoid\njets: fd\n", "jets"),
     ("formula catenoid\n", "malformed"),
 ])
 def test_load_fixture_file_rejects_bad_input(tmp_path, body, err):
