@@ -44,7 +44,9 @@ def _parse_list(text: str):
 
 def _add_common(p):
     p.add_argument("--grid", type=int, default=9,
-                   help="grid points per chart axis (default 9)")
+                   help="grid points per chart axis (default 9) for "
+                        "fixtures without a grid of their own "
+                        "(product-spheres: 5; a fixture file's grid:)")
     p.add_argument("--h", type=float, default=1e-4,
                    help="finite-difference step (default 1e-4)")
     p.add_argument("--tol-tier1", type=float, default=1e-8,
@@ -154,8 +156,7 @@ def cmd_family(args) -> int:
     theta = _parse_theta(args.theta)
     imm = fixtures.get_immersion(args.fixture)
     member = family.integrate_family(imm, theta, per_axis=args.grid)
-    from . import forms
-    geom = forms.compute_geometry(imm, member.pts)
+    geom = member.geom
     tree = {
         "fixture": args.fixture,
         "theta": theta,

@@ -79,6 +79,7 @@ class FamilyMember:
     shape: tuple            # per-axis point counts
     values: np.ndarray      # (G, n) integrated immersion, anchored at 0
     metric_deviation: float  # sup |R^T g R - g| (exact-form route)
+    geom: forms.GeometryData  # geometry of imm on pts
 
 
 def integrate_family(imm: ChartedImmersion, theta: float,
@@ -127,7 +128,7 @@ def integrate_family(imm: ChartedImmersion, theta: float,
     metric_dev = float(np.max(np.abs(g_t - geom.g)))
     return FamilyMember(theta=theta, pts=pts, shape=(N, N),
                         values=F.reshape(-1, n),
-                        metric_deviation=metric_dev)
+                        metric_deviation=metric_dev, geom=geom)
 
 
 def rigid_match(A: np.ndarray, B: np.ndarray):

@@ -9,6 +9,7 @@ is the master regression property of the whole toolkit.
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class FixtureRecord:
     name: str
     immersion: ChartedImmersion
     flags: dict
-    grid_per_axis: int = 9
+    grid_per_axis: Optional[int] = None   # None: the run's --grid
     notes: str = ""
 
 
@@ -182,7 +183,7 @@ def get_fixture(name: str) -> FixtureRecord:
         name=name,
         immersion=get_immersion(name),
         flags=dict(_FLAGS[name]),
-        grid_per_axis=_GRID.get(name, 9),
+        grid_per_axis=_GRID.get(name),
         notes=_NOTES[name],
     )
 
@@ -203,9 +204,10 @@ def load_fixture_file(path) -> FixtureRecord:
 
     Recognized keys (one `key: value` pair per line, '#' comments):
     name, formula, n, m, domain (2m pairs of floats), jets (only
-    'analytic' is accepted), grid.
+    'analytic' is accepted), grid (points per chart axis, at least 5).
     The formula must name a chart from the built-in catalog; n and m, if
-    given, are validated against it; domain overrides the default box.
+    given, are validated against it; domain overrides the default box;
+    without grid the catalog's grid applies, else the run's.
     """
     text = open(path).read()
     kv = {}
@@ -236,8 +238,11 @@ def load_fixture_file(path) -> FixtureRecord:
                          f"formula has {imm.complex_dim}")
     if kv.get("jets", "analytic") != "analytic":
         raise ValueError("jets must be 'analytic'")
+    grid = int(kv["grid"]) if "grid" in kv else _GRID.get(formula)
+    if grid is not None and grid < 5:
+        raise ValueError("grid must be at least 5 per axis")
     name = kv.get("name", formula)
     flags = dict(_FLAGS.get(formula, {f: None for f in FLAG_NAMES}))
     return FixtureRecord(name=name, immersion=imm, flags=flags,
-                         grid_per_axis=int(kv.get("grid", 9)),
+                         grid_per_axis=grid,
                          notes=f"loaded from {path}")

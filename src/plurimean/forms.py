@@ -3,7 +3,8 @@ and the scalar residuals classifying an immersion (ppmc, pluriminimal,
 mean-curvature sphere reduction).
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,13 +28,17 @@ class GeometryData:
     alpha20: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d'_b)
     alpha11: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d''_b)
     frame: np.ndarray    # (G, n-d, n) real orthonormal normal frame
-    R: np.ndarray = field(init=False)
-    RN: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.R = kaehler.curvature_from_gauss(self.alpha)
-        self.RN = kaehler.normal_curvature(self.alpha, self.g, self.ginv,
-                                           self.frame)
+    # the curvatures are computed on first read: the shifted grids of
+    # the bundle derivatives never read them
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        return kaehler.curvature_from_gauss(self.alpha)
+
+    @functools.cached_property
+    def RN(self) -> np.ndarray:
+        return kaehler.normal_curvature(self.alpha, self.g, self.ginv,
+                                        self.frame)
 
     @property
     def alpha02(self) -> np.ndarray:

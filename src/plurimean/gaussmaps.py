@@ -18,7 +18,7 @@ from typing import Dict
 import numpy as np
 
 from . import forms
-from .chartcalc import ChartedImmersion, Jet3, RankError, holomorphic_basis
+from .chartcalc import Jet3, RankError, holomorphic_basis
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -38,24 +38,19 @@ def grassmann_invariants(P: np.ndarray, dim: int):
     return idem, symm, tr
 
 
-def dgauss_check(imm: ChartedImmersion, pts: np.ndarray,
-                 h: float = 1e-4) -> float:
+def dgauss_check(geom: forms.GeometryData, dP_T: np.ndarray) -> float:
     """Two-route differential of the Gauss map:
 
         (d_i P) . d1_j  vs  alpha(d_i, d_j)
 
-    with d P from central differences of the projector field.
+    with d P the central-difference chart derivatives (G, 2m, n, n) of
+    the tangent projector, as projector_derivatives(geom) returns them
+    in dP["P_T"] (real values in complex storage): the check reuses the
+    bundle pass's shifted jets instead of evaluating its own.
     """
-    geom = forms.compute_geometry(imm, pts)
-    d = geom.jet.chart_dim
     res = 0.0
-    for v in range(d):
-        ev = np.zeros(d)
-        ev[v] = h
-        Pp = gauss_projection(imm.jet_fn(pts + ev))
-        Pm = gauss_projection(imm.jet_fn(pts - ev))
-        dP = (Pp - Pm) / (2.0 * h)
-        lhs = np.einsum("gxy,gjy->gjx", dP, geom.jet.d1)
+    for v in range(geom.jet.chart_dim):
+        lhs = np.einsum("gxy,gjy->gjx", dP_T[:, v].real, geom.jet.d1)
         res = max(res, float(np.max(np.abs(lhs - geom.alpha[:, v]))))
     return res
 
@@ -114,7 +109,8 @@ def outside_residual(P_target: np.ndarray, dP: np.ndarray,
 class BundleProjectors:
     """All projector fields derived from one geometry grid."""
 
-    P_T: np.ndarray      # complexified tangent projector (real entries)
+    P_T: np.ndarray      # tangent projector, real: dP["P_T"] is then a
+                         # real difference quotient, as eq4 always took
     P_taup: np.ndarray   # tau' = df(T')
     P_taupp: np.ndarray
     P_Nc: np.ndarray     # complexified normal bundle
@@ -141,7 +137,7 @@ def bundle_projectors(geom: forms.GeometryData) -> BundleProjectors:
     if r_tp != m:
         raise RankError(f"tau' rank {r_tp} != m = {m}")
     P_taupp = P_taup.conj()
-    P_T = gauss_projection(geom.jet).astype(complex)
+    P_T = gauss_projection(geom.jet)
     P_Nc = np.eye(n, dtype=complex)[None] - P_T
 
     no_gens = geom.alpha11.reshape(G, m * m, n)
@@ -156,14 +152,19 @@ def bundle_projectors(geom: forms.GeometryData) -> BundleProjectors:
         ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
 
 
-def projector_derivatives(imm: ChartedImmersion, pts: np.ndarray,
-                          h: float = 1e-4):
-    """Central-difference chart derivatives of every bundle projector.
+def projector_derivatives(geom: forms.GeometryData, h: float = 1e-4):
+    """Bundle projectors at geom's points and their central-difference
+    chart derivatives.
 
-    Returns (bundles at pts, dict name -> dP of shape (G, 2m, n, n)).
+    The centre bundles are built from geom itself; each of the 2*2m
+    shifted geometries is built, reduced to its projectors and dropped
+    before the next one, so none of them outlives this call.
+
+    Returns (bundles at geom.pts, dict name -> dP of shape (G, 2m, n, n)).
     """
-    d = 2 * imm.complex_dim
-    center = bundle_projectors(forms.compute_geometry(imm, pts))
+    imm, pts = geom.imm, geom.pts
+    d = imm.chart_dim
+    center = bundle_projectors(geom)
     names = ["P_T", "P_taup", "P_taupp", "P_Nc", "P_No", "P_Np", "P_Npp"]
     G = pts.shape[0]
     n = imm.ambient_dim
@@ -175,6 +176,7 @@ def projector_derivatives(imm: ChartedImmersion, pts: np.ndarray,
         bm = bundle_projectors(forms.compute_geometry(imm, pts - ev))
         for nm in names:
             dP[nm][:, v] = (getattr(bp, nm) - getattr(bm, nm)) / (2.0 * h)
+        del bp, bm   # the next pair is built without this one alive
     return center, dP
 
 

@@ -1,37 +1,13 @@
-"""Hot per-grid-point tensor kernels.
-
-Every kernel has two implementations: a numba ``@njit`` loop and a pure
-numpy (einsum) fallback.  The fallback is selected by setting the
-environment variable ``PLURIMEAN_NO_NUMBA=1`` before import, or is used
-automatically when numba is not importable.  Both paths are exercised by
-the test suite and compared by ``benchmarks/bench_kernels.py``.
+"""Hot per-grid-point tensor kernels, written as numpy einsums.
 
 Array layout: a leading grid axis ``G``, then chart indices (``d = 2m``),
 then the ambient axis ``n`` where applicable.
 """
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("PLURIMEAN_NO_NUMBA", "0") not in ("", "0")
 
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA
-
-
-# ---------------------------------------------------------------- numpy path
-
-def gauss_curvature_numpy(alpha):
+def gauss_curvature(alpha):
     """Curvature tensor from the Gauss equation of a flat-ambient immersion.
 
     R[g,i,j,k,l] = <alpha_il, alpha_jk> - <alpha_ik, alpha_jl>.
@@ -42,85 +18,19 @@ def gauss_curvature_numpy(alpha):
     return il_jk - ik_jl
 
 
-def christoffel_numpy(dg, ginv):
+def christoffel(dg, ginv):
     """Levi-Civita symbols Gamma[g,k,i,j] from dg[g,i,j,l] = d_i g_{jl}."""
     sym = (dg + np.einsum("gjil->gijl", dg) - np.einsum("glij->gijl", dg))
     return 0.5 * np.einsum("gkl,gijl->gkij", ginv, sym)
 
 
-def gauss_residual_numpy(R, alpha_theta):
+def gauss_residual(R, alpha_theta):
     """Sup-norm residual of the Gauss equation with a rotated right side."""
-    rhs = gauss_curvature_numpy(alpha_theta)
+    rhs = gauss_curvature(alpha_theta)
     return float(np.max(np.abs(R - rhs)))
 
 
-# ---------------------------------------------------------------- numba path
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gauss_curvature_nb(alpha):
-        G, d, _, n = alpha.shape
-        out = np.empty((G, d, d, d, d))
-        for g in range(G):
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        for l in range(d):
-                            s = 0.0
-                            for x in range(n):
-                                s += (alpha[g, i, l, x] * alpha[g, j, k, x]
-                                      - alpha[g, i, k, x] * alpha[g, j, l, x])
-                            out[g, i, j, k, l] = s
-        return out
-
-    @njit(cache=True)
-    def _christoffel_nb(dg, ginv):
-        G, d = dg.shape[0], dg.shape[1]
-        out = np.empty((G, d, d, d))
-        for g in range(G):
-            for k in range(d):
-                for i in range(d):
-                    for j in range(d):
-                        s = 0.0
-                        for l in range(d):
-                            s += ginv[g, k, l] * (dg[g, i, j, l]
-                                                  + dg[g, j, i, l]
-                                                  - dg[g, l, i, j])
-                        out[g, k, i, j] = 0.5 * s
-        return out
-
-    @njit(cache=True)
-    def _gauss_residual_nb(R, alpha_theta):
-        G, d, _, n = alpha_theta.shape
-        worst = 0.0
-        for g in range(G):
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        for l in range(d):
-                            s = 0.0
-                            for x in range(n):
-                                s += (alpha_theta[g, i, l, x] * alpha_theta[g, j, k, x]
-                                      - alpha_theta[g, i, k, x] * alpha_theta[g, j, l, x])
-                            r = abs(R[g, i, j, k, l] - s)
-                            if r > worst:
-                                worst = r
-        return worst
-
-    def gauss_curvature(alpha):
-        return _gauss_curvature_nb(np.ascontiguousarray(alpha, dtype=np.float64))
-
-    def christoffel(dg, ginv):
-        return _christoffel_nb(np.ascontiguousarray(dg, dtype=np.float64),
-                               np.ascontiguousarray(ginv, dtype=np.float64))
-
-    def gauss_residual(R, alpha_theta):
-        return float(_gauss_residual_nb(
-            np.ascontiguousarray(R, dtype=np.float64),
-            np.ascontiguousarray(alpha_theta, dtype=np.float64)))
-
-else:
-    gauss_curvature = gauss_curvature_numpy
-    christoffel = christoffel_numpy
-    gauss_residual = gauss_residual_numpy
+# Kept for the benchmark's environment record and tracer self-test,
+# which read them; the kernels have no other implementation.
+USING_NUMBA = False
+gauss_curvature_numpy = gauss_curvature

@@ -3,6 +3,7 @@
 compares PASS/FAIL statuses against each fixture's expected-flag ledger.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -66,53 +67,61 @@ def classify(residual: float, tol: float) -> str:
     return INCONCLUSIVE
 
 
-def _expected(flag: Optional[bool]) -> Optional[str]:
-    if flag is None:
-        return None
-    return PASS if flag else FAIL
+def _ledger(flag: str):
+    """PASS or FAIL as the ledger flag says; None where it is unknown."""
+    return lambda flags: (None if flags.get(flag) is None
+                          else PASS if flags[flag] else FAIL)
+
+
+def _pass_if(flag: str):
+    """PASS where the ledger flag holds; no expectation otherwise."""
+    return lambda flags: PASS if flags.get(flag) else None
+
+
+def _always(flags) -> str:
+    return PASS
 
 
 class FixtureContext:
-    """Lazily computed geometry shared by the checks of one fixture."""
+    """The geometry of one fixture's point set, shared by all its checks.
+
+    Each layer is computed on first use, once, from the layer before it:
+
+        geom -> bundles (projectors, their FD derivatives dP)
+             -> mean_curvature
+
+    The point set is the fixture's own grid (rec.grid_per_axis) or else
+    cfg.grid points per chart axis.  `eq4` reads dP["P_T"] from the
+    bundle layer, so a RankError of the bundles also shows as an `eq4`
+    ERROR.  The shifted geometries behind dP are not kept.
+    """
 
     def __init__(self, rec: FixtureRecord, cfg: RunConfig):
         self.rec = rec
         self.cfg = cfg
-        per_axis = cfg.grid if rec.immersion.complex_dim == 1 \
-            else max(5, min(cfg.grid, 5))
-        self.pts = rec.immersion.grid(per_axis, margin=0.02)
-        self._geom = None
-        self._bun = None
-        self._dP = None
-        self._mc = None
+        self.pts = rec.immersion.grid(rec.grid_per_axis or cfg.grid,
+                                      margin=0.02)
 
-    @property
+    @functools.cached_property
     def geom(self) -> forms.GeometryData:
-        if self._geom is None:
-            self._geom = forms.compute_geometry(self.rec.immersion, self.pts)
-        return self._geom
+        return forms.compute_geometry(self.rec.immersion, self.pts)
 
-    @property
+    @functools.cached_property
     def bundles(self):
-        if self._bun is None:
-            self._bun, self._dP = gaussmaps.projector_derivatives(
-                self.rec.immersion, self.pts, h=self.cfg.h)
-        return self._bun, self._dP
+        return gaussmaps.projector_derivatives(self.geom, h=self.cfg.h)
 
-    @property
+    @functools.cached_property
     def mean_curvature(self) -> forms.MeanCurvatureData:
-        if self._mc is None:
-            self._mc = forms.mean_curvature_and_sphere_reduction(self.geom)
-        return self._mc
+        return forms.mean_curvature_and_sphere_reduction(self.geom)
 
 
 # ------------------------------------------------------------ check bodies
-# each returns (residual, threshold, expected, extras)
+# each returns (residual, threshold, extras); the expected status comes
+# from EXPECTED below
 
 def _chk_kaehler(ctx: FixtureContext):
     orth, par = kaehler.kaehler_residual(ctx.rec.immersion, ctx.geom.jet)
     return (max(orth, par), ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("kaehler")),
             {"orthogonality": orth, "parallelity": par})
 
 
@@ -120,45 +129,42 @@ def _chk_jets(ctx: FixtureContext):
     order = convergence_order(ctx.rec.immersion, ctx.pts)
     # status from the shortfall below the expected 2nd order
     res = max(0.0, 1.9 - order)
-    return (res, 1e-6, PASS, {"order": order})
+    return (res, 1e-6, {"order": order})
 
 
 def _chk_grassmann(ctx: FixtureContext):
     P = gaussmaps.gauss_projection(ctx.geom.jet)
     idem, symm, tr = gaussmaps.grassmann_invariants(
         P, 2 * ctx.rec.immersion.complex_dim)
-    return (max(idem, symm, tr), 1e-10, PASS,
+    return (max(idem, symm, tr), 1e-10,
             {"idempotency": idem, "symmetry": symm, "trace": tr})
 
 
 def _chk_eq4(ctx: FixtureContext):
-    res = gaussmaps.dgauss_check(ctx.rec.immersion, ctx.pts, h=ctx.cfg.h)
-    return (res, ctx.cfg.tol_tier2, PASS, {})
+    _, dP = ctx.bundles
+    res = gaussmaps.dgauss_check(ctx.geom, dP["P_T"])
+    return (res, ctx.cfg.tol_tier2, {})
 
 
 def _chk_codazzi(ctx: FixtureContext):
     res = forms.codazzi_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier2, PASS, {})
+    return (res, ctx.cfg.tol_tier2, {})
 
 
 def _chk_ppmc(ctx: FixtureContext):
     res = forms.ppmc_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("ppmc")), {})
+    return (res, ctx.cfg.tol_tier1, {})
 
 
 def _chk_gauss_levi(ctx: FixtureContext):
     res = gaussmaps.gauss_levi_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("ppmc")), {})
+    return (res, ctx.cfg.tol_tier1, {})
 
 
 def _chk_pluriminimal(ctx: FixtureContext):
     bun, dP = ctx.bundles
     r1, r2 = gaussmaps.holomorphicity_residuals(ctx.geom, bun, dP)
-    return (r1, ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("pluriminimal")),
-            {"frame_route": r2})
+    return (r1, ctx.cfg.tol_tier1, {"frame_route": r2})
 
 
 def _chk_structure_equations(ctx: FixtureContext):
@@ -168,40 +174,36 @@ def _chk_structure_equations(ctx: FixtureContext):
         worst["gauss"] = max(worst["gauss"], gr)
         worst["codazzi"] = max(worst["codazzi"], cr)
         worst["ricci"] = max(worst["ricci"], rr)
-    return (max(worst.values()), ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("ppmc")), worst)
+    return (max(worst.values()), ctx.cfg.tol_tier1, worst)
 
 
 def _chk_rn_tprime(ctx: FixtureContext):
     res = kaehler.rn_tprime_residual(ctx.geom.RN,
                                      ctx.rec.immersion.complex_dim)
-    exp = PASS if ctx.rec.flags.get("ppmc") else None
-    return (res, ctx.cfg.tol_tier1, exp, {})
+    return (res, ctx.cfg.tol_tier1, {})
 
 
 def _chk_sublemma(ctx: FixtureContext):
     res = kaehler.sublemma_residual(ctx.geom)
-    exp = PASS if ctx.rec.flags.get("ppmc") else None
-    return (res, ctx.cfg.tol_tier2, exp, {})
+    return (res, ctx.cfg.tol_tier2, {})
 
 
 def _chk_superhorizontality(ctx: FixtureContext):
     bun, dP = ctx.bundles
     res = gaussmaps.superhorizontality_residual(bun, dP)
-    return (res, ctx.cfg.tol_tier2, PASS, {})
+    return (res, ctx.cfg.tol_tier2, {})
 
 
 def _chk_lift_grading(ctx: FixtureContext):
     bun, dP = ctx.bundles
     res = flags.lift_grading_residual(bun, dP)
-    return (res, ctx.cfg.tol_tier2, PASS, {})
+    return (res, ctx.cfg.tol_tier2, {})
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
     bun, _ = ctx.bundles
     t1, t2 = gaussmaps.half_isotropy_residual(ctx.geom, bun)
     return (max(t1, t2), ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("half_isotropic")),
             {"alpha20_in_No": t1, "ppmc": t2})
 
 
@@ -216,14 +218,13 @@ def _chk_isotropy(ctx: FixtureContext):
     extras = {"orthogonality": rep.orthogonality,
               "parallelity": rep.parallelity}
     extras.update({f"rank {k}": float(v) for k, v in rep.ranks.items()})
-    return (scaled, 1.0, _expected(ctx.rec.flags.get("isotropic")), extras)
+    return (scaled, 1.0, extras)
 
 
 def _chk_chain(ctx: FixtureContext):
     bun, dP = ctx.bundles
     ch = gaussmaps.differential_chain_residuals(ctx.geom, bun, dP)
-    exp = PASS if ctx.rec.flags.get("isotropic") else None
-    return (max(ch.values()), ctx.cfg.tol_tier2, exp, ch)
+    return (max(ch.values()), ctx.cfg.tol_tier2, ch)
 
 
 def _chk_sphere_reduction(ctx: FixtureContext):
@@ -234,21 +235,19 @@ def _chk_sphere_reduction(ctx: FixtureContext):
     if mc.radius is not None:
         extras["radius"] = mc.radius
     res = mc.off_identity if abs(mc.kappa) > ctx.cfg.tol_tier1 else np.inf
-    return (res, ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("spherical")), extras)
+    return (res, ctx.cfg.tol_tier1, extras)
 
 
 def _chk_section(ctx: FixtureContext):
     mc = ctx.mean_curvature
     if not mc.spherical:
         if ctx.rec.flags.get("spherical"):
-            return (np.inf, ctx.cfg.tol_tier2, PASS,
-                    {"note_not_spherical": 1.0})
+            return (np.inf, ctx.cfg.tol_tier2, {"note_not_spherical": 1.0})
         raise _Skip("not spherical; no normal section to check")
     bun, _ = ctx.bundles
     normality, tangency, spread = gaussmaps.gauss_section_check(
         ctx.geom, bun, mc)
-    return (max(normality, tangency, spread), ctx.cfg.tol_tier2, PASS,
+    return (max(normality, tangency, spread), ctx.cfg.tol_tier2,
             {"normality": normality, "tau_prime_tangency": tangency,
              "radius_spread": spread})
 
@@ -268,13 +267,12 @@ def _chk_psi(ctx: FixtureContext):
     extras["psi_pi_minus_identity"] = psip.identity_on_N
     extras["minus_one_dim at pi/2"] = float(psi2.minus_one_dim)
     worst = max(worst, psip.identity_on_N)
-    return (worst, ctx.cfg.tol_tier1, PASS, extras)
+    return (worst, ctx.cfg.tol_tier1, extras)
 
 
 def _chk_closedness(ctx: FixtureContext):
     res = family.closedness_residual(ctx.geom, np.pi / 2)
-    return (res, ctx.cfg.tol_tier1,
-            _expected(ctx.rec.flags.get("pluriminimal")), {})
+    return (res, ctx.cfg.tol_tier1, {})
 
 
 class _Skip(Exception):
@@ -303,6 +301,31 @@ CHECKS = {
     "section": _chk_section,
     "psi": _chk_psi,
     "closedness": _chk_closedness,
+}
+
+# check -> its expected status given the fixture's ledger flags; read
+# before the body runs, so a check that raises still counts against it
+EXPECTED = {
+    "kaehler": _ledger("kaehler"),
+    "jets": _always,
+    "grassmann": _always,
+    "eq4": _always,
+    "codazzi": _always,
+    "ppmc": _ledger("ppmc"),
+    "gauss-levi": _ledger("ppmc"),
+    "pluriminimal": _ledger("pluriminimal"),
+    "structure-equations": _ledger("ppmc"),
+    "rn-tprime": _pass_if("ppmc"),
+    "sublemma": _pass_if("ppmc"),
+    "superhorizontality": _always,
+    "lift-grading": _always,
+    "half-isotropy": _ledger("half_isotropic"),
+    "isotropy": _ledger("isotropic"),
+    "chain": _pass_if("isotropic"),
+    "sphere-reduction": _ledger("spherical"),
+    "section": _always,
+    "psi": _always,
+    "closedness": _ledger("pluriminimal"),
 }
 
 
@@ -344,12 +367,12 @@ def run(config: RunConfig, extra_records=()) -> Report:
                     residual=None, threshold=None, expected=None,
                     message="fixture not admitted as Kaehler"))
                 continue
+            expected = EXPECTED[check](rec.flags)
             try:
-                res, tol, exp, extras = CHECKS[check](ctx)
-                status = classify(res, tol)
+                res, tol, extras = CHECKS[check](ctx)
                 results.append(CheckResult(
-                    fixture=name, check=check, status=status,
-                    residual=res, threshold=tol, expected=exp,
+                    fixture=name, check=check, status=classify(res, tol),
+                    residual=res, threshold=tol, expected=expected,
                     extras=extras, runtime=time.perf_counter() - t0))
             except _Skip as s:
                 results.append(CheckResult(
@@ -359,7 +382,7 @@ def run(config: RunConfig, extra_records=()) -> Report:
             except Exception as e:  # honest error reporting
                 results.append(CheckResult(
                     fixture=name, check=check, status=ERROR,
-                    residual=None, threshold=None, expected=None,
+                    residual=None, threshold=None, expected=expected,
                     message=f"{type(e).__name__}: {e}",
                     runtime=time.perf_counter() - t0))
             if check == "kaehler" and results[-1].status != PASS:

@@ -58,12 +58,28 @@ def test_verify_exit_code_counts_errors(monkeypatch, tmp_path):
     assert "RuntimeError: check body failed" in rpt.read_text()
 
 
+def test_verify_error_counts_as_mismatch(monkeypatch, tmp_path):
+    def boom(ctx):
+        raise RuntimeError("check body failed")
+
+    monkeypatch.setitem(pipeline.CHECKS, "ppmc", boom)
+    rpt = tmp_path / "report.txt"
+    code = cli.main(["verify", "--fixtures", "plane",
+                     "--checks", "kaehler,ppmc", "--report", str(rpt)])
+    text = rpt.read_text()
+    assert code == 1  # one ERROR that is also one mismatch
+    assert "expectation_mismatches: 1" in text
+    assert "matches_expectation: false" in text
+
+
 def test_verify_exit_code_never_wraps_to_zero(monkeypatch, tmp_path):
     def wrong(ctx):
-        return 1.0, 1e-8, pipeline.PASS, {}  # FAIL where PASS is expected
+        return 1.0, 1e-8, {}  # FAIL where PASS is expected
 
-    monkeypatch.setattr(pipeline, "CHECKS",
-                        {f"wrong-{k}": wrong for k in range(256)})
+    names = [f"wrong-{k}" for k in range(256)]
+    monkeypatch.setattr(pipeline, "CHECKS", {k: wrong for k in names})
+    monkeypatch.setattr(pipeline, "EXPECTED",
+                        {k: lambda flags: pipeline.PASS for k in names})
     code = cli.main(["verify", "--fixtures", "plane", "--checks", "all",
                      "--report", str(tmp_path / "report.txt")])
     assert code == 125
@@ -122,6 +138,16 @@ def test_family_mesh_and_csv_export(tmp_path):
     assert set(rows[0]) == {"fixture", "theta", "gauss", "codazzi",
                             "ricci", "closedness"}
     assert all(float(r["closedness"]) < 1e-6 for r in rows)
+
+
+def test_family_builds_one_geometry(tmp_path, geometry_calls):
+    code = cli.main(["family", "--fixture", "catenoid", "--grid", "21",
+                     "--match", "helicoid",
+                     "--sweep-csv", str(tmp_path / "sweep.csv"),
+                     "--report", str(tmp_path / "fam.txt")])
+    assert code == 0
+    assert [(name, G) for name, G, _ in geometry_calls] == [("catenoid",
+                                                              21 * 21)]
 
 
 def test_family_higher_ambient_mesh_comments(tmp_path):

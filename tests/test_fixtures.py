@@ -85,9 +85,18 @@ def test_load_fixture_file_roundtrip(tmp_path):
     ("formula: catenoid\njets: symbolic\n", "jets"),
     ("formula: catenoid\njets: fd\n", "jets"),
     ("formula catenoid\n", "malformed"),
+    ("formula: catenoid\ngrid: 3\n", "grid"),
 ])
 def test_load_fixture_file_rejects_bad_input(tmp_path, body, err):
     path = tmp_path / "bad.fixture"
     path.write_text(body)
     with pytest.raises(ValueError, match=err):
         load_fixture_file(path)
+
+
+def test_fixture_file_without_grid_takes_the_catalog_grid(tmp_path):
+    path = tmp_path / "f.fixture"
+    path.write_text("formula: product-spheres\n")
+    assert load_fixture_file(path).grid_per_axis == 5
+    path.write_text("formula: catenoid\n")
+    assert load_fixture_file(path).grid_per_axis is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plurimean import pipeline, report
-from plurimean.fixtures import load_fixture_file
+from plurimean.fixtures import load_fixture_file, registry
 
 
 def test_classify_tiers():
@@ -100,3 +100,31 @@ def test_render_tree_formats_scalars():
     assert "c: 2" in text
     assert "  e: 1.500000e-09" in text
     assert "f: inf" in text
+
+
+def test_default_run_builds_each_geometry_once(geometry_calls):
+    rep = pipeline.run(pipeline.RunConfig())
+    assert rep.mismatches == []
+    assert len(geometry_calls) == len(set(geometry_calls))
+    # an admitted fixture: its grid and the 2 * 2m shifted grids of the
+    # bundle derivatives; a rejected one: its grid only
+    expected = sum(1 + 4 * r.immersion.complex_dim
+                   if r.flags["kaehler"] else 1 for r in registry())
+    assert len(geometry_calls) == expected == 55
+
+
+def test_fixture_file_grid_takes_effect(tmp_path, geometry_calls):
+    path = tmp_path / "cat.fixture"
+    path.write_text("name: cat5\nformula: catenoid\ngrid: 5\n")
+    rep = pipeline.run(pipeline.RunConfig(fixtures=[],
+                                          checks=["kaehler", "ppmc"]),
+                       extra_records=[load_fixture_file(path)])
+    assert [r.status for r in rep.results] == [pipeline.PASS] * 2
+    assert [G for _, G, _ in geometry_calls] == [25]
+
+
+def test_run_grid_applies_to_fixtures_without_their_own(geometry_calls):
+    pipeline.run(pipeline.RunConfig(fixtures=["catenoid", "product-spheres"],
+                                     checks=["kaehler"], grid=7))
+    assert [(name, G) for name, G, _ in geometry_calls] == [
+        ("catenoid", 7 * 7), ("product-spheres", 5 ** 4)]
