@@ -54,9 +54,13 @@ def _add_common(p):
     p.add_argument("--tol-tier2", type=float, default=1e-5,
                    help="finite-difference tolerance tier (default 1e-5)")
     p.add_argument("--tol-tier3", type=float, default=1e-3,
-                   help="loose tolerance tier (default 1e-3)")
+                   help="loose tolerance tier (default 1e-3); accepted "
+                        "and echoed in the report but unused: no check "
+                        "is classified against it")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized spot checks (default 0)")
+                   help="seed (default 0); accepted and echoed in the "
+                        "report but unused: no check draws random "
+                        "numbers")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the key-value report to PATH instead of "
                         "stdout")

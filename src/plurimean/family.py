@@ -22,9 +22,18 @@ def rotation(J: np.ndarray, theta: float) -> np.ndarray:
 
 def rotate_form(alpha: np.ndarray, J: np.ndarray,
                 theta: float) -> np.ndarray:
-    """alpha_theta(x, y) = alpha(R_theta x, R_theta y)."""
-    R = rotation(J, theta)
-    return np.einsum("ai,bj,gabx->gijx", R, R, alpha)
+    """alpha_theta(x, y) = alpha(R_theta x, R_theta y).
+
+    alpha has shape (..., d, d, n): any leading axes (the grid, the
+    derivative direction of D alpha) are carried along.  Per point and
+    ambient component this is R^T alpha R, applied as one product of the
+    constant (d^2, d^2) matrix R^T (x) R^T with the (d^2, n) values.
+    """
+    Rt = rotation(J, theta).T
+    a = np.asarray(alpha)
+    d, n = a.shape[-2], a.shape[-1]
+    flat = a.reshape(*a.shape[:-3], d * d, n)
+    return (np.kron(Rt, Rt) @ flat).reshape(a.shape)
 
 
 def rotate_form_component_residual(geom: forms.GeometryData,
@@ -48,12 +57,11 @@ def structure_equation_residuals(geom: forms.GeometryData, theta: float):
     """(gauss, codazzi, ricci) residuals with the curvatures of f on the
     left and the rotated form alpha_theta on the right."""
     J = geom.imm.J
-    R = rotation(J, theta)
     alpha_t = rotate_form(geom.alpha, J, theta)
     gauss = kernels.gauss_residual(geom.R, alpha_t)
 
     # Codazzi: (D alpha_theta)(k; i, j) symmetric in (k, i)
-    Dat = np.einsum("ai,bj,gkabx->gkijx", R, R, geom.Dalpha)
+    Dat = rotate_form(geom.Dalpha, J, theta)
     codazzi = float(np.max(np.abs(Dat - Dat.transpose(0, 2, 1, 3, 4))))
 
     # Ricci: commutators of the rotated shape operators

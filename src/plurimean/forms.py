@@ -45,8 +45,9 @@ class GeometryData:
         return np.conj(self.alpha20)
 
     def tangent_projector(self) -> np.ndarray:
-        return np.einsum("gix,gij,gjy->gxy", self.jet.d1, self.ginv,
-                         self.jet.d1)
+        """The real Gauss map: the tangent projector field (G, n, n),
+        computed on each call from the stored inverse metric."""
+        return tangent_projector(self.jet.d1, self.ginv)
 
     def normal_project(self, vec: np.ndarray) -> np.ndarray:
         """Project ambient vectors (G, ..., n) onto the normal space."""
@@ -54,6 +55,11 @@ class GeometryData:
         if np.iscomplexobj(vec):
             P = P.astype(complex)
         return vec - np.einsum("gxy,g...y->g...x", P, vec)
+
+
+def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """P = d1^T g^{-1} d1: orthogonal projection onto the tangent plane."""
+    return np.einsum("gix,gij,gjy->gxy", d1, ginv, d1)
 
 
 def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
@@ -66,7 +72,7 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     alpha = jet.d2 - np.einsum("gaij,gax->gijx", Gamma, jet.d1)
 
     # normal projector applied without a frame
-    P_T = np.einsum("gix,gij,gjy->gxy", jet.d1, ginv, jet.d1)
+    P_T = tangent_projector(jet.d1, ginv)
 
     def p_normal(vec):
         return vec - np.einsum("gxy,g...y->g...x", P_T, vec)

@@ -18,17 +18,10 @@ from typing import Dict
 import numpy as np
 
 from . import forms
-from .chartcalc import Jet3, RankError, holomorphic_basis
+from .chartcalc import RankError, holomorphic_basis
 
 
 # ----------------------------------------------------------- Grassmannian
-
-def gauss_projection(jet: Jet3) -> np.ndarray:
-    """P = d1^T g^{-1} d1: orthogonal projection onto the tangent plane."""
-    g = np.einsum("gix,gjx->gij", jet.d1, jet.d1)
-    ginv = np.linalg.inv(g)
-    return np.einsum("gix,gij,gjy->gxy", jet.d1, ginv, jet.d1)
-
 
 def grassmann_invariants(P: np.ndarray, dim: int):
     """(idempotency, symmetry, trace) residuals of a projector field."""
@@ -98,10 +91,10 @@ def outside_residual(P_target: np.ndarray, dP: np.ndarray,
                      P_source: np.ndarray) -> float:
     """sup || P_target (dP_source) P_source || over grid/directions.
 
-    dP has shape (G, D, n, n) for D (possibly complex) directions.
+    dP has shape (G, D, n, n) for D (possibly complex) directions; the
+    two projectors are broadcast over the direction axis.
     """
-    M = np.einsum("gxy,gvyz,gzw->gvxw", P_target.astype(complex),
-                  dP.astype(complex), P_source.astype(complex))
+    M = P_target[:, None] @ dP @ P_source[:, None]
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
@@ -137,7 +130,7 @@ def bundle_projectors(geom: forms.GeometryData) -> BundleProjectors:
     if r_tp != m:
         raise RankError(f"tau' rank {r_tp} != m = {m}")
     P_taupp = P_taup.conj()
-    P_T = gauss_projection(geom.jet)
+    P_T = geom.tangent_projector()
     P_Nc = np.eye(n, dtype=complex)[None] - P_T
 
     no_gens = geom.alpha11.reshape(G, m * m, n)

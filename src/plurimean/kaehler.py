@@ -9,7 +9,7 @@ kept in the tests as a slow cross-check.
 import numpy as np
 
 from . import kernels
-from .chartcalc import ChartedImmersion, Jet3, holomorphic_basis
+from .chartcalc import Jet3, holomorphic_basis
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
@@ -30,15 +30,14 @@ def metric_data(jet: Jet3):
     return g, ginv, dg, Gamma
 
 
-def kaehler_residual(imm: ChartedImmersion, jet: Jet3):
-    """(orthogonality, parallelity) residuals of the chart structure J.
+def kaehler_residual(J: np.ndarray, g: np.ndarray, Gamma: np.ndarray):
+    """(orthogonality, parallelity) residuals of the chart structure J
+    against the metric g and Christoffel symbols Gamma of metric_data.
 
     orth = sup |J^T g J - g|; parallel = sup |nabla J| which for the
     constant chart J reduces to the commutator with the connection
     matrices (Gamma_k)^l_a = Gamma^l_{ka}.
     """
-    g, _, _, Gamma = metric_data(jet)
-    J = imm.J
     orth = float(np.max(np.abs(
         np.einsum("ki,gkl,lj->gij", J, g, J) - g)))
     # Gamma[g,l,k,a]: connection matrix in k is Gam_k[l,a] = Gamma[g,l,k,a]
@@ -90,12 +89,18 @@ def normal_frame(jet: Jet3) -> np.ndarray:
 
 def normal_curvature(alpha, g, ginv, frame):
     """RN[g,i,j,a,b] = <R^N(d_i,d_j) xi_a, xi_b> via shape-operator
-    commutators (the Ricci equation, which defines R^N here)."""
-    M = np.einsum("gijx,gax->gaij", alpha, frame)
-    A = np.einsum("gik,gakj->gaij", ginv, M)
-    comm = (np.einsum("gaik,gbkj->gabij", A, A)
-            - np.einsum("gbik,gakj->gabij", A, A))
-    return np.einsum("gjk,gabki->gijab", g, comm)
+    commutators (the Ricci equation, which defines R^N here).
+
+    Batched products over the grid: frame coefficients M_a = <alpha,
+    xi_a>, shape operators A_a = g^{-1} M_a, commutators [A_a, A_b],
+    and the g-contraction (g [A_a, A_b])[j, i] = RN[i, j, a, b].
+    """
+    G, d, _, n = alpha.shape
+    M = frame @ alpha.reshape(G, d * d, n).transpose(0, 2, 1)
+    A = ginv[:, None] @ M.reshape(G, frame.shape[1], d, d)
+    AB = A[:, :, None] @ A[:, None, :]
+    comm = AB - AB.transpose(0, 2, 1, 3, 4)
+    return (g[:, None, None] @ comm).transpose(0, 4, 3, 1, 2)
 
 
 def rn_tprime_residual(RN: np.ndarray, m: int) -> float:

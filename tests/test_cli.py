@@ -95,6 +95,23 @@ def test_cli_import_leaves_out_sympy():
     assert out.strip() == "False"
 
 
+def test_verify_help_says_inert_options_are_unused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+
+    def option_help(flag, next_flag):
+        # the last mention of a flag is its entry below the usage line
+        return text.rsplit(flag, 1)[1].split(next_flag, 1)[0]
+
+    assert "unused" in option_help("--tol-tier3 TOL_TIER3", "--seed")
+    assert "unused" in option_help("--seed SEED", "--report")
+    # an option that takes effect does not say so
+    assert "unused" not in option_help("--tol-tier2 TOL_TIER2",
+                                       "--tol-tier3")
+
+
 def test_verify_unknown_fixture_errors(capsys):
     assert cli.main(["verify", "--fixtures", "moebius",
                      "--checks", "kaehler"]) == 2

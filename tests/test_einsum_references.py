@@ -1,0 +1,201 @@
+"""The batched-matmul tensor algebra of the theta sweep and the bundle
+residuals against their einsum formulas, kept here as references: on
+random tensors (d = 2 and 4, n up to 9) and on fixture geometries."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from plurimean import family, forms, gaussmaps, kaehler
+from plurimean.chartcalc import standard_J
+from plurimean.fixtures import get_immersion
+
+FIXTURES = ["catenoid", "veronese", "product-spheres", "ellipsoid"]
+THETAS = [0.0, np.pi / 8, np.pi / 3, np.pi / 2, np.pi]
+RANDOM_SHAPES = [(2, 3), (2, 9), (4, 6), (4, 9)]   # (d, n)
+TOL = 1e-12
+
+
+# ------------------------------------------------------ einsum references
+
+def rotate_form_ref(alpha, J, theta):
+    R = family.rotation(J, theta)
+    return np.einsum("ai,bj,gabx->gijx", R, R, alpha)
+
+
+def rotate_Dalpha_ref(Dalpha, J, theta):
+    R = family.rotation(J, theta)
+    return np.einsum("ai,bj,gkabx->gkijx", R, R, Dalpha)
+
+
+def gauss_curvature_ref(alpha):
+    return (np.einsum("gilx,gjkx->gijkl", alpha, alpha)
+            - np.einsum("gikx,gjlx->gijkl", alpha, alpha))
+
+
+def normal_curvature_ref(alpha, g, ginv, frame):
+    M = np.einsum("gijx,gax->gaij", alpha, frame)
+    A = np.einsum("gik,gakj->gaij", ginv, M)
+    comm = (np.einsum("gaik,gbkj->gabij", A, A)
+            - np.einsum("gbik,gakj->gabij", A, A))
+    return np.einsum("gjk,gabki->gijab", g, comm)
+
+
+def structure_equation_residuals_ref(geom, theta):
+    J = geom.imm.J
+    alpha_t = rotate_form_ref(geom.alpha, J, theta)
+    gauss = float(np.max(np.abs(geom.R - gauss_curvature_ref(alpha_t))))
+    Dat = rotate_Dalpha_ref(geom.Dalpha, J, theta)
+    codazzi = float(np.max(np.abs(Dat - Dat.transpose(0, 2, 1, 3, 4))))
+    RN_t = normal_curvature_ref(alpha_t, geom.g, geom.ginv, geom.frame)
+    ricci = float(np.max(np.abs(geom.RN - RN_t)))
+    return gauss, codazzi, ricci
+
+
+def outside_residual_ref(P_target, dP, P_source):
+    M = np.einsum("gxy,gvyz,gzw->gvxw", P_target.astype(complex),
+                  dP.astype(complex), P_source.astype(complex))
+    return float(np.max(np.abs(M))) if M.size else 0.0
+
+
+# ----------------------------------------------------------- random data
+
+def _random_geometry(seed, d, n, G=7):
+    """A stand-in with the fields structure_equation_residuals reads;
+    R and RN are unrelated random tensors, so the residuals are O(1)."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((G, d, d, n))
+    alpha = 0.5 * (alpha + alpha.transpose(0, 2, 1, 3))
+    Dalpha = rng.standard_normal((G, d, d, d, n))
+    B = rng.standard_normal((G, d, d))
+    g = np.einsum("gik,gjk->gij", B, B) + d * np.eye(d)
+    frame = rng.standard_normal((G, n - d, n))
+    return SimpleNamespace(
+        imm=SimpleNamespace(J=standard_J(d // 2)), alpha=alpha,
+        Dalpha=Dalpha, g=g, ginv=np.linalg.inv(g), frame=frame,
+        R=rng.standard_normal((G, d, d, d, d)),
+        RN=rng.standard_normal((G, d, d, n - d, n - d)))
+
+
+@pytest.fixture(scope="module")
+def fixture_geoms():
+    imms = [get_immersion(name) for name in FIXTURES]
+    return {imm.name: forms.compute_geometry(imm, imm.grid(5, margin=0.05))
+            for imm in imms}
+
+
+def _max_diff(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+# -------------------------------------------------------------- rotations
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+@pytest.mark.parametrize("theta", THETAS)
+def test_rotate_form_matches_einsum_on_random_tensors(d, n, theta):
+    geom = _random_geometry(1, d, n)
+    J = geom.imm.J
+    assert _max_diff(family.rotate_form(geom.alpha, J, theta),
+                     rotate_form_ref(geom.alpha, J, theta)) < TOL
+    # a leading derivative axis, as in the Codazzi term
+    assert _max_diff(family.rotate_form(geom.Dalpha, J, theta),
+                     rotate_Dalpha_ref(geom.Dalpha, J, theta)) < TOL
+    # complex values, as in the type-decomposition residual
+    ac = geom.alpha + 1j * geom.alpha[::-1]
+    assert _max_diff(family.rotate_form(ac, J, theta),
+                     rotate_form_ref(ac, J, theta)) < TOL
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("theta", THETAS)
+def test_rotate_form_matches_einsum_on_fixtures(fixture_geoms, name, theta):
+    geom = fixture_geoms[name]
+    J = geom.imm.J
+    assert _max_diff(family.rotate_form(geom.alpha, J, theta),
+                     rotate_form_ref(geom.alpha, J, theta)) < TOL
+    assert _max_diff(family.rotate_form(geom.Dalpha, J, theta),
+                     rotate_Dalpha_ref(geom.Dalpha, J, theta)) < TOL
+
+
+# ------------------------------------------------------------- Ricci term
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+def test_normal_curvature_matches_einsum_on_random_tensors(d, n):
+    geom = _random_geometry(2, d, n)
+    args = (geom.alpha, geom.g, geom.ginv, geom.frame)
+    assert _max_diff(kaehler.normal_curvature(*args),
+                     normal_curvature_ref(*args)) < TOL
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_normal_curvature_matches_einsum_on_fixtures(fixture_geoms, name):
+    geom = fixture_geoms[name]
+    args = (geom.alpha, geom.g, geom.ginv, geom.frame)
+    assert _max_diff(kaehler.normal_curvature(*args),
+                     normal_curvature_ref(*args)) < TOL
+    assert _max_diff(geom.R, gauss_curvature_ref(geom.alpha)) < TOL
+
+
+# ------------------------------------------------ structure-equation sweep
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+@pytest.mark.parametrize("theta", THETAS)
+def test_structure_equation_residuals_match_einsum_on_random_tensors(
+        d, n, theta):
+    geom = _random_geometry(3, d, n)
+    got = family.structure_equation_residuals(geom, theta)
+    ref = structure_equation_residuals_ref(geom, theta)
+    assert min(ref) > 1e-3   # the random R, RN and D alpha do not fit
+    assert _max_diff(got, ref) < TOL
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_structure_equation_residuals_match_einsum_on_fixtures(
+        fixture_geoms, name):
+    geom = fixture_geoms[name]
+    for theta in family.THETA_SWEEP:
+        got = family.structure_equation_residuals(geom, theta)
+        ref = structure_equation_residuals_ref(geom, theta)
+        assert _max_diff(got, ref) < TOL
+
+
+def test_structure_equation_reference_sees_the_ellipsoid_fail(
+        fixture_geoms):
+    _, codazzi, _ = structure_equation_residuals_ref(
+        fixture_geoms["ellipsoid"], np.pi / 4)
+    assert codazzi > 1e-2
+
+
+# ------------------------------------------------------ outside residual
+
+@pytest.mark.parametrize("n,D", [(3, 2), (6, 4), (9, 3)])
+def test_outside_residual_matches_einsum_on_random_tensors(n, D):
+    rng = np.random.default_rng(n * 10 + D)
+    G = 5
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    P_t, dP, P_s = cplx(G, n, n), cplx(G, D, n, n), cplx(G, n, n)
+    assert abs(gaussmaps.outside_residual(P_t, dP, P_s)
+               - outside_residual_ref(P_t, dP, P_s)) < TOL
+    # a real target projector against complex derivatives
+    assert abs(gaussmaps.outside_residual(P_t.real, dP, P_s)
+               - outside_residual_ref(P_t.real, dP, P_s)) < TOL
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_outside_residual_matches_einsum_on_fixtures(fixture_geoms, name):
+    geom = fixture_geoms[name]
+    bun, dP = gaussmaps.projector_derivatives(geom)
+    m = geom.imm.complex_dim
+    n = geom.imm.ambient_dim
+    P_out = np.eye(n, dtype=complex)[None] - bun.P_taup
+    cases = [(bun.P_taupp, dP["P_taup"], bun.P_taup),
+             (P_out, gaussmaps.holo_directions(dP["P_taup"], m, "(0,1)"),
+              bun.P_taup),
+             (bun.P_Nc - bun.P_No, dP["P_No"], bun.P_No)]
+    for P_t, dP_s, P_s in cases:
+        assert abs(gaussmaps.outside_residual(P_t, dP_s, P_s)
+                   - outside_residual_ref(P_t, dP_s, P_s)) < TOL

@@ -128,3 +128,21 @@ def test_run_grid_applies_to_fixtures_without_their_own(geometry_calls):
                                      checks=["kaehler"], grid=7))
     assert [(name, G) for name, G, _ in geometry_calls] == [
         ("catenoid", 7 * 7), ("product-spheres", 5 ** 4)]
+
+
+def test_kaehler_and_grassmann_checks_reuse_the_metric(monkeypatch,
+                                                       geometry_calls):
+    # one inverse metric per geometry: the checks read the geometry's
+    # g, Gamma and tangent projector instead of rebuilding them
+    inversions = []
+    inv = np.linalg.inv
+
+    def spy(a):
+        inversions.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    rep = _subset_run(["catenoid", "veronese", "product-spheres"],
+                      ["kaehler", "grassmann"])
+    assert [r.status for r in rep.results] == [pipeline.PASS] * 6
+    assert len(inversions) == len(geometry_calls) == 3
