@@ -71,7 +71,7 @@ def projector_from_generators(gens: np.ndarray, rel_tol: float = 1e-8,
     instead of amplifying round-off.
     """
     G, K, n = gens.shape
-    sv = np.linalg.svd(gens, compute_uv=False)
+    _, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
     smax = float(np.max(sv)) if sv.size else 0.0
     if max(smax, scale) == 0.0:
         return np.zeros((G, n, n), dtype=complex), 0
@@ -82,7 +82,6 @@ def projector_from_generators(gens: np.ndarray, rel_tol: float = 1e-8,
                         f"{sorted(set(int(x) for x in ranks))}")
     if r == 0:
         return np.zeros((G, n, n), dtype=complex), 0
-    _, _, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
     vr = vh[:, :r, :]
     return np.einsum("gkx,gky->gxy", vr, vr.conj()), r
 

@@ -124,24 +124,41 @@ def sublemma_residual(geom) -> float:
 
     Expects a geometry bundle with jet, g, ginv, alpha, R, RN, frame.
     """
+    lhs, rhs = _sublemma_sides(geom)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def _sublemma_sides(geom):
+    """The two sides R^N(d_i, d_j) beta[a, b] and beta(R(d_i, d_j)
+    (d'_a (x) d''_b)) of the sublemma, each (G, d, d, m, m, n)."""
     m = geom.imm.complex_dim
     B = holomorphic_basis(m)
     Bc = B.conj()
     alpha_c = geom.alpha.astype(complex)
+    G, d = alpha_c.shape[:2]
+    n = alpha_c.shape[-1]
+    # alpha with one slot on the (0,1) resp. (1,0) basis: (G, d, m, n)
+    alpha_b = np.einsum("bq,glqx->glbx", Bc, alpha_c)
+    alpha_a = np.einsum("ap,gplx->glax", B, alpha_c)
     # beta components: beta[a, b] = alpha(d'_a, d''_b), (G, m, m, n)
-    beta = np.einsum("ai,bj,gijx->gabx", B, Bc, alpha_c)
+    beta = np.einsum("ai,gibx->gabx", B, alpha_b)
 
     Rop = curvature_operator(geom.R, geom.ginv)
     # tangent curvature acting on the (1,0)/(0,1) coordinate basis:
     # R(d_i,d_j) d'_a = sum over chart basis, then re-contract into alpha
     Rprime = np.einsum("ak,gijkl->gijal", B, Rop.astype(complex))
     Rsecond = np.einsum("bk,gijkl->gijbl", Bc, Rop.astype(complex))
-    rhs = (np.einsum("gijal,bq,glqx->gijabx", Rprime, Bc, alpha_c)
-           + np.einsum("gijbl,ap,gplx->gijabx", Rsecond, B, alpha_c))
+    rhs = ((Rprime.reshape(G, d * d * m, d)
+            @ alpha_b.reshape(G, d, m * n)).reshape(G, d, d, m, m, n)
+           + (Rsecond.reshape(G, d * d * m, d)
+              @ alpha_a.reshape(G, d, m * n)).reshape(G, d, d, m, m, n)
+           .transpose(0, 1, 2, 4, 3, 5))
 
     # normal curvature as an operator through the real orthonormal frame
     frame = geom.frame.astype(complex)
-    beta_coeff = np.einsum("gabx,gcx->gabc", beta, frame)
-    lhs = np.einsum("gabc,gijcd,gdx->gijabx", beta_coeff, geom.RN.astype(complex),
-                    frame)
-    return float(np.max(np.abs(lhs - rhs)))
+    k = frame.shape[1]
+    beta_coeff = beta.reshape(G, m * m, n) @ frame.transpose(0, 2, 1)
+    lhs = (beta_coeff[:, None]
+           @ (geom.RN.reshape(G, d * d, k, k) @ frame[:, None])
+           ).reshape(G, d, d, m, m, n)
+    return lhs, rhs

@@ -1,6 +1,7 @@
-"""The batched-matmul tensor algebra of the theta sweep and the bundle
-residuals against their einsum formulas, kept here as references: on
-random tensors (d = 2 and 4, n up to 9) and on fixture geometries."""
+"""The batched-matmul tensor algebra of the theta sweep, the bundle
+residuals and the sublemma residual against their einsum formulas, kept
+here as references: on random tensors (d = 2 and 4, n up to 9) and on
+fixture geometries."""
 
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, kaehler
-from plurimean.chartcalc import standard_J
+from plurimean.chartcalc import holomorphic_basis, standard_J
 from plurimean.fixtures import get_immersion
 
 FIXTURES = ["catenoid", "veronese", "product-spheres", "ellipsoid"]
@@ -53,6 +54,24 @@ def structure_equation_residuals_ref(geom, theta):
     return gauss, codazzi, ricci
 
 
+def sublemma_sides_ref(geom):
+    m = geom.imm.complex_dim
+    B = holomorphic_basis(m)
+    Bc = B.conj()
+    alpha_c = geom.alpha.astype(complex)
+    beta = np.einsum("ai,bj,gijx->gabx", B, Bc, alpha_c)
+    Rop = kaehler.curvature_operator(geom.R, geom.ginv).astype(complex)
+    Rprime = np.einsum("ak,gijkl->gijal", B, Rop)
+    Rsecond = np.einsum("bk,gijkl->gijbl", Bc, Rop)
+    rhs = (np.einsum("gijal,bq,glqx->gijabx", Rprime, Bc, alpha_c)
+           + np.einsum("gijbl,ap,gplx->gijabx", Rsecond, B, alpha_c))
+    frame = geom.frame.astype(complex)
+    beta_coeff = np.einsum("gabx,gcx->gabc", beta, frame)
+    lhs = np.einsum("gabc,gijcd,gdx->gijabx", beta_coeff,
+                    geom.RN.astype(complex), frame)
+    return lhs, rhs
+
+
 def outside_residual_ref(P_target, dP, P_source):
     M = np.einsum("gxy,gvyz,gzw->gvxw", P_target.astype(complex),
                   dP.astype(complex), P_source.astype(complex))
@@ -72,7 +91,8 @@ def _random_geometry(seed, d, n, G=7):
     g = np.einsum("gik,gjk->gij", B, B) + d * np.eye(d)
     frame = rng.standard_normal((G, n - d, n))
     return SimpleNamespace(
-        imm=SimpleNamespace(J=standard_J(d // 2)), alpha=alpha,
+        imm=SimpleNamespace(J=standard_J(d // 2), complex_dim=d // 2),
+        alpha=alpha,
         Dalpha=Dalpha, g=g, ginv=np.linalg.inv(g), frame=frame,
         R=rng.standard_normal((G, d, d, d, d)),
         RN=rng.standard_normal((G, d, d, n - d, n - d)))
@@ -165,6 +185,28 @@ def test_structure_equation_reference_sees_the_ellipsoid_fail(
     _, codazzi, _ = structure_equation_residuals_ref(
         fixture_geoms["ellipsoid"], np.pi / 4)
     assert codazzi > 1e-2
+
+
+# ---------------------------------------------------- sublemma residual
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+def test_sublemma_sides_match_einsum_on_random_tensors(d, n):
+    geom = _random_geometry(4, d, n)
+    lhs, rhs = kaehler._sublemma_sides(geom)
+    lhs_ref, rhs_ref = sublemma_sides_ref(geom)
+    assert _max_diff(lhs, lhs_ref) < TOL
+    assert _max_diff(rhs, rhs_ref) < TOL
+    ref = _max_diff(lhs_ref, rhs_ref)
+    assert ref > 1e-3   # the random R and RN do not intertwine
+    assert abs(kaehler.sublemma_residual(geom) - ref) < TOL
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sublemma_sides_match_einsum_on_fixtures(fixture_geoms, name):
+    lhs, rhs = kaehler._sublemma_sides(fixture_geoms[name])
+    lhs_ref, rhs_ref = sublemma_sides_ref(fixture_geoms[name])
+    assert _max_diff(lhs, lhs_ref) < TOL
+    assert _max_diff(rhs, rhs_ref) < TOL
 
 
 # ------------------------------------------------------ outside residual
