@@ -48,7 +48,8 @@ def _add_common(p):
                         "fixtures without a grid of their own "
                         "(product-spheres: 5; a fixture file's grid:)")
     p.add_argument("--h", type=float, default=1e-4,
-                   help="finite-difference step (default 1e-4)")
+                   help="finite-difference step of eq4's second route "
+                        "(default 1e-4)")
     p.add_argument("--tol-tier1", type=float, default=1e-8,
                    help="strict tolerance tier (default 1e-8)")
     p.add_argument("--tol-tier2", type=float, default=1e-5,

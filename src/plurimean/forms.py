@@ -29,8 +29,8 @@ class GeometryData:
     alpha11: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d''_b)
     frame: np.ndarray    # (G, n-d, n) real orthonormal normal frame
 
-    # the curvatures are computed on first read: the shifted grids of
-    # the bundle derivatives never read them
+    # the curvatures are computed on first read: a fixture that the
+    # kaehler check rejects never reads them
     @functools.cached_property
     def R(self) -> np.ndarray:
         return kaehler.curvature_from_gauss(self.alpha)

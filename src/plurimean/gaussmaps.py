@@ -10,6 +10,13 @@ derivative residuals are measured gauge-free as
 which equals the norm of the target-component of the derivative of any
 orthonormal section of the source bundle, independent of the frame
 gauge (for a section s of S: P_T d_v s = P_T (d_v P_S) s).
+
+The chart derivatives d_v P are closed forms in the order-3 jets of
+the centre grid: d_v P_T from alpha, and the generator bundles tau',
+N°, N' from the derivative of a projector onto a constant-rank span
+(projector_derivative) with the generator derivatives built from d2
+and d_v alpha (alpha_derivative).  Only eq4's second route takes a
+finite difference (fd_tangent_projector_derivatives).
 """
 
 from dataclasses import dataclass
@@ -17,8 +24,8 @@ from typing import Dict
 
 import numpy as np
 
-from . import forms
-from .chartcalc import RankError, holomorphic_basis
+from . import forms, kaehler
+from .chartcalc import RankError, eval_jet, holomorphic_basis
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -36,16 +43,40 @@ def dgauss_check(geom: forms.GeometryData, dP_T: np.ndarray) -> float:
 
         (d_i P) . d1_j  vs  alpha(d_i, d_j)
 
-    with d P the central-difference chart derivatives (G, 2m, n, n) of
-    the tangent projector, as projector_derivatives(geom) returns them
-    in dP["P_T"] (real values in complex storage): the check reuses the
-    bundle pass's shifted jets instead of evaluating its own.
+    with d P the chart derivatives (G, 2m, n, n) of the tangent
+    projector.  The pipeline passes the central differences of
+    fd_tangent_projector_derivatives: the closed form of
+    projector_derivatives is built from alpha, so against it the two
+    routes would agree identically.
     """
     res = 0.0
     for v in range(geom.jet.chart_dim):
         lhs = np.einsum("gxy,gjy->gjx", dP_T[:, v].real, geom.jet.d1)
         res = max(res, float(np.max(np.abs(lhs - geom.alpha[:, v]))))
     return res
+
+
+def fd_tangent_projector_derivatives(geom: forms.GeometryData,
+                                     h: float) -> np.ndarray:
+    """Central-difference chart derivatives (G, 2m, n, n) of the tangent
+    projector: the jets at pts +- h e_v, their metric, its inverse and
+    the projector, one shifted grid at a time."""
+    imm, pts = geom.imm, geom.pts
+    G, d = pts.shape
+    n = imm.ambient_dim
+
+    def projector_at(q):
+        jet = eval_jet(imm, q)
+        ginv = np.linalg.inv(kaehler.induced_metric(jet))
+        return forms.tangent_projector(jet.d1, ginv)
+
+    dP = np.empty((G, d, n, n))
+    for v in range(d):
+        ev = np.zeros(d)
+        ev[v] = h
+        dP[:, v] = (projector_at(pts + ev)
+                    - projector_at(pts - ev)) / (2.0 * h)
+    return dP
 
 
 def gauss_levi_residual(geom: forms.GeometryData) -> float:
@@ -60,6 +91,22 @@ def gauss_levi_residual(geom: forms.GeometryData) -> float:
 
 # ------------------------------------------------------ projector algebra
 
+def _ranked_svd(gens: np.ndarray, rel_tol: float, scale: float):
+    """Thin SVD (u, s, vh) of gens (G, K, n) cut to its numerical rank r:
+    the singular values above rel_tol times the larger of the global
+    largest one and scale.  r must be constant over the grid."""
+    u, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
+    smax = float(np.max(sv)) if sv.size else 0.0
+    r = 0
+    if max(smax, scale) > 0.0:
+        ranks = np.sum(sv > rel_tol * max(smax, scale), axis=1)
+        r = int(ranks[0])
+        if np.any(ranks != r):
+            raise RankError(f"generator rank varies over the grid: "
+                            f"{sorted(set(int(x) for x in ranks))}")
+    return u[:, :, :r], sv[:, :r], vh[:, :r, :]
+
+
 def projector_from_generators(gens: np.ndarray, rel_tol: float = 1e-8,
                               scale: float = 0.0):
     """Hermitian projector (G, n, n) onto the row span of gens (G, K, n).
@@ -70,20 +117,31 @@ def projector_from_generators(gens: np.ndarray, rel_tol: float = 1e-8,
     (for example vanishing alpha^{(2,0)} values) classify as rank 0
     instead of amplifying round-off.
     """
-    G, K, n = gens.shape
-    _, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
-    smax = float(np.max(sv)) if sv.size else 0.0
-    if max(smax, scale) == 0.0:
-        return np.zeros((G, n, n), dtype=complex), 0
-    ranks = np.sum(sv > rel_tol * max(smax, scale), axis=1)
-    r = int(ranks[0])
-    if np.any(ranks != r):
-        raise RankError(f"generator rank varies over the grid: "
-                        f"{sorted(set(int(x) for x in ranks))}")
-    if r == 0:
-        return np.zeros((G, n, n), dtype=complex), 0
-    vr = vh[:, :r, :]
-    return np.einsum("gkx,gky->gxy", vr, vr.conj()), r
+    _, _, vr = _ranked_svd(gens, rel_tol, scale)
+    return np.einsum("gkx,gky->gxy", vr, vr.conj()), vr.shape[1]
+
+
+def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
+                         rel_tol: float = 1e-8, scale: float = 0.0):
+    """(P, r, dP): the projector and rank of projector_from_generators
+    and the derivatives dP (G, D, n, n) of P along the D derivatives
+    dgens (G, D, K, n) of the generators.
+
+    P projects onto the column span of A^T for A = gens; for constant
+    rank (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973)
+
+        dP = X + X^H,   X = (I - P) (A+ dA)^T,   A+ = V_r S_r^-1 U_r^H.
+
+    A rank-0 stack has dP = 0.
+    """
+    ur, sr, vr = _ranked_svd(gens, rel_tol, scale)
+    n = gens.shape[2]
+    P = np.einsum("gkx,gky->gxy", vr, vr.conj())
+    pinv = ((vr.conj().transpose(0, 2, 1) / sr[:, None, :])
+            @ ur.conj().transpose(0, 2, 1))
+    X = ((np.eye(n) - P)[:, None]
+         @ (pinv[:, None] @ dgens).transpose(0, 1, 3, 2))
+    return P, vr.shape[1], X + X.conj().transpose(0, 1, 3, 2)
 
 
 def outside_residual(P_target: np.ndarray, dP: np.ndarray,
@@ -99,17 +157,30 @@ def outside_residual(P_target: np.ndarray, dP: np.ndarray,
 
 @dataclass
 class BundleProjectors:
-    """All projector fields derived from one geometry grid."""
+    """All projector fields derived from one geometry grid.
 
-    P_T: np.ndarray      # tangent projector, real: dP["P_T"] is then a
-                         # real difference quotient, as eq4 always took
+    Only the independent fields are stored; tau'', N'' (conjugates) and
+    N^c (I - P_T) are derived on each read."""
+
+    P_T: np.ndarray      # tangent projector, real
     P_taup: np.ndarray   # tau' = df(T')
-    P_taupp: np.ndarray
-    P_Nc: np.ndarray     # complexified normal bundle
     P_No: np.ndarray     # span of alpha^{(1,1)} values
     P_Np: np.ndarray     # span of alpha^{(2,0)} values
-    P_Npp: np.ndarray
     ranks: Dict[str, int]
+
+    @property
+    def P_taupp(self) -> np.ndarray:
+        return self.P_taup.conj()
+
+    @property
+    def P_Npp(self) -> np.ndarray:
+        return self.P_Np.conj()
+
+    @property
+    def P_Nc(self) -> np.ndarray:
+        """Complexified normal bundle."""
+        n = self.P_T.shape[-1]
+        return np.eye(n, dtype=complex)[None] - self.P_T
 
     @property
     def P_rest(self) -> np.ndarray:
@@ -117,59 +188,103 @@ class BundleProjectors:
         return self.P_Nc - self.P_Np - self.P_No - self.P_Npp
 
 
+@dataclass
+class BundleDerivatives:
+    """Real-chart derivatives (G, 2m, n, n) of the bundle projectors,
+    read as dP[name] with BundleProjectors' field names.  As there, only
+    the independent fields are stored: d P_taupp and d P_Npp are
+    conjugates, d P_Nc = -d P_T."""
+
+    P_T: np.ndarray      # real
+    P_taup: np.ndarray
+    P_No: np.ndarray
+    P_Np: np.ndarray
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name == "P_taupp":
+            return self.P_taup.conj()
+        if name == "P_Npp":
+            return self.P_Np.conj()
+        if name == "P_Nc":
+            return -self.P_T
+        if name in ("P_T", "P_taup", "P_No", "P_Np"):
+            return getattr(self, name)
+        raise KeyError(name)
+
+
 def bundle_projectors(geom: forms.GeometryData) -> BundleProjectors:
+    """The bundle projectors of projector_derivatives without their
+    derivatives."""
+    return projector_derivatives(geom)[0]
+
+
+def alpha_derivative(geom: forms.GeometryData) -> np.ndarray:
+    """Ambient chart derivatives of alpha, (G, d, d, d, n) with
+    [v, i, j] = d_v alpha_ij:
+
+        (D_v alpha)_ij + Gamma^l_vi alpha_lj + Gamma^l_vj alpha_il
+            - g^{ab} <alpha_va, alpha_ij> d1_b.
+
+    The Gamma terms undo the connection terms of D alpha in the normal
+    part; the tangential part is <d_v alpha_ij, d1_b> =
+    -<alpha_ij, d2_vb> = -<alpha_ij, alpha_vb>.
+    """
+    G, d, _, n = geom.alpha.shape
+    alpha = geom.alpha
+    # GA[v, i, j] = Gamma^l_vi alpha_lj; its (i, j) swap is the third term
+    GA = (geom.Gamma.transpose(0, 2, 3, 1).reshape(G, d * d, d)
+          @ alpha.reshape(G, d, d * n)).reshape(G, d, d, d, n)
+    # W[v, b] = g^{ba} alpha_va; gram[v, b, ij] = <W_vb, alpha_ij>
+    W = geom.ginv[:, None] @ alpha
+    gram = W.reshape(G, d * d, n) @ alpha.reshape(G, d * d, n).transpose(
+        0, 2, 1)
+    tangential = (gram.reshape(G, d, d, d * d).transpose(0, 1, 3, 2)
+                  @ geom.jet.d1[:, None]).reshape(G, d, d, d, n)
+    return geom.Dalpha + GA + GA.transpose(0, 1, 3, 2, 4) - tangential
+
+
+def projector_derivatives(geom: forms.GeometryData):
+    """Bundle projectors at geom's points and their chart derivatives,
+    in closed form from geom alone (no shifted grids).
+
+        d_v P_T = sum_ab g^{ab} (alpha_va d1_b^T + d1_b alpha_va^T)
+
+    stays real; tau', N° and N' go through projector_derivative with
+    the generator derivatives 2B d2_v, B conj(B) d_v alpha and
+    B B d_v alpha.
+
+    Returns (BundleProjectors, BundleDerivatives).
+    """
     m = geom.imm.complex_dim
-    G = geom.pts.shape[0]
-    n = geom.imm.ambient_dim
-    d1c = geom.jet.d1.astype(complex)
+    G, d, _, n = geom.alpha.shape
+    d1 = geom.jet.d1
     B = holomorphic_basis(m)
+
+    # [v] = sum_ab g^{ab} alpha_va d1_b^T, then its transpose added
+    dP_T = ((geom.ginv[:, None] @ geom.alpha).transpose(0, 1, 3, 2)
+            @ d1[:, None])
+    dP_T = dP_T + dP_T.transpose(0, 1, 3, 2)
+
     # tau' generators: df(d'_a), scaled by 2 for conditioning
-    tp_gens = np.einsum("ai,gix->gax", 2.0 * B, d1c)
-    P_taup, r_tp = projector_from_generators(tp_gens)
+    tp_gens = np.einsum("ai,gix->gax", 2.0 * B, d1.astype(complex))
+    P_taup, r_tp, dP_taup = projector_derivative(tp_gens,
+                                                 (2.0 * B) @ geom.jet.d2)
     if r_tp != m:
         raise RankError(f"tau' rank {r_tp} != m = {m}")
-    P_taupp = P_taup.conj()
-    P_T = geom.tangent_projector()
-    P_Nc = np.eye(n, dtype=complex)[None] - P_T
 
-    no_gens = geom.alpha11.reshape(G, m * m, n)
-    np_gens = geom.alpha20.reshape(G, m * m, n)
+    dalpha = alpha_derivative(geom).reshape(G, d, d * d, n)
     alpha_scale = float(np.max(np.abs(geom.alpha)))
-    P_No, r_no = projector_from_generators(no_gens, scale=alpha_scale)
-    P_Np, r_np = projector_from_generators(np_gens, scale=alpha_scale)
-    P_Npp = P_Np.conj()
-    return BundleProjectors(
-        P_T=P_T, P_taup=P_taup, P_taupp=P_taupp, P_Nc=P_Nc,
-        P_No=P_No, P_Np=P_Np, P_Npp=P_Npp,
-        ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
-
-
-def projector_derivatives(geom: forms.GeometryData, h: float = 1e-4):
-    """Bundle projectors at geom's points and their central-difference
-    chart derivatives.
-
-    The centre bundles are built from geom itself; each of the 2*2m
-    shifted geometries is built, reduced to its projectors and dropped
-    before the next one, so none of them outlives this call.
-
-    Returns (bundles at geom.pts, dict name -> dP of shape (G, 2m, n, n)).
-    """
-    imm, pts = geom.imm, geom.pts
-    d = imm.chart_dim
-    center = bundle_projectors(geom)
-    names = ["P_T", "P_taup", "P_taupp", "P_Nc", "P_No", "P_Np", "P_Npp"]
-    G = pts.shape[0]
-    n = imm.ambient_dim
-    dP = {nm: np.zeros((G, d, n, n), dtype=complex) for nm in names}
-    for v in range(d):
-        ev = np.zeros(d)
-        ev[v] = h
-        bp = bundle_projectors(forms.compute_geometry(imm, pts + ev))
-        bm = bundle_projectors(forms.compute_geometry(imm, pts - ev))
-        for nm in names:
-            dP[nm][:, v] = (getattr(bp, nm) - getattr(bm, nm)) / (2.0 * h)
-        del bp, bm   # the next pair is built without this one alive
-    return center, dP
+    P_No, r_no, dP_No = projector_derivative(
+        geom.alpha11.reshape(G, m * m, n), np.kron(B, B.conj()) @ dalpha,
+        scale=alpha_scale)
+    P_Np, r_np, dP_Np = projector_derivative(
+        geom.alpha20.reshape(G, m * m, n), np.kron(B, B) @ dalpha,
+        scale=alpha_scale)
+    bun = BundleProjectors(P_T=geom.tangent_projector(), P_taup=P_taup,
+                           P_No=P_No, P_Np=P_Np,
+                           ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
+    return bun, BundleDerivatives(P_T=dP_T, P_taup=dP_taup, P_No=dP_No,
+                                  P_Np=dP_Np)
 
 
 def holo_directions(dP: np.ndarray, m: int, kind: str = "(1,0)"):
@@ -225,7 +340,7 @@ class IsotropyReport:
 
 def isotropy_decomposition(geom: forms.GeometryData, bun: BundleProjectors,
                            dP, tol_orth: float = 1e-8,
-                           tol_par: float = 1e-5) -> IsotropyReport:
+                           tol_par: float = 1e-8) -> IsotropyReport:
     """Theorem-8 style splitting N^c = N' + N° + N''.
 
     orthogonality: mutual Hermitian products of the three projectors;

@@ -87,13 +87,13 @@ class FixtureContext:
 
     Each layer is computed on first use, once, from the layer before it:
 
-        geom -> bundles (projectors, their FD derivatives dP)
+        geom -> bundles (projectors and their closed-form derivatives dP)
              -> mean_curvature
 
     The point set is the fixture's own grid (rec.grid_per_axis) or else
-    cfg.grid points per chart axis.  `eq4` reads dP["P_T"] from the
-    bundle layer, so a RankError of the bundles also shows as an `eq4`
-    ERROR.  The shifted geometries behind dP are not kept.
+    cfg.grid points per chart axis; it is the only grid whose geometry
+    is built.  `eq4` takes its own central differences of the tangent
+    projector at step cfg.h and does not read the bundle layer.
     """
 
     def __init__(self, rec: FixtureRecord, cfg: RunConfig):
@@ -108,7 +108,7 @@ class FixtureContext:
 
     @functools.cached_property
     def bundles(self):
-        return gaussmaps.projector_derivatives(self.geom, h=self.cfg.h)
+        return gaussmaps.projector_derivatives(self.geom)
 
     @functools.cached_property
     def mean_curvature(self) -> forms.MeanCurvatureData:
@@ -142,8 +142,8 @@ def _chk_grassmann(ctx: FixtureContext):
 
 
 def _chk_eq4(ctx: FixtureContext):
-    _, dP = ctx.bundles
-    res = gaussmaps.dgauss_check(ctx.geom, dP["P_T"])
+    dP_T = gaussmaps.fd_tangent_projector_derivatives(ctx.geom, ctx.cfg.h)
+    res = gaussmaps.dgauss_check(ctx.geom, dP_T)
     return (res, ctx.cfg.tol_tier2, {})
 
 
@@ -192,13 +192,13 @@ def _chk_sublemma(ctx: FixtureContext):
 def _chk_superhorizontality(ctx: FixtureContext):
     bun, dP = ctx.bundles
     res = gaussmaps.superhorizontality_residual(bun, dP)
-    return (res, ctx.cfg.tol_tier2, {})
+    return (res, ctx.cfg.tol_tier1, {})
 
 
 def _chk_lift_grading(ctx: FixtureContext):
     bun, dP = ctx.bundles
     res = flags.lift_grading_residual(bun, dP)
-    return (res, ctx.cfg.tol_tier2, {})
+    return (res, ctx.cfg.tol_tier1, {})
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
@@ -212,10 +212,9 @@ def _chk_isotropy(ctx: FixtureContext):
     bun, dP = ctx.bundles
     rep = gaussmaps.isotropy_decomposition(
         ctx.geom, bun, dP, tol_orth=ctx.cfg.tol_tier1,
-        tol_par=ctx.cfg.tol_tier2)
-    # normalize both residuals to their own tiers for one status scalar
-    scaled = max(rep.orthogonality / ctx.cfg.tol_tier1,
-                 rep.parallelity / ctx.cfg.tol_tier2)
+        tol_par=ctx.cfg.tol_tier1)
+    # both residuals are tier 1: one status scalar in units of it
+    scaled = max(rep.orthogonality, rep.parallelity) / ctx.cfg.tol_tier1
     extras = {"orthogonality": rep.orthogonality,
               "parallelity": rep.parallelity}
     extras.update({f"rank {k}": float(v) for k, v in rep.ranks.items()})
@@ -225,7 +224,7 @@ def _chk_isotropy(ctx: FixtureContext):
 def _chk_chain(ctx: FixtureContext):
     bun, dP = ctx.bundles
     ch = gaussmaps.differential_chain_residuals(ctx.geom, bun, dP)
-    return (max(ch.values()), ctx.cfg.tol_tier2, ch)
+    return (max(ch.values()), ctx.cfg.tol_tier1, ch)
 
 
 def _chk_sphere_reduction(ctx: FixtureContext):

@@ -5,8 +5,8 @@ import pytest
 
 from plurimean import chartcalc
 from plurimean.chartcalc import (
-    BoundaryError, RankError, convergence_order, eval_jet, fd_jet_oracle,
-    holomorphic_basis, project_type, standard_J,
+    BoundaryError, RankError, convergence_order, eval_jet, fd_d1,
+    fd_jet_oracle, holomorphic_basis, project_type, standard_J,
 )
 from plurimean.fixtures import fixture_names, get_immersion
 
@@ -58,6 +58,14 @@ def test_fd_oracle_rejects_points_near_boundary():
     bad = imm.domain[:, 1][None, :]  # exactly on the corner
     with pytest.raises(BoundaryError):
         fd_jet_oracle(imm, bad, h=1e-2)
+
+
+@pytest.mark.parametrize("fd", [fd_d1, convergence_order])
+def test_fd_d1_rejects_points_near_boundary(fd):
+    imm = get_immersion("catenoid")
+    bad = imm.domain[:, 1][None, :]
+    with pytest.raises(BoundaryError):
+        fd(imm, bad, h=1e-2)
 
 
 def test_rank_check_rejects_degenerate_chart():

@@ -46,8 +46,11 @@ def test_gauss_projection_lands_in_grassmannian(name):
 
 @pytest.mark.parametrize("name", ADMITTED)
 def test_gauss_differential_two_routes(name):
-    geom, _, dP = _bundles(name)
-    res = gaussmaps.dgauss_check(geom, dP["P_T"])
+    # the FD route of eq4: the closed-form dP_T is built from alpha and
+    # would agree with it identically
+    geom = _geom(name)
+    dP_T = gaussmaps.fd_tangent_projector_derivatives(geom, 1e-4)
+    res = gaussmaps.dgauss_check(geom, dP_T)
     assert res < 1e-5
 
 
@@ -105,7 +108,7 @@ def test_subbundle_ranks(name):
 @pytest.mark.parametrize("name", ADMITTED)
 def test_superhorizontality_universal(name):
     _, bun, dP = _bundles(name)
-    assert gaussmaps.superhorizontality_residual(bun, dP) < 1e-5
+    assert gaussmaps.superhorizontality_residual(bun, dP) < 1e-8
 
 
 @pytest.mark.parametrize("name,small", [
@@ -116,7 +119,7 @@ def test_holomorphicity_routes_agree(name, small):
     geom, bun, dP = _bundles(name)
     r1, r2 = gaussmaps.holomorphicity_residuals(geom, bun, dP)
     if small:
-        assert r1 < 1e-6 and r2 < 1e-5
+        assert r1 < 1e-6 and r2 < 1e-8
     else:
         assert r1 > 1e-1 and r2 > 1e-1
 
@@ -135,7 +138,7 @@ def test_isotropy_decomposition_veronese():
     rep = gaussmaps.isotropy_decomposition(geom, bun, dP)
     assert rep.isotropic
     assert rep.orthogonality < 1e-8
-    assert rep.parallelity < 1e-5
+    assert rep.parallelity < 1e-8
     conj_sym, no_real, iso = gaussmaps.isotropy_invariants(bun)
     assert conj_sym < 1e-10
     assert no_real < 1e-10
@@ -155,7 +158,7 @@ def test_isotropy_decomposition_rejects_catenoid():
 def test_differential_chain(name):
     geom, bun, dP = _bundles(name)
     ch = gaussmaps.differential_chain_residuals(geom, bun, dP)
-    assert max(ch.values()) < 1e-4
+    assert max(ch.values()) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["sphere", "veronese",
