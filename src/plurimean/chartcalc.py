@@ -180,28 +180,13 @@ def fd_jet_oracle(imm: ChartedImmersion, pts: np.ndarray,
     return Jet3(value=value, d1=d1, d2=d2, d3=d3)
 
 
-def eval_jet(imm: ChartedImmersion, pts: np.ndarray,
-             mode: str = "analytic", h: float = 1e-4):
-    """Order-3 jet at chart points.
-
-    mode "analytic" uses the fixture's closed-form jets; "fd" uses the
-    finite-difference oracle; "both" returns (analytic_jet, diagnostic)
-    where the diagnostic is the max deviation of the order-1 blocks.
-    """
+def eval_jet(imm: ChartedImmersion, pts: np.ndarray) -> Jet3:
+    """Order-3 jet at chart points from the fixture's closed-form jets;
+    raises RankError where the differential drops rank."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if mode == "analytic":
-        jet = imm.jet_fn(pts)
-        _check_rank(jet)
-        return jet
-    if mode == "fd":
-        jet = fd_jet_oracle(imm, pts, h=h)
-        _check_rank(jet)
-        return jet
-    if mode == "both":
-        jet = eval_jet(imm, pts, mode="analytic")
-        diag = float(np.max(np.abs(jet.d1 - fd_d1(imm, pts, h))))
-        return jet, diag
-    raise ValueError(f"unknown jet mode {mode!r}")
+    jet = imm.jet_fn(pts)
+    _check_rank(jet)
+    return jet
 
 
 def project_type(v: ComplexTangent, which: str, m: int) -> ComplexTangent:
@@ -228,16 +213,17 @@ def holomorphic_basis(m: int) -> np.ndarray:
 
 
 def convergence_order(imm: ChartedImmersion, pts: np.ndarray,
-                      h: float = 1e-3) -> float:
-    """Measured FD convergence order of d1 against the analytic jets.
+                      d1: np.ndarray, h: float = 1e-3) -> float:
+    """Measured convergence order of central-difference first
+    derivatives against the analytic ones, d1 (G, 2m, n) at pts, as
+    eval_jet(imm, pts).d1 gives them.
 
     Returns log2(err_h / err_{h/2}); for fixtures whose chart is affine
     in some coordinates both errors can hit round-off, in which case the
     pair of errors below 1e-12 is reported as order 2.
     """
-    jet = eval_jet(imm, pts, mode="analytic")
-    e1 = float(np.max(np.abs(fd_d1(imm, pts, h) - jet.d1)))
-    e2 = float(np.max(np.abs(fd_d1(imm, pts, h / 2) - jet.d1)))
+    e1 = float(np.max(np.abs(fd_d1(imm, pts, h) - d1)))
+    e2 = float(np.max(np.abs(fd_d1(imm, pts, h / 2) - d1)))
     if e1 < 1e-12 and e2 < 1e-12:
         return 2.0
     return float(np.log2(e1 / e2))

@@ -54,14 +54,6 @@ def _add_common(p):
                    help="strict tolerance tier (default 1e-8)")
     p.add_argument("--tol-tier2", type=float, default=1e-5,
                    help="finite-difference tolerance tier (default 1e-5)")
-    p.add_argument("--tol-tier3", type=float, default=1e-3,
-                   help="loose tolerance tier (default 1e-3); accepted "
-                        "and echoed in the report but unused: no check "
-                        "is classified against it")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed (default 0); accepted and echoed in the "
-                        "report but unused: no check draws random "
-                        "numbers")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the key-value report to PATH instead of "
                         "stdout")
@@ -149,8 +141,7 @@ def cmd_verify(args) -> int:
     cfg = pipeline.RunConfig(
         fixtures=names, checks=_parse_list(args.checks),
         grid=args.grid, h=args.h, tol_tier1=args.tol_tier1,
-        tol_tier2=args.tol_tier2, tol_tier3=args.tol_tier3,
-        thetas=thetas, seed=args.seed)
+        tol_tier2=args.tol_tier2, thetas=thetas)
     rep = pipeline.run(cfg, extra_records=extra)
     _emit(report.render_report(rep), args.report)
     return min(125, sum(r.mismatch or r.status == pipeline.ERROR

@@ -63,7 +63,7 @@ def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 
 def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
-    jet = eval_jet(imm, pts, mode="analytic")
+    jet = eval_jet(imm, pts)
     g, ginv, _, Gamma = kaehler.metric_data(jet)
     d = jet.chart_dim
 

@@ -335,12 +335,10 @@ class IsotropyReport:
     ranks: Dict[str, int]
     orthogonality: float
     parallelity: float
-    isotropic: bool
 
 
 def isotropy_decomposition(geom: forms.GeometryData, bun: BundleProjectors,
-                           dP, tol_orth: float = 1e-8,
-                           tol_par: float = 1e-8) -> IsotropyReport:
+                           dP) -> IsotropyReport:
     """Theorem-8 style splitting N^c = N' + N° + N''.
 
     orthogonality: mutual Hermitian products of the three projectors;
@@ -357,8 +355,7 @@ def isotropy_decomposition(geom: forms.GeometryData, bun: BundleProjectors,
         P_out = bun.P_Nc - P_S
         par = max(par, outside_residual(P_out, dP[nm], P_S))
     return IsotropyReport(ranks=dict(bun.ranks), orthogonality=orth,
-                          parallelity=par,
-                          isotropic=(orth < tol_orth and par < tol_par))
+                          parallelity=par)
 
 
 def differential_chain_residuals(geom: forms.GeometryData,

@@ -1,12 +1,19 @@
 """Check runner: executes the verification checks in dependency order
 (kaehler -> forms -> gauss maps -> family -> flag lift) per fixture and
 compares PASS/FAIL statuses against each fixture's expected-flag ledger.
+
+Each check is declared once, as a row of TABLE: its name, its body
+(context -> residual and extras), its threshold (the strict tier, the
+finite-difference tier, or a fixed value) and its ledger rule (fixture
+flags -> expected status).  CHECKS maps each name to its body; the
+runner calls the bodies through it and reads the threshold and the
+expectation from the row.
 """
 
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,14 +33,12 @@ class RunConfig:
     h: float = 1e-4
     tol_tier1: float = 1e-8
     tol_tier2: float = 1e-5
-    tol_tier3: float = 1e-3     # reported only: no check reads it
     thetas: List[float] = field(default_factory=lambda: list(family.THETA_SWEEP))
-    seed: int = 0               # reported only: no check reads it
 
     def __post_init__(self):
         if self.grid < 5:
             raise ValueError("grid must be at least 5 per axis")
-        for t in (self.tol_tier1, self.tol_tier2, self.tol_tier3):
+        for t in (self.tol_tier1, self.tol_tier2):
             if t <= 0:
                 raise ValueError("tolerances must be positive")
 
@@ -58,7 +63,7 @@ class CheckResult:
 
 
 def classify(residual: float, tol: float) -> str:
-    """PASS below the tier tolerance, FAIL above 100x it, otherwise
+    """PASS below the threshold, FAIL above 100x it, otherwise
     INCONCLUSIVE (prevents silent misclassification near thresholds)."""
     if residual < tol:
         return PASS
@@ -116,56 +121,50 @@ class FixtureContext:
 
 
 # ------------------------------------------------------------ check bodies
-# each returns (residual, threshold, extras); the expected status comes
-# from EXPECTED below
+# each returns (residual, extras); its threshold and expected status are
+# declared in TABLE below
 
 def _chk_kaehler(ctx: FixtureContext):
     geom = ctx.geom
     orth, par = kaehler.kaehler_residual(geom.imm.J, geom.g, geom.Gamma)
-    return (max(orth, par), ctx.cfg.tol_tier1,
-            {"orthogonality": orth, "parallelity": par})
+    return max(orth, par), {"orthogonality": orth, "parallelity": par}
 
 
 def _chk_jets(ctx: FixtureContext):
-    order = convergence_order(ctx.rec.immersion, ctx.pts)
+    order = convergence_order(ctx.rec.immersion, ctx.pts, ctx.geom.jet.d1)
     # status from the shortfall below the expected 2nd order
-    res = max(0.0, 1.9 - order)
-    return (res, 1e-6, {"order": order})
+    return max(0.0, 1.9 - order), {"order": order}
 
 
 def _chk_grassmann(ctx: FixtureContext):
     P = ctx.geom.tangent_projector()
     idem, symm, tr = gaussmaps.grassmann_invariants(
         P, 2 * ctx.rec.immersion.complex_dim)
-    return (max(idem, symm, tr), 1e-10,
+    return (max(idem, symm, tr),
             {"idempotency": idem, "symmetry": symm, "trace": tr})
 
 
 def _chk_eq4(ctx: FixtureContext):
     dP_T = gaussmaps.fd_tangent_projector_derivatives(ctx.geom, ctx.cfg.h)
-    res = gaussmaps.dgauss_check(ctx.geom, dP_T)
-    return (res, ctx.cfg.tol_tier2, {})
+    return gaussmaps.dgauss_check(ctx.geom, dP_T), {}
 
 
 def _chk_codazzi(ctx: FixtureContext):
-    res = forms.codazzi_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier2, {})
+    return forms.codazzi_residual(ctx.geom), {}
 
 
 def _chk_ppmc(ctx: FixtureContext):
-    res = forms.ppmc_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier1, {})
+    return forms.ppmc_residual(ctx.geom), {}
 
 
 def _chk_gauss_levi(ctx: FixtureContext):
-    res = gaussmaps.gauss_levi_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier1, {})
+    return gaussmaps.gauss_levi_residual(ctx.geom), {}
 
 
 def _chk_pluriminimal(ctx: FixtureContext):
     bun, dP = ctx.bundles
     r1, r2 = gaussmaps.holomorphicity_residuals(ctx.geom, bun, dP)
-    return (r1, ctx.cfg.tol_tier1, {"frame_route": r2})
+    return r1, {"frame_route": r2}
 
 
 def _chk_structure_equations(ctx: FixtureContext):
@@ -175,56 +174,44 @@ def _chk_structure_equations(ctx: FixtureContext):
         worst["gauss"] = max(worst["gauss"], gr)
         worst["codazzi"] = max(worst["codazzi"], cr)
         worst["ricci"] = max(worst["ricci"], rr)
-    return (max(worst.values()), ctx.cfg.tol_tier1, worst)
+    return max(worst.values()), worst
 
 
 def _chk_rn_tprime(ctx: FixtureContext):
-    res = kaehler.rn_tprime_residual(ctx.geom.RN,
-                                     ctx.rec.immersion.complex_dim)
-    return (res, ctx.cfg.tol_tier1, {})
+    return kaehler.rn_tprime_residual(ctx.geom.RN,
+                                      ctx.rec.immersion.complex_dim), {}
 
 
 def _chk_sublemma(ctx: FixtureContext):
-    res = kaehler.sublemma_residual(ctx.geom)
-    return (res, ctx.cfg.tol_tier2, {})
+    return kaehler.sublemma_residual(ctx.geom), {}
 
 
 def _chk_superhorizontality(ctx: FixtureContext):
-    bun, dP = ctx.bundles
-    res = gaussmaps.superhorizontality_residual(bun, dP)
-    return (res, ctx.cfg.tol_tier1, {})
+    return gaussmaps.superhorizontality_residual(*ctx.bundles), {}
 
 
 def _chk_lift_grading(ctx: FixtureContext):
-    bun, dP = ctx.bundles
-    res = flags.lift_grading_residual(bun, dP)
-    return (res, ctx.cfg.tol_tier1, {})
+    return flags.lift_grading_residual(*ctx.bundles), {}
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
     bun, _ = ctx.bundles
     t1, t2 = gaussmaps.half_isotropy_residual(ctx.geom, bun)
-    return (max(t1, t2), ctx.cfg.tol_tier1,
-            {"alpha20_in_No": t1, "ppmc": t2})
+    return max(t1, t2), {"alpha20_in_No": t1, "ppmc": t2}
 
 
 def _chk_isotropy(ctx: FixtureContext):
-    bun, dP = ctx.bundles
-    rep = gaussmaps.isotropy_decomposition(
-        ctx.geom, bun, dP, tol_orth=ctx.cfg.tol_tier1,
-        tol_par=ctx.cfg.tol_tier1)
-    # both residuals are tier 1: one status scalar in units of it
-    scaled = max(rep.orthogonality, rep.parallelity) / ctx.cfg.tol_tier1
+    rep = gaussmaps.isotropy_decomposition(ctx.geom, *ctx.bundles)
     extras = {"orthogonality": rep.orthogonality,
               "parallelity": rep.parallelity}
     extras.update({f"rank {k}": float(v) for k, v in rep.ranks.items()})
-    return (scaled, 1.0, extras)
+    return max(rep.orthogonality, rep.parallelity), extras
 
 
 def _chk_chain(ctx: FixtureContext):
     bun, dP = ctx.bundles
     ch = gaussmaps.differential_chain_residuals(ctx.geom, bun, dP)
-    return (max(ch.values()), ctx.cfg.tol_tier1, ch)
+    return max(ch.values()), ch
 
 
 def _chk_sphere_reduction(ctx: FixtureContext):
@@ -234,20 +221,21 @@ def _chk_sphere_reduction(ctx: FixtureContext):
               "radius_spread": mc.radius_spread}
     if mc.radius is not None:
         extras["radius"] = mc.radius
+    # a vanishing mean curvature has no sphere to reduce to
     res = mc.off_identity if abs(mc.kappa) > ctx.cfg.tol_tier1 else np.inf
-    return (res, ctx.cfg.tol_tier1, extras)
+    return res, extras
 
 
 def _chk_section(ctx: FixtureContext):
     mc = ctx.mean_curvature
     if not mc.spherical:
         if ctx.rec.flags.get("spherical"):
-            return (np.inf, ctx.cfg.tol_tier2, {"note_not_spherical": 1.0})
+            return np.inf, {"note_not_spherical": 1.0}
         raise _Skip("not spherical; no normal section to check")
     bun, _ = ctx.bundles
     normality, tangency, spread = gaussmaps.gauss_section_check(
         ctx.geom, bun, mc)
-    return (max(normality, tangency, spread), ctx.cfg.tol_tier2,
+    return (max(normality, tangency, spread),
             {"normality": normality, "tau_prime_tangency": tangency,
              "radius_spread": spread})
 
@@ -256,77 +244,74 @@ def _chk_psi(ctx: FixtureContext):
     if not ctx.rec.flags.get("isotropic"):
         raise _Skip("psi_theta needs the isotropy decomposition")
     bun, _ = ctx.bundles
+    # one psi per distinct angle; the sweep holds pi/2 and pi by default
+    psi = {th: family.build_psi(ctx.geom, bun, th) for th in
+           dict.fromkeys([*ctx.cfg.thetas, np.pi / 2, np.pi])}
     worst = 0.0
-    extras = {}
     for th in ctx.cfg.thetas:
-        psi = family.build_psi(ctx.geom, bun, th)
-        worst = max(worst, psi.eq8_residual, psi.unitarity)
-    psi2 = family.build_psi(ctx.geom, bun, np.pi / 2)
-    psip = family.build_psi(ctx.geom, bun, np.pi)
-    extras["eq8_and_unitarity"] = worst
-    extras["psi_pi_minus_identity"] = psip.identity_on_N
-    extras["minus_one_dim at pi/2"] = float(psi2.minus_one_dim)
-    worst = max(worst, psip.identity_on_N)
-    return (worst, ctx.cfg.tol_tier1, extras)
+        worst = max(worst, psi[th].eq8_residual, psi[th].unitarity)
+    extras = {"eq8_and_unitarity": worst,
+              "psi_pi_minus_identity": psi[np.pi].identity_on_N,
+              "minus_one_dim at pi/2": float(psi[np.pi / 2].minus_one_dim)}
+    return max(worst, psi[np.pi].identity_on_N), extras
 
 
 def _chk_closedness(ctx: FixtureContext):
-    res = family.closedness_residual(ctx.geom, np.pi / 2)
-    return (res, ctx.cfg.tol_tier1, {})
+    return family.closedness_residual(ctx.geom, np.pi / 2), {}
 
 
 class _Skip(Exception):
     pass
 
 
-# ordered: later checks depend on earlier classifications
-CHECKS = {
-    "kaehler": _chk_kaehler,
-    "jets": _chk_jets,
-    "grassmann": _chk_grassmann,
-    "eq4": _chk_eq4,
-    "codazzi": _chk_codazzi,
-    "ppmc": _chk_ppmc,
-    "gauss-levi": _chk_gauss_levi,
-    "pluriminimal": _chk_pluriminimal,
-    "structure-equations": _chk_structure_equations,
-    "rn-tprime": _chk_rn_tprime,
-    "sublemma": _chk_sublemma,
-    "superhorizontality": _chk_superhorizontality,
-    "lift-grading": _chk_lift_grading,
-    "half-isotropy": _chk_half_isotropy,
-    "isotropy": _chk_isotropy,
-    "chain": _chk_chain,
-    "sphere-reduction": _chk_sphere_reduction,
-    "section": _chk_section,
-    "psi": _chk_psi,
-    "closedness": _chk_closedness,
-}
+TIER1, TIER2 = "tier1", "tier2"
 
-# check -> its expected status given the fixture's ledger flags; read
-# before the body runs, so a check that raises still counts against it
-EXPECTED = {
-    "kaehler": _ledger("kaehler"),
-    "jets": _always,
-    "grassmann": _always,
-    "eq4": _always,
-    "codazzi": _always,
-    "ppmc": _ledger("ppmc"),
-    "gauss-levi": _ledger("ppmc"),
-    "pluriminimal": _ledger("pluriminimal"),
-    "structure-equations": _ledger("ppmc"),
-    "rn-tprime": _pass_if("ppmc"),
-    "sublemma": _pass_if("ppmc"),
-    "superhorizontality": _always,
-    "lift-grading": _always,
-    "half-isotropy": _ledger("half_isotropic"),
-    "isotropy": _ledger("isotropic"),
-    "chain": _pass_if("isotropic"),
-    "sphere-reduction": _ledger("spherical"),
-    "section": _always,
-    "psi": _always,
-    "closedness": _ledger("pluriminimal"),
-}
+
+class Check(NamedTuple):
+    """One row of the check table."""
+    name: str
+    body: Callable[[FixtureContext], Tuple[float, Dict[str, float]]]
+    threshold: Union[str, float]   # TIER1, TIER2 or a fixed value
+    expect: Callable[[dict], Optional[str]]   # ledger flags -> status
+
+    def tolerance(self, cfg: RunConfig) -> float:
+        if isinstance(self.threshold, str):
+            return getattr(cfg, f"tol_{self.threshold}")
+        return self.threshold
+
+
+# ordered: later checks depend on earlier classifications.  The expected
+# status is read before the body runs, so a check that raises still
+# counts against it.
+TABLE = (
+    Check("kaehler", _chk_kaehler, TIER1, _ledger("kaehler")),
+    Check("jets", _chk_jets, 1e-6, _always),
+    Check("grassmann", _chk_grassmann, 1e-10, _always),
+    Check("eq4", _chk_eq4, TIER2, _always),
+    Check("codazzi", _chk_codazzi, TIER2, _always),
+    Check("ppmc", _chk_ppmc, TIER1, _ledger("ppmc")),
+    Check("gauss-levi", _chk_gauss_levi, TIER1, _ledger("ppmc")),
+    Check("pluriminimal", _chk_pluriminimal, TIER1,
+          _ledger("pluriminimal")),
+    Check("structure-equations", _chk_structure_equations, TIER1,
+          _ledger("ppmc")),
+    Check("rn-tprime", _chk_rn_tprime, TIER1, _pass_if("ppmc")),
+    Check("sublemma", _chk_sublemma, TIER2, _pass_if("ppmc")),
+    Check("superhorizontality", _chk_superhorizontality, TIER1, _always),
+    Check("lift-grading", _chk_lift_grading, TIER1, _always),
+    Check("half-isotropy", _chk_half_isotropy, TIER1,
+          _ledger("half_isotropic")),
+    Check("isotropy", _chk_isotropy, TIER1, _ledger("isotropic")),
+    Check("chain", _chk_chain, TIER1, _pass_if("isotropic")),
+    Check("sphere-reduction", _chk_sphere_reduction, TIER1,
+          _ledger("spherical")),
+    Check("section", _chk_section, TIER2, _always),
+    Check("psi", _chk_psi, TIER1, _always),
+    Check("closedness", _chk_closedness, TIER1, _ledger("pluriminimal")),
+)
+
+# name -> body; the runner calls each body through this dict
+CHECKS = {c.name: c.body for c in TABLE}
 
 
 @dataclass
@@ -349,8 +334,8 @@ def run(config: RunConfig, extra_records=()) -> Report:
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; "
                          f"available: {list(CHECKS)}")
-    selected = list(CHECKS) if "all" in config.checks else \
-        [c for c in CHECKS if c in config.checks]
+    selected = [c for c in TABLE
+                if "all" in config.checks or c.name in config.checks]
     loaded = {rec.name: rec for rec in extra_records}
     names = list(config.fixtures) + [n for n in loaded
                                      if n not in config.fixtures]
@@ -359,7 +344,8 @@ def run(config: RunConfig, extra_records=()) -> Report:
         rec = loaded.get(name) or get_fixture(name)  # raises on unknown
         ctx = FixtureContext(rec, config)
         admitted = True
-        for check in selected:
+        for row in selected:
+            check = row.name
             t0 = time.perf_counter()
             if check != "kaehler" and not admitted:
                 results.append(CheckResult(
@@ -367,9 +353,10 @@ def run(config: RunConfig, extra_records=()) -> Report:
                     residual=None, threshold=None, expected=None,
                     message="fixture not admitted as Kaehler"))
                 continue
-            expected = EXPECTED[check](rec.flags)
+            expected = row.expect(rec.flags)
+            tol = row.tolerance(config)
             try:
-                res, tol, extras = CHECKS[check](ctx)
+                res, extras = CHECKS[check](ctx)
                 results.append(CheckResult(
                     fixture=name, check=check, status=classify(res, tol),
                     residual=res, threshold=tol, expected=expected,

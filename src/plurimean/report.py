@@ -53,8 +53,6 @@ def report_tree(report: Report) -> dict:
             "h": cfg.h,
             "tol_tier1": cfg.tol_tier1,
             "tol_tier2": cfg.tol_tier2,
-            "tol_tier3": cfg.tol_tier3,
-            "seed": cfg.seed,
         }
     }
     fixtures: dict = {}

@@ -26,7 +26,7 @@ def test_standard_J_square_and_orthogonal(m):
 def test_analytic_jets_match_fd_oracle(name):
     imm = get_immersion(name)
     pts = imm.grid(5, margin=0.05)
-    jet = eval_jet(imm, pts, mode="analytic")
+    jet = eval_jet(imm, pts)
     fd = fd_jet_oracle(imm, pts, h=1e-4)
     assert np.allclose(jet.value, fd.value)
     assert np.max(np.abs(jet.d1 - fd.d1)) < 1e-6
@@ -42,15 +42,7 @@ def test_analytic_jets_match_fd_oracle(name):
 def test_fd_convergence_is_second_order(name):
     imm = get_immersion(name)
     pts = imm.grid(5, margin=0.05)
-    assert convergence_order(imm, pts) > 1.9
-
-
-def test_eval_jet_mode_both_cross_checks():
-    imm = get_immersion("catenoid")
-    pts = imm.grid(5, margin=0.05)
-    jet, diag = eval_jet(imm, pts, mode="both", h=1e-4)
-    assert jet.d1.shape == (pts.shape[0], 2, 3)
-    assert diag < 1e-6
+    assert convergence_order(imm, pts, eval_jet(imm, pts).d1) > 1.9
 
 
 def test_fd_oracle_rejects_points_near_boundary():
@@ -60,7 +52,9 @@ def test_fd_oracle_rejects_points_near_boundary():
         fd_jet_oracle(imm, bad, h=1e-2)
 
 
-@pytest.mark.parametrize("fd", [fd_d1, convergence_order])
+@pytest.mark.parametrize("fd", [fd_d1, pytest.param(
+    lambda imm, pts, h: convergence_order(imm, pts, eval_jet(imm, pts).d1, h),
+    id="convergence_order")])
 def test_fd_d1_rejects_points_near_boundary(fd):
     imm = get_immersion("catenoid")
     bad = imm.domain[:, 1][None, :]
@@ -70,7 +64,7 @@ def test_fd_d1_rejects_points_near_boundary(fd):
 
 def test_rank_check_rejects_degenerate_chart():
     imm = get_immersion("plane")
-    jet = eval_jet(imm, imm.grid(5), mode="analytic")
+    jet = eval_jet(imm, imm.grid(5))
     d1 = jet.d1.copy()
     d1[:, 1, :] = d1[:, 0, :]  # collapse the chart rank to 1
     squashed = chartcalc.Jet3(value=jet.value, d1=d1,

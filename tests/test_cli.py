@@ -36,8 +36,7 @@ def test_verify_exit_code_counts_mismatches(tmp_path):
         "verify", "--fixtures", "catenoid,ellipsoid",
         "--checks", "kaehler,ppmc,structure-equations",
         "--grid", "5", "--theta", "pi/4",
-        "--tol-tier1", "1e-8", "--tol-tier2", "1e-5",
-        "--tol-tier3", "1e-3", "--h", "1e-4", "--seed", "1",
+        "--tol-tier1", "1e-8", "--tol-tier2", "1e-5", "--h", "1e-4",
         "--report", str(rpt)])
     assert code == 0  # the ellipsoid failing ppmc is expected
     text = rpt.read_text()
@@ -74,12 +73,13 @@ def test_verify_error_counts_as_mismatch(monkeypatch, tmp_path):
 
 def test_verify_exit_code_never_wraps_to_zero(monkeypatch, tmp_path):
     def wrong(ctx):
-        return 1.0, 1e-8, {}  # FAIL where PASS is expected
+        return 1.0, {}  # FAIL where PASS is expected
 
-    names = [f"wrong-{k}" for k in range(256)]
-    monkeypatch.setattr(pipeline, "CHECKS", {k: wrong for k in names})
-    monkeypatch.setattr(pipeline, "EXPECTED",
-                        {k: lambda flags: pipeline.PASS for k in names})
+    table = tuple(pipeline.Check(f"wrong-{k}", wrong, pipeline.TIER1,
+                                 lambda flags: pipeline.PASS)
+                  for k in range(256))
+    monkeypatch.setattr(pipeline, "TABLE", table)
+    monkeypatch.setattr(pipeline, "CHECKS", {c.name: c.body for c in table})
     code = cli.main(["verify", "--fixtures", "plane", "--checks", "all",
                      "--report", str(tmp_path / "report.txt")])
     assert code == 125
@@ -95,21 +95,26 @@ def test_cli_import_leaves_out_sympy():
     assert out.strip() == "False"
 
 
-def test_verify_help_says_inert_options_are_unused(capsys):
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol-tier3", "1e-3"]])
+def test_verify_rejects_removed_options(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--fixtures", "plane", "--checks", "kaehler",
+                  *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+
+
+def test_verify_help_lists_only_options_that_take_effect(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--help"])
     assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-
-    def option_help(flag, next_flag):
-        # the last mention of a flag is its entry below the usage line
-        return text.rsplit(flag, 1)[1].split(next_flag, 1)[0]
-
-    assert "unused" in option_help("--tol-tier3 TOL_TIER3", "--seed")
-    assert "unused" in option_help("--seed SEED", "--report")
-    # an option that takes effect does not say so
-    assert "unused" not in option_help("--tol-tier2 TOL_TIER2",
-                                       "--tol-tier3")
+    text = capsys.readouterr().out
+    for flag in ("--grid", "--h", "--tol-tier1", "--tol-tier2", "--theta"):
+        assert flag in text
+    assert "--tol-tier3" not in text
+    assert "--seed" not in text
+    assert "unused" not in text
 
 
 def test_verify_unknown_fixture_errors(capsys):

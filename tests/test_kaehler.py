@@ -14,7 +14,7 @@ ADMITTED = [r.name for r in registry(include_controls=False)]
 def _jet(name, per_axis=5):
     imm = get_immersion(name)
     pts = imm.grid(per_axis, margin=0.05)
-    return imm, pts, eval_jet(imm, pts, mode="analytic")
+    return imm, pts, eval_jet(imm, pts)
 
 
 @pytest.mark.parametrize("name", ADMITTED)

@@ -92,6 +92,31 @@ def test_full_registry_matches_expectation_ledger():
     assert not any(r.status == pipeline.ERROR for r in rep.results)
 
 
+def test_thresholds_come_from_the_check_table():
+    rows = {c.name: c for c in pipeline.TABLE}
+
+    def thresholds(**kw):
+        cfg = pipeline.RunConfig(fixtures=["sphere", "veronese"], grid=5,
+                                 **kw)
+        tiers = {pipeline.TIER1: cfg.tol_tier1, pipeline.TIER2: cfg.tol_tier2}
+        out = {}
+        for r in pipeline.run(cfg).results:
+            row = rows[r.check]
+            assert r.threshold == tiers.get(row.threshold, row.threshold)
+            out[r.fixture, r.check] = r.threshold
+        return out
+
+    default = thresholds()
+    strict = thresholds(tol_tier1=1e-9)
+    assert {c for _, c in default} == set(rows)  # every row was run
+    changed = {c for key, c in default if strict[key, c] != default[key, c]}
+    assert changed == {c.name for c in pipeline.TABLE
+                       if c.threshold == pipeline.TIER1}
+    assert default["sphere", "jets"] == 1e-6
+    assert default["sphere", "grassmann"] == 1e-10
+    assert default["sphere", "isotropy"] == 1e-8
+
+
 def test_render_tree_formats_scalars():
     text = report.render_tree({"a": 0.0, "b": True, "c": 2.0,
                                "d": {"e": 1.5e-9}, "f": np.inf})
