@@ -212,6 +212,20 @@ def holomorphic_basis(m: int) -> np.ndarray:
     return B
 
 
+def contract_slots(A: np.ndarray, B: np.ndarray,
+                   T: np.ndarray) -> np.ndarray:
+    """out[..., a, b, x] = sum_ij A[a, i] B[b, j] T[..., i, j, x].
+
+    Contracts both slots of a bilinear form at once; any leading axes
+    (the grid, a derivative direction) are carried along.  This is one
+    product of the constant matrix A (x) B with the (d^2, n) values.
+    """
+    T = np.asarray(T)
+    *lead, di, dj, n = T.shape
+    flat = T.reshape(*lead, di * dj, n)
+    return (np.kron(A, B) @ flat).reshape(*lead, A.shape[0], B.shape[0], n)
+
+
 def convergence_order(imm: ChartedImmersion, pts: np.ndarray,
                       d1: np.ndarray, h: float = 1e-3) -> float:
     """Measured convergence order of central-difference first

@@ -1,6 +1,15 @@
 """Second fundamental form, (p,q)-decomposition, covariant derivatives,
 and the scalar residuals classifying an immersion (ppmc, pluriminimal,
 mean-curvature sphere reduction).
+
+The geometry is built from the order-3 jets as batched `@` products over
+the grid axis: the tangent projector d1^T (g^{-1} d1), the Christoffel
+contractions of alpha and D alpha with Gamma laid out as a (d^2, d)
+matrix per point, and the normal projection as a product with P_T^T.
+Both slots of a form are contracted at once, as one product of a
+Kronecker matrix with the (d^2, n) values (chartcalc.contract_slots):
+kron(B, B) and kron(B, conj B) for the (2,0)- and (1,1)-parts, and
+kron(J^T, J^T) for the J-rotation.
 """
 
 import functools
@@ -10,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import kaehler
-from .chartcalc import ChartedImmersion, Jet3, eval_jet, holomorphic_basis
+from .chartcalc import (ChartedImmersion, Jet3, contract_slots, eval_jet,
+                        holomorphic_basis)
 
 
 @dataclass
@@ -49,48 +59,42 @@ class GeometryData:
         computed on each call from the stored inverse metric."""
         return tangent_projector(self.jet.d1, self.ginv)
 
-    def normal_project(self, vec: np.ndarray) -> np.ndarray:
-        """Project ambient vectors (G, ..., n) onto the normal space."""
-        P = self.tangent_projector()
-        if np.iscomplexobj(vec):
-            P = P.astype(complex)
-        return vec - np.einsum("gxy,g...y->g...x", P, vec)
-
 
 def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """P = d1^T g^{-1} d1: orthogonal projection onto the tangent plane."""
-    return np.einsum("gix,gij,gjy->gxy", d1, ginv, d1)
+    return d1.transpose(0, 2, 1) @ (ginv @ d1)
 
 
 def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     jet = eval_jet(imm, pts)
     g, ginv, _, Gamma = kaehler.metric_data(jet)
-    d = jet.chart_dim
+    G, d, n = jet.d1.shape
+    # Gamma as (G, d^2, d): row (i, j), column a holds Gamma^a_ij
+    Gam = Gamma.transpose(0, 2, 3, 1).reshape(G, d * d, d)
 
     # alpha_ij = d2_ij - Gamma^a_ij d1_a (the tangential part of d2 is
     # exactly the Christoffel contraction for an isometric immersion)
-    alpha = jet.d2 - np.einsum("gaij,gax->gijx", Gamma, jet.d1)
-
-    # normal projector applied without a frame
-    P_T = tangent_projector(jet.d1, ginv)
-
-    def p_normal(vec):
-        return vec - np.einsum("gxy,g...y->g...x", P_T, vec)
+    alpha = jet.d2 - (Gam @ jet.d1).reshape(G, d, d, n)
 
     # (D_k alpha)(i,j): ambient derivative of alpha, normally projected,
     # minus the two Christoffel corrections.  No derivative of Gamma is
     # needed: the d(Gamma)*d1 term is tangential and dies in the
-    # projection.
-    amb = jet.d3 - np.einsum("gaij,gkax->gkijx", Gamma, jet.d2)
-    Dalpha = (p_normal(amb)
-              - np.einsum("glki,gljx->gkijx", Gamma, alpha)
-              - np.einsum("glkj,gilx->gkijx", Gamma, alpha))
+    # projection.  Each step updates one array in place, so at most two
+    # arrays of D alpha's size are alive at once.
+    P_T = tangent_projector(jet.d1, ginv)
+    Dalpha = jet.d3 - (Gam[:, None] @ jet.d2).reshape(G, d, d, d, n)
+    amb = Dalpha.reshape(G, d ** 3, n)
+    amb -= amb @ P_T.transpose(0, 2, 1)
+    # [k,i,j] = Gamma^l_ki alpha_lj; the second correction
+    # Gamma^l_kj alpha_il is its (i, j) transpose, because alpha and
+    # Gamma are exactly symmetric in their lower indices
+    corr = (Gam @ alpha.reshape(G, d, d * n)).reshape(G, d, d, d, n)
+    Dalpha -= corr
+    Dalpha -= corr.transpose(0, 1, 3, 2, 4)
 
-    m = imm.complex_dim
-    B = holomorphic_basis(m)
-    ac = alpha.astype(complex)
-    alpha20 = np.einsum("ai,bj,gijx->gabx", B, B, ac)
-    alpha11 = np.einsum("ai,bj,gijx->gabx", B, B.conj(), ac)
+    B = holomorphic_basis(imm.complex_dim)
+    alpha20 = contract_slots(B, B, alpha)
+    alpha11 = contract_slots(B, B.conj(), alpha)
 
     frame = kaehler.normal_frame(jet)
     return GeometryData(imm=imm, pts=pts, jet=jet, g=g, ginv=ginv,
@@ -109,16 +113,15 @@ def normal_valued_residual(geom: GeometryData) -> float:
 def alpha11_on_real(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:
     """alpha^{(1,1)}(d_i, d_j) on the real basis:
     (alpha(x,y) + alpha(Jx,Jy)) / 2."""
-    rotated = np.einsum("ai,bj,gabx->gijx", J, J, alpha)
-    return 0.5 * (alpha + rotated)
+    return 0.5 * (alpha + contract_slots(J.T, J.T, alpha))
 
 
 def eq2_consistency_residual(geom: GeometryData) -> float:
     """Real-basis pluri-mean values vs the complex (1,1)-components."""
     m = geom.imm.complex_dim
     B = holomorphic_basis(m)
-    a11_real = alpha11_on_real(geom.alpha, geom.imm.J).astype(complex)
-    recon = np.einsum("ai,bj,gijx->gabx", B, B.conj(), a11_real)
+    recon = contract_slots(B, B.conj(),
+                           alpha11_on_real(geom.alpha, geom.imm.J))
     return float(np.max(np.abs(recon - geom.alpha11)))
 
 
@@ -126,7 +129,7 @@ def ppmc_residual(geom: GeometryData) -> float:
     """sup |D(alpha^{(1,1)})|: covariant derivative of the pluri-mean
     part, computed from D(alpha) by J-averaging (tensorial in (i,j))."""
     J = geom.imm.J
-    rotated = np.einsum("ai,bj,gkabx->gkijx", J, J, geom.Dalpha)
+    rotated = contract_slots(J.T, J.T, geom.Dalpha)
     return float(np.max(np.abs(0.5 * (geom.Dalpha + rotated))))
 
 

@@ -25,7 +25,8 @@ from typing import Dict
 import numpy as np
 
 from . import forms, kaehler
-from .chartcalc import RankError, eval_jet, holomorphic_basis
+from .chartcalc import (RankError, contract_slots, eval_jet,
+                        holomorphic_basis)
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -84,9 +85,7 @@ def gauss_levi_residual(geom: forms.GeometryData) -> float:
     sup |(D_k alpha)(X', Y'')| over (1,0)x(0,1) basis pairs."""
     m = geom.imm.complex_dim
     B = holomorphic_basis(m)
-    mixed = np.einsum("ai,bj,gkijx->gkabx", B, B.conj(),
-                      geom.Dalpha.astype(complex))
-    return float(np.max(np.abs(mixed)))
+    return float(np.max(np.abs(contract_slots(B, B.conj(), geom.Dalpha))))
 
 
 # ------------------------------------------------------ projector algebra

@@ -9,7 +9,7 @@ kept in the tests as a slow cross-check.
 import numpy as np
 
 from . import kernels
-from .chartcalc import Jet3, holomorphic_basis
+from .chartcalc import Jet3, contract_slots, holomorphic_basis
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
@@ -77,14 +77,17 @@ def shape_operator(alpha, g, ginv, d1, xi, tol=1e-9):
 
 
 def normal_frame(jet: Jet3) -> np.ndarray:
-    """Orthonormal real normal frame (G, n-2m, n) from the SVD of d1.
+    """Orthonormal real normal frame (G, n-2m, n) from the complete QR
+    factorisation of d1^T: its first 2m columns span the tangent plane
+    (d1 has full rank), the remaining n-2m its orthogonal complement.
 
     The gauge is arbitrary per point; only gauge-invariant (fully
-    frame-contracted) quantities may be built from it.
+    frame-contracted) quantities may be built from it, as
+    normal_curvature and sublemma_residual do.
     """
     d = jet.chart_dim
-    _, _, vh = np.linalg.svd(jet.d1, full_matrices=True)
-    return vh[:, d:, :]
+    q, _ = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
+    return np.ascontiguousarray(q[:, :, d:].transpose(0, 2, 1))
 
 
 def normal_curvature(alpha, g, ginv, frame):
@@ -107,7 +110,8 @@ def rn_tprime_residual(RN: np.ndarray, m: int) -> float:
     """sup |<R^N(x,y) xi, eta>| for x,y in the (1,0) basis (Lemma-style
     flatness of the normal curvature on T' x T')."""
     B = holomorphic_basis(m)
-    res = np.einsum("ai,bj,gijcd->gabcd", B, B, RN)
+    G, d, _, k, _ = RN.shape
+    res = contract_slots(B, B, RN.reshape(G, d, d, k * k))
     return float(np.max(np.abs(res)))
 
 

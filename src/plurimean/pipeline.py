@@ -93,6 +93,7 @@ class FixtureContext:
     Each layer is computed on first use, once, from the layer before it:
 
         geom -> bundles (projectors and their closed-form derivatives dP)
+                -> isotropy (the N' + N° + N'' decomposition)
              -> mean_curvature
 
     The point set is the fixture's own grid (rec.grid_per_axis) or else
@@ -114,6 +115,10 @@ class FixtureContext:
     @functools.cached_property
     def bundles(self):
         return gaussmaps.projector_derivatives(self.geom)
+
+    @functools.cached_property
+    def isotropy(self) -> gaussmaps.IsotropyReport:
+        return gaussmaps.isotropy_decomposition(self.geom, *self.bundles)
 
     @functools.cached_property
     def mean_curvature(self) -> forms.MeanCurvatureData:
@@ -201,7 +206,7 @@ def _chk_half_isotropy(ctx: FixtureContext):
 
 
 def _chk_isotropy(ctx: FixtureContext):
-    rep = gaussmaps.isotropy_decomposition(ctx.geom, *ctx.bundles)
+    rep = ctx.isotropy
     extras = {"orthogonality": rep.orthogonality,
               "parallelity": rep.parallelity}
     extras.update({f"rank {k}": float(v) for k, v in rep.ranks.items()})
@@ -241,7 +246,10 @@ def _chk_section(ctx: FixtureContext):
 
 
 def _chk_psi(ctx: FixtureContext):
-    if not ctx.rec.flags.get("isotropic"):
+    # psi_theta is built on the decomposition, so it runs exactly where
+    # the isotropy check passes
+    rep = ctx.isotropy
+    if not max(rep.orthogonality, rep.parallelity) < ctx.cfg.tol_tier1:
         raise _Skip("psi_theta needs the isotropy decomposition")
     bun, _ = ctx.bundles
     # one psi per distinct angle; the sweep holds pi/2 and pi by default

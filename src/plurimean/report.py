@@ -111,6 +111,18 @@ def write_sweep_csv(path, rows: List[dict]) -> None:
                         for k, v in row.items()})
 
 
+# rows formatted per %-operation: one operation for the whole mesh
+# would hold a tuple of every number at once and raise the peak memory
+_MESH_CHUNK = 4096
+
+
+def _write_rows(buf, line: str, rows: np.ndarray) -> None:
+    """One %-formatted `line` per row of the 2-d array rows."""
+    for s in range(0, len(rows), _MESH_CHUNK):
+        block = rows[s:s + _MESH_CHUNK]
+        buf.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def mesh_text(member: FamilyMember) -> str:
     """Triangle mesh of an integrated family member.
 
@@ -124,19 +136,15 @@ def mesh_text(member: FamilyMember) -> str:
     rows, cols = member.shape
     buf = io.StringIO()
     if n > 3:
-        for p in V:
-            buf.write("# coords " + " ".join(f"{x:.12g}" for x in p) + "\n")
-    for p in V:
-        xyz = p[:3] if n >= 3 else np.pad(p, (0, 3 - n))
-        buf.write(f"v {xyz[0]:.12g} {xyz[1]:.12g} {xyz[2]:.12g}\n")
-    for i in range(rows - 1):
-        for j in range(cols - 1):
-            a = i * cols + j + 1
-            b = a + 1
-            c = a + cols
-            d = c + 1
-            buf.write(f"f {a} {b} {d}\n")
-            buf.write(f"f {a} {d} {c}\n")
+        _write_rows(buf, "# coords " + " ".join(["%.12g"] * n) + "\n", V)
+    xyz = V[:, :3] if n >= 3 else np.pad(V, ((0, 0), (0, 3 - n)))
+    _write_rows(buf, "v %.12g %.12g %.12g\n", xyz)
+    # quad (i, j) has corners a = i*cols + j + 1, b = a + 1, c = a + cols
+    # and d = c + 1, and the triangles (a, b, d) and (a, d, c)
+    a = np.arange(1, rows * cols + 1).reshape(rows, cols)[:-1, :-1].ravel()
+    c = a + cols
+    quads = np.stack([a, a + 1, c + 1, a, c + 1, c], axis=1)
+    _write_rows(buf, "f %d %d %d\nf %d %d %d\n", quads)
     return buf.getvalue()
 
 

@@ -1,7 +1,7 @@
-"""The batched-matmul tensor algebra of the theta sweep, the bundle
-residuals and the sublemma residual against their einsum formulas, kept
-here as references: on random tensors (d = 2 and 4, n up to 9) and on
-fixture geometries."""
+"""The batched-matmul tensor algebra of the geometry layer, the theta
+sweep, the bundle residuals and the sublemma residual against their
+einsum formulas, kept here as references: on random tensors (d = 2 and
+4, n up to 9) and on fixture geometries."""
 
 from types import SimpleNamespace
 
@@ -10,7 +10,7 @@ import pytest
 
 from plurimean import family, forms, gaussmaps, kaehler
 from plurimean.chartcalc import holomorphic_basis, standard_J
-from plurimean.fixtures import get_immersion
+from plurimean.fixtures import fixture_names, get_immersion
 
 FIXTURES = ["catenoid", "veronese", "product-spheres", "ellipsoid"]
 THETAS = [0.0, np.pi / 8, np.pi / 3, np.pi / 2, np.pi]
@@ -19,6 +19,60 @@ TOL = 1e-12
 
 
 # ------------------------------------------------------ einsum references
+
+def tangent_projector_ref(d1, ginv):
+    return np.einsum("gix,gij,gjy->gxy", d1, ginv, d1)
+
+
+def alpha_ref(jet, Gamma):
+    return jet.d2 - np.einsum("gaij,gax->gijx", Gamma, jet.d1)
+
+
+def Dalpha_ref(jet, ginv, Gamma):
+    """The projected ambient derivative of alpha minus both Christoffel
+    corrections, each contracted on its own."""
+    alpha = alpha_ref(jet, Gamma)
+    P_T = tangent_projector_ref(jet.d1, ginv)
+    amb = jet.d3 - np.einsum("gaij,gkax->gkijx", Gamma, jet.d2)
+    normal = amb - np.einsum("gxy,g...y->g...x", P_T, amb)
+    return (normal
+            - np.einsum("glki,gljx->gkijx", Gamma, alpha)
+            - np.einsum("glkj,gilx->gkijx", Gamma, alpha))
+
+
+def alpha_types_ref(alpha, m):
+    """(alpha20, alpha11) on the (1,0) basis."""
+    B = holomorphic_basis(m)
+    ac = alpha.astype(complex)
+    return (np.einsum("ai,bj,gijx->gabx", B, B, ac),
+            np.einsum("ai,bj,gijx->gabx", B, B.conj(), ac))
+
+
+def basis_residuals_ref(geom):
+    """gauss-levi, alpha11_on_real, eq2, ppmc and rn-tprime, each with
+    its slot contractions written out."""
+    m = geom.imm.complex_dim
+    B = holomorphic_basis(m)
+    J = geom.imm.J
+    gauss_levi = float(np.max(np.abs(np.einsum(
+        "ai,bj,gkijx->gkabx", B, B.conj(), geom.Dalpha.astype(complex)))))
+    a11_real = 0.5 * (geom.alpha
+                      + np.einsum("ai,bj,gabx->gijx", J, J, geom.alpha))
+    recon = np.einsum("ai,bj,gijx->gabx", B, B.conj(),
+                      a11_real.astype(complex))
+    eq2 = float(np.max(np.abs(recon - geom.alpha11)))
+    rotated = np.einsum("ai,bj,gkabx->gkijx", J, J, geom.Dalpha)
+    ppmc = float(np.max(np.abs(0.5 * (geom.Dalpha + rotated))))
+    rn_tprime = float(np.max(np.abs(
+        np.einsum("ai,bj,gijcd->gabcd", B, B, geom.RN))))
+    return gauss_levi, a11_real, eq2, ppmc, rn_tprime
+
+
+def closedness_residual_ref(geom, theta):
+    R = family.rotation(geom.imm.J, theta)
+    dw = np.einsum("kj,gikx->gijx", R, geom.jet.d2)
+    return float(np.max(np.abs(dw - dw.transpose(0, 2, 1, 3))))
+
 
 def rotate_form_ref(alpha, J, theta):
     R = family.rotation(J, theta)
@@ -100,13 +154,58 @@ def _random_geometry(seed, d, n, G=7):
 
 @pytest.fixture(scope="module")
 def fixture_geoms():
-    imms = [get_immersion(name) for name in FIXTURES]
+    imms = [get_immersion(name) for name in fixture_names()]
     return {imm.name: forms.compute_geometry(imm, imm.grid(5, margin=0.05))
             for imm in imms}
 
 
 def _max_diff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+# --------------------------------------------------------- geometry layer
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_geometry_matches_einsum_on_fixtures(fixture_geoms, name):
+    geom = fixture_geoms[name]
+    jet = geom.jet
+    assert _max_diff(geom.tangent_projector(),
+                     tangent_projector_ref(jet.d1, geom.ginv)) < TOL
+    assert _max_diff(geom.alpha, alpha_ref(jet, geom.Gamma)) < TOL
+    assert _max_diff(geom.Dalpha, Dalpha_ref(jet, geom.ginv,
+                                             geom.Gamma)) < TOL
+    a20, a11 = alpha_types_ref(geom.alpha, geom.imm.complex_dim)
+    assert _max_diff(geom.alpha20, a20) < TOL
+    assert _max_diff(geom.alpha11, a11) < TOL
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_basis_residuals_match_einsum_on_fixtures(fixture_geoms, name):
+    geom = fixture_geoms[name]
+    gauss_levi, a11_real, eq2, ppmc, rn_tprime = basis_residuals_ref(geom)
+    m = geom.imm.complex_dim
+    assert abs(gaussmaps.gauss_levi_residual(geom) - gauss_levi) < TOL
+    assert _max_diff(forms.alpha11_on_real(geom.alpha, geom.imm.J),
+                     a11_real) < TOL
+    assert abs(forms.eq2_consistency_residual(geom) - eq2) < TOL
+    assert abs(forms.ppmc_residual(geom) - ppmc) < TOL
+    assert abs(kaehler.rn_tprime_residual(geom.RN, m) - rn_tprime) < TOL
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_closedness_equals_einsum_exactly(fixture_geoms, name):
+    geom = fixture_geoms[name]
+    for theta in family.THETA_SWEEP:
+        assert (family.closedness_residual(geom, theta)
+                == closedness_residual_ref(geom, theta))
+
+
+@pytest.mark.parametrize("name", ["catenoid", "helicoid"])
+def test_closedness_reads_exactly_zero_on_minimal_pair(fixture_geoms,
+                                                      name):
+    for theta in family.THETA_SWEEP:
+        assert family.closedness_residual(fixture_geoms[name],
+                                          theta) == 0.0
 
 
 # -------------------------------------------------------------- rotations

@@ -4,7 +4,7 @@ rigid matching, and the normal-bundle automorphism."""
 import numpy as np
 import pytest
 
-from plurimean import family, forms, gaussmaps
+from plurimean import family, forms, gaussmaps, report
 from plurimean.fixtures import get_immersion, registry
 
 PPMC = [r.name for r in registry() if r.flags["ppmc"]]
@@ -118,6 +118,52 @@ def test_rigid_match_recovers_random_motion(seed):
 def test_rigid_match_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         family.rigid_match(np.zeros((4, 3)), np.zeros((5, 3)))
+
+
+# ------------------------------------------------------------ mesh text
+
+def mesh_text_ref(member):
+    """The mesh written one line at a time."""
+    V = member.values
+    n = V.shape[1]
+    rows, cols = member.shape
+    out = []
+    if n > 3:
+        for p in V:
+            out.append("# coords " + " ".join(f"{x:.12g}" for x in p)
+                       + "\n")
+    for p in V:
+        xyz = p[:3] if n >= 3 else np.pad(p, (0, 3 - n))
+        out.append(f"v {xyz[0]:.12g} {xyz[1]:.12g} {xyz[2]:.12g}\n")
+    for i in range(rows - 1):
+        for j in range(cols - 1):
+            a = i * cols + j + 1
+            b = a + 1
+            c = a + cols
+            d = c + 1
+            out.append(f"f {a} {b} {d}\n")
+            out.append(f"f {a} {d} {c}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "holomorphic-curve"])
+def test_mesh_text_equals_line_loop(name):
+    # 71 x 71 points: more vertex and face rows than one format chunk
+    member = family.integrate_family(get_immersion(name), np.pi / 3,
+                                     per_axis=71)
+    assert report.mesh_text(member) == mesh_text_ref(member)
+
+
+@pytest.mark.parametrize("shape,n", [((67, 65), 5), ((3, 7), 2)])
+def test_mesh_text_equals_line_loop_on_non_square_grid(shape, n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((shape[0] * shape[1], n))
+    values *= 10.0 ** rng.integers(-20, 20, size=values.shape)
+    values.flat[:4] = [0.0, -0.0, 1 / 3, 123456789012345.0]
+    member = family.FamilyMember(theta=0.0, pts=None, shape=shape,
+                                 values=values, metric_deviation=0.0,
+                                 geom=None)
+    assert report.mesh_text(member) == mesh_text_ref(member)
 
 
 # ------------------------------------------------------------- psi_theta

@@ -5,7 +5,7 @@ import pytest
 
 from plurimean import kaehler
 from plurimean.chartcalc import eval_jet
-from plurimean.fixtures import get_immersion, registry
+from plurimean.fixtures import fixture_names, get_immersion, registry
 from plurimean.forms import compute_geometry
 
 ADMITTED = [r.name for r in registry(include_controls=False)]
@@ -101,14 +101,28 @@ def test_shape_operator_rejects_tangent_field():
                                geom.jet.d1, xi)
 
 
-@pytest.mark.parametrize("name", ADMITTED)
+@pytest.mark.parametrize("name", fixture_names())
 def test_normal_frame_is_orthonormal_and_normal(name):
     _, _, jet = _jet(name)
     fr = kaehler.normal_frame(jet)
     k = fr.shape[1]
+    assert k == jet.ambient_dim - jet.chart_dim
     gram = np.einsum("gax,gbx->gab", fr, fr)
-    assert np.max(np.abs(gram - np.eye(k))) < 1e-12
-    assert np.max(np.abs(np.einsum("gax,gix->gai", fr, jet.d1))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(k))) < 1e-14
+    assert np.max(np.abs(np.einsum("gax,gix->gai", fr, jet.d1))) < 1e-14
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_normal_curvature_norm_is_frame_gauge_free(name):
+    # |R^N(d_i, d_j)| does not depend on the frame: the QR frame and the
+    # frame from the SVD of d1 agree on it
+    imm = get_immersion(name)
+    geom = compute_geometry(imm, imm.grid(5, margin=0.05))
+    _, _, vh = np.linalg.svd(geom.jet.d1, full_matrices=True)
+    RN_svd = kaehler.normal_curvature(geom.alpha, geom.g, geom.ginv,
+                                      vh[:, geom.jet.chart_dim:])
+    assert np.max(np.abs(np.linalg.norm(geom.RN, axis=(3, 4))
+                         - np.linalg.norm(RN_svd, axis=(3, 4)))) < 1e-13
 
 
 @pytest.mark.parametrize("name", ["veronese", "product-spheres"])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from plurimean import pipeline, report
-from plurimean.fixtures import load_fixture_file, registry
+from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_immersion,
+                                load_fixture_file, registry)
 
 
 def test_classify_tiers():
@@ -68,6 +69,19 @@ def test_extra_record_from_fixture_file(tmp_path):
     names = {r.fixture for r in rep.results}
     assert names == {"plane", "my-catenoid"}
     assert len(rep.mismatches) == 0
+
+
+@pytest.mark.parametrize("formula,status", [("sphere", pipeline.PASS),
+                                            ("catenoid", pipeline.SKIPPED)])
+def test_psi_runs_where_isotropy_computes_without_ledger_flags(formula,
+                                                               status):
+    rec = FixtureRecord(name=f"unflagged-{formula}",
+                        immersion=get_immersion(formula),
+                        flags={f: None for f in FLAG_NAMES})
+    cfg = pipeline.RunConfig(fixtures=[], checks=["kaehler", "psi"],
+                             grid=5)
+    rep = pipeline.run(cfg, extra_records=[rec])
+    assert [r.status for r in rep.results] == [pipeline.PASS, status]
 
 
 def test_report_tree_is_stably_ordered():
