@@ -158,7 +158,7 @@ def cmd_family(args) -> int:
         "theta": theta,
         "grid": f"{member.shape[0]}x{member.shape[1]}",
         "metric_deviation": member.metric_deviation,
-        "closedness_residual": family.closedness_residual(geom, theta),
+        "closedness_residual": member.closedness,
     }
     if args.match:
         target = fixtures.get_immersion(args.match)
@@ -169,12 +169,13 @@ def cmd_family(args) -> int:
         report.write_mesh(args.mesh, member)
         tree["mesh"] = args.mesh
     if args.sweep_csv:
+        res = family.structure_equation_residuals(geom, family.THETA_SWEEP)
         rows = []
-        for th in family.THETA_SWEEP:
-            g, c, r = family.structure_equation_residuals(geom, th)
+        for th, (g, c, r) in zip(family.THETA_SWEEP, res.tolist()):
+            closed = member.closedness if th == theta else \
+                family.closedness_residual(geom, th)
             rows.append({"gauss": g, "codazzi": c, "ricci": r,
-                         "closedness":
-                         family.closedness_residual(geom, th)})
+                         "closedness": closed})
         report.write_sweep_csv(
             args.sweep_csv,
             report.sweep_rows(args.fixture, family.THETA_SWEEP, rows))

@@ -1,14 +1,19 @@
 """Rotated second fundamental forms, structure-equation residuals for
 all theta, explicit integration of the associated family of pluriminimal
 surfaces, rigid matching, and the normal-bundle automorphism psi_theta.
+
+The rotated form is alpha_theta = u + cos 2theta v + sin 2theta w with
+theta-independent parts u, v, w (rotation_parts).  The structure-equation
+sweep forms the Gauss, Codazzi and Ricci terms of these parts once per
+geometry and evaluates the whole sequence of angles from them.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import forms, kernels
+from . import forms
 from .chartcalc import ChartedImmersion, contract_slots
 from .gaussmaps import BundleProjectors
 
@@ -33,39 +38,146 @@ def rotate_form(alpha: np.ndarray, J: np.ndarray,
     return contract_slots(Rt, Rt, alpha)
 
 
-def rotate_form_component_residual(geom: forms.GeometryData,
-                                   theta: float) -> float:
-    """Check alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 on the real
-    basis, with the (p,q)-parts extended complex-bilinearly."""
-    J = geom.imm.J
+def rotation_parts(J: np.ndarray) -> np.ndarray:
+    """(3, d^2, d^2): the constant matrices K_u, K_v, K_w with
+
+        kron(R_theta^T, R_theta^T) = K_u + cos 2theta K_v + sin 2theta K_w,
+
+    from cos^2 = (1 + cos 2theta) / 2, sin^2 = (1 - cos 2theta) / 2 and
+    cos sin = sin 2theta / 2.  Applied to a form they give its parts
+    u = a11 and v - i w = 2 a20 (the (p,q)-parts on the real basis,
+    extended complex-bilinearly), so that
+    alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 reads
+    u + cos 2theta v + sin 2theta w.
+    """
     d = J.shape[0]
-    Pp = 0.5 * (np.eye(d) - 1j * J)  # pi' on chart components
-    Pq = Pp.conj()
-    ac = geom.alpha.astype(complex)
-    a20r = np.einsum("ai,bj,gabx->gijx", Pp, Pp, ac)
-    a11r = (np.einsum("ai,bj,gabx->gijx", Pp, Pq, ac)
-            + np.einsum("ai,bj,gabx->gijx", Pq, Pp, ac))
-    recon = (np.exp(2j * theta) * a20r + a11r
-             + np.exp(-2j * theta) * np.conj(a20r))
-    return float(np.max(np.abs(recon - rotate_form(ac, J, theta))))
+    eye = np.eye(d)
+    JJ = np.kron(J.T, J.T)
+    return 0.5 * np.stack([np.eye(d * d) + JJ, np.eye(d * d) - JJ,
+                           np.kron(J.T, eye) + np.kron(eye, J.T)])
 
 
-def structure_equation_residuals(geom: forms.GeometryData, theta: float):
-    """(gauss, codazzi, ricci) residuals with the curvatures of f on the
-    left and the rotated form alpha_theta on the right."""
+def _codazzi_map(J: np.ndarray) -> np.ndarray:
+    """(3, P d, d^3): D alpha -> the parts of X - X^{k<->i} on the P
+    pairs k < i, where X is the u, v or w part of D alpha.
+
+    Row (part, pair (k, i), j) takes X[k, i, j] - X[i, k, j]; the rows
+    of k > i are their negatives and those of k = i vanish, so the pairs
+    k < i carry the whole sup-norm.
+    """
+    d = J.shape[0]
+    K = rotation_parts(J).reshape(3, d, d, d, d)   # [part, i, j, i', j']
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    L = np.zeros((3, len(pairs), d, d, d, d))      # [part, pair, j, k', i', j']
+    for p, (k, i) in enumerate(pairs):
+        L[:, p, :, k] = K[:, i]
+        L[:, p, :, i] = -K[:, k]
+    return L.reshape(3, len(pairs) * d, d ** 3)
+
+
+def _gauss_components(d: int):
+    """The independent curvature components i < j, k < l as index
+    arrays (i, j, k, l), each of length P^2 for P = d(d-1)/2."""
+    iu, ju = np.triu_indices(d, 1)
+    P = len(iu)
+    return (np.repeat(iu, P), np.repeat(ju, P),
+            np.tile(iu, P), np.tile(ju, P))
+
+
+def structure_equation_residuals(geom: forms.GeometryData,
+                                 thetas: Sequence[float]) -> np.ndarray:
+    """(len(thetas), 3) residuals (gauss, codazzi, ricci) with the
+    curvatures of f on the left and the rotated form alpha_theta on the
+    right, one row per angle.
+
+    alpha_theta = u + cos 2theta v + sin 2theta w (rotation_parts), so
+    every term is a polynomial of degree <= 2 in (cos 2theta, sin
+    2theta).  Its theta-independent parts are formed once; each angle
+    then costs a few axpys and a max:
+
+    * Gauss: the curvature of a form is bilinear, so it is six pieces
+      of (u, v, w) on the components i < j, k < l.  Those are compared
+      with R's four sign-arranged views R_ijkl, -R_jikl, -R_ijlk,
+      R_jilk; on i = j or k = l the curvature of a form is 0, which
+      leaves a theta-independent sup |R|.
+    * Codazzi: sup |X - X^{k<->i}| for X = D alpha_theta, linear in the
+      parts of D alpha antisymmetrised on the pairs k < i.
+    * Ricci: the shape operators are linear in (u, v, w).  Commutators
+      are formed per angle on the frame pairs a < b only: R^N_theta
+      changes sign with (a, b) and vanishes on a = b, which leaves a
+      theta-independent sup |R^N_aa|.
+
+    The full-tensor sup-norms are kept for inputs without the index
+    symmetries of R and R^N.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    c2, s2 = np.cos(2 * thetas), np.sin(2 * thetas)
     J = geom.imm.J
-    alpha_t = rotate_form(geom.alpha, J, theta)
-    gauss = kernels.gauss_residual(geom.R, alpha_t)
+    G, d, _, n = geom.alpha.shape
+    K = rotation_parts(J)
+    alpha = geom.alpha.reshape(G, d * d, n)
 
-    # Codazzi: (D alpha_theta)(k; i, j) symmetric in (k, i)
-    Dat = rotate_form(geom.Dalpha, J, theta)
-    codazzi = float(np.max(np.abs(Dat - Dat.transpose(0, 2, 1, 3, 4))))
+    # Gauss: the pieces <X_il, Y_jk> - <X_ik, Y_jl> of the parts X, Y.
+    # The rows are formed straight from the rows of K, with the grid
+    # axis last so that the n-sums run over whole rows; one pair of row
+    # sets is alive at a time.
+    i, j, k, l = _gauss_components(d)
+    a_t = np.ascontiguousarray(alpha.transpose(1, 2, 0)).reshape(
+        d * d, n * G)
 
-    # Ricci: commutators of the rotated shape operators
-    from .kaehler import normal_curvature
-    RN_t = normal_curvature(alpha_t, geom.g, geom.ginv, geom.frame)
-    ricci = float(np.max(np.abs(geom.RN - RN_t)))
-    return gauss, codazzi, ricci
+    def products(p, q):
+        X = (K[:, p] @ a_t).reshape(3, -1, n, G)
+        Y = (K[:, q] @ a_t).reshape(3, -1, n, G)
+        return np.einsum("apxg,bpxg->abgp", X, Y)        # (3, 3, G, P^2)
+
+    gram = (products(i * d + l, j * d + k)
+            - products(i * d + k, j * d + l))
+    del a_t
+    pieces = np.stack([gram[0, 0], gram[1, 1], gram[2, 2],
+                       gram[0, 1] + gram[1, 0], gram[0, 2] + gram[2, 0],
+                       gram[1, 2] + gram[2, 1]])
+    del gram
+    gauss_coef = np.stack([np.ones_like(c2), c2 * c2, s2 * s2,
+                           c2, s2, c2 * s2], axis=1)
+    R = geom.R
+    R_views = np.stack([R[:, i, j, k, l], -R[:, j, i, k, l],
+                        -R[:, i, j, l, k], R[:, j, i, l, k]])
+    gauss_zero = max(float(np.max(np.abs(R.diagonal(0, 1, 2)))),
+                     float(np.max(np.abs(R.diagonal(0, 3, 4)))))
+
+    # Codazzi: the antisymmetrised parts of D alpha, (3, G, P d, n)
+    cod = _codazzi_map(J)[:, None] @ geom.Dalpha.reshape(1, G, d ** 3, n)
+
+    # Ricci: shape operators A = g^{-1} <part, xi_a>, (G, 3, k, d, d)
+    RN = geom.RN
+    frames = RN.shape[-1]
+    diag = np.arange(frames)
+    ricci_diag = float(np.max(np.abs(RN[:, :, :, diag, diag]),
+                              initial=0.0))
+    a, b = np.triu_indices(frames, 1)
+    if len(a):
+        M = ((geom.frame @ alpha.transpose(0, 2, 1))
+             @ K.reshape(3 * d * d, d * d).T)             # (G, k, 3 d^2)
+        A = geom.ginv[:, None, None] @ M.reshape(
+            G, frames, 3, d, d).transpose(0, 2, 1, 3, 4)
+        RN_ab = RN[:, :, :, a, b].transpose(0, 3, 2, 1)     # [g, pair, j, i]
+        RN_ba = RN[:, :, :, b, a].transpose(0, 3, 2, 1)
+
+    out = np.empty((len(thetas), 3))
+    for t in range(len(thetas)):
+        Kt = np.tensordot(gauss_coef[t], pieces, axes=1)
+        out[t, 0] = max(gauss_zero, float(np.max(np.abs(R_views - Kt))))
+        out[t, 1] = np.max(np.abs(cod[0] + c2[t] * cod[1]
+                                  + s2[t] * cod[2]))
+        ricci = ricci_diag
+        if len(a):
+            At = A[:, 0] + c2[t] * A[:, 1] + s2[t] * A[:, 2]
+            gc = geom.g[:, None] @ (At[:, a] @ At[:, b]
+                                    - At[:, b] @ At[:, a])
+            ricci = max(ricci, float(np.max(np.abs(RN_ab - gc))),
+                        float(np.max(np.abs(RN_ba + gc))))
+        out[t, 2] = ricci
+    return out
 
 
 def closedness_residual(geom: forms.GeometryData, theta: float) -> float:
@@ -95,6 +207,7 @@ class FamilyMember:
     shape: tuple            # per-axis point counts
     values: np.ndarray      # (G, n) integrated immersion, anchored at 0
     metric_deviation: float  # sup |R^T g R - g| (exact-form route)
+    closedness: float       # closedness_residual of df o R_theta
     geom: forms.GeometryData  # geometry of imm on pts
 
 
@@ -144,7 +257,8 @@ def integrate_family(imm: ChartedImmersion, theta: float,
     metric_dev = float(np.max(np.abs(g_t - geom.g)))
     return FamilyMember(theta=theta, pts=pts, shape=(N, N),
                         values=F.reshape(-1, n),
-                        metric_deviation=metric_dev, geom=geom)
+                        metric_deviation=metric_dev, closedness=closed,
+                        geom=geom)
 
 
 def rigid_match(A: np.ndarray, B: np.ndarray):

@@ -173,12 +173,9 @@ def _chk_pluriminimal(ctx: FixtureContext):
 
 
 def _chk_structure_equations(ctx: FixtureContext):
-    worst = {"gauss": 0.0, "codazzi": 0.0, "ricci": 0.0}
-    for th in ctx.cfg.thetas:
-        gr, cr, rr = family.structure_equation_residuals(ctx.geom, th)
-        worst["gauss"] = max(worst["gauss"], gr)
-        worst["codazzi"] = max(worst["codazzi"], cr)
-        worst["ricci"] = max(worst["ricci"], rr)
+    res = family.structure_equation_residuals(ctx.geom, ctx.cfg.thetas)
+    worst = dict(zip(("gauss", "codazzi", "ricci"),
+                     res.max(axis=0, initial=0.0).tolist()))
     return max(worst.values()), worst
 
 

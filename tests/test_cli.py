@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import plurimean
-from plurimean import cli, pipeline
+from plurimean import cli, family, pipeline
 
 
 def test_theta_parsing():
@@ -170,6 +170,25 @@ def test_family_builds_one_geometry(tmp_path, geometry_calls):
     assert code == 0
     assert [(name, G) for name, G, _ in geometry_calls] == [("catenoid",
                                                               21 * 21)]
+
+
+def test_family_computes_closedness_once_per_angle(tmp_path, monkeypatch):
+    # the member's own angle pi/2 is in the sweep: the report line and
+    # its sweep row reuse the residual integrate_family computed
+    calls = []
+    closedness = family.closedness_residual
+
+    def spy(geom, theta):
+        calls.append(theta)
+        return closedness(geom, theta)
+
+    monkeypatch.setattr(family, "closedness_residual", spy)
+    code = cli.main(["family", "--fixture", "catenoid", "--theta", "pi/2",
+                     "--grid", "11",
+                     "--sweep-csv", str(tmp_path / "sweep.csv"),
+                     "--report", str(tmp_path / "fam.txt")])
+    assert code == 0
+    assert sorted(calls) == sorted(family.THETA_SWEEP)
 
 
 def test_family_higher_ambient_mesh_comments(tmp_path):

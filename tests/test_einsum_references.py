@@ -263,7 +263,7 @@ def test_normal_curvature_matches_einsum_on_fixtures(fixture_geoms, name):
 def test_structure_equation_residuals_match_einsum_on_random_tensors(
         d, n, theta):
     geom = _random_geometry(3, d, n)
-    got = family.structure_equation_residuals(geom, theta)
+    got = family.structure_equation_residuals(geom, [theta])[0]
     ref = structure_equation_residuals_ref(geom, theta)
     assert min(ref) > 1e-3   # the random R, RN and D alpha do not fit
     assert _max_diff(got, ref) < TOL
@@ -274,9 +274,53 @@ def test_structure_equation_residuals_match_einsum_on_fixtures(
         fixture_geoms, name):
     geom = fixture_geoms[name]
     for theta in family.THETA_SWEEP:
-        got = family.structure_equation_residuals(geom, theta)
+        got = family.structure_equation_residuals(geom, [theta])[0]
         ref = structure_equation_residuals_ref(geom, theta)
         assert _max_diff(got, ref) < TOL
+
+
+def _assert_sweep_matches_reference(geom):
+    """One call over the whole sweep, compared row by row; returns the
+    reference rows."""
+    got = family.structure_equation_residuals(geom, family.THETA_SWEEP)
+    ref = np.array([structure_equation_residuals_ref(geom, theta)
+                    for theta in family.THETA_SWEEP])
+    assert got.shape == ref.shape == (len(family.THETA_SWEEP), 3)
+    for row, ref_row in zip(got, ref):
+        assert _max_diff(row, ref_row) < TOL
+    return ref
+
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+def test_structure_equation_sweep_matches_einsum_on_random_tensors(d, n):
+    # R, RN and D alpha without symmetries; n = 3 gives a rank-1 normal
+    # bundle, where only the diagonal of RN enters the Ricci term
+    ref = _assert_sweep_matches_reference(_random_geometry(5, d, n))
+    assert ref.min() > 1e-3
+
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+def test_structure_equation_sweep_reads_r_where_the_form_gives_zero(d, n):
+    # R is the curvature of alpha itself except on one component with
+    # i = j, where the curvature of every alpha_theta is 0: at theta = 0
+    # that component is the whole Gauss residual
+    geom = _random_geometry(6, d, n)
+    geom.R = gauss_curvature_ref(geom.alpha)
+    geom.R[:, 1, 1, 0, 1] = 7.0
+    ref = _assert_sweep_matches_reference(geom)
+    assert abs(ref[0, 0] - 7.0) < TOL
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_structure_equation_sweep_matches_einsum_on_fixtures(
+        fixture_geoms, name):
+    _assert_sweep_matches_reference(fixture_geoms[name])
+
+
+def test_structure_equation_sweep_takes_no_angles(fixture_geoms):
+    got = family.structure_equation_residuals(fixture_geoms["veronese"],
+                                              [])
+    assert got.shape == (0, 3)
 
 
 def test_structure_equation_reference_sees_the_ellipsoid_fail(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, report
+from plurimean.chartcalc import standard_J
 from plurimean.fixtures import get_immersion, registry
 
 PPMC = [r.name for r in registry() if r.flags["ppmc"]]
@@ -23,13 +24,43 @@ def test_rotation_is_orthogonal_and_periodic(theta):
     assert np.allclose(family.rotation(J, theta + 2 * np.pi), R)
 
 
-@pytest.mark.parametrize("name", ["catenoid", "veronese",
-                                  "product-spheres", "ellipsoid"])
-@pytest.mark.parametrize("theta", [0.0, np.pi / 8, np.pi / 3, np.pi / 2])
-def test_rotated_form_type_decomposition(name, theta):
-    # alpha_theta = e^{2it} a^{(2,0)} + a^{(1,1)} + e^{-2it} a^{(0,2)}
+def _assert_parts_rebuild_rotation(form, J):
+    """u + cos 2t v + sin 2t w = form(R_t ., R_t .) at every sweep angle,
+    and the parts are the (p,q)-parts on the real basis:
+    alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 with u = a11 and
+    v - i w = 2 a20, the (p,q)-parts extended complex-bilinearly."""
+    *lead, d, _, n = form.shape
+    parts = family.rotation_parts(J) @ form.reshape(*lead, 1, d * d, n)
+    u, v, w = np.moveaxis(parts.reshape(*lead, 3, d, d, n), -4, 0)
+    for theta in family.THETA_SWEEP:
+        rebuilt = u + np.cos(2 * theta) * v + np.sin(2 * theta) * w
+        assert np.max(np.abs(rebuilt
+                             - family.rotate_form(form, J, theta))) < 1e-12
+    Pp = 0.5 * (np.eye(J.shape[0]) - 1j * J)   # pi' on chart components
+    Pq = Pp.conj()
+    fc = form.astype(complex)
+    a20 = np.einsum("ai,bj,...abx->...ijx", Pp, Pp, fc)
+    a11 = (np.einsum("ai,bj,...abx->...ijx", Pp, Pq, fc)
+           + np.einsum("ai,bj,...abx->...ijx", Pq, Pp, fc))
+    assert np.max(np.abs(u - a11)) < 1e-12
+    assert np.max(np.abs(v - 1j * w - 2 * a20)) < 1e-12
+
+
+@pytest.mark.parametrize("name", [r.name for r in registry()])
+def test_rotation_parts_rebuild_rotated_forms_on_fixtures(name):
     geom = _geom(name)
-    assert family.rotate_form_component_residual(geom, theta) < 1e-12
+    _assert_parts_rebuild_rotation(geom.alpha, geom.imm.J)
+    _assert_parts_rebuild_rotation(geom.Dalpha, geom.imm.J)
+
+
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 6)])
+def test_rotation_parts_rebuild_rotated_forms_on_random_forms(m, n):
+    # neither symmetric nor of any type: the identity is linear algebra
+    rng = np.random.default_rng(10 * m + n)
+    d = 2 * m
+    J = standard_J(m)
+    _assert_parts_rebuild_rotation(rng.standard_normal((7, d, d, n)), J)
+    _assert_parts_rebuild_rotation(rng.standard_normal((7, d, d, d, n)), J)
 
 
 def test_rotation_by_pi_fixes_alpha():
@@ -41,7 +72,7 @@ def test_rotation_by_pi_fixes_alpha():
 @pytest.mark.parametrize("name", PPMC)
 @pytest.mark.parametrize("theta", family.THETA_SWEEP)
 def test_structure_equations_hold_on_ppmc_fixtures(name, theta):
-    g, c, r = family.structure_equation_residuals(_geom(name), theta)
+    g, c, r = family.structure_equation_residuals(_geom(name), [theta])[0]
     assert g < 1e-10
     assert c < 1e-10
     assert r < 1e-10
@@ -49,7 +80,7 @@ def test_structure_equations_hold_on_ppmc_fixtures(name, theta):
 
 def test_structure_equations_fail_on_ellipsoid():
     _, c, _ = family.structure_equation_residuals(_geom("ellipsoid"),
-                                                  np.pi / 4)
+                                                  [np.pi / 4])[0]
     assert c > 1e-2
 
 
@@ -162,7 +193,7 @@ def test_mesh_text_equals_line_loop_on_non_square_grid(shape, n):
     values.flat[:4] = [0.0, -0.0, 1 / 3, 123456789012345.0]
     member = family.FamilyMember(theta=0.0, pts=None, shape=shape,
                                  values=values, metric_deviation=0.0,
-                                 geom=None)
+                                 closedness=0.0, geom=None)
     assert report.mesh_text(member) == mesh_text_ref(member)
 
 
