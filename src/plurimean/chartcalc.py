@@ -1,4 +1,4 @@
-"""Charted immersions, order-3 jets, and (1,0)/(0,1) tangent projections.
+"""Charted immersions, their jets, and (1,0)/(0,1) tangent projections.
 
 Coordinates on a chart of complex dimension m are ordered
 (x1, y1, ..., xm, ym), so the complex structure J acts as a constant
@@ -8,7 +8,7 @@ axis ``n``.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,15 +32,17 @@ def standard_J(m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Jet3:
-    """Value and first three symmetric derivative arrays at grid points.
+    """Value and symmetric derivative arrays at grid points, up to the
+    jet's order (1, 2 or 3); the arrays above it are None.
 
-    value: (G, n); d1: (G, 2m, n); d2: (G, 2m, 2m, n); d3: (G, 2m, 2m, 2m, n).
+    value: (G, n); d1: (G, 2m, n); d2: (G, 2m, 2m, n) or None at order 1;
+    d3: (G, 2m, 2m, 2m, n) or None at orders 1 and 2.
     """
 
     value: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
+    d2: Optional[np.ndarray]
+    d3: Optional[np.ndarray]
 
     @property
     def npts(self) -> int:
@@ -72,7 +74,7 @@ class ChartedImmersion:
     complex_dim: int
     domain: np.ndarray  # (2m, 2) array of [lo, hi] per coordinate
     eval_fn: Callable[[np.ndarray], np.ndarray]  # (G, 2m) -> (G, n)
-    jet_fn: Callable[[np.ndarray], Jet3]  # (G, 2m) -> order-3 jet
+    jet_fn: Callable[[np.ndarray, int], Jet3]  # (G, 2m), order -> jet
     J: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -109,9 +111,10 @@ def _check_boundary(imm: ChartedImmersion, pts: np.ndarray, h: float):
             f"{imm.name}: points within 3h={3 * h:g} of the domain boundary")
 
 
-def _check_rank(jet: Jet3, threshold_factor: float = 1e-9):
-    d = jet.chart_dim
-    sv = np.linalg.svd(jet.d1, compute_uv=False)  # (G, 2m) since 2m <= n
+def _check_rank(sv: np.ndarray, d: int, threshold_factor: float = 1e-9):
+    """Raise RankError at the grid points whose singular values sv
+    (G, d) of the differential, in descending order, have the last
+    below threshold_factor times the first."""
     bad = sv[:, d - 1] < threshold_factor * sv[:, 0]
     if np.any(bad):
         raise RankError(f"differential rank below {d} at "
@@ -180,13 +183,13 @@ def fd_jet_oracle(imm: ChartedImmersion, pts: np.ndarray,
     return Jet3(value=value, d1=d1, d2=d2, d3=d3)
 
 
-def eval_jet(imm: ChartedImmersion, pts: np.ndarray) -> Jet3:
-    """Order-3 jet at chart points from the fixture's closed-form jets;
-    raises RankError where the differential drops rank."""
+def eval_jet(imm: ChartedImmersion, pts: np.ndarray,
+             order: int = 3) -> Jet3:
+    """Jet of the given order (1, 2 or 3) at chart points from the
+    fixture's closed-form jets.  It runs no rank test: the geometry
+    takes it from the QR of its normal frame (kaehler.normal_frame)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    jet = imm.jet_fn(pts)
-    _check_rank(jet)
-    return jet
+    return imm.jet_fn(pts, order)
 
 
 def project_type(v: ComplexTangent, which: str, m: int) -> ComplexTangent:

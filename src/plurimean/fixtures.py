@@ -2,9 +2,9 @@
 
 Each fixture is one chart formula, a Python function of the chart
 coordinates: on float arrays it gives the immersion's values, on
-Taylor-mode jets (jets.py) its closed-form jets to order 3.  It comes
-with a ledger of expected classification flags; reproducing the ledger
-is the master regression property of the whole toolkit.
+Taylor-mode jets (jets.py) its closed-form jets to order 1, 2 or 3.
+It comes with a ledger of expected classification flags; reproducing
+the ledger is the master regression property of the whole toolkit.
 """
 
 import functools
@@ -165,7 +165,7 @@ def _build_immersion(name, domain_key=None):
         complex_dim=m,
         domain=domain,
         eval_fn=functools.partial(jets.values, formula),
-        jet_fn=functools.partial(jets.jet3, formula),
+        jet_fn=functools.partial(jets.jet, formula),
     )
 
 

@@ -16,7 +16,8 @@ the centre grid: d_v P_T from alpha, and the generator bundles tau',
 N°, N' from the derivative of a projector onto a constant-rank span
 (projector_derivative) with the generator derivatives built from d2
 and d_v alpha (alpha_derivative).  Only eq4's second route takes a
-finite difference (fd_tangent_projector_derivatives).
+finite difference (fd_tangent_projector_derivatives); it reads only
+d1, so its shifted grids take order-1 jets.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Dict
 import numpy as np
 
 from . import forms, kaehler
-from .chartcalc import (RankError, contract_slots, eval_jet,
+from .chartcalc import (RankError, _check_rank, contract_slots, eval_jet,
                         holomorphic_basis)
 
 
@@ -60,24 +61,23 @@ def dgauss_check(geom: forms.GeometryData, dP_T: np.ndarray) -> float:
 def fd_tangent_projector_derivatives(geom: forms.GeometryData,
                                      h: float) -> np.ndarray:
     """Central-difference chart derivatives (G, 2m, n, n) of the tangent
-    projector: the jets at pts +- h e_v, their metric, its inverse and
-    the projector, one shifted grid at a time."""
+    projector.  Only d1 is read, so the 2·2m shifted grids pts +- h e_v
+    are stacked into one order-1 jet call; the rank test, the metric,
+    its inverse and the projector run on the stack, which is then split
+    into the differences.  Raises RankError where the differential on a
+    shifted grid drops rank."""
     imm, pts = geom.imm, geom.pts
     G, d = pts.shape
     n = imm.ambient_dim
-
-    def projector_at(q):
-        jet = eval_jet(imm, q)
-        ginv = np.linalg.inv(kaehler.induced_metric(jet))
-        return forms.tangent_projector(jet.d1, ginv)
-
-    dP = np.empty((G, d, n, n))
-    for v in range(d):
-        ev = np.zeros(d)
-        ev[v] = h
-        dP[:, v] = (projector_at(pts + ev)
-                    - projector_at(pts - ev)) / (2.0 * h)
-    return dP
+    steps = h * np.eye(d)
+    # [v, 0] = pts + h e_v, [v, 1] = pts - h e_v
+    shifted = pts + np.stack([steps, -steps], axis=1)[:, :, None]
+    jet = eval_jet(imm, shifted.reshape(2 * d * G, d), order=1)
+    _check_rank(np.linalg.svd(jet.d1, compute_uv=False), d)
+    ginv = np.linalg.inv(kaehler.induced_metric(jet))
+    P = forms.tangent_projector(jet.d1, ginv).reshape(d, 2, G, n, n)
+    return np.ascontiguousarray(
+        ((P[:, 0] - P[:, 1]) / (2.0 * h)).transpose(1, 0, 2, 3))
 
 
 def gauss_levi_residual(geom: forms.GeometryData) -> float:

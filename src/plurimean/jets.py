@@ -1,12 +1,15 @@
-"""Order-3 Taylor-mode jets of chart formulas.
+"""Taylor-mode jets of chart formulas, truncated at order 1, 2 or 3.
 
 A chart formula is a plain Python function of the chart coordinates
 that returns the ambient components, written with arithmetic, the numpy
 ufuncs sin/cos/sinh/cosh and :func:`polyval`.  Called on float arrays it
-gives values.  Called on the coordinate jets of :func:`jet3` it gives
-the value and first three partial derivatives, carried through each
-operation by the Leibniz rule and Faa di Bruno's formula (Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+gives values.  Called on the coordinate jets of :func:`jet` it gives
+the value and the partial derivatives up to the jet's order, carried
+through each operation by the Leibniz rule and Faa di Bruno's formula
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+ch. 13).  Each rule forms only the terms up to the order, so an order-1
+jet costs a value and a gradient, and its d1 equals, bit for bit, the
+d1 of the order-3 jet.
 """
 
 import numpy as np
@@ -14,15 +17,26 @@ from numpy.polynomial import polynomial as npoly
 
 from .chartcalc import Jet3
 
-# derivatives of order 0..3 of each ufunc a Jet accepts, at x
-_SERIES = {
-    np.sin: lambda x: (np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)),
-    np.cos: lambda x: (np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)),
-    np.sinh: lambda x: (np.sinh(x), np.cosh(x), np.sinh(x), np.cosh(x)),
-    np.cosh: lambda x: (np.cosh(x), np.sinh(x), np.cosh(x), np.sinh(x)),
-}
+# ufunc -> (its first derivative, whether f'' = -f rather than f)
+_SERIES = {np.sin: (np.cos, True), np.cos: (lambda x: -np.sin(x), True),
+           np.sinh: (np.cosh, False), np.cosh: (np.sinh, False)}
 _BINARY = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
            np.true_divide: "truediv"}
+
+
+def _series(ufunc, x, order):
+    """ufunc and its derivatives of order 1..order at x; the one of
+    order k >= 2 is -+ the one of order k - 2."""
+    df, flip = _SERIES[ufunc]
+    out = [ufunc(x), df(x)]
+    for k in range(2, order + 1):
+        out.append(-out[k - 2] if flip else out[k - 2])
+    return out
+
+
+def _upto(op, a, *rest):
+    """op(a, *rest) for a derivative array a; None past the order."""
+    return None if a is None else op(a, *rest)
 
 
 def _sym3(t):
@@ -32,29 +46,37 @@ def _sym3(t):
 
 
 class Jet:
-    """A scalar field on G grid points with its first three derivatives
-    in d chart coordinates, grid axis last: v (G,), d1 (d, G),
-    d2 (d, d, G), d3 (d, d, d, G).  Non-Jet operands are constants.
+    """A scalar field on G grid points with its derivatives in d chart
+    coordinates up to the jet's order (1, 2 or 3), grid axis last:
+    v (G,), d1 (d, G), d2 (d, d, G), d3 (d, d, d, G); those above the
+    order are None.  Non-Jet operands are constants; the Jets of one
+    formula share one order.
 
     With the grid axis last every elementwise step runs over contiguous
-    rows of G points; :func:`jet3` moves it to the front once, for
+    rows of G points; :func:`jet` moves it to the front once, for
     Jet3."""
 
     __slots__ = ("v", "d1", "d2", "d3")
 
-    def __init__(self, v, d1, d2, d3):
+    def __init__(self, v, d1, d2=None, d3=None):
         self.v, self.d1, self.d2, self.d3 = v, d1, d2, d3
+
+    @property
+    def order(self) -> int:
+        return 1 if self.d2 is None else 2 if self.d3 is None else 3
 
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.v + other.v, self.d1 + other.d1,
-                       self.d2 + other.d2, self.d3 + other.d3)
+                       _upto(np.add, self.d2, other.d2),
+                       _upto(np.add, self.d3, other.d3))
         return Jet(self.v + other, self.d1, self.d2, self.d3)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.v, -self.d1, -self.d2, -self.d3)
+        return Jet(-self.v, -self.d1, _upto(np.negative, self.d2),
+                   _upto(np.negative, self.d3))
 
     def __sub__(self, other):
         return self + (-other)
@@ -64,16 +86,19 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.v * other, self.d1 * other, self.d2 * other,
-                       self.d3 * other)
+            return Jet(self.v * other, self.d1 * other,
+                       _upto(np.multiply, self.d2, other),
+                       _upto(np.multiply, self.d3, other))
         a, b = self, other
-        a1b1 = a.d1[:, None] * b.d1
-        return Jet(a.v * b.v,
-                   a.d1 * b.v + a.v * b.d1,
-                   a.d2 * b.v + a1b1 + a1b1.transpose(1, 0, 2) + a.v * b.d2,
-                   a.d3 * b.v + a.v * b.d3
-                   + _sym3(a.d2[:, :, None] * b.d1)
-                   + _sym3(b.d2[:, :, None] * a.d1))
+        d2 = d3 = None
+        if a.d2 is not None:
+            a1b1 = a.d1[:, None] * b.d1
+            d2 = a.d2 * b.v + a1b1 + a1b1.transpose(1, 0, 2) + a.v * b.d2
+        if a.d3 is not None:
+            d3 = (a.d3 * b.v + a.v * b.d3
+                  + _sym3(a.d2[:, :, None] * b.d1)
+                  + _sym3(b.d2[:, :, None] * a.d1))
+        return Jet(a.v * b.v, a.d1 * b.v + a.v * b.d1, d2, d3)
 
     __rmul__ = __mul__
 
@@ -87,7 +112,10 @@ class Jet:
 
     def reciprocal(self):
         r = 1.0 / self.v
-        return self.compose(r, -r**2, 2.0 * r**3, -6.0 * r**4)
+        # d^k/dv^k (1/v) = (-1)^k k! r^(k+1)
+        return self.compose(r, *(c * r**k for c, k in
+                                 ((-1.0, 2), (2.0, 3), (-6.0, 4))
+                                 [:self.order]))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -97,23 +125,25 @@ class Jet:
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def compose(self, f0, f1, f2, f3):
-        """Jet of g(self), given g and its first three derivatives at
-        self.v (Faa di Bruno to order 3)."""
+    def compose(self, *f):
+        """Jet of g(self), given g and its derivatives up to the jet's
+        order at self.v, f = (g, g', ...) (Faa di Bruno)."""
         x1, x2 = self.d1, self.d2
-        x11 = x1[:, None] * x1
-        return Jet(f0,
-                   f1 * x1,
-                   f1 * x2 + f2 * x11,
-                   f1 * self.d3 + f2 * _sym3(x2[:, :, None] * x1)
-                   + f3 * (x11[:, :, None] * x1))
+        d2 = d3 = None
+        if x2 is not None:
+            x11 = x1[:, None] * x1
+            d2 = f[1] * x2 + f[2] * x11
+        if self.d3 is not None:
+            d3 = (f[1] * self.d3 + f[2] * _sym3(x2[:, :, None] * x1)
+                  + f[3] * (x11[:, :, None] * x1))
+        return Jet(f[0], f[1] * x1, d2, d3)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
             return NotImplemented
         if ufunc in _SERIES:
             x, = inputs
-            return x.compose(*_SERIES[ufunc](x.v))
+            return x.compose(*_series(ufunc, x.v, x.order))
         if ufunc in _BINARY:
             a, b = inputs
             if isinstance(a, Jet):
@@ -128,7 +158,7 @@ def polyval(x, c):
     if not isinstance(x, Jet):
         return npoly.polyval(x, c)
     derivs = [np.asarray(c, dtype=float)]
-    for _ in range(3):
+    for _ in range(x.order):
         derivs.append(npoly.polyder(derivs[-1]))
     return x.compose(*(npoly.polyval(x.v, p) for p in derivs))
 
@@ -142,20 +172,27 @@ def values(formula, pts):
 
 
 def _grid_first(blocks):
-    """Stack per-component blocks (..., G) into one array (G, ..., n)."""
+    """Stack per-component blocks (..., G) into one array (G, ..., n);
+    None past the order."""
+    if blocks[0] is None:
+        return None
     return np.ascontiguousarray(np.moveaxis(np.stack(blocks, axis=-1),
                                             -2, 0))
 
 
-def jet3(formula, pts):
-    """Order-3 jet of formula at chart points pts (G, d)."""
+def jet(formula, pts, order=3):
+    """Jet of formula at chart points pts (G, d), truncated at order 1,
+    2 or 3: a Jet3 whose derivatives above the order are None."""
+    if not (isinstance(order, int) and 1 <= order <= 3):
+        raise ValueError(f"jet orders are 1, 2 or 3, not {order!r}")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     G, d = pts.shape
-    zero2, zero3 = np.zeros((d, d, G)), np.zeros((d, d, d, G))
+    high = [np.zeros((d,) * k + (G,)) if k <= order else None
+            for k in (2, 3)]
     coords = [Jet(pts[:, i], np.repeat(np.eye(d)[:, i, None], G, axis=1),
-                  zero2, zero3) for i in range(d)]
+                  *high) for i in range(d)]
     comps = [c if isinstance(c, Jet) else
-             Jet(np.full(G, float(c)), np.zeros((d, G)), zero2, zero3)
+             Jet(np.full(G, float(c)), np.zeros((d, G)), *high)
              for c in formula(*coords)]
     return Jet3(value=_grid_first([c.v for c in comps]),
                 d1=_grid_first([c.d1 for c in comps]),

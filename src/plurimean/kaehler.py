@@ -9,7 +9,8 @@ kept in the tests as a slow cross-check.
 import numpy as np
 
 from . import kernels
-from .chartcalc import Jet3, contract_slots, holomorphic_basis
+from .chartcalc import (Jet3, RankError, _check_rank, contract_slots,
+                        holomorphic_basis)
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
@@ -21,8 +22,13 @@ def metric_data(jet: Jet3):
     """(g, ginv, dg, Gamma) with dg[g,i,j,l] = d_i g_{jl} and
     Gamma[g,k,i,j] = Gamma^k_{ij}, all from analytic jets."""
     g = induced_metric(jet)
-    # positive definiteness via Cholesky
-    np.linalg.cholesky(g)
+    # positive definiteness via Cholesky: g = d1 d1^T fails it exactly
+    # where d1 has numerically lost rank
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as e:
+        raise RankError("induced metric not positive definite: the "
+                        "differential has lost rank") from e
     ginv = np.linalg.inv(g)
     dg = (np.einsum("gijx,glx->gijl", jet.d2, jet.d1)
           + np.einsum("gjx,gilx->gijl", jet.d1, jet.d2))
@@ -80,13 +86,16 @@ def normal_frame(jet: Jet3) -> np.ndarray:
     """Orthonormal real normal frame (G, n-2m, n) from the complete QR
     factorisation of d1^T: its first 2m columns span the tangent plane
     (d1 has full rank), the remaining n-2m its orthogonal complement.
+    The (2m, 2m) triangle of R has the singular values of d1, so the
+    rank test runs on it; raises RankError where d1 drops rank.
 
     The gauge is arbitrary per point; only gauge-invariant (fully
     frame-contracted) quantities may be built from it, as
     normal_curvature and sublemma_residual do.
     """
     d = jet.chart_dim
-    q, _ = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
+    q, r = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
+    _check_rank(np.linalg.svd(r[:, :d], compute_uv=False), d)
     return np.ascontiguousarray(q[:, :, d:].transpose(0, 2, 1))
 
 

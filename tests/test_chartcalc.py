@@ -1,12 +1,15 @@
 """Chart calculus: jets, finite-difference oracles, type projections."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from plurimean import chartcalc
+from plurimean import chartcalc, forms, gaussmaps, jets, kaehler
 from plurimean.chartcalc import (
-    BoundaryError, RankError, convergence_order, eval_jet, fd_d1,
-    fd_jet_oracle, holomorphic_basis, project_type, standard_J,
+    BoundaryError, ChartedImmersion, RankError, convergence_order,
+    eval_jet, fd_d1, fd_jet_oracle, holomorphic_basis, project_type,
+    standard_J,
 )
 from plurimean.fixtures import fixture_names, get_immersion
 
@@ -67,10 +70,38 @@ def test_rank_check_rejects_degenerate_chart():
     jet = eval_jet(imm, imm.grid(5))
     d1 = jet.d1.copy()
     d1[:, 1, :] = d1[:, 0, :]  # collapse the chart rank to 1
-    squashed = chartcalc.Jet3(value=jet.value, d1=d1,
-                              d2=jet.d2, d3=jet.d3)
     with pytest.raises(RankError):
-        chartcalc._check_rank(squashed)
+        chartcalc._check_rank(np.linalg.svd(d1, compute_uv=False), 2)
+
+
+def _cusp():
+    """f(x, y) = (x, y^3, 0): its differential drops rank on y = 0."""
+    def formula(x, y):
+        return [x, y**3, 0.0]
+    return ChartedImmersion(
+        name="cusp", ambient_dim=3, complex_dim=1,
+        domain=[(-1.0, 1.0), (-1.0, 1.0)],
+        eval_fn=functools.partial(jets.values, formula),
+        jet_fn=functools.partial(jets.jet, formula))
+
+
+def test_geometry_raises_rank_error_on_degenerate_grid_point():
+    imm = _cusp()
+    pts = imm.grid(5)  # its middle row is y = 0
+    with pytest.raises(RankError):
+        forms.compute_geometry(imm, pts)
+    with pytest.raises(RankError):
+        kaehler.normal_frame(eval_jet(imm, pts))
+
+
+def test_fd_projector_route_raises_rank_error_on_shifted_grid():
+    imm = _cusp()
+    h = 0.01
+    pts = np.stack([np.linspace(-0.5, 0.5, 5), np.full(5, h)], axis=-1)
+    geom = forms.compute_geometry(imm, pts)  # full rank at y = h
+    # the grid shifted by -h e_y lies on y = 0
+    with pytest.raises(RankError):
+        gaussmaps.fd_tangent_projector_derivatives(geom, h)
 
 
 def test_grid_margin_shrinks_domain():

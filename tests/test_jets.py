@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plurimean import jets
+from plurimean.fixtures import fixture_names, get_immersion
 
 
 def _formula(x1, x2, x3, x4):
@@ -74,7 +75,7 @@ def _exact(x):
 
 def test_jets_match_hand_derived_derivatives():
     pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(7, 4))
-    jet = jets.jet3(_formula, pts)
+    jet = jets.jet(_formula, pts)
     assert jet.d3.shape == (7, 4, 4, 4, 3)
     for g, x in enumerate(pts):
         value, d1, d2, d3 = _exact(x)
@@ -89,8 +90,38 @@ def test_jets_match_hand_derived_derivatives():
 def test_values_match_jet_values():
     pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(5, 4))
     np.testing.assert_allclose(jets.values(_formula, pts),
-                               jets.jet3(_formula, pts).value,
+                               jets.jet(_formula, pts).value,
                                rtol=0, atol=1e-14)
+
+
+def _assert_truncations_match(jet_at):
+    """The jets of orders 1 and 2 carry the lower derivatives of the
+    order-3 jet bit for bit, and None above their order."""
+    full = jet_at(3)
+    for order in (1, 2):
+        jet = jet_at(order)
+        for name in ("value", "d1", "d2")[:order + 1]:
+            assert np.array_equal(getattr(jet, name), getattr(full, name))
+        assert jet.d3 is None
+        assert (jet.d2 is None) == (order == 1)
+
+
+def test_truncated_orders_match_order_3_on_hand_formula():
+    pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(7, 4))
+    _assert_truncations_match(lambda order: jets.jet(_formula, pts, order))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_truncated_orders_match_order_3_on_fixtures(name):
+    imm = get_immersion(name)
+    pts = imm.grid(3 if imm.complex_dim > 1 else 5, margin=0.02)
+    _assert_truncations_match(lambda order: imm.jet_fn(pts, order))
+
+
+@pytest.mark.parametrize("order", [0, 4, 1.5])
+def test_jet_orders_are_1_2_or_3(order):
+    with pytest.raises(ValueError):
+        jets.jet(_formula, np.zeros((1, 4)), order)
 
 
 def test_jet_powers_are_positive_integers():

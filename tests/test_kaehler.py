@@ -45,8 +45,8 @@ def test_metric_derivative_against_fd_oracle(name):
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = h
-        gp = kaehler.induced_metric(imm.jet_fn(pts + ei))
-        gm = kaehler.induced_metric(imm.jet_fn(pts - ei))
+        gp = kaehler.induced_metric(imm.jet_fn(pts + ei, 1))
+        gm = kaehler.induced_metric(imm.jet_fn(pts - ei, 1))
         fd = (gp - gm) / (2.0 * h)
         assert np.max(np.abs(dg[:, i] - fd)) < 1e-7
 
