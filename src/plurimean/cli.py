@@ -11,6 +11,10 @@ whose PASS/FAIL status disagrees with the fixture ledger) plus the
 number of checks that raised (ERROR), capped at 125 so that no count
 wraps to 0.  It is not the raw number of failing residuals: negative
 controls are supposed to fail.
+
+`flag-demo` exits 1 when C1 or C2 fails, or when the A3, bracket or
+Cartan-split residual exceeds the strict tier 1e-8: the graded C2
+closure relies on those bracket relations.
 """
 
 import argparse
@@ -207,6 +211,9 @@ def _demo_element(args):
         pos, args.n, real_frame=rest if rest.size else None)
 
 
+_FLAG_RESIDUAL_MAX = 1e-8   # strict tier for the bracket relations
+
+
 def cmd_flag_demo(args) -> int:
     elem = _demo_element(args)
     grading = flags.grade(elem)
@@ -232,7 +239,9 @@ def cmd_flag_demo(args) -> int:
         "cartan_split_residual": max(cartan.values()),
     }
     _emit(report.render_tree(tree) + "\n", args.report)
-    return 0 if (grading.c1_pass and c2.passed) else 1
+    residuals_ok = all(tree[key] <= _FLAG_RESIDUAL_MAX for key in (
+        "A3_residual", "bracket_residual", "cartan_split_residual"))
+    return 0 if (grading.c1_pass and c2.passed and residuals_ok) else 1
 
 
 def cmd_list_fixtures(args) -> int:

@@ -7,10 +7,12 @@ The complexified algebras are represented concretely: gl(n, C) for the
 unitary case and complex skew-symmetric matrices for the orthogonal
 case, with Hilbert-Schmidt orthonormal bases per grading level.
 
-The bracket checks run as batched products: the grading and Cartan
-residuals form every commutator of two basis stacks in one broadcast
-matmul (_bracket_escape), and the C2 closure grows incrementally,
-bracketing only the directions each round adds against g_1 + g_{-1}.
+The bracket checks run as batched products: every commutator of two
+basis stacks comes from two matrix products (_commutators), for the
+grading and Cartan residuals (_bracket_escape) and for the C2 closure.
+The closure is graded: it grows level by level, bracketing only the
+directions each round adds at level k against g_1 and g_{-1}, and
+keeps its part at level k in the coordinates of g_k's basis.
 """
 
 from dataclasses import dataclass, field
@@ -74,12 +76,14 @@ def canonical_unitary(dims, lambda0: float = 0.0,
     frames = [np.asarray(f, dtype=complex) for f in frames]
     if [f.shape[0] for f in frames] != dims:
         raise ValueError("frame sizes do not match dims")
+    for f in frames:
+        if f.ndim != 2 or f.shape[1] != n:
+            raise ValueError(f"frame rows have width {f.shape[-1]}, "
+                             f"expected n = sum(dims) = {n}")
     _check_orthonormal(frames, n)
     xi = np.zeros((n, n), dtype=complex)
     for j, fr in enumerate(frames, start=1):
         xi += 1j * (lambda0 + j) * (fr.T @ fr.conj())
-    # complete the projector sum: lambda0 * (I - sum P_j) would break
-    # the decomposition; dims must sum to n, checked above
     levels = tuple(float(lambda0 + j) for j in range(1, len(dims) + 1))
     return CanonicalElement(tag=UNITARY, n=n, xi=xi, levels=levels,
                             frames=tuple(frames), lambda0=float(lambda0))
@@ -140,15 +144,15 @@ def standard_isotropic_frame(n: int, pairs) -> np.ndarray:
 # ---------------------------------------------------------------- grading
 
 def _orthonormalize_stack(mats: np.ndarray, rank_tol: float = _RANK_TOL):
-    """HS-orthonormal basis of the span of a stack (K, n, n)."""
+    """HS-orthonormal basis of the span of a stack (K, n, n), or of the
+    rows of a (K, d) coordinate block."""
     K = mats.shape[0]
     if K == 0:
         return mats
-    n = mats.shape[1]
-    flat = mats.reshape(K, n * n)
+    flat = mats.reshape(K, -1)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
     r = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    return vh[:r].reshape(r, n, n)
+    return vh[:r].reshape((r,) + mats.shape[1:])
 
 
 @dataclass
@@ -218,19 +222,40 @@ def grade(elem: CanonicalElement) -> Grading:
                    c1_deviation=float(c1_dev), a3_residual=float(a3))
 
 
+def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every commutator [a, b], a in the stack A (p, n, n) and b in B
+    (q, n, n), as a (p, q, n, n) array.
+
+    The p q products a b are one (p n, n) @ (n, q n) product of A's
+    stacked rows against B's side-by-side columns, and the products b a
+    one more the other way round.
+    """
+    p, n, _ = A.shape
+    q = B.shape[0]
+    AB = A.reshape(p * n, n) @ B.transpose(1, 0, 2).reshape(n, q * n)
+    BA = B.reshape(q * n, n) @ A.transpose(1, 0, 2).reshape(n, p * n)
+    return (AB.reshape(p, n, q, n).transpose(0, 2, 1, 3)
+            - BA.reshape(q, n, p, n).transpose(2, 0, 1, 3))
+
+
 def _bracket_escape(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> float:
     """Largest entry of the part of any commutator [a, b], a in the
     stack A (p, n, n) and b in B (q, n, n), outside the span of the
     HS-orthonormal stack T; 0.0 when A or B is empty.
 
-    All p q commutators come from one broadcast product, and their
-    projection onto T is one pair of matrix products on the flattened
-    (p q, n^2) stack.
+    The projection onto T is one pair of matrix products on the
+    flattened (p q, n^2) stack of commutators.  When B is A, only the
+    pairs a < b are projected: [b, a] = -[a, b] and [a, a] = 0.
     """
     if A.shape[0] == 0 or B.shape[0] == 0:
         return 0.0
     n = A.shape[-1]
-    C = (A[:, None] @ B[None] - B[None] @ A[:, None]).reshape(-1, n * n)
+    C = _commutators(A, B)
+    if B is A:
+        C = C[np.triu_indices(A.shape[0], 1)]
+        if C.shape[0] == 0:
+            return 0.0
+    C = C.reshape(-1, n * n)
     if T.shape[0]:
         Tf = T.reshape(-1, n * n)
         C = C - (C @ Tf.conj().T) @ Tf
@@ -239,10 +264,13 @@ def _bracket_escape(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> float:
 
 def bracket_grading_residual(grading: Grading) -> float:
     """sup over basis pairs of the component of [g_j, g_k] outside
-    g_{j+k} (zero space when j+k is not a grading level)."""
+    g_{j+k} (zero space when j+k is not a grading level).  Since
+    [g_k, g_j] = -[g_j, g_k], each unordered pair of levels is
+    bracketed once."""
+    items = list(grading.spaces.items())
     return max((_bracket_escape(Sj, Sk, grading.space(j + k))
-                for j, Sj in grading.spaces.items()
-                for k, Sk in grading.spaces.items()), default=0.0)
+                for i, (j, Sj) in enumerate(items)
+                for k, Sk in items[i:]), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -254,14 +282,20 @@ class C2Report:
 
 
 def generation_check(grading: Grading) -> C2Report:
-    """Bracket closure of g_1 + g_{-1}.
+    """Bracket closure of g_1 + g_{-1}, built level by level.
 
-    The closure is built incrementally.  With G an orthonormal basis of
-    the generators, each round brackets only the directions the previous
-    round added against G, projects those brackets off the closure so
-    far (twice, which keeps the basis orthonormal to round-off) and
-    keeps the singular directions of the remainder above _RANK_TOL times
-    the round's largest bracket norm; a cut relative to the remainder
+    The generators are homogeneous, so the subalgebra they generate is
+    graded: W = sum_k W_k with W_k in g_k.  W_k is kept as orthonormal
+    coordinate rows in g_k's HS-orthonormal basis.  Each round brackets
+    the directions the previous round added at level k against g_1 and
+    g_{-1}, writes each bracket in the coordinates of g_{k+1} or
+    g_{k-1}, projects those coordinates off that level's closure so far
+    (twice, which keeps the basis orthonormal to round-off) and keeps
+    the singular directions of the remainder above _RANK_TOL times the
+    round's largest bracket norm, taken over the full n x n brackets of
+    every level.  Brackets landing at different levels are
+    HS-orthogonal, so the per-level singular values together are those
+    of the whole round's remainder.  A cut relative to the remainder
     would count the round-off of a saturated closure as new directions.
     It stops when a round adds nothing or the closure fills the
     algebra.  The result is the whole generated subalgebra, the same
@@ -271,38 +305,78 @@ def generation_check(grading: Grading) -> C2Report:
     and if W_k is the span of those of length up to k and N_k spans
     what W_k adds to W_{k-1}, then W_{k+1} = W_k + [N_k, G].
 
+    Two parts of a bracket are dropped: a bracket whose level k +- 1 is
+    not a grading level, and the part of a bracket outside g_{k+-1}.
+    Both vanish on an ad-grading, and both are exactly what
+    bracket_grading_residual measures.
+
+    The grading's spaces must span the algebra (ValueError otherwise):
+    the closure needs the full g_1, g_{-1} and targets, and with a
+    partial grading every bracket of a round can be round-off, which the
+    round-relative cut would keep.  On full gradings no round's largest
+    bracket norm was below 0.69 in a scan of every unitary eigenspace
+    profile with n <= 8 and every orthogonal element with n <= 11 and
+    isotropic rank r <= n/2, each with standard and with random frames.
+
     Commutators are traceless, so in the unitary case the closure can
     reach at most sl(n); C2 passes when closure plus the center of the
-    algebra fills the whole complexified algebra.
+    algebra fills the whole complexified algebra.  The center I/sqrt(n)
+    lies in g_0: its g_0 coordinates are appended to W_0 and the rank
+    of the stack is taken.
     """
     elem = grading.elem
     n = elem.n
-    parts = [grading.space(1.0), grading.space(-1.0)]
-    gens = _orthonormalize_stack(np.concatenate(parts, axis=0))
-    Q = gens.reshape(-1, n * n)    # closure so far, HS-orthonormal rows
-    new = gens
-    while new.shape[0] and Q.shape[0] < elem.algebra_dim:
-        C = (new[:, None] @ gens[None] - gens[None] @ new[:, None]
-             ).reshape(-1, n * n)
-        scale = float(np.max(np.linalg.norm(C, axis=1)))
+    spanned = sum(v.shape[0] for v in grading.spaces.values())
+    if spanned != elem.algebra_dim:
+        raise ValueError(f"grading spaces span {spanned} dimensions, "
+                         f"expected algebra_dim = {elem.algebra_dim}")
+    # the closure steps by +-1 from +-1, so only integer levels matter
+    flat = {round(k): v.reshape(-1, n * n)
+            for k, v in grading.spaces.items() if abs(k - round(k)) < _EIG_TOL}
+    gens = {k: grading.space(float(k)) for k in (1, -1)
+            if grading.space(float(k)).shape[0]}
+    W = {k: np.eye(g.shape[0], dtype=complex) for k, g in gens.items()}
+    new = dict(W)
+    while new and sum(w.shape[0] for w in W.values()) < elem.algebra_dim:
+        coords: Dict[int, List[np.ndarray]] = {}
+        scale = 0.0
+        for k, N in new.items():
+            mats = (N @ flat[k]).reshape(-1, n, n)
+            for step, G in gens.items():
+                T = flat.get(k + step)
+                if T is None:
+                    continue
+                C = _commutators(mats, G).reshape(-1, n * n)
+                scale = max(scale, float(np.max(np.linalg.norm(C, axis=1))))
+                coords.setdefault(k + step, []).append(C @ T.conj().T)
         if scale == 0.0:
             break
-        for _ in range(2):
-            C = C - (C @ Q.conj().T) @ Q
-        _, s, vh = np.linalg.svd(C, full_matrices=False)
-        vh = vh[:int(np.sum(s > _RANK_TOL * scale))]
-        Q = np.concatenate([Q, vh], axis=0)
-        new = vh.reshape(-1, n, n)
-    V = Q.reshape(-1, n, n)
-    closure_dim = V.shape[0]
-    center = []
+        new = {}
+        for k, blocks in coords.items():
+            C = np.concatenate(blocks, axis=0)
+            Wk = W.get(k)
+            if Wk is not None:
+                for _ in range(2):
+                    C = C - (C @ Wk.conj().T) @ Wk
+            _, s, vh = np.linalg.svd(C, full_matrices=False)
+            vh = vh[:int(np.sum(s > _RANK_TOL * scale))]
+            if vh.shape[0]:
+                W[k] = vh if Wk is None else np.concatenate([Wk, vh])
+                new[k] = vh
+    closure_dim = sum(w.shape[0] for w in W.values())
+    full = closure_dim
+    center_dim = 0
     if elem.tag == UNITARY:
-        center = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    full = _orthonormalize_stack(
-        np.concatenate([V] + [c[None] for c in center], axis=0))
-    return C2Report(closure_dim=closure_dim, center_dim=len(center),
+        center_dim = 1
+        g0 = flat[0]
+        W0 = W.get(0, np.zeros((0, g0.shape[0]), dtype=complex))
+        c = (np.eye(n, dtype=complex).reshape(1, n * n) / np.sqrt(n)
+             ) @ g0.conj().T
+        full += (_orthonormalize_stack(np.concatenate([W0, c])).shape[0]
+                 - W0.shape[0])
+    return C2Report(closure_dim=closure_dim, center_dim=center_dim,
                     algebra_dim=elem.algebra_dim,
-                    passed=(full.shape[0] == elem.algebra_dim))
+                    passed=(full == elem.algebra_dim))
 
 
 def cartan_split(grading: Grading):

@@ -224,6 +224,38 @@ def test_flag_demo_exit_codes(tmp_path):
     assert "passed: false" in (tmp_path / "bad.txt").read_text()
 
 
+@pytest.mark.parametrize("residual", ["A3_residual", "bracket_residual",
+                                      "cartan_split_residual"])
+def test_flag_demo_fails_on_a_large_bracket_residual(residual, monkeypatch,
+                                                     tmp_path):
+    """C1 and C2 pass, but a bracket relation above the strict tier
+    1e-8 makes the exit code 1."""
+    flags = cli.flags
+    if residual == "A3_residual":
+        grade = flags.grade
+
+        def patched(elem):
+            grading = grade(elem)
+            grading.a3_residual = 2e-8
+            return grading
+        monkeypatch.setattr(flags, "grade", patched)
+    elif residual == "bracket_residual":
+        monkeypatch.setattr(flags, "bracket_grading_residual",
+                            lambda grading: 2e-8)
+    else:
+        split = flags.cartan_split
+
+        def patched(grading):
+            kc, pc, res = split(grading)
+            return kc, pc, {**res, "[p,p] in k": 2e-8}
+        monkeypatch.setattr(flags, "cartan_split", patched)
+    out = tmp_path / "report.txt"
+    assert cli.main(["flag-demo", "--report", str(out)]) == 1
+    text = out.read_text()
+    assert f"{residual}: 2.000000e-08" in text
+    assert "C1_integer_gaps: true" in text and "passed: true" in text
+
+
 def test_flag_demo_seeded_frames(capsys):
     assert cli.main(["flag-demo", "--algebra", "unitary",
                      "--dims", "1,2", "--seed", "7"]) == 0

@@ -5,6 +5,7 @@ flag elements of the benchmark's flag pass (two controls, 13 unitary
 eigenspace profiles with seeded random frames, orthogonal n = 6..10
 with r = 1 and r = n // 2)."""
 
+import dataclasses
 from typing import Dict, List
 
 import numpy as np
@@ -252,3 +253,20 @@ def test_saturated_closure_ignores_round_off(label, seed):
 def test_controls_have_an_empty_closure(label, seed):
     rep = flags.generation_check(flags.grade(_control(*CONTROLS[label], seed)))
     assert rep.closure_dim == 0 and not rep.passed
+
+
+@pytest.mark.parametrize("label,ref_dim", [("u5:1,1,1,1,1", 2),
+                                           ("u4:1,3", 3), ("u8:2,3,3", 5)])
+def test_generation_check_refuses_partial_gradings(gradings, label, ref_dim):
+    """With g_1 and g_-1 cut to their first vector the spaces no longer
+    span the algebra, and every bracket of a round can be round-off;
+    the full re-bracketing reference closes on ref_dim, while a
+    round-relative cut would keep the noise, so the closure refuses."""
+    grading = gradings[label]
+    spaces = dict(grading.spaces)
+    for k in (1.0, -1.0):
+        spaces[k] = spaces[k][:1]
+    partial = dataclasses.replace(grading, spaces=spaces)
+    assert generation_check_ref(partial) == (ref_dim, False)
+    with pytest.raises(ValueError, match="expected algebra_dim"):
+        flags.generation_check(partial)

@@ -2,6 +2,7 @@
 and the two-complex-structure splitting algorithm."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ def test_non_integer_spectrum_fails_c1():
     assert grading.c1_deviation == pytest.approx(0.5)
 
 
+def test_canonical_unitary_names_a_wrong_frame_width():
+    frames = [np.eye(5, dtype=complex)[:1], np.eye(5, dtype=complex)[1:3]]
+    with pytest.raises(ValueError,
+                       match=r"width 5, expected n = sum\(dims\) = 3"):
+        flags.canonical_unitary([1, 2], frames=frames)
+
+
 @pytest.mark.parametrize("lambda0", [0.0, -1.0, 3.0])
 def test_grading_is_invariant_under_spectrum_shift(lambda0):
     base = flags.grade(flags.canonical_unitary([1, 2]))
@@ -173,6 +181,39 @@ def test_cartan_split_relations():
         kc, pc, res = flags.cartan_split(grading)
         assert max(res.values()) < 1e-12
         assert kc.shape[0] + pc.shape[0] == elem.algebra_dim
+
+
+def _lift_bundle():
+    """Coordinate projectors on C^5 at two points: tau' on e_0, e_1,
+    tau'' on e_2, e_3 and the rest on e_4; dP over two directions."""
+    P_taup = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+    P_taupp = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]).astype(complex)
+    bun = SimpleNamespace(P_taup=np.stack([P_taup] * 2),
+                          P_taupp=np.stack([P_taupp] * 2))
+    rng = np.random.default_rng(5)
+    dxi = rng.standard_normal((2, 2, 5, 5)) \
+        + 1j * rng.standard_normal((2, 2, 5, 5))
+    dxi[..., :2, 2:4] = dxi[..., 2:4, :2] = 0.0   # no tau' <-> tau''
+    return bun, dxi
+
+
+def test_lift_grading_residual_reads_the_cross_block():
+    """xi = i (P_tau' - P_tau''): a chart derivative with a
+    tau' -> tau'' block reads exactly that block's largest entry; the
+    tau'-, tau''- and rest-blocks it keeps do not count."""
+    bun, dxi = _lift_bundle()
+    block = np.zeros((2, 2, 2, 2), dtype=complex)
+    block[1, 0] = [[0.3, -0.7j], [0.2, 0.1]]
+    dxi[..., 2:4, :2] = block
+    # dP_tau'' - dP_tau' = i dxi, split across both projectors
+    dP = {"P_taup": -0.5j * dxi, "P_taupp": 0.5j * dxi}
+    assert flags.lift_grading_residual(bun, dP) == 0.7
+
+
+def test_lift_grading_residual_is_zero_without_cross_blocks():
+    bun, dxi = _lift_bundle()
+    dP = {"P_taup": -1j * dxi, "P_taupp": np.zeros_like(dxi)}
+    assert flags.lift_grading_residual(bun, dP) == 0.0
 
 
 def test_superhorizontal_space_shapes():
