@@ -27,19 +27,21 @@ from . import __version__, family, fixtures, flags, pipeline, report
 
 def _parse_theta(text: str) -> float:
     """Accept plain floats and simple pi expressions: 'pi', 'pi/2',
-    '3pi/8', '0.25pi'."""
+    '3pi/8', '0.25pi'.  The angle must be finite."""
     s = text.strip().lower().replace(" ", "")
     if "pi" not in s:
-        return float(s)
-    left, _, right = s.partition("pi")
-    num = float(left) if left not in ("", "+", "-") else \
-        (-1.0 if left == "-" else 1.0)
-    den = 1.0
-    if right:
-        if not right.startswith("/"):
+        value = float(s)
+    else:
+        left, _, right = s.partition("pi")
+        num = float(left) if left not in ("", "+", "-") else \
+            (-1.0 if left == "-" else 1.0)
+        if right and not right.startswith("/"):
             raise ValueError(f"cannot parse angle {text!r}")
-        den = float(right[1:])
-    return num * np.pi / den
+        den = float(right[1:]) if right else 1.0
+        value = num * np.pi / den if den else np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 def _parse_list(text: str):

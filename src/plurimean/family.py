@@ -3,18 +3,19 @@ all theta, explicit integration of the associated family of pluriminimal
 surfaces, rigid matching, and the normal-bundle automorphism psi_theta.
 
 The rotated form is alpha_theta = u + cos 2theta v + sin 2theta w with
-theta-independent parts u, v, w (rotation_parts).  The structure-equation
-sweep forms the Gauss, Codazzi and Ricci terms of these parts once per
-geometry and evaluates the whole sequence of angles from them.
+theta-independent parts u, v, w (rotation_parts), and psi_theta is
+I + a P_N' + conj(a) P_N'' with a = e^{2i theta} - 1.  The structure
+equations and psi_theta's residuals are swept over all angles from
+terms formed once per geometry.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import forms
-from .chartcalc import ChartedImmersion, contract_slots
+from .chartcalc import ChartedImmersion
 from .gaussmaps import BundleProjectors
 
 THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
@@ -23,19 +24,6 @@ THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
 def rotation(J: np.ndarray, theta: float) -> np.ndarray:
     """R_theta = cos(theta) I + sin(theta) J on the chart."""
     return np.cos(theta) * np.eye(J.shape[0]) + np.sin(theta) * J
-
-
-def rotate_form(alpha: np.ndarray, J: np.ndarray,
-                theta: float) -> np.ndarray:
-    """alpha_theta(x, y) = alpha(R_theta x, R_theta y).
-
-    alpha has shape (..., d, d, n): any leading axes (the grid, the
-    derivative direction of D alpha) are carried along.  Per point and
-    ambient component this is R^T alpha R, applied as one product of the
-    constant (d^2, d^2) matrix R^T (x) R^T with the (d^2, n) values.
-    """
-    Rt = rotation(J, theta).T
-    return contract_slots(Rt, Rt, alpha)
 
 
 def rotation_parts(J: np.ndarray) -> np.ndarray:
@@ -224,6 +212,9 @@ def integrate_family(imm: ChartedImmersion, theta: float,
     if imm.complex_dim != 1:
         raise NotImplementedError("family integration implemented for "
                                   "surface fixtures (m = 1)")
+    if per_axis < 2:
+        raise ValueError("family integration needs at least 2 grid "
+                         "points per axis")
     pts = imm.grid(per_axis)
     geom = forms.compute_geometry(imm, pts)
     closed = closedness_residual(geom, theta)
@@ -280,47 +271,50 @@ def rigid_match(A: np.ndarray, B: np.ndarray):
 
 # ------------------------------------------------------------- psi_theta
 
-@dataclass
-class NormalAutomorphism:
-    theta: float
-    Psi: np.ndarray            # (G, n, n) complex, identity on tangent
-    eq8_residual: float
-    unitarity: float
-    minus_one_dim: Optional[int]   # -1-eigenspace dim of psi_{pi/2}
-    identity_on_N: float           # sup |(Psi - I) restricted to N|
-
-
 def build_psi(geom: forms.GeometryData, bun: BundleProjectors,
-              theta: float) -> NormalAutomorphism:
+              thetas: Sequence[float]):
     """psi_theta = e^{2it} on N', 1 on N° and the flat remainder,
-    e^{-2it} on N''; extended by the identity on the tangent bundle so
-    it can be applied directly to ambient alpha values."""
-    n = geom.imm.ambient_dim
-    eye = np.eye(n, dtype=complex)[None]
-    P_rest = bun.P_rest
-    Psi = (bun.P_T + np.exp(2j * theta) * bun.P_Np + bun.P_No
-           + np.exp(-2j * theta) * bun.P_Npp + P_rest)
+    e^{-2it} on N'' and 1 on the tangent bundle, at every angle.
 
-    alpha_t = rotate_form(geom.alpha, geom.imm.J, theta)
-    applied = np.einsum("gxy,gijy->gijx", Psi, geom.alpha.astype(complex))
-    eq8 = float(np.max(np.abs(applied - alpha_t)))
+    Returns the (len(thetas), 3) residuals (eq8, unitarity, identity on
+    N) and the (-1)-eigenspace dimension of psi_{pi/2}.  With P = P_N',
+    Q = P_N'' and a = e^{2it} - 1, psi_theta = I + a P + conj(a) Q, so
+    the theta-independent terms are formed once: psi alpha - alpha_theta
+    = X0 + cos 2t X1 + sin 2t X2 (alpha is real and Q = conj P, and
+    alpha_theta comes from rotation_parts); psi psi* - I = C0 + E C1
+    + E^2 P Q* + h.c. for E = e^{2it}, with P* and Q* kept, so that it
+    holds for any P; (psi - I) P_Nc = 2 Re(a P P_Nc), as P_Nc is real.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    c2, s2 = np.cos(2 * thetas), np.sin(2 * thetas)
+    E = np.exp(2j * thetas)
+    G, d, _, n = geom.alpha.shape
+    P, Q = bun.P_Np, bun.P_Npp
+    Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
+    alpha = geom.alpha.reshape(G, d * d, n)
+    u, v, w = (rotation_parts(geom.imm.J) @ alpha[:, None]).transpose(
+        1, 0, 2, 3)
+    Pa = alpha @ P.transpose(0, 2, 1)
+    X = np.stack([alpha - 2 * Pa.real - u, 2 * Pa.real - v,
+                  -2 * Pa.imag - w])
 
-    unit = float(np.max(np.abs(
-        np.einsum("gxy,gzy->gxz", Psi, Psi.conj()) - eye)))
+    PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
+    C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
+    C1 = P + Qh - PPh_QQh - 2 * PQh
+    M = P @ bun.P_Nc
 
-    ident = float(np.max(np.abs(
-        np.einsum("gxy,gyz->gxz", Psi - eye, bun.P_Nc))))
+    out = np.empty((len(thetas), 3))
+    for t in range(len(thetas)):
+        out[t, 0] = np.max(np.abs(X[0] + c2[t] * X[1] + s2[t] * X[2]))
+        Y = E[t] * C1 + E[t] ** 2 * PQh
+        out[t, 1] = np.max(np.abs(C0 + Y + Y.conj().transpose(0, 2, 1)))
+        out[t, 2] = 2 * np.max(np.abs((c2[t] - 1) * M.real
+                                      - s2[t] * M.imag))
 
-    minus_dim = None
-    if abs(theta - np.pi / 2) < 1e-12:
-        # psi_{pi/2} is real symmetric; on N it is +1 on N°+rest and -1
-        # on the real points of N' + N''
-        M = np.real(Psi - bun.P_T)  # 0 on tangent, +-1 on normal
-        ev = np.linalg.eigvalsh(M)
-        counts = np.sum(ev < -0.5, axis=1)
-        if np.any(counts != counts[0]):
-            raise ValueError("(-1)-eigenspace dimension varies over grid")
-        minus_dim = int(counts[0])
-    return NormalAutomorphism(theta=theta, Psi=Psi, eq8_residual=eq8,
-                              unitarity=unit, minus_one_dim=minus_dim,
-                              identity_on_N=ident)
+    # psi_{pi/2} is real symmetric; on N it is +1 on N° + rest and -1 on
+    # the real points of N' + N''
+    half_turn = np.real(bun.P_Nc - 2 * (P + Q))
+    counts = np.sum(np.linalg.eigvalsh(half_turn) < -0.5, axis=1)
+    if np.any(counts != counts[0]):
+        raise ValueError("(-1)-eigenspace dimension varies over grid")
+    return out, int(counts[0])

@@ -181,11 +181,6 @@ class BundleProjectors:
         n = self.P_T.shape[-1]
         return np.eye(n, dtype=complex)[None] - self.P_T
 
-    @property
-    def P_rest(self) -> np.ndarray:
-        """Flat remainder of N^c outside N' + N° + N''."""
-        return self.P_Nc - self.P_Np - self.P_No - self.P_Npp
-
 
 @dataclass
 class BundleDerivatives:

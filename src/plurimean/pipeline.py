@@ -41,6 +41,8 @@ class RunConfig:
         for t in (self.tol_tier1, self.tol_tier2):
             if t <= 0:
                 raise ValueError("tolerances must be positive")
+        if not np.all(np.isfinite(self.thetas)):
+            raise ValueError("angles must be finite")
 
 
 @dataclass
@@ -249,16 +251,15 @@ def _chk_psi(ctx: FixtureContext):
     if not max(rep.orthogonality, rep.parallelity) < ctx.cfg.tol_tier1:
         raise _Skip("psi_theta needs the isotropy decomposition")
     bun, _ = ctx.bundles
-    # one psi per distinct angle; the sweep holds pi/2 and pi by default
-    psi = {th: family.build_psi(ctx.geom, bun, th) for th in
-           dict.fromkeys([*ctx.cfg.thetas, np.pi / 2, np.pi])}
-    worst = 0.0
-    for th in ctx.cfg.thetas:
-        worst = max(worst, psi[th].eq8_residual, psi[th].unitarity)
+    # one sweep over the angles and the full turn
+    res, minus_dim = family.build_psi(ctx.geom, bun,
+                                      [*ctx.cfg.thetas, np.pi])
+    worst = float(res[:-1, :2].max(initial=0.0))
+    full_turn = float(res[-1, 2])
     extras = {"eq8_and_unitarity": worst,
-              "psi_pi_minus_identity": psi[np.pi].identity_on_N,
-              "minus_one_dim at pi/2": float(psi[np.pi / 2].minus_one_dim)}
-    return max(worst, psi[np.pi].identity_on_N), extras
+              "psi_pi_minus_identity": full_turn,
+              "minus_one_dim at pi/2": float(minus_dim)}
+    return max(worst, full_turn), extras
 
 
 def _chk_closedness(ctx: FixtureContext):
@@ -362,10 +363,15 @@ def run(config: RunConfig, extra_records=()) -> Report:
             tol = row.tolerance(config)
             try:
                 res, extras = CHECKS[check](ctx)
+                # a NaN compares false with every threshold
+                nan = [k for k, v in [("residual", res), *extras.items()]
+                       if np.isnan(v)]
                 results.append(CheckResult(
-                    fixture=name, check=check, status=classify(res, tol),
+                    fixture=name, check=check,
+                    status=ERROR if nan else classify(res, tol),
                     residual=res, threshold=tol, expected=expected,
-                    extras=extras, runtime=time.perf_counter() - t0))
+                    extras=extras, runtime=time.perf_counter() - t0,
+                    message=f"NaN in {', '.join(nan)}" if nan else ""))
             except _Skip as s:
                 results.append(CheckResult(
                     fixture=name, check=check, status=SKIPPED,

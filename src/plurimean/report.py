@@ -18,7 +18,7 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         if not np.isfinite(v):
-            return "inf" if v > 0 else "-inf"
+            return str(float(v))    # "nan", "inf" or "-inf"
         if v == 0.0:
             return "0"
         if v == int(v) and abs(v) < 1e6:

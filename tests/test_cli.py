@@ -19,8 +19,23 @@ def test_theta_parsing():
     assert cli._parse_theta("pi/2") == pytest.approx(np.pi / 2)
     assert cli._parse_theta("3pi/8") == pytest.approx(3 * np.pi / 8)
     assert cli._parse_theta("-pi/4") == pytest.approx(-np.pi / 4)
-    with pytest.raises(ValueError):
-        cli._parse_theta("pi*2")
+    for text in ("pi*2", "pi/0", "0pi/0", "nan", "inf", "-infpi",
+                 "nanpi/2"):
+        with pytest.raises(ValueError, match="angle"):
+            cli._parse_theta(text)
+
+
+@pytest.mark.parametrize("theta", ["pi/0", "nan", "pi/4,inf"])
+def test_verify_rejects_angles_that_are_not_finite(theta, capsys):
+    assert cli.main(["verify", "--fixtures", "veronese",
+                     "--theta", theta]) == 2
+    assert "angle" in capsys.readouterr().err
+
+
+def test_family_rejects_a_one_point_grid(capsys):
+    assert cli.main(["family", "--fixture", "catenoid",
+                     "--grid", "1"]) == 2
+    assert "at least 2 grid points" in capsys.readouterr().err
 
 
 def test_list_fixtures(capsys):

@@ -1,8 +1,10 @@
 """The batched-matmul tensor algebra of the geometry layer, the theta
-sweep, the bundle residuals and the sublemma residual against their
-einsum formulas, kept here as references: on random tensors (d = 2 and
-4, n up to 9) and on fixture geometries."""
+sweeps of the structure equations and of psi_theta, the bundle
+residuals and the sublemma residual against their einsum formulas, kept
+here as references: on random tensors (d = 2 and 4, n up to 9) and on
+fixture geometries."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,9 +76,10 @@ def closedness_residual_ref(geom, theta):
     return float(np.max(np.abs(dw - dw.transpose(0, 2, 1, 3))))
 
 
-def rotate_form_ref(alpha, J, theta):
+def rotate_form_ref(form, J, theta):
+    """form(R_theta x, R_theta y); leading axes are carried along."""
     R = family.rotation(J, theta)
-    return np.einsum("ai,bj,gabx->gijx", R, R, alpha)
+    return np.einsum("ai,bj,...abx->...ijx", R, R, form)
 
 
 def rotate_Dalpha_ref(Dalpha, J, theta):
@@ -106,6 +109,34 @@ def structure_equation_residuals_ref(geom, theta):
     RN_t = normal_curvature_ref(alpha_t, geom.g, geom.ginv, geom.frame)
     ricci = float(np.max(np.abs(geom.RN - RN_t)))
     return gauss, codazzi, ricci
+
+
+def build_psi_ref(geom, bun, theta):
+    """(eq8, unitarity, identity on N) of psi_theta built at one angle
+    as the matrix field P_T + e^{2it} P_N' + P_N° + e^{-2it} P_N''
+    + P_rest, with the flat remainder P_rest = P_Nc - P_N' - P_N° - P_N''
+    written out."""
+    n = geom.imm.ambient_dim
+    eye = np.eye(n, dtype=complex)[None]
+    P_rest = bun.P_Nc - bun.P_Np - bun.P_No - bun.P_Npp
+    Psi = (bun.P_T + np.exp(2j * theta) * bun.P_Np + bun.P_No
+           + np.exp(-2j * theta) * bun.P_Npp + P_rest)
+    alpha_t = rotate_form_ref(geom.alpha, geom.imm.J, theta)
+    applied = np.einsum("gxy,gijy->gijx", Psi, geom.alpha.astype(complex))
+    eq8 = float(np.max(np.abs(applied - alpha_t)))
+    unit = float(np.max(np.abs(
+        np.einsum("gxy,gzy->gxz", Psi, Psi.conj()) - eye)))
+    ident = float(np.max(np.abs(
+        np.einsum("gxy,gyz->gxz", Psi - eye, bun.P_Nc))))
+    return eq8, unit, ident
+
+
+def psi_minus_one_dims_ref(bun):
+    """The (-1)-eigenspace dimension of psi_{pi/2} on N at each point."""
+    Psi = (bun.P_T - bun.P_Np + bun.P_No - bun.P_Npp
+           + bun.P_Nc - bun.P_Np - bun.P_No - bun.P_Npp)
+    return np.sum(np.linalg.eigvalsh(np.real(Psi - bun.P_T)) < -0.5,
+                  axis=1)
 
 
 def sublemma_sides_ref(geom):
@@ -208,35 +239,6 @@ def test_closedness_reads_exactly_zero_on_minimal_pair(fixture_geoms,
                                           theta) == 0.0
 
 
-# -------------------------------------------------------------- rotations
-
-@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
-@pytest.mark.parametrize("theta", THETAS)
-def test_rotate_form_matches_einsum_on_random_tensors(d, n, theta):
-    geom = _random_geometry(1, d, n)
-    J = geom.imm.J
-    assert _max_diff(family.rotate_form(geom.alpha, J, theta),
-                     rotate_form_ref(geom.alpha, J, theta)) < TOL
-    # a leading derivative axis, as in the Codazzi term
-    assert _max_diff(family.rotate_form(geom.Dalpha, J, theta),
-                     rotate_Dalpha_ref(geom.Dalpha, J, theta)) < TOL
-    # complex values, as in the type-decomposition residual
-    ac = geom.alpha + 1j * geom.alpha[::-1]
-    assert _max_diff(family.rotate_form(ac, J, theta),
-                     rotate_form_ref(ac, J, theta)) < TOL
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-@pytest.mark.parametrize("theta", THETAS)
-def test_rotate_form_matches_einsum_on_fixtures(fixture_geoms, name, theta):
-    geom = fixture_geoms[name]
-    J = geom.imm.J
-    assert _max_diff(family.rotate_form(geom.alpha, J, theta),
-                     rotate_form_ref(geom.alpha, J, theta)) < TOL
-    assert _max_diff(family.rotate_form(geom.Dalpha, J, theta),
-                     rotate_Dalpha_ref(geom.Dalpha, J, theta)) < TOL
-
-
 # ------------------------------------------------------------- Ricci term
 
 @pytest.mark.parametrize("d,n", RANDOM_SHAPES)
@@ -328,6 +330,55 @@ def test_structure_equation_reference_sees_the_ellipsoid_fail(
     _, codazzi, _ = structure_equation_residuals_ref(
         fixture_geoms["ellipsoid"], np.pi / 4)
     assert codazzi > 1e-2
+
+
+# -------------------------------------------------------------- psi sweep
+
+PSI_THETAS = [*family.THETA_SWEEP, np.pi, 0.3, 1.1]
+PSI_VARIANTS = ["as-is", "scaled", "swapped", "noisy"]
+
+
+@pytest.fixture(scope="module")
+def fixture_bundles(fixture_geoms):
+    return {name: gaussmaps.bundle_projectors(geom)
+            for name, geom in fixture_geoms.items()}
+
+
+def _psi_variant(bun, variant):
+    """The bundles as they are, or with P_N' scaled by 1.1 (not
+    idempotent), swapped with P_N'', or plus complex noise (neither
+    Hermitian nor idempotent)."""
+    if variant == "scaled":
+        return dataclasses.replace(bun, P_Np=1.1 * bun.P_Np)
+    if variant == "swapped":
+        return dataclasses.replace(bun, P_Np=bun.P_Npp)
+    if variant == "noisy":
+        rng = np.random.default_rng(13)
+        shape = bun.P_Np.shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return dataclasses.replace(bun, P_Np=bun.P_Np + 1e-3 * noise)
+    return bun
+
+
+@pytest.mark.parametrize("variant", PSI_VARIANTS)
+@pytest.mark.parametrize("name", fixture_names())
+def test_psi_sweep_matches_per_angle_build(fixture_geoms, fixture_bundles,
+                                           name, variant):
+    geom = fixture_geoms[name]
+    bun = _psi_variant(fixture_bundles[name], variant)
+    ref = np.array([build_psi_ref(geom, bun, theta)
+                    for theta in PSI_THETAS])
+    got, dim = family.build_psi(geom, bun, PSI_THETAS)
+    assert got.shape == ref.shape == (len(PSI_THETAS), 3)
+    assert np.all(np.abs(got - ref) <= TOL * np.maximum(1.0, np.abs(ref)))
+    assert np.all(psi_minus_one_dims_ref(bun) == dim)
+
+
+def test_psi_sweep_takes_no_angles(fixture_geoms, fixture_bundles):
+    got, dim = family.build_psi(fixture_geoms["veronese"],
+                                fixture_bundles["veronese"], [])
+    assert got.shape == (0, 3)
+    assert dim == 2
 
 
 # ---------------------------------------------------- sublemma residual

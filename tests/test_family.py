@@ -1,12 +1,15 @@
 """Associated family: rotated forms, structure equations, integration,
 rigid matching, and the normal-bundle automorphism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, report
 from plurimean.chartcalc import standard_J
 from plurimean.fixtures import get_immersion, registry
+from test_einsum_references import rotate_form_ref
 
 PPMC = [r.name for r in registry() if r.flags["ppmc"]]
 
@@ -35,7 +38,7 @@ def _assert_parts_rebuild_rotation(form, J):
     for theta in family.THETA_SWEEP:
         rebuilt = u + np.cos(2 * theta) * v + np.sin(2 * theta) * w
         assert np.max(np.abs(rebuilt
-                             - family.rotate_form(form, J, theta))) < 1e-12
+                             - rotate_form_ref(form, J, theta))) < 1e-12
     Pp = 0.5 * (np.eye(J.shape[0]) - 1j * J)   # pi' on chart components
     Pq = Pp.conj()
     fc = form.astype(complex)
@@ -65,8 +68,12 @@ def test_rotation_parts_rebuild_rotated_forms_on_random_forms(m, n):
 
 def test_rotation_by_pi_fixes_alpha():
     geom = _geom("veronese")
-    rot = family.rotate_form(geom.alpha, geom.imm.J, np.pi)
-    assert np.max(np.abs(rot - geom.alpha)) < 1e-12
+    G, d, _, n = geom.alpha.shape
+    u, v, w = (family.rotation_parts(geom.imm.J)
+               @ geom.alpha.reshape(G, 1, d * d, n)).transpose(1, 0, 2, 3)
+    rot = u + np.cos(2 * np.pi) * v + np.sin(2 * np.pi) * w
+    assert np.max(np.abs(rot.reshape(geom.alpha.shape)
+                         - geom.alpha)) < 1e-12
 
 
 @pytest.mark.parametrize("name", PPMC)
@@ -199,9 +206,9 @@ def test_mesh_text_equals_line_loop_on_non_square_grid(shape, n):
 
 # ------------------------------------------------------------- psi_theta
 
-def _psi_inputs(name):
+def _psi_inputs(name, per_axis=5, margin=0.05):
     imm = get_immersion(name)
-    pts = imm.grid(5, margin=0.05)
+    pts = imm.grid(per_axis, margin=margin)
     geom = forms.compute_geometry(imm, pts)
     bun = gaussmaps.bundle_projectors(geom)
     return geom, bun
@@ -214,9 +221,9 @@ def _psi_inputs(name):
 @pytest.mark.parametrize("theta", family.THETA_SWEEP)
 def test_psi_intertwines_rotated_forms(name, theta):
     geom, bun = _psi_inputs(name)
-    psi = family.build_psi(geom, bun, theta)
-    assert psi.eq8_residual < 1e-8
-    assert psi.unitarity < 1e-10
+    eq8, unitarity, _ = family.build_psi(geom, bun, [theta])[0][0]
+    assert eq8 < 1e-8
+    assert unitarity < 1e-10
 
 
 @pytest.mark.parametrize("name,dim", [
@@ -225,19 +232,38 @@ def test_psi_intertwines_rotated_forms(name, theta):
 ])
 def test_psi_halfturn_minus_one_eigenspace(name, dim):
     geom, bun = _psi_inputs(name)
-    psi = family.build_psi(geom, bun, np.pi / 2)
-    assert psi.minus_one_dim == dim
+    assert family.build_psi(geom, bun, [np.pi / 2])[1] == dim
 
 
 @pytest.mark.parametrize("name", ["veronese", "standard-embedding"])
 def test_psi_fullturn_is_identity_on_normal_bundle(name):
     geom, bun = _psi_inputs(name)
-    psi = family.build_psi(geom, bun, np.pi)
-    assert psi.identity_on_N < 1e-12
+    assert family.build_psi(geom, bun, [np.pi])[0][0, 2] < 1e-12
 
 
 def test_psi_standard_embedding_trivial_at_halfturn():
     # N' has rank 0, so the half-turn automorphism is the identity on N
     geom, bun = _psi_inputs("standard-embedding")
-    psi = family.build_psi(geom, bun, np.pi / 2)
-    assert psi.identity_on_N < 1e-8
+    assert family.build_psi(geom, bun, [np.pi / 2])[0][0, 2] < 1e-8
+
+
+@pytest.mark.parametrize("name,eq8", [("veronese", 8 * np.sqrt(2)),
+                                      ("holomorphic-curve", 4.0)])
+def test_psi_with_swapped_half_bundles_breaks_eq8(name, eq8):
+    # e^{2it} on N'' and e^{-2it} on N' turn the (2,0)-part of alpha the
+    # wrong way; psi stays unitary.  On the verify grid.
+    geom, bun = _psi_inputs(name, per_axis=9, margin=0.02)
+    swapped = dataclasses.replace(bun, P_Np=bun.P_Npp)
+    got, unitarity, _ = family.build_psi(geom, swapped, [np.pi / 4])[0][0]
+    assert got == pytest.approx(eq8, rel=1e-6)
+    assert unitarity < 1e-10
+
+
+@pytest.mark.parametrize("name", ["veronese", "holomorphic-curve"])
+def test_psi_with_scaled_half_bundle_breaks_unitarity(name):
+    # psi acts on N' as 1 + 1.1 a with a = e^{2it} - 1 = i - 1, and
+    # |1 + 1.1 a|^2 - 1 = 0.22.  On the verify grid.
+    geom, bun = _psi_inputs(name, per_axis=9, margin=0.02)
+    scaled = dataclasses.replace(bun, P_Np=1.1 * bun.P_Np)
+    _, unitarity, _ = family.build_psi(geom, scaled, [np.pi / 4])[0][0]
+    assert unitarity == pytest.approx(0.22, abs=1e-8)

@@ -1,5 +1,7 @@
 """Projector-valued Gauss maps, normal subbundles, isotropy residuals."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,26 @@ def test_subbundle_ranks(name):
 def test_superhorizontality_universal(name):
     _, bun, dP = _bundles(name)
     assert gaussmaps.superhorizontality_residual(bun, dP) < 1e-8
+
+
+def test_superhorizontality_reads_the_cross_block():
+    """tau' on e_0, e_1, tau'' on e_2, e_3 and the rest on e_4: a
+    derivative of P_tau' with a tau' -> tau'' block reads that block's
+    largest entry; the blocks inside tau', tau'' and the rest do not
+    count."""
+    P_taup = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+    P_taupp = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]).astype(complex)
+    bun = SimpleNamespace(P_taup=np.stack([P_taup] * 2),
+                          P_taupp=np.stack([P_taupp] * 2))
+    rng = np.random.default_rng(7)
+    dP = rng.standard_normal((2, 2, 5, 5)) \
+        + 1j * rng.standard_normal((2, 2, 5, 5))
+    dP[..., 2:4, :2] = 0.0
+    assert gaussmaps.superhorizontality_residual(
+        bun, {"P_taup": dP}) == 0.0
+    dP[1, 0, 2:4, :2] = [[0.3, -0.7j], [0.2, 0.1]]
+    assert gaussmaps.superhorizontality_residual(
+        bun, {"P_taup": dP}) == 0.7
 
 
 @pytest.mark.parametrize("name,small", [

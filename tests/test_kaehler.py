@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plurimean import kaehler
-from plurimean.chartcalc import eval_jet
+from plurimean.chartcalc import eval_jet, standard_J
 from plurimean.fixtures import fixture_names, get_immersion, registry
 from plurimean.forms import compute_geometry
 
@@ -33,6 +33,22 @@ def test_skewed_chart_breaks_J_orthogonality():
     g, _, _, Gamma = kaehler.metric_data(jet)
     orth, _ = kaehler.kaehler_residual(imm.J, g, Gamma)
     assert orth > 1e-2
+
+
+def test_parallelity_reads_the_connection_commutator():
+    """A flat metric with connection matrices Gamma_k that do not commute
+    with J: J stays orthogonal, and the parallelity residual is
+    sup |[Gamma_k, J]|.  A connection in span(I, J) gives 0."""
+    J = standard_J(2)
+    g = np.eye(4)[None].repeat(3, axis=0)
+    Gamma = np.zeros((3, 4, 4, 4))              # [g, l, k, a]
+    Gamma[:, :, 1, :] = np.diag([0.5, -0.5, 0.0, 0.0])
+    Gamma[1, :, 3, :] = 0.25 * np.eye(4) + 2.0 * J
+    orth, par = kaehler.kaehler_residual(J, g, Gamma)
+    assert orth == 0.0
+    assert par == 1.0    # [diag(1/2, -1/2), J] = -[[0, 1], [1, 0]]
+    Gamma[:, :, 1, :] = -3.0 * J
+    assert kaehler.kaehler_residual(J, g, Gamma) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("name", ["catenoid", "sphere", "veronese",

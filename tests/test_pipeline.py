@@ -20,6 +20,9 @@ def test_config_validation():
         pipeline.RunConfig(grid=3)
     with pytest.raises(ValueError):
         pipeline.RunConfig(tol_tier2=0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pipeline.RunConfig(thetas=[0.0, bad])
     with pytest.raises(ValueError):
         pipeline.run(pipeline.RunConfig(checks=["nonsense"]))
     with pytest.raises(KeyError):
@@ -133,12 +136,34 @@ def test_thresholds_come_from_the_check_table():
 
 def test_render_tree_formats_scalars():
     text = report.render_tree({"a": 0.0, "b": True, "c": 2.0,
-                               "d": {"e": 1.5e-9}, "f": np.inf})
+                               "d": {"e": 1.5e-9}, "f": np.inf,
+                               "g": -np.inf, "h": np.nan})
     assert "a: 0" in text
     assert "b: true" in text
     assert "c: 2" in text
     assert "  e: 1.500000e-09" in text
     assert "f: inf" in text
+    assert "g: -inf" in text
+    assert "h: nan" in text
+
+
+@pytest.mark.parametrize("residual,extras,culprit", [
+    (0.0, {"frame_route": 0.0, "detail": np.nan}, "detail"),
+    (np.nan, {"detail": 1.0}, "residual"),
+])
+def test_a_nan_reads_as_error(monkeypatch, residual, extras, culprit):
+    # a NaN is below no threshold and above none: it is neither PASS
+    # nor FAIL
+    monkeypatch.setitem(pipeline.CHECKS, "ppmc",
+                        lambda ctx: (residual, dict(extras)))
+    rep = _subset_run(["plane"], ["kaehler", "ppmc"])
+    res = rep.results[-1]
+    assert res.status == pipeline.ERROR
+    assert res.message == f"NaN in {culprit}"
+    assert res.mismatch
+    text = report.render_report(rep)
+    assert f"{culprit}: nan" in text
+    assert f"note: NaN in {culprit}" in text
 
 
 def test_default_run_builds_each_geometry_once(geometry_calls):
