@@ -111,11 +111,14 @@ def _check_boundary(imm: ChartedImmersion, pts: np.ndarray, h: float):
             f"{imm.name}: points within 3h={3 * h:g} of the domain boundary")
 
 
-def _check_rank(sv: np.ndarray, d: int, threshold_factor: float = 1e-9):
+_RANK_FACTOR = 1e-9   # smallest singular value relative to the largest
+
+
+def _check_rank(sv: np.ndarray, d: int):
     """Raise RankError at the grid points whose singular values sv
     (G, d) of the differential, in descending order, have the last
-    below threshold_factor times the first."""
-    bad = sv[:, d - 1] < threshold_factor * sv[:, 0]
+    below _RANK_FACTOR times the first."""
+    bad = sv[:, d - 1] < _RANK_FACTOR * sv[:, 0]
     if np.any(bad):
         raise RankError(f"differential rank below {d} at "
                         f"{int(bad.sum())} grid point(s)")

@@ -16,9 +16,10 @@ import numpy as np
 
 from . import forms
 from .chartcalc import ChartedImmersion
-from .gaussmaps import BundleProjectors
+from .gaussmaps import Bundles
 
 THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
+_CLOSEDNESS_TOL = 1e-6   # integrate_family's bound on d(df o R_theta)
 
 
 def rotation(J: np.ndarray, theta: float) -> np.ndarray:
@@ -200,8 +201,7 @@ class FamilyMember:
 
 
 def integrate_family(imm: ChartedImmersion, theta: float,
-                     per_axis: int = 41, closedness_tol: float = 1e-6
-                     ) -> FamilyMember:
+                     per_axis: int = 41) -> FamilyMember:
     """Quadrature of df_theta = df o R_theta on a tensor grid (surfaces).
 
     Row-major staircase paths with a derivative-corrected trapezoid rule
@@ -218,7 +218,7 @@ def integrate_family(imm: ChartedImmersion, theta: float,
     pts = imm.grid(per_axis)
     geom = forms.compute_geometry(imm, pts)
     closed = closedness_residual(geom, theta)
-    if closed > closedness_tol:
+    if closed > _CLOSEDNESS_TOL:
         raise ValueError(f"{imm.name}: df o R_theta is not closed "
                          f"(residual {closed:.2e}); the fixture is not "
                          f"pluriminimal")
@@ -244,7 +244,7 @@ def integrate_family(imm: ChartedImmersion, theta: float,
              - hv**2 / 12.0 * (av[:, 1:] - av[:, :-1]))
     F[:, 1:, :] = F[:, :1, :] + np.cumsum(steps, axis=1)
 
-    g_t = np.einsum("ki,gkl,lj->gij", R, geom.g, R)
+    g_t = R.T @ geom.g @ R
     metric_dev = float(np.max(np.abs(g_t - geom.g)))
     return FamilyMember(theta=theta, pts=pts, shape=(N, N),
                         values=F.reshape(-1, n),
@@ -271,7 +271,7 @@ def rigid_match(A: np.ndarray, B: np.ndarray):
 
 # ------------------------------------------------------------- psi_theta
 
-def build_psi(geom: forms.GeometryData, bun: BundleProjectors,
+def build_psi(geom: forms.GeometryData, bun: Bundles,
               thetas: Sequence[float]):
     """psi_theta = e^{2it} on N', 1 on N° and the flat remainder,
     e^{-2it} on N'' and 1 on the tangent bundle, at every angle.
@@ -289,7 +289,7 @@ def build_psi(geom: forms.GeometryData, bun: BundleProjectors,
     c2, s2 = np.cos(2 * thetas), np.sin(2 * thetas)
     E = np.exp(2j * thetas)
     G, d, _, n = geom.alpha.shape
-    P, Q = bun.P_Np, bun.P_Npp
+    P, Q = bun.Np.P, bun.Npp.P
     Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
     alpha = geom.alpha.reshape(G, d * d, n)
     u, v, w = (rotation_parts(geom.imm.J) @ alpha[:, None]).transpose(
@@ -301,7 +301,7 @@ def build_psi(geom: forms.GeometryData, bun: BundleProjectors,
     PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
     C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
     C1 = P + Qh - PPh_QQh - 2 * PQh
-    M = P @ bun.P_Nc
+    M = P @ bun.Nc.P
 
     out = np.empty((len(thetas), 3))
     for t in range(len(thetas)):
@@ -313,7 +313,7 @@ def build_psi(geom: forms.GeometryData, bun: BundleProjectors,
 
     # psi_{pi/2} is real symmetric; on N it is +1 on N° + rest and -1 on
     # the real points of N' + N''
-    half_turn = np.real(bun.P_Nc - 2 * (P + Q))
+    half_turn = np.real(bun.Nc.P - 2 * (P + Q))
     counts = np.sum(np.linalg.eigvalsh(half_turn) < -0.5, axis=1)
     if np.any(counts != counts[0]):
         raise ValueError("(-1)-eigenspace dimension varies over grid")

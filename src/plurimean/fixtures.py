@@ -154,8 +154,6 @@ _GRID = {"product-spheres": 5}
 
 @functools.lru_cache(maxsize=None)
 def _build_immersion(name, domain_key=None):
-    if name not in _CATALOG:
-        raise KeyError(f"unknown chart formula {name!r}")
     m, formula, default_domain = _CATALOG[name]
     domain = np.asarray(domain_key if domain_key is not None
                         else default_domain, dtype=float)
@@ -170,9 +168,19 @@ def _build_immersion(name, domain_key=None):
 
 
 def get_immersion(name: str, domain=None) -> ChartedImmersion:
+    """The catalog chart `name`, on its default box or on domain: 2m
+    finite (lo, hi) pairs with lo < hi."""
+    if name not in _CATALOG:
+        raise KeyError(f"unknown chart formula {name!r}")
     key = None
     if domain is not None:
         key = tuple(tuple(float(x) for x in row) for row in domain)
+        d = 2 * _CATALOG[name][0]
+        if (len(key) != d or any(len(row) != 2 for row in key)
+                or not np.all(np.isfinite(key))
+                or any(lo >= hi for lo, hi in key)):
+            raise ValueError(f"{name}: the domain must be {d} finite "
+                             f"(lo, hi) pairs with lo < hi, got {key}")
     return _build_immersion(name, key)
 
 

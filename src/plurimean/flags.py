@@ -25,6 +25,8 @@ ORTHOGONAL = "orthogonal"
 
 _EIG_TOL = 1e-8     # eigenvalue clustering
 _RANK_TOL = 1e-9    # singular-value rank threshold
+_ORTHO_TOL = 1e-10  # orthonormality of frames and complex structures
+_MERGE_GAP = 1e-7   # eigenvalue gap merging A^2 clusters in a split
 
 
 # ------------------------------------------------------ canonical elements
@@ -38,23 +40,17 @@ class CanonicalElement:
     frames: Tuple[np.ndarray, ...]  # orthonormal row stacks per level
     lambda0: float = 0.0
 
-    def frame_of(self, level: float) -> np.ndarray:
-        for lv, fr in zip(self.levels, self.frames):
-            if abs(lv - level) < _EIG_TOL:
-                return fr
-        raise KeyError(f"no eigenvalue level {level}")
-
     @property
     def algebra_dim(self) -> int:
         return self.n * self.n if self.tag == UNITARY \
             else self.n * (self.n - 1) // 2
 
 
-def _check_orthonormal(frames, n, tol=1e-10):
+def _check_orthonormal(frames, n):
     stack = np.concatenate([f for f in frames if f.shape[0]], axis=0)
     gram = stack @ stack.conj().T
     if stack.shape[0] > n or \
-            np.max(np.abs(gram - np.eye(stack.shape[0]))) > tol:
+            np.max(np.abs(gram - np.eye(stack.shape[0]))) > _ORTHO_TOL:
         raise ValueError("frames are not jointly orthonormal")
     return stack
 
@@ -143,7 +139,7 @@ def standard_isotropic_frame(n: int, pairs) -> np.ndarray:
 
 # ---------------------------------------------------------------- grading
 
-def _orthonormalize_stack(mats: np.ndarray, rank_tol: float = _RANK_TOL):
+def _orthonormalize_stack(mats: np.ndarray):
     """HS-orthonormal basis of the span of a stack (K, n, n), or of the
     rows of a (K, d) coordinate block."""
     K = mats.shape[0]
@@ -151,7 +147,7 @@ def _orthonormalize_stack(mats: np.ndarray, rank_tol: float = _RANK_TOL):
         return mats
     flat = mats.reshape(K, -1)
     _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    r = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    r = int(np.sum(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     return vh[:r].reshape((r,) + mats.shape[1:])
 
 
@@ -439,15 +435,15 @@ def corollary_even_space(elem: CanonicalElement):
     return out
 
 
-def lift_grading_residual(bun, dP) -> float:
+def lift_grading_residual(bun) -> float:
     """Superhorizontality of the flag lift in orbit coordinates: the
     pointwise canonical element is xi(p) = i (P_tau' - P_tau''); its
     chart derivative must have no g_{+-2} components, i.e. no
     tau'<->tau'' blocks."""
     from .gaussmaps import outside_residual
-    dxi = 1j * (dP["P_taup"] - dP["P_taupp"])
-    up = outside_residual(bun.P_taup, dxi, bun.P_taupp)
-    down = outside_residual(bun.P_taupp, dxi, bun.P_taup)
+    dxi = 1j * (bun.taup.dP - bun.taupp.dP)
+    up = outside_residual(bun.taup.P, dxi, bun.taupp.P)
+    down = outside_residual(bun.taupp.P, dxi, bun.taup.P)
     return max(up, down)
 
 
@@ -471,16 +467,16 @@ class SplitResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _validate_complex_structure(M, tol=1e-10, name="J"):
+def _validate_complex_structure(M, name="J"):
     d = M.shape[0]
-    if np.max(np.abs(M @ M + np.eye(d))) > tol:
+    if np.max(np.abs(M @ M + np.eye(d))) > _ORTHO_TOL:
         raise ValueError(f"{name}^2 != -I")
-    if np.max(np.abs(M.T @ M - np.eye(d))) > tol:
+    if np.max(np.abs(M.T @ M - np.eye(d))) > _ORTHO_TOL:
         raise ValueError(f"{name} is not orthogonal")
 
 
-def split_two_complex_structures(J: np.ndarray, Jt: np.ndarray,
-                                 merge_gap: float = 1e-7) -> SplitResult:
+def split_two_complex_structures(J: np.ndarray, Jt: np.ndarray
+                                 ) -> SplitResult:
     """Decompose R^d into blocks on which a second orthogonal complex
     structure Jt either equals +-J or forms a quaternionic triple with
     J.
@@ -507,11 +503,11 @@ def split_two_complex_structures(J: np.ndarray, Jt: np.ndarray,
     warnings = []
     clusters = []  # list of (mean eigenvalue, column indices)
     for idx in range(d):
-        if clusters and ev[idx] - clusters[-1][1][-1][1] < merge_gap:
+        if clusters and ev[idx] - clusters[-1][1][-1][1] < _MERGE_GAP:
             clusters[-1][1].append((idx, ev[idx]))
         else:
             clusters.append((ev[idx], [(idx, ev[idx])]))
-    if any(abs(c[1][0][1] - c[1][-1][1]) > 10 * merge_gap
+    if any(abs(c[1][0][1] - c[1][-1][1]) > 10 * _MERGE_GAP
            for c in clusters):
         warnings.append("near-degenerate eigenvalue clusters merged")
 

@@ -32,6 +32,7 @@ class GeometryData:
     jet: Jet3
     g: np.ndarray        # (G, d, d)
     ginv: np.ndarray
+    P_T: np.ndarray      # (G, n, n) tangent projector: the real Gauss map
     Gamma: np.ndarray    # (G, d, d, d), Gamma[g,k,i,j] = Gamma^k_{ij}
     alpha: np.ndarray    # (G, d, d, n)
     Dalpha: np.ndarray   # (G, d, d, d, n), [k,i,j] = (D_k alpha)(i,j)
@@ -53,11 +54,6 @@ class GeometryData:
     @property
     def alpha02(self) -> np.ndarray:
         return np.conj(self.alpha20)
-
-    def tangent_projector(self) -> np.ndarray:
-        """The real Gauss map: the tangent projector field (G, n, n),
-        computed on each call from the stored inverse metric."""
-        return tangent_projector(self.jet.d1, self.ginv)
 
 
 def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -98,7 +94,7 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
 
     frame = kaehler.normal_frame(jet)
     return GeometryData(imm=imm, pts=pts, jet=jet, g=g, ginv=ginv,
-                        Gamma=Gamma, alpha=alpha, Dalpha=Dalpha,
+                        P_T=P_T, Gamma=Gamma, alpha=alpha, Dalpha=Dalpha,
                         alpha20=alpha20, alpha11=alpha11, frame=frame)
 
 
@@ -157,8 +153,10 @@ class MeanCurvatureData:
     spherical: bool
 
 
-def mean_curvature_and_sphere_reduction(geom: GeometryData,
-                                        tol: float = 1e-6
+_SPHERE_TOL = 1e-6   # A_eta = kappa I and kappa != 0 within this
+
+
+def mean_curvature_and_sphere_reduction(geom: GeometryData
                                         ) -> MeanCurvatureData:
     """eta = (1/2m) trace_g alpha; if the shape operator A_eta is a
     multiple kappa of the identity, the point m = f + eta/kappa is a
@@ -169,7 +167,7 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData,
     A_eta = np.einsum("gik,gkj->gij", geom.ginv, M)
     kappa = float(np.mean(np.trace(A_eta, axis1=1, axis2=2)) / d)
     off = float(np.max(np.abs(A_eta - kappa * np.eye(d))))
-    spherical = off < tol and abs(kappa) > tol
+    spherical = off < _SPHERE_TOL and abs(kappa) > _SPHERE_TOL
     if spherical:
         centers = geom.jet.value + eta / kappa
         center = centers.mean(axis=0)

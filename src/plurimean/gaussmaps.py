@@ -11,17 +11,21 @@ which equals the norm of the target-component of the derivative of any
 orthonormal section of the source bundle, independent of the frame
 gauge (for a section s of S: P_T d_v s = P_T (d_v P_S) s).
 
-The chart derivatives d_v P are closed forms in the order-3 jets of
-the centre grid: d_v P_T from alpha, and the generator bundles tau',
-N°, N' from the derivative of a projector onto a constant-rank span
+Each projector field travels with its real-chart derivative as one
+Bundle(P, dP); projector_derivatives returns them all as one Bundles,
+which derives tau'' = conj tau', N'' = conj N' and N^c = I - P_T once.
+The derivatives are closed forms in the order-3 jets of the centre
+grid: d_v P_T from alpha, and the generator bundles tau', N°, N' from
+the derivative of a projector onto a constant-rank span
 (projector_derivative) with the generator derivatives built from d2
 and d_v alpha (alpha_derivative).  Only eq4's second route takes a
 finite difference (fd_tangent_projector_derivatives); it reads only
 d1, so its shifted grids take order-1 jets.
 """
 
+import functools
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -51,11 +55,11 @@ def dgauss_check(geom: forms.GeometryData, dP_T: np.ndarray) -> float:
     projector_derivatives is built from alpha, so against it the two
     routes would agree identically.
     """
-    res = 0.0
-    for v in range(geom.jet.chart_dim):
-        lhs = np.einsum("gxy,gjy->gjx", dP_T[:, v].real, geom.jet.d1)
-        res = max(res, float(np.max(np.abs(lhs - geom.alpha[:, v]))))
-    return res
+    # np.max, not max(): a NaN must reach the caller
+    return float(np.max([
+        np.max(np.abs(np.einsum("gxy,gjy->gjx", dP_T[:, v].real,
+                                geom.jet.d1) - geom.alpha[:, v]))
+        for v in range(geom.jet.chart_dim)]))
 
 
 def fd_tangent_projector_derivatives(geom: forms.GeometryData,
@@ -90,15 +94,18 @@ def gauss_levi_residual(geom: forms.GeometryData) -> float:
 
 # ------------------------------------------------------ projector algebra
 
-def _ranked_svd(gens: np.ndarray, rel_tol: float, scale: float):
+_RANK_REL_TOL = 1e-8   # generator rank, relative to the largest value
+
+
+def _ranked_svd(gens: np.ndarray, scale: float):
     """Thin SVD (u, s, vh) of gens (G, K, n) cut to its numerical rank r:
-    the singular values above rel_tol times the larger of the global
-    largest one and scale.  r must be constant over the grid."""
+    the singular values above _RANK_REL_TOL times the larger of the
+    global largest one and scale.  r must be constant over the grid."""
     u, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
     smax = float(np.max(sv)) if sv.size else 0.0
     r = 0
     if max(smax, scale) > 0.0:
-        ranks = np.sum(sv > rel_tol * max(smax, scale), axis=1)
+        ranks = np.sum(sv > _RANK_REL_TOL * max(smax, scale), axis=1)
         r = int(ranks[0])
         if np.any(ranks != r):
             raise RankError(f"generator rank varies over the grid: "
@@ -106,22 +113,21 @@ def _ranked_svd(gens: np.ndarray, rel_tol: float, scale: float):
     return u[:, :, :r], sv[:, :r], vh[:, :r, :]
 
 
-def projector_from_generators(gens: np.ndarray, rel_tol: float = 1e-8,
-                              scale: float = 0.0):
+def projector_from_generators(gens: np.ndarray, scale: float = 0.0):
     """Hermitian projector (G, n, n) onto the row span of gens (G, K, n).
 
-    The numerical rank (singular values above rel_tol times the larger
-    of the global largest one and the caller's scale) must be constant
-    over the grid; the scale lets an exactly-degenerate generator stack
+    The numerical rank (singular values above _RANK_REL_TOL times the
+    larger of the global largest one and the caller's scale) must be
+    constant over the grid; the scale lets an exactly-degenerate generator stack
     (for example vanishing alpha^{(2,0)} values) classify as rank 0
     instead of amplifying round-off.
     """
-    _, _, vr = _ranked_svd(gens, rel_tol, scale)
+    _, _, vr = _ranked_svd(gens, scale)
     return np.einsum("gkx,gky->gxy", vr, vr.conj()), vr.shape[1]
 
 
 def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
-                         rel_tol: float = 1e-8, scale: float = 0.0):
+                         scale: float = 0.0):
     """(P, r, dP): the projector and rank of projector_from_generators
     and the derivatives dP (G, D, n, n) of P along the D derivatives
     dgens (G, D, K, n) of the generators.
@@ -133,7 +139,7 @@ def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
 
     A rank-0 stack has dP = 0.
     """
-    ur, sr, vr = _ranked_svd(gens, rel_tol, scale)
+    ur, sr, vr = _ranked_svd(gens, scale)
     n = gens.shape[2]
     P = np.einsum("gkx,gky->gxy", vr, vr.conj())
     pinv = ((vr.conj().transpose(0, 2, 1) / sr[:, None, :])
@@ -154,62 +160,51 @@ def outside_residual(P_target: np.ndarray, dP: np.ndarray,
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
+class Bundle(NamedTuple):
+    """A projector field P (G, n, n) with its real-chart derivatives
+    dP (G, 2m, n, n)."""
+
+    P: np.ndarray
+    dP: np.ndarray
+
+    def conj(self) -> "Bundle":
+        return Bundle(self.P.conj(), self.dP.conj())
+
+
 @dataclass
-class BundleProjectors:
-    """All projector fields derived from one geometry grid.
+class Bundles:
+    """All projector fields of one geometry grid, each with its chart
+    derivative.
 
-    Only the independent fields are stored; tau'', N'' (conjugates) and
-    N^c (I - P_T) are derived on each read."""
+    Only the independent fields are stored; tau'' and N'' (conjugates)
+    and N^c (I - P_T, with derivative -dP_T) are derived once, on first
+    read."""
 
-    P_T: np.ndarray      # tangent projector, real
-    P_taup: np.ndarray   # tau' = df(T')
-    P_No: np.ndarray     # span of alpha^{(1,1)} values
-    P_Np: np.ndarray     # span of alpha^{(2,0)} values
+    T: Bundle        # tangent bundle, real
+    taup: Bundle     # tau' = df(T')
+    No: Bundle       # span of alpha^{(1,1)} values
+    Np: Bundle       # span of alpha^{(2,0)} values
     ranks: Dict[str, int]
 
-    @property
-    def P_taupp(self) -> np.ndarray:
-        return self.P_taup.conj()
+    @functools.cached_property
+    def taupp(self) -> Bundle:
+        return self.taup.conj()
 
-    @property
-    def P_Npp(self) -> np.ndarray:
-        return self.P_Np.conj()
+    @functools.cached_property
+    def Npp(self) -> Bundle:
+        return self.Np.conj()
 
-    @property
-    def P_Nc(self) -> np.ndarray:
+    @functools.cached_property
+    def Nc(self) -> Bundle:
         """Complexified normal bundle."""
-        n = self.P_T.shape[-1]
-        return np.eye(n, dtype=complex)[None] - self.P_T
+        n = self.T.P.shape[-1]
+        return Bundle(np.eye(n, dtype=complex)[None] - self.T.P, -self.T.dP)
 
 
-@dataclass
-class BundleDerivatives:
-    """Real-chart derivatives (G, 2m, n, n) of the bundle projectors,
-    read as dP[name] with BundleProjectors' field names.  As there, only
-    the independent fields are stored: d P_taupp and d P_Npp are
-    conjugates, d P_Nc = -d P_T."""
-
-    P_T: np.ndarray      # real
-    P_taup: np.ndarray
-    P_No: np.ndarray
-    P_Np: np.ndarray
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name == "P_taupp":
-            return self.P_taup.conj()
-        if name == "P_Npp":
-            return self.P_Np.conj()
-        if name == "P_Nc":
-            return -self.P_T
-        if name in ("P_T", "P_taup", "P_No", "P_Np"):
-            return getattr(self, name)
-        raise KeyError(name)
-
-
-def bundle_projectors(geom: forms.GeometryData) -> BundleProjectors:
-    """The bundle projectors of projector_derivatives without their
-    derivatives."""
-    return projector_derivatives(geom)[0]
+# Kept for the benchmark's span table, which binds it; nothing in the
+# package calls it, since each projector carries its derivative.
+def bundle_projectors(geom: forms.GeometryData) -> Bundles:
+    return projector_derivatives(geom)
 
 
 def alpha_derivative(geom: forms.GeometryData) -> np.ndarray:
@@ -246,8 +241,6 @@ def projector_derivatives(geom: forms.GeometryData):
     stays real; tau', N° and N' go through projector_derivative with
     the generator derivatives 2B d2_v, B conj(B) d_v alpha and
     B B d_v alpha.
-
-    Returns (BundleProjectors, BundleDerivatives).
     """
     m = geom.imm.complex_dim
     G, d, _, n = geom.alpha.shape
@@ -274,11 +267,9 @@ def projector_derivatives(geom: forms.GeometryData):
     P_Np, r_np, dP_Np = projector_derivative(
         geom.alpha20.reshape(G, m * m, n), np.kron(B, B) @ dalpha,
         scale=alpha_scale)
-    bun = BundleProjectors(P_T=geom.tangent_projector(), P_taup=P_taup,
-                           P_No=P_No, P_Np=P_Np,
-                           ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
-    return bun, BundleDerivatives(P_T=dP_T, P_taup=dP_taup, P_No=dP_No,
-                                  P_Np=dP_Np)
+    return Bundles(T=Bundle(geom.P_T, dP_T), taup=Bundle(P_taup, dP_taup),
+                   No=Bundle(P_No, dP_No), Np=Bundle(P_Np, dP_Np),
+                   ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
 
 
 def holo_directions(dP: np.ndarray, m: int, kind: str = "(1,0)"):
@@ -292,34 +283,32 @@ def holo_directions(dP: np.ndarray, m: int, kind: str = "(1,0)"):
 
 # -------------------------------------------------------------- residuals
 
-def superhorizontality_residual(bun: BundleProjectors, dP) -> float:
+def superhorizontality_residual(bun: Bundles) -> float:
     """tau''-component of the derivative of tau' in every real chart
     direction (must vanish for every Kaehler immersion)."""
-    return outside_residual(bun.P_taupp, dP["P_taup"], bun.P_taup)
+    return outside_residual(bun.taupp.P, bun.taup.dP, bun.taup.P)
 
 
-def holomorphicity_residuals(geom: forms.GeometryData,
-                             bun: BundleProjectors, dP):
+def holomorphicity_residuals(geom: forms.GeometryData, bun: Bundles):
     """(route1, route2): sup |alpha^{(1,1)}| and the (0,1)-derivative of
     tau' escaping tau' (both vanish iff the flag lift is holomorphic)."""
     route1 = forms.pluriminimal_residual(geom)
     m = geom.imm.complex_dim
-    dbar = holo_directions(dP["P_taup"], m, "(0,1)")
+    dbar = holo_directions(bun.taup.dP, m, "(0,1)")
     n = geom.imm.ambient_dim
-    P_out = np.eye(n, dtype=complex)[None] - bun.P_taup
-    route2 = outside_residual(P_out, dbar, bun.P_taup)
+    P_out = np.eye(n, dtype=complex)[None] - bun.taup.P
+    route2 = outside_residual(P_out, dbar, bun.taup.P)
     return route1, route2
 
 
-def half_isotropy_residual(geom: forms.GeometryData,
-                           bun: BundleProjectors):
+def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles):
     """(term1, term2): Hermitian component of alpha(T',T') inside N°,
     and the ppmc residual."""
     G = geom.pts.shape[0]
     m = geom.imm.complex_dim
     a20 = geom.alpha20.reshape(G, m * m, -1)
     term1 = float(np.max(np.abs(
-        np.einsum("gxy,gky->gkx", bun.P_No, a20)))) if m else 0.0
+        np.einsum("gxy,gky->gkx", bun.No.P, a20)))) if m else 0.0
     term2 = forms.ppmc_residual(geom)
     return term1, term2
 
@@ -331,51 +320,47 @@ class IsotropyReport:
     parallelity: float
 
 
-def isotropy_decomposition(geom: forms.GeometryData, bun: BundleProjectors,
-                           dP) -> IsotropyReport:
+def isotropy_decomposition(bun: Bundles) -> IsotropyReport:
     """Theorem-8 style splitting N^c = N' + N° + N''.
 
     orthogonality: mutual Hermitian products of the three projectors;
     parallelity: normal-connection derivative of each subbundle escaping
     into the rest of N^c.
     """
-    pairs = [(bun.P_Np, bun.P_No), (bun.P_Np, bun.P_Npp),
-             (bun.P_No, bun.P_Npp)]
+    pairs = [(bun.Np.P, bun.No.P), (bun.Np.P, bun.Npp.P),
+             (bun.No.P, bun.Npp.P)]
     orth = max(float(np.max(np.abs(np.einsum("gxy,gyz->gxz", A, B))))
                for A, B in pairs)
     par = 0.0
-    for nm, P_S in (("P_Np", bun.P_Np), ("P_No", bun.P_No),
-                    ("P_Npp", bun.P_Npp)):
-        P_out = bun.P_Nc - P_S
-        par = max(par, outside_residual(P_out, dP[nm], P_S))
+    for S in (bun.Np, bun.No, bun.Npp):
+        par = max(par, outside_residual(bun.Nc.P - S.P, S.dP, S.P))
     return IsotropyReport(ranks=dict(bun.ranks), orthogonality=orth,
                           parallelity=par)
 
 
-def differential_chain_residuals(geom: forms.GeometryData,
-                                 bun: BundleProjectors, dP):
+def differential_chain_residuals(geom: forms.GeometryData, bun: Bundles):
     """(1,0)-derivative chain N'' -> tau'' -> N° -> tau' -> N' -> 0:
     for each bundle the d'-derivative may leave it only into the next
     link.  Returns a dict arrow -> residual."""
     m = geom.imm.complex_dim
     n = geom.imm.ambient_dim
     eye = np.eye(n, dtype=complex)[None]
-    chain = [("N''->tau''", "P_Npp", bun.P_Npp, bun.P_taupp),
-             ("tau''->N°", "P_taupp", bun.P_taupp, bun.P_No),
-             ("N°->tau'", "P_No", bun.P_No, bun.P_taup),
-             ("tau'->N'", "P_taup", bun.P_taup, bun.P_Np),
-             ("N'->0", "P_Np", bun.P_Np, None)]
+    chain = [("N''->tau''", bun.Npp, bun.taupp),
+             ("tau''->N°", bun.taupp, bun.No),
+             ("N°->tau'", bun.No, bun.taup),
+             ("tau'->N'", bun.taup, bun.Np),
+             ("N'->0", bun.Np, None)]
     out = {}
-    for label, nm, P_S, P_next in chain:
-        dprime = holo_directions(dP[nm], m, "(1,0)")
-        P_out = eye - P_S
-        if P_next is not None:
-            P_out = P_out - P_next
-        out[label] = outside_residual(P_out, dprime, P_S)
+    for label, S, nxt in chain:
+        dprime = holo_directions(S.dP, m, "(1,0)")
+        P_out = eye - S.P
+        if nxt is not None:
+            P_out = P_out - nxt.P
+        out[label] = outside_residual(P_out, dprime, S.P)
     return out
 
 
-def gauss_section_check(geom: forms.GeometryData, bun: BundleProjectors,
+def gauss_section_check(geom: forms.GeometryData, bun: Bundles,
                         mc: forms.MeanCurvatureData):
     """Forward conditions for a spherical ppmc immersion: f - m is a
     normal section of constant length whose differential maps T' to
@@ -390,18 +375,18 @@ def gauss_section_check(geom: forms.GeometryData, bun: BundleProjectors,
     B = holomorphic_basis(m_)
     dfp = np.einsum("ai,gix->gax", B, geom.jet.d1.astype(complex))
     n = geom.imm.ambient_dim
-    P_out = np.eye(n, dtype=complex)[None] - bun.P_taup
+    P_out = np.eye(n, dtype=complex)[None] - bun.taup.P
     tangency = float(np.max(np.abs(
         np.einsum("gxy,gay->gax", P_out, dfp))))
     return normality, tangency, mc.radius_spread
 
 
-def isotropy_invariants(bun: BundleProjectors):
+def isotropy_invariants(bun: Bundles):
     """Structural residuals: conjugation symmetry of N''/N', conjugation
     invariance of N°, isotropy of tau'."""
-    conj_sym = float(np.max(np.abs(bun.P_Npp - bun.P_Np.conj())))
-    no_real = float(np.max(np.abs(bun.P_No - bun.P_No.conj())))
+    conj_sym = float(np.max(np.abs(bun.Npp.P - bun.Np.P.conj())))
+    no_real = float(np.max(np.abs(bun.No.P - bun.No.P.conj())))
     # symmetric product on tau': P' J_sym P'^T with the plain transpose
     iso = float(np.max(np.abs(
-        np.einsum("gxy,gzy->gxz", bun.P_taup, bun.P_taup))))
+        np.einsum("gxy,gzy->gxz", bun.taup.P, bun.taup.P))))
     return conj_sym, no_real, iso

@@ -73,10 +73,13 @@ def kaehler_curvature_identity_residual(R: np.ndarray, m: int) -> float:
     return float(np.max(np.abs(res)))
 
 
-def shape_operator(alpha, g, ginv, d1, xi, tol=1e-9):
+_NORMAL_TOL = 1e-9   # relative tangential part a normal field may have
+
+
+def shape_operator(alpha, g, ginv, d1, xi):
     """A_xi = g^{-1} <alpha, xi> for a normal vector field xi (G, n)."""
     tangency = np.max(np.abs(np.einsum("gix,gx->gi", d1, xi)))
-    if tangency > tol * max(1.0, float(np.max(np.abs(xi)))):
+    if tangency > _NORMAL_TOL * max(1.0, float(np.max(np.abs(xi)))):
         raise ValueError(f"xi is not normal (tangential part {tangency:g})")
     M = np.einsum("gijx,gx->gij", alpha, xi)
     return np.einsum("gik,gkj->gij", ginv, M)

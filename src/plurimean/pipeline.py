@@ -38,9 +38,13 @@ class RunConfig:
     def __post_init__(self):
         if self.grid < 5:
             raise ValueError("grid must be at least 5 per axis")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError("the step h must be finite and positive")
         for t in (self.tol_tier1, self.tol_tier2):
-            if t <= 0:
-                raise ValueError("tolerances must be positive")
+            if not (np.isfinite(t) and t > 0):
+                raise ValueError("tolerances must be finite and positive")
+        if len(self.thetas) == 0:
+            raise ValueError("the angle list is empty")
         if not np.all(np.isfinite(self.thetas)):
             raise ValueError("angles must be finite")
 
@@ -94,7 +98,8 @@ class FixtureContext:
 
     Each layer is computed on first use, once, from the layer before it:
 
-        geom -> bundles (projectors and their closed-form derivatives dP)
+        geom -> bundles (one gaussmaps.Bundles: each projector with its
+                    closed-form chart derivative)
                 -> isotropy (the N' + N° + N'' decomposition)
              -> mean_curvature
 
@@ -115,12 +120,12 @@ class FixtureContext:
         return forms.compute_geometry(self.rec.immersion, self.pts)
 
     @functools.cached_property
-    def bundles(self):
+    def bundles(self) -> gaussmaps.Bundles:
         return gaussmaps.projector_derivatives(self.geom)
 
     @functools.cached_property
     def isotropy(self) -> gaussmaps.IsotropyReport:
-        return gaussmaps.isotropy_decomposition(self.geom, *self.bundles)
+        return gaussmaps.isotropy_decomposition(self.bundles)
 
     @functools.cached_property
     def mean_curvature(self) -> forms.MeanCurvatureData:
@@ -144,9 +149,8 @@ def _chk_jets(ctx: FixtureContext):
 
 
 def _chk_grassmann(ctx: FixtureContext):
-    P = ctx.geom.tangent_projector()
     idem, symm, tr = gaussmaps.grassmann_invariants(
-        P, 2 * ctx.rec.immersion.complex_dim)
+        ctx.geom.P_T, 2 * ctx.rec.immersion.complex_dim)
     return (max(idem, symm, tr),
             {"idempotency": idem, "symmetry": symm, "trace": tr})
 
@@ -169,8 +173,7 @@ def _chk_gauss_levi(ctx: FixtureContext):
 
 
 def _chk_pluriminimal(ctx: FixtureContext):
-    bun, dP = ctx.bundles
-    r1, r2 = gaussmaps.holomorphicity_residuals(ctx.geom, bun, dP)
+    r1, r2 = gaussmaps.holomorphicity_residuals(ctx.geom, ctx.bundles)
     return r1, {"frame_route": r2}
 
 
@@ -191,16 +194,15 @@ def _chk_sublemma(ctx: FixtureContext):
 
 
 def _chk_superhorizontality(ctx: FixtureContext):
-    return gaussmaps.superhorizontality_residual(*ctx.bundles), {}
+    return gaussmaps.superhorizontality_residual(ctx.bundles), {}
 
 
 def _chk_lift_grading(ctx: FixtureContext):
-    return flags.lift_grading_residual(*ctx.bundles), {}
+    return flags.lift_grading_residual(ctx.bundles), {}
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
-    bun, _ = ctx.bundles
-    t1, t2 = gaussmaps.half_isotropy_residual(ctx.geom, bun)
+    t1, t2 = gaussmaps.half_isotropy_residual(ctx.geom, ctx.bundles)
     return max(t1, t2), {"alpha20_in_No": t1, "ppmc": t2}
 
 
@@ -213,8 +215,7 @@ def _chk_isotropy(ctx: FixtureContext):
 
 
 def _chk_chain(ctx: FixtureContext):
-    bun, dP = ctx.bundles
-    ch = gaussmaps.differential_chain_residuals(ctx.geom, bun, dP)
+    ch = gaussmaps.differential_chain_residuals(ctx.geom, ctx.bundles)
     return max(ch.values()), ch
 
 
@@ -236,9 +237,8 @@ def _chk_section(ctx: FixtureContext):
         if ctx.rec.flags.get("spherical"):
             return np.inf, {"note_not_spherical": 1.0}
         raise _Skip("not spherical; no normal section to check")
-    bun, _ = ctx.bundles
     normality, tangency, spread = gaussmaps.gauss_section_check(
-        ctx.geom, bun, mc)
+        ctx.geom, ctx.bundles, mc)
     return (max(normality, tangency, spread),
             {"normality": normality, "tau_prime_tangency": tangency,
              "radius_spread": spread})
@@ -250,9 +250,8 @@ def _chk_psi(ctx: FixtureContext):
     rep = ctx.isotropy
     if not max(rep.orthogonality, rep.parallelity) < ctx.cfg.tol_tier1:
         raise _Skip("psi_theta needs the isotropy decomposition")
-    bun, _ = ctx.bundles
     # one sweep over the angles and the full turn
-    res, minus_dim = family.build_psi(ctx.geom, bun,
+    res, minus_dim = family.build_psi(ctx.geom, ctx.bundles,
                                       [*ctx.cfg.thetas, np.pi])
     worst = float(res[:-1, :2].max(initial=0.0))
     full_turn = float(res[-1, 2])

@@ -100,8 +100,7 @@ def test_acceptance_04_normal_curvature_flatness():
 def test_acceptance_05_superhorizontality_universal():
     worst, where = 0.0, ""
     for name in ADMITTED:
-        bun, dP = _bundles(name)
-        r = gaussmaps.superhorizontality_residual(bun, dP)
+        r = gaussmaps.superhorizontality_residual(_bundles(name))
         if r > worst:
             worst, where = r, name
     _verdict(5, worst < 1e-8,
@@ -112,17 +111,16 @@ def test_acceptance_05_superhorizontality_universal():
 def test_acceptance_06_isotropy_flags():
     ok = True
     # holomorphic curve: pluriminimal via both routes
-    bun, dP = _bundles("holomorphic-curve")
-    h1, h2 = gaussmaps.holomorphicity_residuals(_geom("holomorphic-curve"),
-                                                bun, dP)
+    h1, h2 = gaussmaps.holomorphicity_residuals(
+        _geom("holomorphic-curve"), _bundles("holomorphic-curve"))
     ok &= h1 < 1e-6 and h2 < 1e-6
     # Veronese: half-isotropic and isotropic but not holomorphic
     geom = _geom("veronese")
-    bun, dP = _bundles("veronese")
+    bun = _bundles("veronese")
     t1, t2 = gaussmaps.half_isotropy_residual(geom, bun)
-    rep = gaussmaps.isotropy_decomposition(geom, bun, dP)
-    chain = gaussmaps.differential_chain_residuals(geom, bun, dP)
-    v1, v2 = gaussmaps.holomorphicity_residuals(geom, bun, dP)
+    rep = gaussmaps.isotropy_decomposition(bun)
+    chain = gaussmaps.differential_chain_residuals(geom, bun)
+    v1, v2 = gaussmaps.holomorphicity_residuals(geom, bun)
     ok &= max(t1, t2) < 1e-6
     ok &= rep.orthogonality < 1e-8 and rep.parallelity < 1e-8
     ok &= max(chain.values()) < 1e-8
@@ -130,8 +128,8 @@ def test_acceptance_06_isotropy_flags():
     # standard embedding: no (2,0)-part, trivial half-turn automorphism
     gse = _geom("standard-embedding")
     a20 = float(np.max(np.abs(gse.alpha20)))
-    bun_se, _ = _bundles("standard-embedding")
-    se_half = family.build_psi(gse, bun_se, [np.pi / 2])[0][0, 2]
+    se_half = family.build_psi(gse, _bundles("standard-embedding"),
+                               [np.pi / 2])[0][0, 2]
     ok &= a20 < 1e-8 and se_half < 1e-8
     # Veronese normal-bundle automorphism psi_theta over the sweep and
     # the full turn

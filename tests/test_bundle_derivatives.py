@@ -13,7 +13,7 @@ from plurimean.chartcalc import holomorphic_basis
 from plurimean.fixtures import get_immersion, registry
 
 ADMITTED = [r.name for r in registry(include_controls=False)]
-NAMES = ["P_T", "P_taup", "P_taupp", "P_Nc", "P_No", "P_Np", "P_Npp"]
+NAMES = ["T", "taup", "taupp", "Nc", "No", "Np", "Npp"]   # Bundles fields
 C = 100.0     # |analytic - FD(h)| <= C h^2; veronese's dP_T needs 31
 
 _cache = {}
@@ -32,7 +32,7 @@ def _projectors(geom):
     m = geom.imm.complex_dim
     G, _, _, n = geom.alpha.shape
     B = holomorphic_basis(m)
-    P_T = geom.tangent_projector()
+    P_T = geom.P_T
     P_taup, _ = gaussmaps.projector_from_generators(
         np.einsum("ai,gix->gax", 2.0 * B, geom.jet.d1.astype(complex)))
     scale = float(np.max(np.abs(geom.alpha)))
@@ -40,9 +40,9 @@ def _projectors(geom):
         geom.alpha11.reshape(G, m * m, n), scale=scale)
     P_Np, _ = gaussmaps.projector_from_generators(
         geom.alpha20.reshape(G, m * m, n), scale=scale)
-    return {"P_T": P_T, "P_taup": P_taup, "P_taupp": P_taup.conj(),
-            "P_Nc": np.eye(n) - P_T, "P_No": P_No, "P_Np": P_Np,
-            "P_Npp": P_Np.conj()}
+    return {"T": P_T, "taup": P_taup, "taupp": P_taup.conj(),
+            "Nc": np.eye(n) - P_T, "No": P_No, "Np": P_Np,
+            "Npp": P_Np.conj()}
 
 
 def fd_projector_derivatives(name, h):
@@ -65,13 +65,14 @@ def fd_projector_derivatives(name, h):
     return _cache[key]
 
 
-def _errors(dP, name, h):
+def _errors(bun, name, h):
     fd = fd_projector_derivatives(name, h)
-    return {nm: float(np.max(np.abs(dP[nm] - fd[nm]))) for nm in NAMES}
+    return {nm: float(np.max(np.abs(getattr(bun, nm).dP - fd[nm])))
+            for nm in NAMES}
 
 
-def _agrees(dP, name, h=1e-4):
-    return max(_errors(dP, name, h).values()) <= C * h * h
+def _agrees(bun, name, h=1e-4):
+    return max(_errors(bun, name, h).values()) <= C * h * h
 
 
 def _alpha_agrees(dalpha, name, h=1e-4):
@@ -93,12 +94,13 @@ def _alpha_agrees(dalpha, name, h=1e-4):
 @pytest.mark.parametrize("name", ADMITTED)
 def test_analytic_derivatives_match_fd_at_second_order(name):
     geom = _geom(name)
-    _, dP = gaussmaps.projector_derivatives(geom)
-    e3 = _errors(dP, name, 1e-3)
-    e4 = _errors(dP, name, 1e-4)
+    bun = gaussmaps.projector_derivatives(geom)
+    e3 = _errors(bun, name, 1e-3)
+    e4 = _errors(bun, name, 1e-4)
     n = geom.imm.ambient_dim
     for nm in NAMES:
-        assert dP[nm].shape == (len(geom.pts), geom.jet.chart_dim, n, n)
+        assert getattr(bun, nm).dP.shape == (len(geom.pts),
+                                             geom.jet.chart_dim, n, n)
         assert e3[nm] <= C * 1e-6, (nm, e3[nm])
         assert e4[nm] <= C * 1e-8, (nm, e4[nm])
         # the error is the FD truncation: it falls as h^2
@@ -177,14 +179,14 @@ MUTANTS = {
         "@ (pinv[:, None] @ dgens).conj().transpose(0, 1, 3, 2))",
         "sphere"),
     "dP_No forced to zero": (
-        "P_No=dP_No", "P_No=0.0 * dP_No", "veronese"),
+        "No=Bundle(P_No, dP_No)", "No=Bundle(P_No, 0.0 * dP_No)",
+        "veronese"),
 }
 
 
 def _passes_oracles(mod, name):
     geom = _geom(name)
-    _, dP = mod.projector_derivatives(geom)
-    return (_agrees(dP, name)
+    return (_agrees(mod.projector_derivatives(geom), name)
             and _alpha_agrees(mod.alpha_derivative(geom), name))
 
 

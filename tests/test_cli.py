@@ -138,6 +138,28 @@ def test_verify_unknown_fixture_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [
+    ["--h", "0"], ["--h", "nan"], ["--tol-tier1", "inf"],
+    ["--tol-tier2", "0"], ["--theta", ","],
+])
+def test_verify_rejects_settings_under_which_checks_pass_vacuously(
+        flag, capsys):
+    assert cli.main(["verify", "--fixtures", "veronese",
+                     "--checks", "kaehler,eq4,structure-equations",
+                     *flag]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_fixture_file_with_one_domain_pair(tmp_path,
+                                                            capsys):
+    # the catenoid's chart has two coordinates
+    fx = tmp_path / "cat.fixture"
+    fx.write_text("formula: catenoid\ndomain: -0.5 0.5\n")
+    assert cli.main(["verify", "--fixtures", "plane",
+                     "--fixture-file", str(fx), "--checks", "kaehler"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_with_fixture_file(tmp_path):
     fx = tmp_path / "cat.fixture"
     fx.write_text("name: my-cat\nformula: catenoid\n"

@@ -76,6 +76,13 @@ def closedness_residual_ref(geom, theta):
     return float(np.max(np.abs(dw - dw.transpose(0, 2, 1, 3))))
 
 
+def metric_deviation_ref(geom, theta):
+    """sup |R_theta^T g R_theta - g| with the congruence as one einsum."""
+    R = family.rotation(geom.imm.J, theta)
+    g_t = np.einsum("ki,gkl,lj->gij", R, geom.g, R)
+    return float(np.max(np.abs(g_t - geom.g)))
+
+
 def rotate_form_ref(form, J, theta):
     """form(R_theta x, R_theta y); leading axes are carried along."""
     R = family.rotation(J, theta)
@@ -118,24 +125,27 @@ def build_psi_ref(geom, bun, theta):
     written out."""
     n = geom.imm.ambient_dim
     eye = np.eye(n, dtype=complex)[None]
-    P_rest = bun.P_Nc - bun.P_Np - bun.P_No - bun.P_Npp
-    Psi = (bun.P_T + np.exp(2j * theta) * bun.P_Np + bun.P_No
-           + np.exp(-2j * theta) * bun.P_Npp + P_rest)
+    P_T, P_Nc = bun.T.P, bun.Nc.P
+    P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Npp.P
+    P_rest = P_Nc - P_Np - P_No - P_Npp
+    Psi = (P_T + np.exp(2j * theta) * P_Np + P_No
+           + np.exp(-2j * theta) * P_Npp + P_rest)
     alpha_t = rotate_form_ref(geom.alpha, geom.imm.J, theta)
     applied = np.einsum("gxy,gijy->gijx", Psi, geom.alpha.astype(complex))
     eq8 = float(np.max(np.abs(applied - alpha_t)))
     unit = float(np.max(np.abs(
         np.einsum("gxy,gzy->gxz", Psi, Psi.conj()) - eye)))
     ident = float(np.max(np.abs(
-        np.einsum("gxy,gyz->gxz", Psi - eye, bun.P_Nc))))
+        np.einsum("gxy,gyz->gxz", Psi - eye, P_Nc))))
     return eq8, unit, ident
 
 
 def psi_minus_one_dims_ref(bun):
     """The (-1)-eigenspace dimension of psi_{pi/2} on N at each point."""
-    Psi = (bun.P_T - bun.P_Np + bun.P_No - bun.P_Npp
-           + bun.P_Nc - bun.P_Np - bun.P_No - bun.P_Npp)
-    return np.sum(np.linalg.eigvalsh(np.real(Psi - bun.P_T)) < -0.5,
+    P_T, P_Nc = bun.T.P, bun.Nc.P
+    P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Npp.P
+    Psi = (P_T - P_Np + P_No - P_Npp + P_Nc - P_Np - P_No - P_Npp)
+    return np.sum(np.linalg.eigvalsh(np.real(Psi - P_T)) < -0.5,
                   axis=1)
 
 
@@ -200,7 +210,7 @@ def _max_diff(a, b):
 def test_geometry_matches_einsum_on_fixtures(fixture_geoms, name):
     geom = fixture_geoms[name]
     jet = geom.jet
-    assert _max_diff(geom.tangent_projector(),
+    assert _max_diff(geom.P_T,
                      tangent_projector_ref(jet.d1, geom.ginv)) < TOL
     assert _max_diff(geom.alpha, alpha_ref(jet, geom.Gamma)) < TOL
     assert _max_diff(geom.Dalpha, Dalpha_ref(jet, geom.ginv,
@@ -237,6 +247,16 @@ def test_closedness_reads_exactly_zero_on_minimal_pair(fixture_geoms,
     for theta in family.THETA_SWEEP:
         assert family.closedness_residual(fixture_geoms[name],
                                           theta) == 0.0
+
+
+@pytest.mark.parametrize("name", ["catenoid", "helicoid",
+                                  "holomorphic-curve"])
+@pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4, np.pi / 2])
+def test_family_metric_deviation_matches_einsum(name, theta):
+    member = family.integrate_family(get_immersion(name), theta,
+                                     per_axis=21)
+    assert abs(member.metric_deviation
+               - metric_deviation_ref(member.geom, theta)) < TOL
 
 
 # ------------------------------------------------------------- Ricci term
@@ -348,15 +368,17 @@ def _psi_variant(bun, variant):
     """The bundles as they are, or with P_N' scaled by 1.1 (not
     idempotent), swapped with P_N'', or plus complex noise (neither
     Hermitian nor idempotent)."""
+    P_Np = bun.Np.P
     if variant == "scaled":
-        return dataclasses.replace(bun, P_Np=1.1 * bun.P_Np)
+        return dataclasses.replace(bun, Np=bun.Np._replace(P=1.1 * P_Np))
     if variant == "swapped":
-        return dataclasses.replace(bun, P_Np=bun.P_Npp)
+        return dataclasses.replace(bun, Np=bun.Npp)
     if variant == "noisy":
         rng = np.random.default_rng(13)
-        shape = bun.P_Np.shape
-        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return dataclasses.replace(bun, P_Np=bun.P_Np + 1e-3 * noise)
+        noise = (rng.standard_normal(P_Np.shape)
+                 + 1j * rng.standard_normal(P_Np.shape))
+        return dataclasses.replace(
+            bun, Np=bun.Np._replace(P=P_Np + 1e-3 * noise))
     return bun
 
 
@@ -424,14 +446,15 @@ def test_outside_residual_matches_einsum_on_random_tensors(n, D):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_outside_residual_matches_einsum_on_fixtures(fixture_geoms, name):
     geom = fixture_geoms[name]
-    bun, dP = gaussmaps.projector_derivatives(geom)
+    bun = gaussmaps.projector_derivatives(geom)
+    taup, No = bun.taup, bun.No
     m = geom.imm.complex_dim
     n = geom.imm.ambient_dim
-    P_out = np.eye(n, dtype=complex)[None] - bun.P_taup
-    cases = [(bun.P_taupp, dP["P_taup"], bun.P_taup),
-             (P_out, gaussmaps.holo_directions(dP["P_taup"], m, "(0,1)"),
-              bun.P_taup),
-             (bun.P_Nc - bun.P_No, dP["P_No"], bun.P_No)]
+    P_out = np.eye(n, dtype=complex)[None] - taup.P
+    cases = [(bun.taupp.P, taup.dP, taup.P),
+             (P_out, gaussmaps.holo_directions(taup.dP, m, "(0,1)"),
+              taup.P),
+             (bun.Nc.P - No.P, No.dP, No.P)]
     for P_t, dP_s, P_s in cases:
         assert abs(gaussmaps.outside_residual(P_t, dP_s, P_s)
                    - outside_residual_ref(P_t, dP_s, P_s)) < TOL

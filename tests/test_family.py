@@ -253,7 +253,7 @@ def test_psi_with_swapped_half_bundles_breaks_eq8(name, eq8):
     # e^{2it} on N'' and e^{-2it} on N' turn the (2,0)-part of alpha the
     # wrong way; psi stays unitary.  On the verify grid.
     geom, bun = _psi_inputs(name, per_axis=9, margin=0.02)
-    swapped = dataclasses.replace(bun, P_Np=bun.P_Npp)
+    swapped = dataclasses.replace(bun, Np=bun.Npp)
     got, unitarity, _ = family.build_psi(geom, swapped, [np.pi / 4])[0][0]
     assert got == pytest.approx(eq8, rel=1e-6)
     assert unitarity < 1e-10
@@ -264,6 +264,6 @@ def test_psi_with_scaled_half_bundle_breaks_unitarity(name):
     # psi acts on N' as 1 + 1.1 a with a = e^{2it} - 1 = i - 1, and
     # |1 + 1.1 a|^2 - 1 = 0.22.  On the verify grid.
     geom, bun = _psi_inputs(name, per_axis=9, margin=0.02)
-    scaled = dataclasses.replace(bun, P_Np=1.1 * bun.P_Np)
+    scaled = dataclasses.replace(bun, Np=bun.Np._replace(P=1.1 * bun.Np.P))
     _, unitarity, _ = family.build_psi(geom, scaled, [np.pi / 4])[0][0]
     assert unitarity == pytest.approx(0.22, abs=1e-8)

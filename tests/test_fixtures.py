@@ -58,6 +58,19 @@ def test_domain_override_changes_grid():
     assert float(np.max(np.abs(imm.grid(5)))) == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("domain", [
+    [[-0.5, 0.5]],                                # one pair for m = 1
+    [[-0.5, 0.5], [-0.5, 0.5], [-0.5, 0.5]],      # three pairs
+    [[-0.5, 0.5], [0.5, -0.5]],                   # reversed
+    [[-0.5, 0.5], [0.2, 0.2]],                    # empty
+    [[-0.5, np.inf], [-0.5, 0.5]],                # not finite
+    [[-0.5, 0.5, 0.7], [-0.5, 0.5]],              # not a pair
+])
+def test_get_immersion_rejects_bad_domains(domain):
+    with pytest.raises(ValueError, match="domain"):
+        get_immersion("catenoid", domain)
+
+
 def test_load_fixture_file_roundtrip(tmp_path):
     path = tmp_path / "cat.fixture"
     path.write_text(
@@ -82,6 +95,8 @@ def test_load_fixture_file_roundtrip(tmp_path):
     ("formula: catenoid\nn: 5\n", "ambient"),
     ("formula: catenoid\nm: 2\n", "complex"),
     ("formula: catenoid\ndomain: 1 2 3\n", "even number"),
+    ("formula: catenoid\ndomain: -0.5 0.5\n", "2 finite"),
+    ("formula: catenoid\ndomain: -0.5 0.5, 0.5 -0.5\n", "lo < hi"),
     ("formula: catenoid\njets: symbolic\n", "jets"),
     ("formula: catenoid\njets: fd\n", "jets"),
     ("formula catenoid\n", "malformed"),

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from plurimean import flags
+from plurimean import flags, gaussmaps
 from plurimean.chartcalc import standard_J
 
 
@@ -183,37 +183,42 @@ def test_cartan_split_relations():
         assert kc.shape[0] + pc.shape[0] == elem.algebra_dim
 
 
-def _lift_bundle():
+def _lift_bundles(dP_taup, dP_taupp):
     """Coordinate projectors on C^5 at two points: tau' on e_0, e_1,
-    tau'' on e_2, e_3 and the rest on e_4; dP over two directions."""
+    tau'' on e_2, e_3 and the rest on e_4, with the given derivatives
+    over two directions."""
     P_taup = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
     P_taupp = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]).astype(complex)
-    bun = SimpleNamespace(P_taup=np.stack([P_taup] * 2),
-                          P_taupp=np.stack([P_taupp] * 2))
+    return SimpleNamespace(
+        taup=gaussmaps.Bundle(np.stack([P_taup] * 2), dP_taup),
+        taupp=gaussmaps.Bundle(np.stack([P_taupp] * 2), dP_taupp))
+
+
+def _lift_dxi():
     rng = np.random.default_rng(5)
     dxi = rng.standard_normal((2, 2, 5, 5)) \
         + 1j * rng.standard_normal((2, 2, 5, 5))
     dxi[..., :2, 2:4] = dxi[..., 2:4, :2] = 0.0   # no tau' <-> tau''
-    return bun, dxi
+    return dxi
 
 
 def test_lift_grading_residual_reads_the_cross_block():
     """xi = i (P_tau' - P_tau''): a chart derivative with a
     tau' -> tau'' block reads exactly that block's largest entry; the
     tau'-, tau''- and rest-blocks it keeps do not count."""
-    bun, dxi = _lift_bundle()
+    dxi = _lift_dxi()
     block = np.zeros((2, 2, 2, 2), dtype=complex)
     block[1, 0] = [[0.3, -0.7j], [0.2, 0.1]]
     dxi[..., 2:4, :2] = block
     # dP_tau'' - dP_tau' = i dxi, split across both projectors
-    dP = {"P_taup": -0.5j * dxi, "P_taupp": 0.5j * dxi}
-    assert flags.lift_grading_residual(bun, dP) == 0.7
+    bun = _lift_bundles(-0.5j * dxi, 0.5j * dxi)
+    assert flags.lift_grading_residual(bun) == 0.7
 
 
 def test_lift_grading_residual_is_zero_without_cross_blocks():
-    bun, dxi = _lift_bundle()
-    dP = {"P_taup": -1j * dxi, "P_taupp": np.zeros_like(dxi)}
-    assert flags.lift_grading_residual(bun, dP) == 0.0
+    dxi = _lift_dxi()
+    bun = _lift_bundles(-1j * dxi, np.zeros_like(dxi))
+    assert flags.lift_grading_residual(bun) == 0.0
 
 
 def test_superhorizontal_space_shapes():

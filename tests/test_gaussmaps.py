@@ -33,16 +33,14 @@ def _geom(name, per_axis=5):
 
 def _bundles(name, per_axis=5):
     geom = _geom(name, per_axis)
-    bun, dP = gaussmaps.projector_derivatives(geom)
-    return geom, bun, dP
+    return geom, gaussmaps.projector_derivatives(geom)
 
 
 @pytest.mark.parametrize("name", ADMITTED)
 def test_gauss_projection_lands_in_grassmannian(name):
     geom = _geom(name)
-    P = geom.tangent_projector()
     idem, symm, tr = gaussmaps.grassmann_invariants(
-        P, geom.jet.chart_dim)
+        geom.P_T, geom.jet.chart_dim)
     assert max(idem, symm, tr) < 1e-10
 
 
@@ -54,6 +52,14 @@ def test_gauss_differential_two_routes(name):
     dP_T = gaussmaps.fd_tangent_projector_derivatives(geom, 1e-4)
     res = gaussmaps.dgauss_check(geom, dP_T)
     assert res < 1e-5
+
+
+@pytest.mark.parametrize("v", [0, 1])
+def test_dgauss_check_keeps_a_nan(v):
+    geom = _geom("sphere")
+    dP_T = gaussmaps.fd_tangent_projector_derivatives(geom, 1e-4)
+    dP_T[3, v, 0, 0] = np.nan
+    assert np.isnan(gaussmaps.dgauss_check(geom, dP_T))
 
 
 @pytest.mark.parametrize("name", ["sphere", "cylinder", "catenoid",
@@ -103,14 +109,31 @@ def test_subbundle_ranks(name):
             bun.ranks["N'"]) == EXPECTED_RANKS[name]
     # tau'' is the conjugate bundle, N^c the full normal complement
     n = geom.imm.ambient_dim
-    total = bun.P_T + bun.P_Nc
+    total = bun.T.P + bun.Nc.P
     assert np.max(np.abs(total - np.eye(n))) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["veronese", "catenoid"])
+def test_derived_bundles_are_conjugates_and_complement(name):
+    geom, bun = _bundles(name)
+    n = geom.imm.ambient_dim
+    for derived, P, dP in ((bun.taupp, bun.taup.P.conj(),
+                            bun.taup.dP.conj()),
+                           (bun.Npp, bun.Np.P.conj(), bun.Np.dP.conj()),
+                           (bun.Nc, np.eye(n) - bun.T.P, -bun.T.dP)):
+        assert isinstance(derived, gaussmaps.Bundle)
+        assert np.array_equal(derived.P, P)
+        assert np.array_equal(derived.dP, dP)
+    # each is derived once per Bundles
+    assert bun.taupp is bun.taupp
+    assert bun.Npp is bun.Npp
+    assert bun.Nc is bun.Nc
 
 
 @pytest.mark.parametrize("name", ADMITTED)
 def test_superhorizontality_universal(name):
-    _, bun, dP = _bundles(name)
-    assert gaussmaps.superhorizontality_residual(bun, dP) < 1e-8
+    _, bun = _bundles(name)
+    assert gaussmaps.superhorizontality_residual(bun) < 1e-8
 
 
 def test_superhorizontality_reads_the_cross_block():
@@ -120,17 +143,16 @@ def test_superhorizontality_reads_the_cross_block():
     count."""
     P_taup = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
     P_taupp = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]).astype(complex)
-    bun = SimpleNamespace(P_taup=np.stack([P_taup] * 2),
-                          P_taupp=np.stack([P_taupp] * 2))
     rng = np.random.default_rng(7)
     dP = rng.standard_normal((2, 2, 5, 5)) \
         + 1j * rng.standard_normal((2, 2, 5, 5))
     dP[..., 2:4, :2] = 0.0
-    assert gaussmaps.superhorizontality_residual(
-        bun, {"P_taup": dP}) == 0.0
+    bun = SimpleNamespace(
+        taup=gaussmaps.Bundle(np.stack([P_taup] * 2), dP),
+        taupp=gaussmaps.Bundle(np.stack([P_taupp] * 2), None))  # dP unread
+    assert gaussmaps.superhorizontality_residual(bun) == 0.0
     dP[1, 0, 2:4, :2] = [[0.3, -0.7j], [0.2, 0.1]]
-    assert gaussmaps.superhorizontality_residual(
-        bun, {"P_taup": dP}) == 0.7
+    assert gaussmaps.superhorizontality_residual(bun) == 0.7
 
 
 @pytest.mark.parametrize("name,small", [
@@ -138,8 +160,8 @@ def test_superhorizontality_reads_the_cross_block():
     ("veronese", False), ("sphere", False),
 ])
 def test_holomorphicity_routes_agree(name, small):
-    geom, bun, dP = _bundles(name)
-    r1, r2 = gaussmaps.holomorphicity_residuals(geom, bun, dP)
+    geom, bun = _bundles(name)
+    r1, r2 = gaussmaps.holomorphicity_residuals(geom, bun)
     if small:
         assert r1 < 1e-6 and r2 < 1e-8
     else:
@@ -147,17 +169,17 @@ def test_holomorphicity_routes_agree(name, small):
 
 
 def test_half_isotropy_veronese_and_cylinder():
-    geom, bun, _ = _bundles("veronese")
+    geom, bun = _bundles("veronese")
     t1, t2 = gaussmaps.half_isotropy_residual(geom, bun)
     assert t1 < 1e-6 and t2 < 1e-6
-    geom, bun, _ = _bundles("cylinder")
+    geom, bun = _bundles("cylinder")
     t1, _ = gaussmaps.half_isotropy_residual(geom, bun)
     assert t1 > 1e-2
 
 
 def test_isotropy_decomposition_veronese():
-    geom, bun, dP = _bundles("veronese")
-    rep = gaussmaps.isotropy_decomposition(geom, bun, dP)
+    _, bun = _bundles("veronese")
+    rep = gaussmaps.isotropy_decomposition(bun)
     assert rep.orthogonality < 1e-8
     assert rep.parallelity < 1e-8
     conj_sym, no_real, iso = gaussmaps.isotropy_invariants(bun)
@@ -167,8 +189,8 @@ def test_isotropy_decomposition_veronese():
 
 
 def test_isotropy_decomposition_rejects_catenoid():
-    geom, bun, dP = _bundles("catenoid")
-    rep = gaussmaps.isotropy_decomposition(geom, bun, dP)
+    _, bun = _bundles("catenoid")
+    rep = gaussmaps.isotropy_decomposition(bun)
     assert rep.orthogonality > 1e-2
 
 
@@ -176,8 +198,8 @@ def test_isotropy_decomposition_rejects_catenoid():
                                   "product-spheres",
                                   "standard-embedding"])
 def test_differential_chain(name):
-    geom, bun, dP = _bundles(name)
-    ch = gaussmaps.differential_chain_residuals(geom, bun, dP)
+    geom, bun = _bundles(name)
+    ch = gaussmaps.differential_chain_residuals(geom, bun)
     assert max(ch.values()) < 1e-8
 
 
@@ -185,7 +207,7 @@ def test_differential_chain(name):
                                   "product-spheres",
                                   "standard-embedding"])
 def test_gauss_section_on_spherical_fixtures(name):
-    geom, bun, _ = _bundles(name)
+    geom, bun = _bundles(name)
     mc = forms.mean_curvature_and_sphere_reduction(geom)
     normality, tangency, spread = gaussmaps.gauss_section_check(
         geom, bun, mc)
@@ -193,7 +215,7 @@ def test_gauss_section_on_spherical_fixtures(name):
 
 
 def test_gauss_section_requires_spherical():
-    geom, bun, _ = _bundles("catenoid")
+    geom, bun = _bundles("catenoid")
     mc = forms.mean_curvature_and_sphere_reduction(geom)
     with pytest.raises(ValueError, match="not spherical"):
         gaussmaps.gauss_section_check(geom, bun, mc)

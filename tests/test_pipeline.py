@@ -30,6 +30,35 @@ def test_config_validation():
                                         checks=["kaehler"]))
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("h", 0.0), ("h", -1e-4), ("h", np.nan), ("h", np.inf),
+    ("tol_tier1", np.inf), ("tol_tier1", np.nan), ("tol_tier2", np.inf),
+])
+def test_config_rejects_steps_and_tolerances_not_finite_and_positive(
+        field, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        pipeline.RunConfig(**{field: bad})
+
+
+def test_config_rejects_an_empty_angle_list():
+    # an empty sweep would read residual 0 and PASS
+    with pytest.raises(ValueError, match="empty"):
+        pipeline.RunConfig(thetas=[])
+
+
+def test_nan_from_eq4_is_an_error():
+    # at h = 0 every central difference is 0/0; the NaN must reach the
+    # runner's guard instead of reading as residual 0
+    cfg = pipeline.RunConfig(fixtures=["plane"], checks=["kaehler", "eq4"],
+                             grid=5)
+    cfg.h = 0.0   # set past the config check
+    with np.errstate(invalid="ignore"):
+        rep = pipeline.run(cfg)
+    eq4 = next(r for r in rep.results if r.check == "eq4")
+    assert eq4.status == pipeline.ERROR
+    assert "NaN in residual" in eq4.message
+
+
 def _subset_run(fixtures, checks):
     cfg = pipeline.RunConfig(fixtures=fixtures, checks=checks, grid=5)
     return pipeline.run(cfg)
