@@ -112,12 +112,30 @@ def _check_boundary(imm: ChartedImmersion, pts: np.ndarray, h: float):
 
 
 _RANK_FACTOR = 1e-9   # smallest singular value relative to the largest
+# sigma_1^2 <= |g|_F and sigma_d^-2 <= |g^-1|_F for g = d1 d1^T (Golub &
+# Van Loan, Matrix Computations, sec. 2.3), so a point with
+# |g|_F |g^-1|_F below this has sigma_d / sigma_1 > 1e-4, far above
+# _RANK_FACTOR; computed inverses of such well-conditioned g are accurate
+_CERTIFIED_COND = 1e8
 
 
-def _check_rank(sv: np.ndarray, d: int):
-    """Raise RankError at the grid points whose singular values sv
-    (G, d) of the differential, in descending order, have the last
-    below _RANK_FACTOR times the first."""
+def _check_rank(d1: np.ndarray, g: np.ndarray, ginv: np.ndarray):
+    """Raise RankError at the grid points where the differential d1
+    (G, d, n) has its smallest singular value below _RANK_FACTOR times
+    its largest.
+
+    g = d1 d1^T and its inverse ginv (G, d, d) certify most points
+    without an SVD: their Frobenius norms bound sigma_1^2 and
+    sigma_d^-2 from above (a trace of ginv would not: at d >= 3 it can
+    cancel on a numerically singular, indefinite g).  Only the points
+    that fail the certificate, NaN ones included, go through the exact
+    SVD of d1."""
+    cond = np.linalg.norm(g, axis=(1, 2)) * np.linalg.norm(ginv, axis=(1, 2))
+    open_pts = ~(cond < _CERTIFIED_COND)
+    if not np.any(open_pts):
+        return
+    d = d1.shape[1]
+    sv = np.linalg.svd(d1[open_pts], compute_uv=False)
     bad = sv[:, d - 1] < _RANK_FACTOR * sv[:, 0]
     if np.any(bad):
         raise RankError(f"differential rank below {d} at "
@@ -190,7 +208,7 @@ def eval_jet(imm: ChartedImmersion, pts: np.ndarray,
              order: int = 3) -> Jet3:
     """Jet of the given order (1, 2 or 3) at chart points from the
     fixture's closed-form jets.  It runs no rank test: the geometry
-    takes it from the QR of its normal frame (kaehler.normal_frame)."""
+    certifies the rank from the metric and its inverse (_check_rank)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return imm.jet_fn(pts, order)
 

@@ -131,8 +131,8 @@ def structure_equation_residuals(geom: forms.GeometryData,
     R = geom.R
     R_views = np.stack([R[:, i, j, k, l], -R[:, j, i, k, l],
                         -R[:, i, j, l, k], R[:, j, i, l, k]])
-    gauss_zero = max(float(np.max(np.abs(R.diagonal(0, 1, 2)))),
-                     float(np.max(np.abs(R.diagonal(0, 3, 4)))))
+    gauss_zero = np.max([np.max(np.abs(R.diagonal(0, 1, 2))),
+                         np.max(np.abs(R.diagonal(0, 3, 4)))])
 
     # Codazzi: the antisymmetrised parts of D alpha, (3, G, P d, n)
     cod = _codazzi_map(J)[:, None] @ geom.Dalpha.reshape(1, G, d ** 3, n)
@@ -155,7 +155,8 @@ def structure_equation_residuals(geom: forms.GeometryData,
     out = np.empty((len(thetas), 3))
     for t in range(len(thetas)):
         Kt = np.tensordot(gauss_coef[t], pieces, axes=1)
-        out[t, 0] = max(gauss_zero, float(np.max(np.abs(R_views - Kt))))
+        # np.max, not max(): a NaN must reach the caller
+        out[t, 0] = np.max([gauss_zero, np.max(np.abs(R_views - Kt))])
         out[t, 1] = np.max(np.abs(cod[0] + c2[t] * cod[1]
                                   + s2[t] * cod[2]))
         ricci = ricci_diag
@@ -163,8 +164,8 @@ def structure_equation_residuals(geom: forms.GeometryData,
             At = A[:, 0] + c2[t] * A[:, 1] + s2[t] * A[:, 2]
             gc = geom.g[:, None] @ (At[:, a] @ At[:, b]
                                     - At[:, b] @ At[:, a])
-            ricci = max(ricci, float(np.max(np.abs(RN_ab - gc))),
-                        float(np.max(np.abs(RN_ba + gc))))
+            ricci = np.max([ricci, np.max(np.abs(RN_ab - gc)),
+                            np.max(np.abs(RN_ba + gc))])
         out[t, 2] = ricci
     return out
 
@@ -185,8 +186,9 @@ def closedness_residual(geom: forms.GeometryData, theta: float) -> float:
     def dw(i, j):
         return sum(R[k, j] * d2[:, i, k] for k in range(d))
 
-    return max(float(np.max(np.abs(dw(i, j) - dw(j, i))))
-               for i in range(d) for j in range(i + 1, d))
+    # np.max, not max(): a NaN must reach the caller
+    return float(np.max([np.max(np.abs(dw(i, j) - dw(j, i)))
+                         for i in range(d) for j in range(i + 1, d)]))
 
 
 @dataclass
@@ -198,6 +200,17 @@ class FamilyMember:
     metric_deviation: float  # sup |R^T g R - g| (exact-form route)
     closedness: float       # closedness_residual of df o R_theta
     geom: forms.GeometryData  # geometry of imm on pts
+
+
+def _rotated_integrand(R: np.ndarray, d1: np.ndarray, d2: np.ndarray):
+    """(omega, a), each (G, 2, n), on a surface chart: omega[g, i] =
+    df(R e_i) and a[g, i] = d_i omega_i (no sum), the derivative of the
+    integrand along each axis.  Each entry is a sum of two products over
+    k, which rounds the same in either order, so the mesh does not
+    depend on a BLAS summation order."""
+    w = R[0, :, None] * d1[:, :1] + R[1, :, None] * d1[:, 1:]
+    a = R[0, :, None] * d2[:, :, 0] + R[1, :, None] * d2[:, :, 1]
+    return w, a
 
 
 def integrate_family(imm: ChartedImmersion, theta: float,
@@ -225,10 +238,8 @@ def integrate_family(imm: ChartedImmersion, theta: float,
     R = rotation(imm.J, theta)
     n = imm.ambient_dim
     N = per_axis
-    # omega[g, i] = df(R e_i); a[g, i] = d_i omega_i (no sum): the
-    # derivative of the integrand along each axis
-    w = np.einsum("ki,gkx->gix", R, geom.jet.d1).reshape(N, N, 2, n)
-    a = np.einsum("ki,gikx->gix", R, geom.jet.d2).reshape(N, N, 2, n)
+    w, a = (x.reshape(N, N, 2, n)
+            for x in _rotated_integrand(R, geom.jet.d1, geom.jet.d2))
     hu = (imm.domain[0, 1] - imm.domain[0, 0]) / (N - 1)
     hv = (imm.domain[1, 1] - imm.domain[1, 0]) / (N - 1)
 

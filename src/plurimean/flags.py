@@ -444,7 +444,8 @@ def lift_grading_residual(bun) -> float:
     dxi = 1j * (bun.taup.dP - bun.taupp.dP)
     up = outside_residual(bun.taup.P, dxi, bun.taupp.P)
     down = outside_residual(bun.taupp.P, dxi, bun.taup.P)
-    return max(up, down)
+    # np.max, not max(): a NaN must reach the caller
+    return float(np.max([up, down]))
 
 
 # ------------------------------------- two commuting complex structures

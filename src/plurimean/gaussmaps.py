@@ -20,7 +20,8 @@ the derivative of a projector onto a constant-rank span
 (projector_derivative) with the generator derivatives built from d2
 and d_v alpha (alpha_derivative).  Only eq4's second route takes a
 finite difference (fd_tangent_projector_derivatives); it reads only
-d1, so its shifted grids take order-1 jets.
+d1, so its shifted grids take order-1 jets, and it certifies their rank
+from the metric and its inverse as the geometry does.
 """
 
 import functools
@@ -66,10 +67,11 @@ def fd_tangent_projector_derivatives(geom: forms.GeometryData,
                                      h: float) -> np.ndarray:
     """Central-difference chart derivatives (G, 2m, n, n) of the tangent
     projector.  Only d1 is read, so the 2·2m shifted grids pts +- h e_v
-    are stacked into one order-1 jet call; the rank test, the metric,
-    its inverse and the projector run on the stack, which is then split
-    into the differences.  Raises RankError where the differential on a
-    shifted grid drops rank."""
+    are stacked into one order-1 jet call; the metric, its inverse, the
+    rank test (certified from the two, chartcalc._check_rank) and the
+    projector run on the stack, which is then split into the
+    differences.  Raises RankError where the differential on a shifted
+    grid drops rank, also where the stacked metric is singular."""
     imm, pts = geom.imm, geom.pts
     G, d = pts.shape
     n = imm.ambient_dim
@@ -77,8 +79,13 @@ def fd_tangent_projector_derivatives(geom: forms.GeometryData,
     # [v, 0] = pts + h e_v, [v, 1] = pts - h e_v
     shifted = pts + np.stack([steps, -steps], axis=1)[:, :, None]
     jet = eval_jet(imm, shifted.reshape(2 * d * G, d), order=1)
-    _check_rank(np.linalg.svd(jet.d1, compute_uv=False), d)
-    ginv = np.linalg.inv(kaehler.induced_metric(jet))
+    g = kaehler.induced_metric(jet)
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as e:
+        raise RankError("singular metric on a shifted grid: the "
+                        "differential has lost rank") from e
+    _check_rank(jet.d1, g, ginv)
     P = forms.tangent_projector(jet.d1, ginv).reshape(d, 2, G, n, n)
     return np.ascontiguousarray(
         ((P[:, 0] - P[:, 1]) / (2.0 * h)).transpose(1, 0, 2, 3))
@@ -329,11 +336,11 @@ def isotropy_decomposition(bun: Bundles) -> IsotropyReport:
     """
     pairs = [(bun.Np.P, bun.No.P), (bun.Np.P, bun.Npp.P),
              (bun.No.P, bun.Npp.P)]
-    orth = max(float(np.max(np.abs(np.einsum("gxy,gyz->gxz", A, B))))
-               for A, B in pairs)
-    par = 0.0
-    for S in (bun.Np, bun.No, bun.Npp):
-        par = max(par, outside_residual(bun.Nc.P - S.P, S.dP, S.P))
+    # np.max, not max(): a NaN must reach the caller
+    orth = float(np.max([np.max(np.abs(np.einsum("gxy,gyz->gxz", A, B)))
+                         for A, B in pairs]))
+    par = float(np.max([outside_residual(bun.Nc.P - S.P, S.dP, S.P)
+                        for S in (bun.Np, bun.No, bun.Npp)]))
     return IsotropyReport(ranks=dict(bun.ranks), orthogonality=orth,
                           parallelity=par)
 

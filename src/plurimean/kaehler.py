@@ -9,18 +9,20 @@ kept in the tests as a slow cross-check.
 import numpy as np
 
 from . import kernels
-from .chartcalc import (Jet3, RankError, _check_rank, contract_slots,
-                        holomorphic_basis)
+from .chartcalc import Jet3, RankError, contract_slots, holomorphic_basis
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
     """g_ij = <d1_i, d1_j>, shape (G, 2m, 2m)."""
-    return np.einsum("gix,gjx->gij", jet.d1, jet.d1)
+    return jet.d1 @ jet.d1.transpose(0, 2, 1)
 
 
 def metric_data(jet: Jet3):
     """(g, ginv, dg, Gamma) with dg[g,i,j,l] = d_i g_{jl} and
-    Gamma[g,k,i,j] = Gamma^k_{ij}, all from analytic jets."""
+    Gamma[g,k,i,j] = Gamma^k_{ij}, all from analytic jets.
+
+    dg_ijl = <d2_ij, d1_l> + <d1_j, d2_il> = T_ijl + T_ilj for the one
+    product T = d2 d1^T over the (d^2, n) values of d2."""
     g = induced_metric(jet)
     # positive definiteness via Cholesky: g = d1 d1^T fails it exactly
     # where d1 has numerically lost rank
@@ -30,8 +32,10 @@ def metric_data(jet: Jet3):
         raise RankError("induced metric not positive definite: the "
                         "differential has lost rank") from e
     ginv = np.linalg.inv(g)
-    dg = (np.einsum("gijx,glx->gijl", jet.d2, jet.d1)
-          + np.einsum("gjx,gilx->gijl", jet.d1, jet.d2))
+    G, d, n = jet.d1.shape
+    T = (jet.d2.reshape(G, d * d, n) @ jet.d1.transpose(0, 2, 1)).reshape(
+        G, d, d, d)
+    dg = T + T.swapaxes(2, 3)
     Gamma = kernels.christoffel(dg, ginv)
     return g, ginv, dg, Gamma
 
@@ -87,18 +91,16 @@ def shape_operator(alpha, g, ginv, d1, xi):
 
 def normal_frame(jet: Jet3) -> np.ndarray:
     """Orthonormal real normal frame (G, n-2m, n) from the complete QR
-    factorisation of d1^T: its first 2m columns span the tangent plane
-    (d1 has full rank), the remaining n-2m its orthogonal complement.
-    The (2m, 2m) triangle of R has the singular values of d1, so the
-    rank test runs on it; raises RankError where d1 drops rank.
+    factorisation of d1^T: its first 2m columns span the tangent plane,
+    the remaining n-2m its orthogonal complement.  d1 must have full
+    rank, which compute_geometry certifies first (chartcalc._check_rank).
 
     The gauge is arbitrary per point; only gauge-invariant (fully
     frame-contracted) quantities may be built from it, as
     normal_curvature and sublemma_residual do.
     """
     d = jet.chart_dim
-    q, r = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
-    _check_rank(np.linalg.svd(r[:, :d], compute_uv=False), d)
+    q, _ = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
     return np.ascontiguousarray(q[:, :, d:].transpose(0, 2, 1))
 
 

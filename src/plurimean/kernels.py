@@ -1,13 +1,12 @@
 """Hot per-grid-point tensor kernels.
 
 Array layout: a leading grid axis ``G``, then chart indices (``d = 2m``),
-then the ambient axis ``n`` where applicable.  The Gauss-equation
-curvature runs as one batched ``@`` product over the grid axis followed
-by index permutations (an ``einsum`` evaluates it as an index loop).
-It runs once per geometry; the theta sweep (family.py) does not call
-these kernels but builds its Gauss term from the theta-independent
-parts of the rotated form.  ``christoffel`` keeps its single
-two-operand ``einsum``: it too runs once per geometry.
+then the ambient axis ``n`` where applicable.  Both kernels run as one
+batched ``@`` product over the grid axis plus index permutations taken
+as transposed views (an ``einsum`` would evaluate them as an index
+loop).  Each runs once per geometry; the theta sweep (family.py) does
+not call them but builds its Gauss term from the theta-independent
+parts of the rotated form.
 """
 
 import numpy as np
@@ -30,9 +29,13 @@ def gauss_curvature(alpha):
 
 
 def christoffel(dg, ginv):
-    """Levi-Civita symbols Gamma[g,k,i,j] from dg[g,i,j,l] = d_i g_{jl}."""
-    sym = (dg + np.einsum("gjil->gijl", dg) - np.einsum("glij->gijl", dg))
-    return 0.5 * np.einsum("gkl,gijl->gkij", ginv, sym)
+    """Levi-Civita symbols Gamma[g,k,i,j] from dg[g,i,j,l] = d_i g_{jl}:
+    Gamma^k_ij = g^{kl} S_ijl / 2 with S_ijl = d_i g_jl + d_j g_il
+    - d_l g_ij, contracted as ginv @ S over the (d^2, d) values of S."""
+    G, d = ginv.shape[:2]
+    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    return 0.5 * (ginv @ sym.reshape(G, d * d, d).transpose(0, 2, 1)
+                  ).reshape(G, d, d, d)
 
 
 # Kept for the benchmark's span table, which binds it and counts its

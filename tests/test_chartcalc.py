@@ -5,13 +5,13 @@ import functools
 import numpy as np
 import pytest
 
-from plurimean import chartcalc, forms, gaussmaps, jets, kaehler
+from plurimean import chartcalc, forms, gaussmaps, jets, pipeline
 from plurimean.chartcalc import (
     BoundaryError, ChartedImmersion, RankError, convergence_order,
     eval_jet, fd_d1, fd_jet_oracle, holomorphic_basis, project_type,
     standard_J,
 )
-from plurimean.fixtures import fixture_names, get_immersion
+from plurimean.fixtures import fixture_names, get_immersion, registry
 
 
 ALL_FIXTURES = fixture_names()
@@ -65,13 +65,93 @@ def test_fd_d1_rejects_points_near_boundary(fd):
         fd(imm, bad, h=1e-2)
 
 
+def _rank_inputs(d1):
+    g = d1 @ d1.transpose(0, 2, 1)
+    return d1, g, np.linalg.inv(g)
+
+
 def test_rank_check_rejects_degenerate_chart():
     imm = get_immersion("plane")
     jet = eval_jet(imm, imm.grid(5))
     d1 = jet.d1.copy()
-    d1[:, 1, :] = d1[:, 0, :]  # collapse the chart rank to 1
+    d1[:, 1, :] *= 1e-11  # shrink the chart rank to 1 numerically
     with pytest.raises(RankError):
-        chartcalc._check_rank(np.linalg.svd(d1, compute_uv=False), 2)
+        chartcalc._check_rank(*_rank_inputs(d1))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The stacks np.linalg.svd is called on, by shape."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _scaled_rows(svals, n, seed=3, chart_frame=False):
+    """One chart point whose differential has the singular values svals:
+    rows of those lengths along a random orthonormal ambient frame, in a
+    random chart frame if asked (then g = d1 d1^T is no longer diagonal
+    and rounds off in every entry)."""
+    rng = np.random.default_rng(seed)
+    d = len(svals)
+    u = (np.linalg.qr(rng.standard_normal((d, d)))[0] if chart_frame
+         else np.eye(d))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return ((u * np.asarray(svals)) @ q[:d])[None]
+
+
+def test_rank_certificate_runs_the_svd_only_on_uncertified_points(
+        svd_calls):
+    good = _scaled_rows([1.0, 0.5], 3)
+    thin = _scaled_rows([1.0, 1e-6], 3)   # full rank, cond(g) = 1e12
+    d1 = np.concatenate([good, thin, good])
+    chartcalc._check_rank(*_rank_inputs(d1))
+    assert svd_calls == [(1, 2, 3)]
+
+
+def test_rank_certificate_rejects_lost_rank(svd_calls):
+    d1 = _scaled_rows([1.0, 1e-11], 6)
+    with pytest.raises(RankError, match="1 grid point"):
+        chartcalc._check_rank(*_rank_inputs(d1))
+    assert svd_calls == [d1.shape]
+
+
+def test_rank_certificate_is_not_fooled_by_a_cancelling_trace(svd_calls):
+    # two singular values near 1e-12 leave g numerically singular and
+    # indefinite: tr(g) tr(g^-1) is negative here, so a trace
+    # certificate would clear the point; the Frobenius norms do not
+    d1 = _scaled_rows([1.0, 0.5, 1e-12, 2e-12], 6, seed=0, chart_frame=True)
+    _, g, ginv = _rank_inputs(d1)
+    assert np.trace(g[0]) * np.trace(ginv[0]) < chartcalc._CERTIFIED_COND
+    with pytest.raises(RankError, match="1 grid point"):
+        chartcalc._check_rank(d1, g, ginv)
+    assert svd_calls == [d1.shape]
+
+
+def test_rank_certificate_sends_nan_to_the_svd(svd_calls):
+    d1 = np.concatenate([_scaled_rows([1.0, 0.5], 3),
+                         np.full((1, 2, 3), np.nan)])
+    with np.errstate(invalid="ignore"), pytest.raises(
+            (RankError, np.linalg.LinAlgError)):
+        chartcalc._check_rank(*_rank_inputs(d1))
+    assert svd_calls == [(1, 2, 3)]
+
+
+def test_geometry_rank_test_takes_no_svd_on_registry(svd_calls):
+    # the certificate clears every registry grid and eq4's stacked
+    # shifted grids; the only SVDs left are the bundle generators'
+    cfg = pipeline.RunConfig()
+    for rec in registry():
+        pts = pipeline.FixtureContext(rec, cfg).pts
+        geom = forms.compute_geometry(rec.immersion, pts)
+        gaussmaps.fd_tangent_projector_derivatives(geom, cfg.h)
+    assert svd_calls == []
 
 
 def _cusp():
@@ -90,8 +170,20 @@ def test_geometry_raises_rank_error_on_degenerate_grid_point():
     pts = imm.grid(5)  # its middle row is y = 0
     with pytest.raises(RankError):
         forms.compute_geometry(imm, pts)
-    with pytest.raises(RankError):
-        kaehler.normal_frame(eval_jet(imm, pts))
+
+
+def test_geometry_rank_certificate_rejects_a_positive_definite_metric():
+    # g = diag(1, 1e-22) passes the Cholesky test and inverts exactly;
+    # only the rank test sees sigma_2 / sigma_1 = 1e-11
+    def formula(x, y):
+        return [x, 1e-11 * y, 0.0]
+    imm = ChartedImmersion(
+        name="flat-strip", ambient_dim=3, complex_dim=1,
+        domain=[(-1.0, 1.0), (-1.0, 1.0)],
+        eval_fn=functools.partial(jets.values, formula),
+        jet_fn=functools.partial(jets.jet, formula))
+    with pytest.raises(RankError, match="rank below 2"):
+        forms.compute_geometry(imm, imm.grid(3))
 
 
 def test_fd_projector_route_raises_rank_error_on_shifted_grid():
@@ -99,9 +191,10 @@ def test_fd_projector_route_raises_rank_error_on_shifted_grid():
     h = 0.01
     pts = np.stack([np.linspace(-0.5, 0.5, 5), np.full(5, h)], axis=-1)
     geom = forms.compute_geometry(imm, pts)  # full rank at y = h
-    # the grid shifted by -h e_y lies on y = 0
-    with pytest.raises(RankError):
+    # the grid shifted by -h e_y lies on y = 0, where g is singular
+    with pytest.raises(RankError) as err:
         gaussmaps.fd_tangent_projector_derivatives(geom, h)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_grid_margin_shrinks_domain():

@@ -1,8 +1,9 @@
-"""The batched-matmul tensor algebra of the geometry layer, the theta
-sweeps of the structure equations and of psi_theta, the bundle
-residuals and the sublemma residual against their einsum formulas, kept
-here as references: on random tensors (d = 2 and 4, n up to 9) and on
-fixture geometries."""
+"""The batched-matmul tensor algebra of the geometry layer (the metric,
+its derivative, the Christoffel symbols and the family's rotated
+integrand), the theta sweeps of the structure equations and of
+psi_theta, the bundle residuals and the sublemma residual against their
+einsum formulas, kept here as references: on random tensors (d = 2 and
+4, n up to 9) and on fixture geometries."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, kaehler
-from plurimean.chartcalc import holomorphic_basis, standard_J
+from plurimean.chartcalc import Jet3, holomorphic_basis, standard_J
 from plurimean.fixtures import fixture_names, get_immersion
 
 FIXTURES = ["catenoid", "veronese", "product-spheres", "ellipsoid"]
@@ -21,6 +22,27 @@ TOL = 1e-12
 
 
 # ------------------------------------------------------ einsum references
+
+def induced_metric_ref(d1):
+    return np.einsum("gix,gjx->gij", d1, d1)
+
+
+def metric_derivative_ref(d1, d2):
+    """dg[g,i,j,l] = d_i g_jl = <d2_ij, d1_l> + <d1_j, d2_il>."""
+    return (np.einsum("gijx,glx->gijl", d2, d1)
+            + np.einsum("gjx,gilx->gijl", d1, d2))
+
+
+def christoffel_ref(dg, ginv):
+    sym = (dg + np.einsum("gjil->gijl", dg) - np.einsum("glij->gijl", dg))
+    return 0.5 * np.einsum("gkl,gijl->gkij", ginv, sym)
+
+
+def rotated_integrand_ref(R, d1, d2):
+    """omega = df o R and a[g, i] = d_i omega_i (no sum)."""
+    return (np.einsum("ki,gkx->gix", R, d1),
+            np.einsum("ki,gikx->gix", R, d2))
+
 
 def tangent_projector_ref(d1, ginv):
     return np.einsum("gix,gij,gjy->gxy", d1, ginv, d1)
@@ -175,6 +197,15 @@ def outside_residual_ref(P_target, dP, P_source):
 
 # ----------------------------------------------------------- random data
 
+def _random_jet(seed, d, n, G=7):
+    """An order-2 jet with a full-rank d1 and a symmetric d2."""
+    rng = np.random.default_rng(seed)
+    d2 = rng.standard_normal((G, d, d, n))
+    return Jet3(value=rng.standard_normal((G, n)),
+                d1=rng.standard_normal((G, d, n)),
+                d2=0.5 * (d2 + d2.transpose(0, 2, 1, 3)), d3=None)
+
+
 def _random_geometry(seed, d, n, G=7):
     """A stand-in with the fields structure_equation_residuals reads;
     R and RN are unrelated random tensors, so the residuals are O(1)."""
@@ -218,6 +249,47 @@ def test_geometry_matches_einsum_on_fixtures(fixture_geoms, name):
     a20, a11 = alpha_types_ref(geom.alpha, geom.imm.complex_dim)
     assert _max_diff(geom.alpha20, a20) < TOL
     assert _max_diff(geom.alpha11, a11) < TOL
+
+
+def _assert_metric_matches_einsum(jet):
+    g, ginv, dg, Gamma = kaehler.metric_data(jet)
+    assert _max_diff(g, induced_metric_ref(jet.d1)) < TOL
+    assert _max_diff(dg, metric_derivative_ref(jet.d1, jet.d2)) < TOL
+    assert _max_diff(Gamma, christoffel_ref(dg, ginv)) < TOL
+
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+def test_metric_and_christoffel_match_einsum_on_random_tensors(d, n):
+    _assert_metric_matches_einsum(_random_jet(4, d, n))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_metric_and_christoffel_match_einsum_on_fixtures(fixture_geoms,
+                                                         name):
+    _assert_metric_matches_einsum(fixture_geoms[name].jet)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("theta", THETAS)
+def test_family_rotations_equal_einsum_on_random_tensors(n, theta):
+    # two-term sums round the same in either order: equal, not close
+    jet = _random_jet(5, 2, n)
+    R = family.rotation(standard_J(1), theta)
+    for got, ref in zip(family._rotated_integrand(R, jet.d1, jet.d2),
+                        rotated_integrand_ref(R, jet.d1, jet.d2)):
+        assert np.array_equal(got, ref)
+
+
+# the family integrates surfaces only (m = 1, d = 2)
+@pytest.mark.parametrize("name", [n for n in fixture_names()
+                                  if get_immersion(n).complex_dim == 1])
+def test_family_rotations_equal_einsum_on_fixtures(fixture_geoms, name):
+    jet = fixture_geoms[name].jet
+    for theta in family.THETA_SWEEP:
+        R = family.rotation(standard_J(1), theta)
+        for got, ref in zip(family._rotated_integrand(R, jet.d1, jet.d2),
+                            rotated_integrand_ref(R, jet.d1, jet.d2)):
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plurimean import pipeline, report
+from plurimean import forms, gaussmaps, pipeline, report
 from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_immersion,
                                 load_fixture_file, registry)
 
@@ -239,3 +239,100 @@ def test_kaehler_and_grassmann_checks_reuse_the_metric(monkeypatch,
                       ["kaehler", "grassmann"])
     assert [r.status for r in rep.results] == [pipeline.PASS] * 6
     assert len(inversions) == len(geometry_calls) == 3
+
+
+# A NaN in a fold's input must reach the runner's guard: Python's max()
+# keeps its first argument against a NaN, so a fold with it reads the
+# other terms and can PASS.
+
+def _nan_run(fixture, check):
+    with np.errstate(invalid="ignore"):
+        rep = pipeline.run(pipeline.RunConfig(
+            fixtures=[fixture], checks=["kaehler", check], grid=5))
+    return next(r for r in rep.results if r.check == check)
+
+
+def _edit_geometry(monkeypatch, edit):
+    build = forms.compute_geometry
+
+    def patched(imm, pts):
+        geom = build(imm, pts)
+        edit(geom)
+        return geom
+
+    monkeypatch.setattr(forms, "compute_geometry", patched)
+
+
+def _edit_bundles(monkeypatch, edit):
+    build = gaussmaps.projector_derivatives
+
+    def patched(geom):
+        bun = build(geom)
+        edit(bun)
+        return bun
+
+    monkeypatch.setattr(gaussmaps, "projector_derivatives", patched)
+
+
+def test_nan_in_a_bundle_derivative_reads_as_isotropy_error(monkeypatch):
+    # N° is the second of the three parallelity terms
+    def edit(bun):
+        bun.No.dP[0, 0, 0, 0] = np.nan
+    _edit_bundles(monkeypatch, edit)
+    res = _nan_run("veronese", "isotropy")
+    assert res.status == pipeline.ERROR
+    assert "parallelity" in res.message
+
+
+def test_nan_in_a_late_projector_pair_reads_as_isotropy_error(monkeypatch):
+    # N'' enters only the second and third orthogonality pairs
+    def edit(bun):
+        P = bun.Np.P.conj()
+        P[0, 0, 0] = np.nan
+        bun.Npp = gaussmaps.Bundle(P, bun.Np.dP.conj())
+    _edit_bundles(monkeypatch, edit)
+    res = _nan_run("veronese", "isotropy")
+    assert res.status == pipeline.ERROR
+    assert "orthogonality" in res.message
+
+
+@pytest.mark.parametrize("field,index,term", [
+    ("R", (0, 0, 1, 0, 1), "gauss"),      # i < j, k < l
+    ("RN", (0, 0, 1, 0, 1), "ricci"),     # frame pair a < b
+])
+def test_nan_in_a_curvature_reads_as_structure_equation_error(
+        monkeypatch, field, index, term):
+    def edit(geom):
+        T = getattr(geom, field).copy()
+        T[index] = np.nan
+        setattr(geom, field, T)
+    _edit_geometry(monkeypatch, edit)
+    res = _nan_run("veronese", "structure-equations")
+    assert res.status == pipeline.ERROR
+    assert term in res.message
+
+
+def test_nan_in_the_second_jet_reads_as_closedness_error(monkeypatch):
+    # d2[3, 3] enters only the pairs (i, 3), the last three of six
+    def edit(geom):
+        geom.jet.d2[0, 3, 3, 0] = np.nan
+    _edit_geometry(monkeypatch, edit)
+    res = _nan_run("product-spheres", "closedness")
+    assert res.status == pipeline.ERROR
+    assert "NaN in residual" in res.message
+
+
+def test_nan_in_one_lift_grading_direction_is_an_error(monkeypatch):
+    # the tau'' -> tau' block is the second term of the fold
+    calls = []
+    outside = gaussmaps.outside_residual
+
+    def second_is_nan(*args):
+        calls.append(args)
+        return np.nan if len(calls) == 2 else outside(*args)
+
+    monkeypatch.setattr(gaussmaps, "outside_residual", second_is_nan)
+    res = _nan_run("veronese", "lift-grading")
+    assert len(calls) == 2
+    assert res.status == pipeline.ERROR
+    assert "NaN in residual" in res.message
