@@ -45,10 +45,6 @@ class Jet3:
     d3: Optional[np.ndarray]
 
     @property
-    def npts(self) -> int:
-        return self.value.shape[0]
-
-    @property
     def chart_dim(self) -> int:
         return self.d1.shape[1]
 
@@ -208,7 +204,8 @@ def eval_jet(imm: ChartedImmersion, pts: np.ndarray,
              order: int = 3) -> Jet3:
     """Jet of the given order (1, 2 or 3) at chart points from the
     fixture's closed-form jets.  It runs no rank test: the geometry
-    certifies the rank from the metric and its inverse (_check_rank)."""
+    certifies the rank from the metric and its inverse
+    (kaehler.regular_metric)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return imm.jet_fn(pts, order)
 

@@ -200,10 +200,7 @@ def _demo_element(args):
             M = rng.standard_normal((n, n)) + 1j * rng.standard_normal(
                 (n, n))
             Q, _ = np.linalg.qr(M)
-            frames, row = [], 0
-            for d in dims:
-                frames.append(Q.conj().T[row:row + d])
-                row += d
+            frames = np.split(Q.conj().T, np.cumsum(dims)[:-1])
         return flags.canonical_unitary(dims, lambda0=args.lambda0,
                                        frames=frames)
     fr = flags.standard_isotropic_frame(args.n, range(args.r))
@@ -238,7 +235,8 @@ def cmd_flag_demo(args) -> int:
             "algebra_dim": c2.algebra_dim,
             "passed": c2.passed,
         },
-        "cartan_split_residual": max(cartan.values()),
+        # np.max, not max(): a NaN must reach the exit code
+        "cartan_split_residual": float(np.max(list(cartan.values()))),
     }
     _emit(report.render_tree(tree) + "\n", args.report)
     residuals_ok = all(tree[key] <= _FLAG_RESIDUAL_MAX for key in (

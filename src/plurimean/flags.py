@@ -8,13 +8,16 @@ unitary case and complex skew-symmetric matrices for the orthogonal
 case, with Hilbert-Schmidt orthonormal bases per grading level.
 
 The bracket checks run as batched products: every commutator of two
-basis stacks comes from two matrix products (_commutators), for the
-grading and Cartan residuals (_bracket_escape) and for the C2 closure.
-The closure is graded: it grows level by level, bracketing only the
-directions each round adds at level k against g_1 and g_{-1}, and
-keeps its part at level k in the coordinates of g_k's basis.
+basis stacks comes from two matrix products (_commutators).  Each
+grading brackets every pair of its levels once, into one table of
+escapes (Grading.bracket_escapes) that the grading and Cartan residuals
+fold.  The C2 closure is graded: it grows level by level, bracketing
+only the directions each round adds at level k against g_1 and g_{-1},
+and keeps its part at level k in the coordinates of g_k's basis.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -49,8 +52,9 @@ class CanonicalElement:
 def _check_orthonormal(frames, n):
     stack = np.concatenate([f for f in frames if f.shape[0]], axis=0)
     gram = stack @ stack.conj().T
+    # not (dev <= tol): a NaN frame fails too
     if stack.shape[0] > n or \
-            np.max(np.abs(gram - np.eye(stack.shape[0]))) > _ORTHO_TOL:
+            not np.max(np.abs(gram - np.eye(stack.shape[0]))) <= _ORTHO_TOL:
         raise ValueError("frames are not jointly orthonormal")
     return stack
 
@@ -59,16 +63,14 @@ def canonical_unitary(dims, lambda0: float = 0.0,
                       frames=None) -> CanonicalElement:
     """xi = i (lambda0 I + sum_j j E_j) for an orthogonal decomposition
     C^n = E_1 + ... + E_k with the given dimensions."""
+    if not np.isfinite(lambda0):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
     dims = [int(d) for d in dims]
     if any(d <= 0 for d in dims):
         raise ValueError("subspace dimensions must be positive")
     n = sum(dims)
     if frames is None:
-        eye = np.eye(n, dtype=complex)
-        frames, pos = [], 0
-        for d_ in dims:
-            frames.append(eye[pos:pos + d_])
-            pos += d_
+        frames = np.split(np.eye(n, dtype=complex), np.cumsum(dims)[:-1])
     frames = [np.asarray(f, dtype=complex) for f in frames]
     if [f.shape[0] for f in frames] != dims:
         raise ValueError("frame sizes do not match dims")
@@ -95,8 +97,8 @@ def canonical_orthogonal(pos_frames: Dict[float, np.ndarray], n: int,
     """
     levels, frames = [], []
     for j in sorted(pos_frames):
-        if j <= 0:
-            raise ValueError("pos_frames keys must be positive")
+        if not 0 < j < np.inf:
+            raise ValueError("pos_frames keys must be positive and finite")
         fr = np.asarray(pos_frames[j], dtype=complex)
         levels += [float(j), -float(j)]
         frames += [fr, fr.conj()]
@@ -159,10 +161,6 @@ class Grading:
     c1_deviation: float               # max distance of a gap to Z
     a3_residual: float
 
-    @property
-    def height(self) -> float:
-        return max(abs(k) for k in self.spaces)
-
     def dims(self) -> Dict[float, int]:
         return {k: v.shape[0] for k, v in sorted(self.spaces.items())}
 
@@ -170,8 +168,31 @@ class Grading:
         for key, v in self.spaces.items():
             if abs(key - k) < _EIG_TOL:
                 return v
+        return np.zeros((0,) + self.elem.xi.shape, dtype=complex)
+
+    @functools.cached_property
+    def bracket_escapes(self) -> Dict[Tuple[float, float],
+                                      Tuple[float, float]]:
+        """(j, k) -> the largest entries of the brackets [g_j, g_k] of
+        basis elements off g_{j+k} (zero space when j + k is not a level)
+        and off their Cartan target (k for levels of one parity, else p),
+        for each pair of levels j <= k; within one level only a < b.
+        Built once, on first read."""
         n = self.elem.n
-        return np.zeros((0, n, n), dtype=complex)
+        cartan = [c.reshape(-1, n * n) for c in _cartan_parts(self)]
+        table = {}
+        for j, k in itertools.combinations_with_replacement(
+                sorted(self.spaces), 2):
+            C = _commutators(self.spaces[j], self.spaces[k])
+            if j == k:  # [b, a] = -[a, b] and [a, a] = 0
+                C = C[np.triu_indices(C.shape[0], 1)]
+            C = C.reshape(-1, n * n)
+            # np.max, not max(): a NaN must reach the caller
+            table[j, k] = tuple(
+                float(np.max(np.abs(C - (C @ T.conj().T) @ T), initial=0.0))
+                for T in (self.space(j + k).reshape(-1, n * n),
+                          cartan[(round(j) + round(k)) % 2]))
+        return table
 
 
 def grade(elem: CanonicalElement) -> Grading:
@@ -234,39 +255,12 @@ def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             - BA.reshape(q, n, p, n).transpose(2, 0, 1, 3))
 
 
-def _bracket_escape(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> float:
-    """Largest entry of the part of any commutator [a, b], a in the
-    stack A (p, n, n) and b in B (q, n, n), outside the span of the
-    HS-orthonormal stack T; 0.0 when A or B is empty.
-
-    The projection onto T is one pair of matrix products on the
-    flattened (p q, n^2) stack of commutators.  When B is A, only the
-    pairs a < b are projected: [b, a] = -[a, b] and [a, a] = 0.
-    """
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return 0.0
-    n = A.shape[-1]
-    C = _commutators(A, B)
-    if B is A:
-        C = C[np.triu_indices(A.shape[0], 1)]
-        if C.shape[0] == 0:
-            return 0.0
-    C = C.reshape(-1, n * n)
-    if T.shape[0]:
-        Tf = T.reshape(-1, n * n)
-        C = C - (C @ Tf.conj().T) @ Tf
-    return float(np.max(np.abs(C)))
-
-
 def bracket_grading_residual(grading: Grading) -> float:
     """sup over basis pairs of the component of [g_j, g_k] outside
-    g_{j+k} (zero space when j+k is not a grading level).  Since
-    [g_k, g_j] = -[g_j, g_k], each unordered pair of levels is
-    bracketed once."""
-    items = list(grading.spaces.items())
-    return max((_bracket_escape(Sj, Sk, grading.space(j + k))
-                for i, (j, Sj) in enumerate(items)
-                for k, Sk in items[i:]), default=0.0)
+    g_{j+k} (zero space when j+k is not a grading level), folded from
+    the grading's bracket table."""
+    return float(np.max([e for e, _ in grading.bracket_escapes.values()],
+                        initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -375,34 +369,36 @@ def generation_check(grading: Grading) -> C2Report:
                     passed=(full == elem.algebra_dim))
 
 
+def _stack(grading: Grading, keep) -> np.ndarray:
+    """The spaces of the levels k with keep(k), in one stack."""
+    empty = np.zeros((0,) + grading.elem.xi.shape, dtype=complex)
+    return np.concatenate(
+        [empty] + [v for k, v in grading.spaces.items() if keep(k)])
+
+
+def _cartan_parts(grading: Grading):
+    """(k, p): the spaces of the levels with round(k) even, and odd."""
+    return tuple(_stack(grading, lambda k: round(k) % 2 == p) for p in (0, 1))
+
+
 def cartan_split(grading: Grading):
-    """(k-part, p-part, residuals of the Cartan relations)."""
-    n = grading.elem.n
-    evens = [v for k, v in grading.spaces.items() if round(k) % 2 == 0]
-    odds = [v for k, v in grading.spaces.items() if round(k) % 2 == 1]
-    kc = np.concatenate(evens, axis=0) if evens \
-        else np.zeros((0, n, n), dtype=complex)
-    pc = np.concatenate(odds, axis=0) if odds \
-        else np.zeros((0, n, n), dtype=complex)
-    res = {"[k,k] in k": _bracket_escape(kc, kc, kc),
-           "[k,p] in p": _bracket_escape(kc, pc, pc),
-           "[p,p] in k": _bracket_escape(pc, pc, kc)}
-    return kc, pc, res
+    """(k-part, p-part, residuals of the Cartan relations).  Levels j, k
+    fall under relation round(j) % 2 + round(k) % 2, whose residual
+    folds their Cartan escapes in the bracket table."""
+    names = ("[k,k] in k", "[k,p] in p", "[p,p] in k")
+    escapes = [[0.0], [0.0], [0.0]]
+    for (j, k), (_, esc) in grading.bracket_escapes.items():
+        escapes[round(j) % 2 + round(k) % 2].append(esc)
+    return (*_cartan_parts(grading),
+            {name: float(np.max(e)) for name, e in zip(names, escapes)})
 
 
 def superhorizontal_space(grading: Grading):
     """g_1 (superhorizontal (1,0)-space), the full odd/horizontal part,
     and the positive part T'."""
-    n = grading.elem.n
-    pos = [v for k, v in grading.spaces.items() if k > _EIG_TOL]
-    odd = [v for k, v in grading.spaces.items() if round(k) % 2 == 1]
-    return {
-        "g1": grading.space(1.0),
-        "horizontal": np.concatenate(odd, axis=0) if odd
-        else np.zeros((0, n, n), dtype=complex),
-        "t_prime": np.concatenate(pos, axis=0) if pos
-        else np.zeros((0, n, n), dtype=complex),
-    }
+    return {"g1": grading.space(1.0),
+            "horizontal": _cartan_parts(grading)[1],
+            "t_prime": _stack(grading, lambda k: k > _EIG_TOL)}
 
 
 def corollary_even_space(elem: CanonicalElement):

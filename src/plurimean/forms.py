@@ -7,9 +7,9 @@ the grid axis: the metric d1 d1^T and its derivative from one product
 d2 d1^T (kaehler.metric_data), the tangent projector d1^T (g^{-1} d1),
 the Christoffel contractions of alpha and D alpha with Gamma laid out
 as a (d^2, d) matrix per point, and the normal projection as a product
-with P_T^T.  The rank of d1 is certified from g and g^{-1}
-(chartcalc._check_rank), so no point runs an SVD unless its metric is
-ill-conditioned.
+with P_T^T.  g and g^{-1} come from the regularity gate
+kaehler.regular_metric, which certifies the rank of d1 from the two, so
+no point runs an SVD unless its metric is ill-conditioned.
 Both slots of a form are contracted at once, as one product of a
 Kronecker matrix with the (d^2, n) values (chartcalc.contract_slots):
 kron(B, B) and kron(B, conj B) for the (2,0)- and (1,1)-parts, and
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import kaehler
-from .chartcalc import (ChartedImmersion, Jet3, _check_rank,
-                        contract_slots, eval_jet, holomorphic_basis)
+from .chartcalc import (ChartedImmersion, Jet3, contract_slots, eval_jet,
+                        holomorphic_basis)
 
 
 @dataclass
@@ -55,10 +55,6 @@ class GeometryData:
         return kaehler.normal_curvature(self.alpha, self.g, self.ginv,
                                         self.frame)
 
-    @property
-    def alpha02(self) -> np.ndarray:
-        return np.conj(self.alpha20)
-
 
 def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """P = d1^T g^{-1} d1: orthogonal projection onto the tangent plane."""
@@ -67,8 +63,7 @@ def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     jet = eval_jet(imm, pts)
-    g, ginv, _, Gamma = kaehler.metric_data(jet)
-    _check_rank(jet.d1, g, ginv)
+    g, ginv, _, Gamma = kaehler.metric_data(jet, pts)
     G, d, n = jet.d1.shape
     # Gamma as (G, d^2, d): row (i, j), column a holds Gamma^a_ij
     Gam = Gamma.transpose(0, 2, 3, 1).reshape(G, d * d, d)

@@ -20,8 +20,8 @@ the derivative of a projector onto a constant-rank span
 (projector_derivative) with the generator derivatives built from d2
 and d_v alpha (alpha_derivative).  Only eq4's second route takes a
 finite difference (fd_tangent_projector_derivatives); it reads only
-d1, so its shifted grids take order-1 jets, and it certifies their rank
-from the metric and its inverse as the geometry does.
+d1, so its shifted grids take order-1 jets, and they pass the
+geometry's regularity gate (kaehler.regular_metric).
 """
 
 import functools
@@ -31,8 +31,7 @@ from typing import Dict, NamedTuple
 import numpy as np
 
 from . import forms, kaehler
-from .chartcalc import (RankError, _check_rank, contract_slots, eval_jet,
-                        holomorphic_basis)
+from .chartcalc import RankError, contract_slots, eval_jet, holomorphic_basis
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -67,25 +66,20 @@ def fd_tangent_projector_derivatives(geom: forms.GeometryData,
                                      h: float) -> np.ndarray:
     """Central-difference chart derivatives (G, 2m, n, n) of the tangent
     projector.  Only d1 is read, so the 2·2m shifted grids pts +- h e_v
-    are stacked into one order-1 jet call; the metric, its inverse, the
-    rank test (certified from the two, chartcalc._check_rank) and the
-    projector run on the stack, which is then split into the
-    differences.  Raises RankError where the differential on a shifted
-    grid drops rank, also where the stacked metric is singular."""
+    are stacked into one order-1 jet call; the geometry's regularity
+    gate (kaehler.regular_metric) and the projector run on the stack,
+    which is then split into the differences.  Raises as the gate does
+    where the differential on a shifted grid is not finite or drops
+    rank."""
     imm, pts = geom.imm, geom.pts
     G, d = pts.shape
     n = imm.ambient_dim
     steps = h * np.eye(d)
     # [v, 0] = pts + h e_v, [v, 1] = pts - h e_v
-    shifted = pts + np.stack([steps, -steps], axis=1)[:, :, None]
-    jet = eval_jet(imm, shifted.reshape(2 * d * G, d), order=1)
-    g = kaehler.induced_metric(jet)
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as e:
-        raise RankError("singular metric on a shifted grid: the "
-                        "differential has lost rank") from e
-    _check_rank(jet.d1, g, ginv)
+    shifted = (pts + np.stack([steps, -steps], axis=1)[:, :, None]
+               ).reshape(2 * d * G, d)
+    jet = eval_jet(imm, shifted, order=1)
+    _, ginv = kaehler.regular_metric(jet, shifted)
     P = forms.tangent_projector(jet.d1, ginv).reshape(d, 2, G, n, n)
     return np.ascontiguousarray(
         ((P[:, 0] - P[:, 1]) / (2.0 * h)).transpose(1, 0, 2, 3))

@@ -9,7 +9,8 @@ kept in the tests as a slow cross-check.
 import numpy as np
 
 from . import kernels
-from .chartcalc import Jet3, RankError, contract_slots, holomorphic_basis
+from .chartcalc import (Jet3, RankError, _check_rank, contract_slots,
+                        holomorphic_basis)
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
@@ -17,21 +18,35 @@ def induced_metric(jet: Jet3) -> np.ndarray:
     return jet.d1 @ jet.d1.transpose(0, 2, 1)
 
 
-def metric_data(jet: Jet3):
-    """(g, ginv, dg, Gamma) with dg[g,i,j,l] = d_i g_{jl} and
-    Gamma[g,k,i,j] = Gamma^k_{ij}, all from analytic jets.
-
-    dg_ijl = <d2_ij, d1_l> + <d1_j, d2_il> = T_ijl + T_ilj for the one
-    product T = d2 d1^T over the (d^2, n) values of d2."""
+def regular_metric(jet: Jet3, pts: np.ndarray):
+    """(g, ginv) at the chart points pts (G, d), certified regular: the
+    one gate of the geometry and of eq4's shifted grids.  ValueError
+    names the first point with a non-finite g; RankError marks lost rank,
+    from Cholesky (g = d1 d1^T fails it exactly there) or _check_rank."""
     g = induced_metric(jet)
-    # positive definiteness via Cholesky: g = d1 d1^T fails it exactly
-    # where d1 has numerically lost rank
+    bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError("induced metric not finite at chart point ("
+                         + ", ".join(f"{x:g}" for x in pts[bad[0]])
+                         + f") (grid point {bad[0]})")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as e:
         raise RankError("induced metric not positive definite: the "
                         "differential has lost rank") from e
     ginv = np.linalg.inv(g)
+    _check_rank(jet.d1, g, ginv)
+    return g, ginv
+
+
+def metric_data(jet: Jet3, pts: np.ndarray):
+    """(g, ginv, dg, Gamma) with dg[g,i,j,l] = d_i g_{jl} and
+    Gamma[g,k,i,j] = Gamma^k_{ij}, all from analytic jets at chart points
+    pts (g and ginv from regular_metric).
+
+    dg_ijl = <d2_ij, d1_l> + <d1_j, d2_il> = T_ijl + T_ilj for the one
+    product T = d2 d1^T over the (d^2, n) values of d2."""
+    g, ginv = regular_metric(jet, pts)
     G, d, n = jet.d1.shape
     T = (jet.d2.reshape(G, d * d, n) @ jet.d1.transpose(0, 2, 1)).reshape(
         G, d, d, d)
@@ -93,7 +108,7 @@ def normal_frame(jet: Jet3) -> np.ndarray:
     """Orthonormal real normal frame (G, n-2m, n) from the complete QR
     factorisation of d1^T: its first 2m columns span the tangent plane,
     the remaining n-2m its orthogonal complement.  d1 must have full
-    rank, which compute_geometry certifies first (chartcalc._check_rank).
+    rank, which compute_geometry certifies first (regular_metric).
 
     The gauge is arbitrary per point; only gauge-invariant (fully
     frame-contracted) quantities may be built from it, as

@@ -293,6 +293,30 @@ def test_flag_demo_fails_on_a_large_bracket_residual(residual, monkeypatch,
     assert "C1_integer_gaps: true" in text and "passed: true" in text
 
 
+def test_flag_demo_fails_on_a_nan_in_g1(monkeypatch, tmp_path):
+    flags = cli.flags
+    grade = flags.grade
+
+    def patched(elem):
+        grading = grade(elem)
+        grading.spaces[1.0][0, 0, 0] = np.nan
+        return grading
+    monkeypatch.setattr(flags, "grade", patched)
+    out = tmp_path / "report.txt"
+    assert cli.main(["flag-demo", "--report", str(out)]) == 1
+    text = out.read_text()
+    assert "bracket_residual: nan" in text
+    assert "cartan_split_residual: nan" in text
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_flag_demo_rejects_a_lambda0_that_is_not_finite(value, capsys):
+    assert cli.main(["flag-demo", f"--lambda0={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "error: lambda0 must be finite" in err
+    assert "convert" not in err
+
+
 def test_flag_demo_seeded_frames(capsys):
     assert cli.main(["flag-demo", "--algebra", "unitary",
                      "--dims", "1,2", "--seed", "7"]) == 0

@@ -251,8 +251,8 @@ def test_geometry_matches_einsum_on_fixtures(fixture_geoms, name):
     assert _max_diff(geom.alpha11, a11) < TOL
 
 
-def _assert_metric_matches_einsum(jet):
-    g, ginv, dg, Gamma = kaehler.metric_data(jet)
+def _assert_metric_matches_einsum(jet, pts):
+    g, ginv, dg, Gamma = kaehler.metric_data(jet, pts)
     assert _max_diff(g, induced_metric_ref(jet.d1)) < TOL
     assert _max_diff(dg, metric_derivative_ref(jet.d1, jet.d2)) < TOL
     assert _max_diff(Gamma, christoffel_ref(dg, ginv)) < TOL
@@ -260,13 +260,16 @@ def _assert_metric_matches_einsum(jet):
 
 @pytest.mark.parametrize("d,n", RANDOM_SHAPES)
 def test_metric_and_christoffel_match_einsum_on_random_tensors(d, n):
-    _assert_metric_matches_einsum(_random_jet(4, d, n))
+    jet = _random_jet(4, d, n)
+    # the chart points only name a point the regularity gate rejects
+    _assert_metric_matches_einsum(jet, np.zeros((jet.d1.shape[0], d)))
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_metric_and_christoffel_match_einsum_on_fixtures(fixture_geoms,
                                                          name):
-    _assert_metric_matches_einsum(fixture_geoms[name].jet)
+    geom = fixture_geoms[name]
+    _assert_metric_matches_einsum(geom.jet, geom.pts)
 
 
 @pytest.mark.parametrize("n", [3, 9])

@@ -214,24 +214,58 @@ def test_cartan_relations_match_reference(gradings, label):
         assert abs(res[key] - ref[key]) < TOL
 
 
-def test_bracket_escape_sees_a_wrong_target(gradings):
-    """[g_1, g_1] sits in g_2, [g_1, g_-1] in g_0 and [p, p] in k: with
-    g_0, an empty stack or p as the target the escape is O(1)."""
+def test_bracket_table_sees_a_wrong_target(gradings):
+    """[g_1, g_1] sits in g_2, [g_1, g_-1] in g_0 and [p, p] in k: in the
+    bracket table of a grading whose g_2 is g_0's stack or missing, whose
+    g_0 is missing, or whose levels are shifted by one, so that p is
+    named k, the escape is O(1)."""
     grading = gradings["u3:1,1,1"]
-    g1, gm1 = grading.space(1.0), grading.space(-1.0)
-    g0, g2 = grading.space(0.0), grading.space(2.0)
+    spaces = grading.spaces
+    g0, g1, gm1 = spaces[0.0], spaces[1.0], spaces[-1.0]
     empty = np.zeros((0, 3, 3), dtype=complex)
-    assert flags._bracket_escape(g1, g1, g2) < TOL
-    assert flags._bracket_escape(g1, gm1, g0) < TOL
-    for target in (g0, empty):
-        esc = flags._bracket_escape(g1, g1, target)
+    table = grading.bracket_escapes
+    assert table[1.0, 1.0][0] < TOL and table[-1.0, 1.0][0] < TOL
+
+    def table_of(relabelled):
+        return dataclasses.replace(grading, spaces=relabelled).bracket_escapes
+
+    without = {k: {j: v for j, v in spaces.items() if j != k}
+               for k in (0.0, 2.0)}
+    for target, relabelled in ((g0, {**spaces, 2.0: g0}),
+                               (empty, without[2.0])):
+        esc = table_of(relabelled)[1.0, 1.0][0]
         assert esc > 0.05 and abs(esc - bracket_rel_ref(g1, g1, target)) < TOL
-    esc = flags._bracket_escape(g1, gm1, empty)
+    esc = table_of(without[0.0])[-1.0, 1.0][0]
     assert esc > 0.05 and abs(esc - bracket_rel_ref(g1, gm1, empty)) < TOL
-    kc, pc, _ = flags.cartan_split(grading)
-    esc = flags._bracket_escape(pc, pc, pc)
+    _, pc, _ = flags.cartan_split(grading)
+    shifted = dataclasses.replace(
+        grading, spaces={k + 1.0: v for k, v in spaces.items()})
+    esc = flags.cartan_split(shifted)[2]["[k,k] in k"]
     assert esc > 0.05 and abs(esc - bracket_rel_ref(pc, pc, pc)) < TOL
-    assert flags._bracket_escape(empty, g1, empty) == 0.0
+    # one basis element brackets with nothing
+    assert table_of({1.0: g1[:1]}) == {(1.0, 1.0): (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("label", ["u3:1,1,1", "u9:3,3,3", "o8:r4",
+                                   "half-gap"])
+def test_residuals_bracket_each_level_pair_once(label, monkeypatch):
+    """cartan_split and bracket_grading_residual fold one table: each
+    unordered pair of levels is bracketed once between them."""
+    grading = flags.grade(_build(label))
+    level = {id(v): k for k, v in grading.spaces.items()}
+    pairs = []
+    commutators = flags._commutators
+
+    def spy(A, B):
+        pairs.append(tuple(sorted((level[id(A)], level[id(B)]))))
+        return commutators(A, B)
+
+    monkeypatch.setattr(flags, "_commutators", spy)
+    flags.cartan_split(grading)
+    flags.bracket_grading_residual(grading)
+    levels = sorted(grading.spaces)
+    assert sorted(pairs) == [(j, k) for i, j in enumerate(levels)
+                             for k in levels[i:]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

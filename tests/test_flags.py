@@ -183,6 +183,40 @@ def test_cartan_split_relations():
         assert kc.shape[0] + pc.shape[0] == elem.algebra_dim
 
 
+def test_bracket_folds_keep_a_nan():
+    grading = flags.grade(flags.canonical_unitary([1, 2]))
+    grading.spaces[1.0][0, 0, 0] = np.nan
+    assert np.isnan(flags.bracket_grading_residual(grading))
+    _, _, res = flags.cartan_split(grading)
+    # g_1 is odd: it enters [k,p] and [p,p], not [k,k]
+    assert np.isnan(res["[k,p] in p"]) and np.isnan(res["[p,p] in k"])
+    assert res["[k,k] in k"] < 1e-12
+
+
+@pytest.mark.parametrize("lambda0", [np.nan, np.inf, -np.inf])
+def test_canonical_unitary_rejects_a_lambda0_that_is_not_finite(lambda0):
+    with pytest.raises(ValueError, match="lambda0 must be finite"):
+        flags.canonical_unitary([1, 2], lambda0=lambda0)
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
+def test_canonical_orthogonal_rejects_a_level_not_positive_and_finite(level):
+    fr = flags.standard_isotropic_frame(4, range(1))
+    with pytest.raises(ValueError, match="positive and finite"):
+        flags.canonical_orthogonal({level: fr}, 4, real_frame=np.eye(4)[2:])
+
+
+def test_nan_frames_are_not_orthonormal():
+    frames = [np.eye(3, dtype=complex)[:1], np.eye(3, dtype=complex)[1:]]
+    frames[1][0, 2] = np.nan
+    with pytest.raises(ValueError, match="not jointly orthonormal"):
+        flags.canonical_unitary([1, 2], frames=frames)
+    fr = flags.standard_isotropic_frame(4, range(1))
+    fr[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not jointly orthonormal"):
+        flags.canonical_orthogonal({1.0: fr}, 4, real_frame=np.eye(4)[2:])
+
+
 def _lift_bundles(dP_taup, dP_taupp):
     """Coordinate projectors on C^5 at two points: tau' on e_0, e_1,
     tau'' on e_2, e_3 and the rest on e_4, with the given derivatives

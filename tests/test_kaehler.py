@@ -19,8 +19,8 @@ def _jet(name, per_axis=5):
 
 @pytest.mark.parametrize("name", ADMITTED)
 def test_metric_is_spd_and_J_compatible(name):
-    imm, _, jet = _jet(name)
-    g, ginv, _, Gamma = kaehler.metric_data(jet)
+    imm, pts, jet = _jet(name)
+    g, ginv, _, Gamma = kaehler.metric_data(jet, pts)
     assert np.allclose(np.einsum("gik,gkj->gij", g, ginv),
                        np.eye(jet.chart_dim), atol=1e-10)
     orth, par = kaehler.kaehler_residual(imm.J, g, Gamma)
@@ -29,8 +29,8 @@ def test_metric_is_spd_and_J_compatible(name):
 
 
 def test_skewed_chart_breaks_J_orthogonality():
-    imm, _, jet = _jet("skewed-plane")
-    g, _, _, Gamma = kaehler.metric_data(jet)
+    imm, pts, jet = _jet("skewed-plane")
+    g, _, _, Gamma = kaehler.metric_data(jet, pts)
     orth, _ = kaehler.kaehler_residual(imm.J, g, Gamma)
     assert orth > 1e-2
 
@@ -55,7 +55,7 @@ def test_parallelity_reads_the_connection_commutator():
                                   "product-spheres"])
 def test_metric_derivative_against_fd_oracle(name):
     imm, pts, jet = _jet(name)
-    _, _, dg, _ = kaehler.metric_data(jet)
+    _, _, dg, _ = kaehler.metric_data(jet, pts)
     h = 1e-5
     d = jet.chart_dim
     for i in range(d):
@@ -71,7 +71,7 @@ def test_catenoid_christoffel_closed_form():
     # conformal factor cosh^2(u): Gamma^u_uu = tanh u, Gamma^u_vv = -tanh u,
     # Gamma^v_uv = tanh u, all other symbols zero
     imm, pts, jet = _jet("catenoid")
-    _, _, _, Gamma = kaehler.metric_data(jet)
+    _, _, _, Gamma = kaehler.metric_data(jet, pts)
     t = np.tanh(pts[:, 0])
     expected = np.zeros_like(Gamma)
     expected[:, 0, 0, 0] = t

@@ -1,11 +1,14 @@
 """Check runner: classification, skipping, ledger comparison, reports."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from plurimean import forms, gaussmaps, pipeline, report
-from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_immersion,
-                                load_fixture_file, registry)
+from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_fixture,
+                                get_immersion, load_fixture_file, registry)
 
 
 def test_classify_tiers():
@@ -336,3 +339,55 @@ def test_nan_in_one_lift_grading_direction_is_an_error(monkeypatch):
     assert len(calls) == 2
     assert res.status == pipeline.ERROR
     assert "NaN in residual" in res.message
+
+
+# A NaN in the jets must stop at the regularity gate of both metric
+# routes with the chart point it sits at, not reach an SVD.
+
+def _nan_catenoid(index):
+    """The catenoid with a NaN in d1 at one grid point of every jet call."""
+    rec = get_fixture("catenoid")
+    imm = rec.immersion
+
+    def jet_fn(pts, order):
+        jet = imm.jet_fn(pts, order)
+        d1 = jet.d1.copy()
+        d1[index, 0, 0] = np.nan
+        return dataclasses.replace(jet, d1=d1)
+
+    return dataclasses.replace(
+        rec, name="nan-catenoid",
+        immersion=dataclasses.replace(imm, name="nan-catenoid",
+                                      jet_fn=jet_fn))
+
+
+def _not_finite_at(pts, index):
+    where = ", ".join(f"{x:g}" for x in pts[index])
+    return re.escape(f"induced metric not finite at chart point ({where}) "
+                     f"(grid point {index})")
+
+
+def test_geometry_names_the_chart_point_of_a_nan_metric():
+    imm = _nan_catenoid(7).immersion
+    pts = imm.grid(5, margin=0.1)
+    with pytest.raises(ValueError, match=_not_finite_at(pts, 7)):
+        forms.compute_geometry(imm, pts)
+    # eq4's route gates its stacked shifted grids the same way
+    geom = dataclasses.replace(
+        forms.compute_geometry(get_immersion("catenoid"), pts), imm=imm)
+    h = 1e-4
+    shifted = pts + np.stack([h * np.eye(2), -h * np.eye(2)],
+                             axis=1)[:, :, None]
+    with pytest.raises(ValueError,
+                       match=_not_finite_at(shifted.reshape(-1, 2), 7)):
+        gaussmaps.fd_tangent_projector_derivatives(geom, h)
+
+
+def test_nan_in_the_jets_reads_as_an_error_naming_the_point():
+    rec = _nan_catenoid(3)
+    cfg = pipeline.RunConfig(fixtures=[], checks=["kaehler"], grid=5)
+    (res,) = pipeline.run(cfg, extra_records=[rec]).results
+    assert res.status == pipeline.ERROR
+    pts = pipeline.FixtureContext(rec, cfg).pts
+    assert re.fullmatch("ValueError: " + _not_finite_at(pts, 3),
+                        res.message)
