@@ -203,6 +203,8 @@ def _demo_element(args):
             frames = np.split(Q.conj().T, np.cumsum(dims)[:-1])
         return flags.canonical_unitary(dims, lambda0=args.lambda0,
                                        frames=frames)
+    if not 0 <= args.r <= args.n // 2:  # the frame below rejects n < 1
+        raise ValueError(f"need 0 <= r <= n // 2, got n={args.n}, r={args.r}")
     fr = flags.standard_isotropic_frame(args.n, range(args.r))
     pos = {float(j): fr[j - 1:j] for j in range(1, args.r + 1)}
     rest = np.eye(args.n)[2 * args.r:]

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, flags, exit codes, exports."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -254,11 +255,13 @@ def test_flag_demo_exit_codes(tmp_path):
     assert cli.main(["flag-demo", "--algebra", "orthogonal",
                      "--n", "6", "--r", "2",
                      "--report", str(tmp_path / "o.txt")]) == 0
-    # so(4) with two isotropic levels fails the generation condition
-    assert cli.main(["flag-demo", "--algebra", "orthogonal",
-                     "--n", "4", "--r", "2",
-                     "--report", str(tmp_path / "bad.txt")]) == 1
-    assert "passed: false" in (tmp_path / "bad.txt").read_text()
+    # so(4) with two isotropic levels fails the generation condition,
+    # and r = 0 (xi = 0, no g_1) is a valid element that fails it too
+    for r in ("2", "0"):
+        assert cli.main(["flag-demo", "--algebra", "orthogonal",
+                         "--n", "4", "--r", r,
+                         "--report", str(tmp_path / "bad.txt")]) == 1
+        assert "passed: false" in (tmp_path / "bad.txt").read_text()
 
 
 @pytest.mark.parametrize("residual", ["A3_residual", "bracket_residual",
@@ -307,6 +310,35 @@ def test_flag_demo_fails_on_a_nan_in_g1(monkeypatch, tmp_path):
     text = out.read_text()
     assert "bracket_residual: nan" in text
     assert "cartan_split_residual: nan" in text
+
+
+def test_flag_demo_fails_on_a_nan_in_xi(monkeypatch, tmp_path):
+    """A NaN in xi fails the A3 gate while C1, C2 and the bracket
+    residuals all pass."""
+    elem = cli.flags.canonical_unitary([1, 2])
+    xi = elem.xi.copy()
+    xi[0, 1] = np.nan
+    monkeypatch.setattr(cli, "_demo_element",
+                        lambda args: dataclasses.replace(elem, xi=xi))
+    out = tmp_path / "report.txt"
+    assert cli.main(["flag-demo", "--report", str(out)]) == 1
+    text = out.read_text()
+    assert "A3_residual: nan" in text
+    assert "C1_integer_gaps: true" in text and "passed: true" in text
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--algebra", "orthogonal", "--n", "4", "--r", "3"], "n=4, r=3"),
+    (["--algebra", "orthogonal", "--n", "0", "--r", "0"], "n=0"),
+    (["--algebra", "orthogonal", "--r", "-1"], "n=4, r=-1"),
+    (["--algebra", "unitary", "--dims", ""], "got []"),
+], ids=["r-above-n-half", "n-zero", "r-negative", "dims-empty"])
+def test_flag_demo_usage_errors_exit_2(argv, named, capsys):
+    """A shape that names no element is a usage error (exit 2) with a
+    message naming the value, not a failed C1/C2 verdict (exit 1)."""
+    assert cli.main(["flag-demo", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

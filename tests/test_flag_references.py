@@ -223,19 +223,19 @@ def test_bracket_table_sees_a_wrong_target(gradings):
     spaces = grading.spaces
     g0, g1, gm1 = spaces[0.0], spaces[1.0], spaces[-1.0]
     empty = np.zeros((0, 3, 3), dtype=complex)
-    table = grading.bracket_escapes
-    assert table[1.0, 1.0][0] < TOL and table[-1.0, 1.0][0] < TOL
+    table = grading.bracket_table
+    assert table[1.0, 1.0].escape < TOL and table[-1.0, 1.0].escape < TOL
 
     def table_of(relabelled):
-        return dataclasses.replace(grading, spaces=relabelled).bracket_escapes
+        return dataclasses.replace(grading, spaces=relabelled).bracket_table
 
     without = {k: {j: v for j, v in spaces.items() if j != k}
                for k in (0.0, 2.0)}
     for target, relabelled in ((g0, {**spaces, 2.0: g0}),
                                (empty, without[2.0])):
-        esc = table_of(relabelled)[1.0, 1.0][0]
+        esc = table_of(relabelled)[1.0, 1.0].escape
         assert esc > 0.05 and abs(esc - bracket_rel_ref(g1, g1, target)) < TOL
-    esc = table_of(without[0.0])[-1.0, 1.0][0]
+    esc = table_of(without[0.0])[-1.0, 1.0].escape
     assert esc > 0.05 and abs(esc - bracket_rel_ref(g1, gm1, empty)) < TOL
     _, pc, _ = flags.cartan_split(grading)
     shifted = dataclasses.replace(
@@ -243,26 +243,46 @@ def test_bracket_table_sees_a_wrong_target(gradings):
     esc = flags.cartan_split(shifted)[2]["[k,k] in k"]
     assert esc > 0.05 and abs(esc - bracket_rel_ref(pc, pc, pc)) < TOL
     # one basis element brackets with nothing
-    assert table_of({1.0: g1[:1]}) == {(1.0, 1.0): (0.0, 0.0)}
+    (key, single), = table_of({1.0: g1[:1]}).items()
+    assert key == (1.0, 1.0) and single.coords.shape == (1, 1, 0)
+    assert (single.escape, single.cartan_escape) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("label", ["u3:1,1,1", "u9:3,3,3", "o8:r4",
+                                   "half-gap"])
+def test_bracket_table_coordinates_match_reference(gradings, label):
+    """coords[a, b] of the pair (j, k) are the HS inner products of
+    [a_j, b_k] with g_{j+k}'s basis, the within-level ones included."""
+    grading = gradings[label]
+    for (j, k), entry in grading.bracket_table.items():
+        target = grading.space(j + k)
+        A, B = grading.spaces[j], grading.spaces[k]
+        ref = np.array([[[np.vdot(t, a @ b - b @ a) for t in target]
+                         for b in B] for a in A]).reshape(entry.coords.shape)
+        assert np.max(np.abs(entry.coords - ref), initial=0.0) < TOL
 
 
 @pytest.mark.parametrize("label", ["u3:1,1,1", "u9:3,3,3", "o8:r4",
                                    "half-gap"])
 def test_residuals_bracket_each_level_pair_once(label, monkeypatch):
-    """cartan_split and bracket_grading_residual fold one table: each
-    unordered pair of levels is bracketed once between them."""
-    grading = flags.grade(_build(label))
-    level = {id(v): k for k, v in grading.spaces.items()}
-    pairs = []
+    """The C2 closure, cartan_split and bracket_grading_residual read one
+    table: each unordered pair of levels is bracketed once among them,
+    and nothing else is."""
+    calls = []
     commutators = flags._commutators
 
     def spy(A, B):
-        pairs.append(tuple(sorted((level[id(A)], level[id(B)]))))
+        calls.append((A, B))
         return commutators(A, B)
 
     monkeypatch.setattr(flags, "_commutators", spy)
+    grading = flags.grade(_build(label))
+    flags.generation_check(grading)
     flags.cartan_split(grading)
     flags.bracket_grading_residual(grading)
+    level = {id(v): k for k, v in grading.spaces.items()}
+    assert all(id(X) in level for call in calls for X in call)
+    pairs = [tuple(sorted(level[id(X)] for X in call)) for call in calls]
     levels = sorted(grading.spaces)
     assert sorted(pairs) == [(j, k) for i, j in enumerate(levels)
                              for k in levels[i:]]

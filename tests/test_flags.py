@@ -1,6 +1,7 @@
 """Canonical elements, ad-eigenspace gradings, C1/C2, Cartan splits,
 and the two-complex-structure splitting algorithm."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -204,6 +205,29 @@ def test_canonical_orthogonal_rejects_a_level_not_positive_and_finite(level):
     fr = flags.standard_isotropic_frame(4, range(1))
     with pytest.raises(ValueError, match="positive and finite"):
         flags.canonical_orthogonal({level: fr}, 4, real_frame=np.eye(4)[2:])
+
+
+def test_grade_keeps_a_nan_in_xi():
+    elem = flags.canonical_unitary([1, 2])
+    xi = elem.xi.copy()
+    xi[0, 1] = np.nan
+    grading = flags.grade(dataclasses.replace(elem, xi=xi))
+    assert np.isnan(grading.a3_residual) and grading.c1_pass
+
+
+def test_grade_keeps_a_nan_level():
+    elem = dataclasses.replace(flags.canonical_unitary([1, 2]),
+                               levels=(np.nan, 2.0))
+    grading = flags.grade(elem)
+    assert np.isnan(grading.c1_deviation) and not grading.c1_pass
+    assert np.isnan(grading.a3_residual)
+
+
+@pytest.mark.parametrize("n,pairs", [(0, []), (4, [2]), (5, [2]),
+                                     (4, [-1])])
+def test_standard_isotropic_frame_names_a_bad_pair(n, pairs):
+    with pytest.raises(ValueError, match=f"got n={n}, pairs"):
+        flags.standard_isotropic_frame(n, pairs)
 
 
 def test_nan_frames_are_not_orthonormal():

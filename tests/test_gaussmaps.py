@@ -44,6 +44,17 @@ def test_gauss_projection_lands_in_grassmannian(name):
     assert max(idem, symm, tr) < 1e-10
 
 
+def test_grassmann_invariants_see_a_perturbed_projector():
+    """P_T is a projector by construction, so no immersion makes the
+    grassmann check fail; noise of 1e-3 on the field must show in all
+    three invariants, far above their 1e-10 threshold."""
+    geom = _geom("sphere")
+    noise = np.random.default_rng(11).standard_normal(geom.P_T.shape)
+    invariants = gaussmaps.grassmann_invariants(geom.P_T + 1e-3 * noise,
+                                                geom.jet.chart_dim)
+    assert min(invariants) > 1e-4
+
+
 @pytest.mark.parametrize("name", ADMITTED)
 def test_gauss_differential_two_routes(name):
     # the FD route of eq4: the closed-form dP_T is built from alpha and

@@ -160,6 +160,21 @@ def test_rn_vanishes_on_holomorphic_pairs_for_parallel_fixtures(name):
     assert kaehler.rn_tprime_residual(geom.RN, imm.complex_dim) < 1e-10
 
 
+def test_rn_tprime_residual_reads_a_holomorphic_pair():
+    """A synthetic R^N, antisymmetric in both pairs, with one nonzero
+    block R^N(dx_1, dx_2) = A: on T' x T' it contracts to
+    <R^N(d'_1, d'_2)> = A / 4.  At m = 1 the only block,
+    R^N(dx, dy), contracts to exactly 0 on T' x T', so m = 2 is the
+    smallest case that can read it."""
+    A = np.array([[0.0, 0.7], [-0.7, 0.0]])
+    RN = np.zeros((3, 4, 4, 2, 2))
+    RN[:, 0, 2], RN[:, 2, 0] = A, -A
+    assert kaehler.rn_tprime_residual(RN, 2) == pytest.approx(0.7 / 4)
+    flat = np.zeros((3, 2, 2, 2, 2))
+    flat[:, 0, 1], flat[:, 1, 0] = A, -A
+    assert kaehler.rn_tprime_residual(flat, 1) == 0.0
+
+
 @pytest.mark.parametrize("name", ["sphere", "cylinder", "veronese",
                                   "product-spheres"])
 def test_sublemma_intertwining(name):
