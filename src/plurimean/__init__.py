@@ -9,7 +9,7 @@ the flag-manifold linear algebra behind the superhorizontal lifts.
 
 __version__ = "0.1.0"
 
-from .chartcalc import ChartedImmersion, Jet3, eval_jet, fd_jet_oracle, project_type
+from .chartcalc import ChartedImmersion, Jet3, eval_jet, fd_jet_oracle
 from .fixtures import registry
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Jet3",
     "eval_jet",
     "fd_jet_oracle",
-    "project_type",
     "registry",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Charted immersions, their jets, and (1,0)/(0,1) tangent projections.
+"""Charted immersions, their jets, and the (1,0) coordinate basis.
 
 Coordinates on a chart of complex dimension m are ordered
 (x1, y1, ..., xm, ym), so the complex structure J acts as a constant
@@ -51,14 +51,6 @@ class Jet3:
     @property
     def ambient_dim(self) -> int:
         return self.value.shape[1]
-
-
-@dataclass(frozen=True)
-class ComplexTangent:
-    """Tangent vector in chart coordinates, possibly complexified."""
-
-    components: np.ndarray  # (2m,) complex
-    type_tag: str = "general"  # one of {"general", "(1,0)", "(0,1)"}
 
 
 @dataclass
@@ -208,17 +200,6 @@ def eval_jet(imm: ChartedImmersion, pts: np.ndarray,
     (kaehler.regular_metric)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return imm.jet_fn(pts, order)
-
-
-def project_type(v: ComplexTangent, which: str, m: int) -> ComplexTangent:
-    """(1,0)/(0,1) projections pi'(v) = (v - iJv)/2, pi''(v) = (v + iJv)/2."""
-    J = standard_J(m)
-    comp = np.asarray(v.components, dtype=complex)
-    if which == "(1,0)":
-        return ComplexTangent(0.5 * (comp - 1j * (J @ comp)), "(1,0)")
-    if which == "(0,1)":
-        return ComplexTangent(0.5 * (comp + 1j * (J @ comp)), "(0,1)")
-    raise ValueError(f"unknown projection type {which!r}")
 
 
 def holomorphic_basis(m: int) -> np.ndarray:

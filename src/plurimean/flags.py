@@ -18,7 +18,8 @@ coordinates, with no n x n bracket inside a round.
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -162,8 +163,11 @@ class Bracket(NamedTuple):
 
 @dataclass
 class Grading:
+    """The graded pieces of one element.  grade makes the spaces and
+    their mapping read-only, since bracket_table is cached from them."""
+
     elem: CanonicalElement
-    spaces: Dict[float, np.ndarray]   # gap -> HS-orthonormal (d, n, n)
+    spaces: Mapping[float, np.ndarray]  # gap -> HS-orthonormal (d, n, n)
     c1_pass: bool
     c1_deviation: float               # max distance of a gap to Z
     a3_residual: float
@@ -236,6 +240,7 @@ def grade(elem: CanonicalElement) -> Grading:
             continue
         ad = xi @ stack - stack @ xi
         a3.append(np.max(np.abs(ad - 1j * k * stack)))
+        stack.setflags(write=False)
         spaces[k] = stack
 
     total = sum(v.shape[0] for v in spaces.values())
@@ -248,7 +253,7 @@ def grade(elem: CanonicalElement) -> Grading:
     c1 = c1_dev <= 1e-9
     if c1:
         spaces = {float(round(k)): v for k, v in spaces.items()}
-    return Grading(elem=elem, spaces=spaces, c1_pass=c1,
+    return Grading(elem=elem, spaces=MappingProxyType(spaces), c1_pass=c1,
                    c1_deviation=c1_dev, a3_residual=float(np.max(a3)))
 
 

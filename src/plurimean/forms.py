@@ -7,9 +7,13 @@ the grid axis: the metric d1 d1^T and its derivative from one product
 d2 d1^T (kaehler.metric_data), the tangent projector d1^T (g^{-1} d1),
 the Christoffel contractions of alpha and D alpha with Gamma laid out
 as a (d^2, d) matrix per point, and the normal projection as a product
-with P_T^T.  g and g^{-1} come from the regularity gate
-kaehler.regular_metric, which certifies the rank of d1 from the two, so
-no point runs an SVD unless its metric is ill-conditioned.
+with P_T^T; a transposed operand is copied to unit stride first, so
+numpy takes BLAS rather than its strided loop.  g and g^{-1} come from
+the regularity gate kaehler.regular_metric, which certifies the rank of
+d1 from the two, so no point runs an SVD unless its metric is
+ill-conditioned.  The normal frame (a QR of d1^T) is formed only when
+read: on a normal line R^N is 0 in closed form, so the family path of a
+surface in R^3 runs no QR.
 Both slots of a form are contracted at once, as one product of a
 Kronecker matrix with the (d^2, n) values (chartcalc.contract_slots):
 kron(B, B) and kron(B, conj B) for the (2,0)- and (1,1)-parts, and
@@ -42,23 +46,32 @@ class GeometryData:
     Dalpha: np.ndarray   # (G, d, d, d, n), [k,i,j] = (D_k alpha)(i,j)
     alpha20: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d'_b)
     alpha11: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d''_b)
-    frame: np.ndarray    # (G, n-d, n) real orthonormal normal frame
 
-    # the curvatures are computed on first read: a fixture that the
-    # kaehler check rejects never reads them
+    # the normal frame and the curvatures are computed on first read: a
+    # fixture that the kaehler check rejects never reads them, and the
+    # family path reads no frame
+    @functools.cached_property
+    def frame(self) -> np.ndarray:
+        """(G, n-d, n) real orthonormal normal frame."""
+        return kaehler.normal_frame(self.jet)
+
     @functools.cached_property
     def R(self) -> np.ndarray:
         return kaehler.curvature_from_gauss(self.alpha)
 
     @functools.cached_property
     def RN(self) -> np.ndarray:
+        G, d, _, n = self.alpha.shape
+        if n - d == 1:
+            # a skew endomorphism of a normal line is 0 (Ricci equation)
+            return np.zeros((G, d, d, 1, 1))
         return kaehler.normal_curvature(self.alpha, self.g, self.ginv,
                                         self.frame)
 
 
 def tangent_projector(d1: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """P = d1^T g^{-1} d1: orthogonal projection onto the tangent plane."""
-    return d1.transpose(0, 2, 1) @ (ginv @ d1)
+    return np.ascontiguousarray(d1.transpose(0, 2, 1)) @ (ginv @ d1)
 
 
 def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
@@ -80,7 +93,7 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     P_T = tangent_projector(jet.d1, ginv)
     Dalpha = jet.d3 - (Gam[:, None] @ jet.d2).reshape(G, d, d, d, n)
     amb = Dalpha.reshape(G, d ** 3, n)
-    amb -= amb @ P_T.transpose(0, 2, 1)
+    amb -= amb @ np.ascontiguousarray(P_T.transpose(0, 2, 1))
     # [k,i,j] = Gamma^l_ki alpha_lj; the second correction
     # Gamma^l_kj alpha_il is its (i, j) transpose, because alpha and
     # Gamma are exactly symmetric in their lower indices
@@ -92,10 +105,9 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     alpha20 = contract_slots(B, B, alpha)
     alpha11 = contract_slots(B, B.conj(), alpha)
 
-    frame = kaehler.normal_frame(jet)
     return GeometryData(imm=imm, pts=pts, jet=jet, g=g, ginv=ginv,
                         P_T=P_T, Gamma=Gamma, alpha=alpha, Dalpha=Dalpha,
-                        alpha20=alpha20, alpha11=alpha11, frame=frame)
+                        alpha20=alpha20, alpha11=alpha11)
 
 
 # ------------------------------------------------------------- residuals

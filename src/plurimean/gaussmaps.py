@@ -381,13 +381,3 @@ def gauss_section_check(geom: forms.GeometryData, bun: Bundles,
         np.einsum("gxy,gay->gax", P_out, dfp))))
     return normality, tangency, mc.radius_spread
 
-
-def isotropy_invariants(bun: Bundles):
-    """Structural residuals: conjugation symmetry of N''/N', conjugation
-    invariance of N°, isotropy of tau'."""
-    conj_sym = float(np.max(np.abs(bun.Npp.P - bun.Np.P.conj())))
-    no_real = float(np.max(np.abs(bun.No.P - bun.No.P.conj())))
-    # symmetric product on tau': P' J_sym P'^T with the plain transpose
-    iso = float(np.max(np.abs(
-        np.einsum("gxy,gzy->gxz", bun.taup.P, bun.taup.P))))
-    return conj_sym, no_real, iso

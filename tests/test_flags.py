@@ -184,14 +184,34 @@ def test_cartan_split_relations():
         assert kc.shape[0] + pc.shape[0] == elem.algebra_dim
 
 
+def _with_nan_in_g1(grading):
+    """A copy of the grading with one NaN entry in g_1."""
+    g1 = grading.spaces[1.0].copy()
+    g1[0, 0, 0] = np.nan
+    return dataclasses.replace(grading,
+                               spaces={**grading.spaces, 1.0: g1})
+
+
 def test_bracket_folds_keep_a_nan():
-    grading = flags.grade(flags.canonical_unitary([1, 2]))
-    grading.spaces[1.0][0, 0, 0] = np.nan
+    grading = _with_nan_in_g1(flags.grade(flags.canonical_unitary([1, 2])))
     assert np.isnan(flags.bracket_grading_residual(grading))
     _, _, res = flags.cartan_split(grading)
     # g_1 is odd: it enters [k,p] and [p,p], not [k,k]
     assert np.isnan(res["[k,p] in p"]) and np.isnan(res["[p,p] in k"])
     assert res["[k,k] in k"] < 1e-12
+
+
+def test_graded_spaces_are_read_only():
+    """bracket_table is cached on first read, so a space written after
+    it would leave a stale table: grade's spaces refuse the write."""
+    grading = flags.grade(flags.canonical_unitary([1, 2]))
+    assert flags.bracket_grading_residual(grading) < 1e-12
+    for space in grading.spaces.values():
+        with pytest.raises(ValueError, match="read-only"):
+            space[0, 0, 0] = np.nan
+    with pytest.raises(TypeError):
+        grading.spaces[1.0] = np.zeros_like(grading.spaces[1.0])
+    assert flags.generation_check(grading).passed
 
 
 @pytest.mark.parametrize("lambda0", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,8 @@
 """The geometry pass and the family integration call no index-loop
 np.einsum and no per-point np.linalg.svd: their contractions are batched
-`@` products and their rank test is certified from g and g^-1."""
+`@` products and their rank test is certified from g and g^-1.  The
+family path forms no normal frame (np.linalg.qr): only R^N of a normal
+bundle of rank >= 2 reads it."""
 
 import numpy as np
 import pytest
@@ -9,16 +11,27 @@ from plurimean import family, forms, pipeline
 from plurimean.fixtures import get_immersion, registry
 
 
-@pytest.fixture
-def hot_calls(monkeypatch):
-    """Names of the np.einsum and np.linalg.svd calls made in the test."""
+def _spy(monkeypatch, targets):
+    """Names of the calls to the (module, name) targets made in the test."""
     calls = []
-    for module, name in ((np, "einsum"), (np.linalg, "svd")):
+    for module, name in targets:
         def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
     return calls
+
+
+@pytest.fixture
+def hot_calls(monkeypatch):
+    """Names of the np.einsum and np.linalg.svd calls made in the test."""
+    return _spy(monkeypatch, ((np, "einsum"), (np.linalg, "svd")))
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Names of the np.linalg.qr calls made in the test."""
+    return _spy(monkeypatch, ((np.linalg, "qr"),))
 
 
 def test_geometry_calls_no_einsum_and_no_svd(hot_calls):
@@ -35,3 +48,10 @@ def test_family_integration_calls_no_einsum_and_no_svd(hot_calls):
     family.integrate_family(get_immersion("catenoid"), np.pi / 2,
                             per_axis=201)
     assert hot_calls == []
+
+
+def test_family_path_forms_no_normal_frame(qr_calls):
+    member = family.integrate_family(get_immersion("catenoid"), np.pi / 2,
+                                     per_axis=201)
+    family.structure_equation_residuals(member.geom, family.THETA_SWEEP)
+    assert qr_calls == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plurimean import kaehler
+from plurimean import kaehler, pipeline
 from plurimean.chartcalc import eval_jet, standard_J
 from plurimean.fixtures import fixture_names, get_immersion, registry
 from plurimean.forms import compute_geometry
@@ -181,3 +181,34 @@ def test_sublemma_intertwining(name):
     imm = get_immersion(name)
     geom = compute_geometry(imm, imm.grid(5, margin=0.05))
     assert kaehler.sublemma_residual(geom) < 1e-10
+
+
+NORMAL_LINE = [r.name for r in registry()
+               if r.immersion.ambient_dim - 2 * r.immersion.complex_dim == 1]
+
+
+def _registry_geometry(name):
+    rec = next(r for r in registry() if r.name == name)
+    pts = pipeline.FixtureContext(rec, pipeline.RunConfig()).pts
+    return compute_geometry(rec.immersion, pts)
+
+
+def test_normal_line_fixtures_are_the_eight_surfaces_in_r3():
+    assert len(NORMAL_LINE) == 8
+
+
+@pytest.mark.parametrize("name", NORMAL_LINE)
+def test_closed_form_rn_of_a_normal_line_is_the_frame_based_one(name):
+    geom = _registry_geometry(name)
+    ref = kaehler.normal_curvature(geom.alpha, geom.g, geom.ginv,
+                                   kaehler.normal_frame(geom.jet))
+    assert geom.RN.shape == ref.shape
+    assert np.max(np.abs(geom.RN - ref)) == 0.0
+
+
+@pytest.mark.parametrize("name", ["holomorphic-curve", "product-spheres",
+                                  "veronese"])
+def test_lazy_frame_is_the_qr_frame(name):
+    geom = _registry_geometry(name)
+    assert "frame" not in vars(geom)
+    assert np.array_equal(geom.frame, kaehler.normal_frame(geom.jet))
