@@ -7,6 +7,7 @@ grid axis ``G`` followed by chart indices (``d = 2m``) and the ambient
 axis ``n``.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -130,66 +131,46 @@ def _check_rank(d1: np.ndarray, g: np.ndarray, ginv: np.ndarray):
                         f"{int(bad.sum())} grid point(s)")
 
 
+def central_differences(fn: Callable[[np.ndarray], np.ndarray],
+                        pts: np.ndarray, h: float) -> np.ndarray:
+    """(fn(pts + h e_k) - fn(pts - h e_k)) / 2h, (G, d, ...) with [:, k]
+    along chart axis k, from one call of fn (points (P, d) -> values
+    (P, ...)) on the 2d shifted grids stacked.  It checks no domain:
+    each caller checks once for its stencil's full reach
+    (_check_boundary, 3h), also when it nests differences."""
+    G, d = pts.shape
+    steps = h * np.eye(d)
+    # [k, 0] = pts + h e_k, [k, 1] = pts - h e_k
+    out = fn((pts + np.stack([steps, -steps], axis=1)[:, :, None]
+              ).reshape(2 * d * G, d))
+    out = out.reshape(d, 2, G, *out.shape[1:])
+    return np.ascontiguousarray(
+        np.moveaxis((out[:, 0] - out[:, 1]) / (2.0 * h), 0, 1))
+
+
 def fd_d1(imm: ChartedImmersion, pts: np.ndarray,
           h: float = 1e-4) -> np.ndarray:
     """Central-difference first derivatives (G, 2m, n),
     (f(p + h e_k) - f(p - h e_k)) / 2h, 2nd-order accurate."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     _check_boundary(imm, pts, h)
-    G, d = pts.shape
-    d1 = np.empty((G, d, imm.ambient_dim))
-    for k in range(d):
-        ek = np.zeros(d)
-        ek[k] = h
-        d1[:, k] = (imm.evaluate(pts + ek)
-                    - imm.evaluate(pts - ek)) / (2.0 * h)
-    return d1
+    return central_differences(imm.evaluate, pts, h)
 
 
 def fd_jet_oracle(imm: ChartedImmersion, pts: np.ndarray,
                   h: float = 1e-4) -> Jet3:
     """Central-difference jet, 2nd-order accurate; test oracle only.
 
-    Third derivatives are central differences of the FD second
-    derivatives and carry the usual eps/h^3 round-off, so callers use a
-    larger step for d3 comparisons.
+    Each order is the central difference of the order below, so d3
+    reads f at offsets up to 3h along each axis, and carries the usual
+    eps/h^3 round-off: callers use a larger step for d3 comparisons.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     _check_boundary(imm, pts, h)
-    G, d = pts.shape
-    f = imm.evaluate
-    n = imm.ambient_dim
-
-    def d2_at(q):
-        """FD second derivatives at points q, shape (G, d, d, n)."""
-        out = np.empty((q.shape[0], d, d, n))
-        f0 = f(q)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h
-            out[:, i, i] = (f(q + ei) - 2.0 * f0 + f(q - ei)) / h**2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = h
-                mixed = (f(q + ei + ej) - f(q + ei - ej)
-                         - f(q - ei + ej) + f(q - ei - ej)) / (4.0 * h**2)
-                out[:, i, j] = mixed
-                out[:, j, i] = mixed
-        return out
-
-    value = f(pts)
-    d1 = fd_d1(imm, pts, h)
-    d3 = np.empty((G, d, d, d, n))
-    for k in range(d):
-        ek = np.zeros(d)
-        ek[k] = h
-        d3[:, k] = (d2_at(pts + ek) - d2_at(pts - ek)) / (2.0 * h)
-    d2 = d2_at(pts)
-    # symmetrize d3 over all index permutations
-    d3 = (d3 + d3.transpose(0, 2, 1, 3, 4) + d3.transpose(0, 2, 3, 1, 4)
-          + d3.transpose(0, 3, 1, 2, 4) + d3.transpose(0, 3, 2, 1, 4)
-          + d3.transpose(0, 1, 3, 2, 4)) / 6.0
-    return Jet3(value=value, d1=d1, d2=d2, d3=d3)
+    d1 = functools.partial(central_differences, imm.evaluate, h=h)
+    d2 = functools.partial(central_differences, d1, h=h)
+    return Jet3(value=imm.evaluate(pts), d1=d1(pts), d2=d2(pts),
+                d3=central_differences(d2, pts, h))
 
 
 def eval_jet(imm: ChartedImmersion, pts: np.ndarray,

@@ -142,8 +142,6 @@ def cmd_verify(args) -> int:
     extra = []
     if args.fixture_file:
         extra.append(fixtures.load_fixture_file(args.fixture_file))
-        if args.fixtures != "all":
-            names = [n for n in names if n != extra[0].name]
     cfg = pipeline.RunConfig(
         fixtures=names, checks=_parse_list(args.checks),
         grid=args.grid, h=args.h, tol_tier1=args.tol_tier1,
@@ -180,11 +178,9 @@ def cmd_family(args) -> int:
         for th, (g, c, r) in zip(family.THETA_SWEEP, res.tolist()):
             closed = member.closedness if th == theta else \
                 family.closedness_residual(geom, th)
-            rows.append({"gauss": g, "codazzi": c, "ricci": r,
-                         "closedness": closed})
-        report.write_sweep_csv(
-            args.sweep_csv,
-            report.sweep_rows(args.fixture, family.THETA_SWEEP, rows))
+            rows.append({"fixture": args.fixture, "theta": th, "gauss": g,
+                         "codazzi": c, "ricci": r, "closedness": closed})
+        report.write_sweep_csv(args.sweep_csv, rows)
         tree["sweep_csv"] = args.sweep_csv
     _emit(report.render_tree(tree) + "\n", args.report)
     return 0

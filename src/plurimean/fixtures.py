@@ -212,7 +212,8 @@ def load_fixture_file(path) -> FixtureRecord:
 
     Recognized keys (one `key: value` pair per line, '#' comments):
     name, formula, n, m, domain (2m pairs of floats), jets (only
-    'analytic' is accepted), grid (points per chart axis, at least 5).
+    'analytic' is accepted), grid (points per chart axis, at least 5);
+    any other key is a ValueError.
     The formula must name a chart from the built-in catalog; n and m, if
     given, are validated against it; domain overrides the default box;
     without grid the catalog's grid applies, else the run's.
@@ -226,7 +227,10 @@ def load_fixture_file(path) -> FixtureRecord:
         if ":" not in line:
             raise ValueError(f"malformed fixture line: {raw!r}")
         k, val = line.split(":", 1)
-        kv[k.strip().lower()] = val.strip()
+        k = k.strip().lower()
+        if k not in ("name", "formula", "n", "m", "domain", "jets", "grid"):
+            raise ValueError(f"unknown fixture key {k!r} in {raw!r}")
+        kv[k] = val.strip()
 
     formula = kv.get("formula", kv.get("name"))
     if formula is None:

@@ -17,7 +17,7 @@ coordinates, with no n x n bracket inside a round.
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -41,7 +41,6 @@ class CanonicalElement:
     xi: np.ndarray                 # (n, n) complex; -i xi is Hermitian
     levels: Tuple[float, ...]      # eigenvalues of -i xi, ascending
     frames: Tuple[np.ndarray, ...]  # orthonormal row stacks per level
-    lambda0: float = 0.0
 
     @property
     def algebra_dim(self) -> int:
@@ -57,6 +56,14 @@ def _check_orthonormal(frames, n):
             not np.max(np.abs(gram - np.eye(stack.shape[0]))) <= _ORTHO_TOL:
         raise ValueError("frames are not jointly orthonormal")
     return stack
+
+
+def _xi(levels, frames, n) -> np.ndarray:
+    """xi = i sum_j lambda_j E_j, E_j the projector onto frames[j]."""
+    xi = np.zeros((n, n), dtype=complex)
+    for lv, fr in zip(levels, frames):
+        xi += 1j * lv * (fr.T @ fr.conj())
+    return xi
 
 
 def canonical_unitary(dims, lambda0: float = 0.0,
@@ -79,12 +86,9 @@ def canonical_unitary(dims, lambda0: float = 0.0,
             raise ValueError(f"frame rows have width {f.shape[-1]}, "
                              f"expected n = sum(dims) = {n}")
     _check_orthonormal(frames, n)
-    xi = np.zeros((n, n), dtype=complex)
-    for j, fr in enumerate(frames, start=1):
-        xi += 1j * (lambda0 + j) * (fr.T @ fr.conj())
     levels = tuple(float(lambda0 + j) for j in range(1, len(dims) + 1))
-    return CanonicalElement(tag=UNITARY, n=n, xi=xi, levels=levels,
-                            frames=tuple(frames), lambda0=float(lambda0))
+    return CanonicalElement(tag=UNITARY, n=n, xi=_xi(levels, frames, n),
+                            levels=levels, frames=tuple(frames))
 
 
 def canonical_orthogonal(pos_frames: Dict[float, np.ndarray], n: int,
@@ -114,9 +118,7 @@ def canonical_orthogonal(pos_frames: Dict[float, np.ndarray], n: int,
     stack = _check_orthonormal(frames, n)
     if stack.shape[0] != n:
         raise ValueError(f"frames span dim {stack.shape[0]} != n = {n}")
-    xi = np.zeros((n, n), dtype=complex)
-    for lv, fr in zip(levels, frames):
-        xi += 1j * lv * (fr.T @ fr.conj())
+    xi = _xi(levels, frames, n)
     if np.max(np.abs(xi.imag)) > 1e-12:
         raise ValueError("xi is not real; check E_{-j} = conj(E_j) and "
                          "the isotropy of the positive frames")
@@ -161,10 +163,11 @@ class Bracket(NamedTuple):
     cartan_escape: float  # off its Cartan target: k for j = k mod 2, else p
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grading:
-    """The graded pieces of one element.  grade makes the spaces and
-    their mapping read-only, since bracket_table is cached from them."""
+    """The graded pieces of one element.  bracket_table is cached from
+    the spaces, so the grading is frozen, and grade makes the spaces
+    and their mapping read-only."""
 
     elem: CanonicalElement
     spaces: Mapping[float, np.ndarray]  # gap -> HS-orthonormal (d, n, n)
@@ -320,11 +323,11 @@ def generation_check(grading: Grading) -> C2Report:
     random frames) no round's largest coordinate-row norm was below 0.69.
 
     Commutators are traceless, so a unitary closure reaches at most
-    sl(n); C2 passes when W plus the center I/sqrt(n), whose g_0
-    coordinates are appended to W_0, fills the complexified algebra.
+    sl(n), and the center I/sqrt(n) is HS-orthogonal to it: C2 passes
+    when the closure plus the center's one dimension fills the
+    complexified algebra.
     """
     elem = grading.elem
-    n = elem.n
     spanned = sum(v.shape[0] for v in grading.spaces.values())
     if spanned != elem.algebra_dim:
         raise ValueError(f"grading spaces span {spanned} dimensions, "
@@ -361,16 +364,9 @@ def generation_check(grading: Grading) -> C2Report:
                 new[k] = vh
     closure_dim = sum(w.shape[0] for w in W.values())
     center_dim = int(elem.tag == UNITARY)
-    full = closure_dim
-    if center_dim:
-        g0 = grading.spaces[level[0]].reshape(-1, n * n)
-        W0 = W.get(0, np.zeros((0, g0.shape[0]), dtype=complex))
-        c = np.eye(n).reshape(1, n * n) / np.sqrt(n) @ g0.conj().T
-        full += (_orthonormalize_stack(np.concatenate([W0, c])).shape[0]
-                 - W0.shape[0])
     return C2Report(closure_dim=closure_dim, center_dim=center_dim,
                     algebra_dim=elem.algebra_dim,
-                    passed=(full == elem.algebra_dim))
+                    passed=(closure_dim + center_dim == elem.algebra_dim))
 
 
 def _stack(grading: Grading, keep) -> np.ndarray:
@@ -464,7 +460,6 @@ class SplitResult:
     blocks: List[StructureBlock]
     reconstruction_error: float
     identity_residuals: Dict[str, float]
-    warnings: List[str] = field(default_factory=list)
 
 
 def _validate_complex_structure(M, name="J"):
@@ -499,23 +494,14 @@ def split_two_complex_structures(J: np.ndarray, Jt: np.ndarray
         "LA+AL": float(np.max(np.abs(L @ A + A @ L))),
     }
 
-    ev, V = np.linalg.eigh(A @ A)  # eigenvalues in [-1, 0]
-    warnings = []
-    clusters = []  # list of (mean eigenvalue, column indices)
-    for idx in range(d):
-        if clusters and ev[idx] - clusters[-1][1][-1][1] < _MERGE_GAP:
-            clusters[-1][1].append((idx, ev[idx]))
-        else:
-            clusters.append((ev[idx], [(idx, ev[idx])]))
-    if any(abs(c[1][0][1] - c[1][-1][1]) > 10 * _MERGE_GAP
-           for c in clusters):
-        warnings.append("near-degenerate eigenvalue clusters merged")
-
+    ev, V = np.linalg.eigh(A @ A)  # eigenvalues in [-1, 0], ascending
+    # clusters split where neighbours are not within _MERGE_GAP; not
+    # (gap < _MERGE_GAP), so a NaN gap splits rather than merges
+    gaps = ~(np.diff(ev) < _MERGE_GAP)
     blocks = []
-    for mean_ev, members in clusters:
-        cols = [i for i, _ in members]
+    for cols in np.split(np.arange(d), np.flatnonzero(gaps) + 1):
         B = V[:, cols]  # (d, k) orthonormal
-        s2 = float(np.clip(-np.mean([e for _, e in members]), 0.0, 1.0))
+        s2 = float(np.clip(-np.mean(ev[cols]), 0.0, 1.0))
         s = float(np.sqrt(s2))
         Jb = B.T @ J @ B
         Jtb = B.T @ Jt @ B
@@ -543,4 +529,4 @@ def split_two_complex_structures(J: np.ndarray, Jt: np.ndarray
         recon += P @ Jt @ P
     err = float(np.max(np.abs(recon - Jt)))
     return SplitResult(blocks=blocks, reconstruction_error=err,
-                       identity_residuals=ident, warnings=warnings)
+                       identity_residuals=ident)

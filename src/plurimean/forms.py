@@ -135,10 +135,8 @@ def eq2_consistency_residual(geom: GeometryData) -> float:
 
 def ppmc_residual(geom: GeometryData) -> float:
     """sup |D(alpha^{(1,1)})|: covariant derivative of the pluri-mean
-    part, computed from D(alpha) by J-averaging (tensorial in (i,j))."""
-    J = geom.imm.J
-    rotated = contract_slots(J.T, J.T, geom.Dalpha)
-    return float(np.max(np.abs(0.5 * (geom.Dalpha + rotated))))
+    part, the (1,1)-part of D(alpha) in (i,j), since J is parallel."""
+    return float(np.max(np.abs(alpha11_on_real(geom.Dalpha, geom.imm.J))))
 
 
 def pluriminimal_residual(geom: GeometryData) -> float:
@@ -155,7 +153,6 @@ def codazzi_residual(geom: GeometryData) -> float:
 @dataclass(frozen=True)
 class MeanCurvatureData:
     eta: np.ndarray            # (G, n)
-    A_eta: np.ndarray          # (G, d, d)
     kappa: float
     off_identity: float        # sup |A_eta - kappa I|
     center: Optional[np.ndarray]       # (n,) when spherical
@@ -175,8 +172,8 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
     common sphere center and |f - m| the radius."""
     d = geom.jet.chart_dim
     eta = np.einsum("gij,gijx->gx", geom.ginv, geom.alpha) / d
-    M = np.einsum("gijx,gx->gij", geom.alpha, eta)
-    A_eta = np.einsum("gik,gkj->gij", geom.ginv, M)
+    A_eta = kaehler.shape_operator(geom.alpha, geom.g, geom.ginv,
+                                   geom.jet.d1, eta)
     kappa = float(np.mean(np.trace(A_eta, axis1=1, axis2=2)) / d)
     off = float(np.max(np.abs(A_eta - kappa * np.eye(d))))
     spherical = off < _SPHERE_TOL and abs(kappa) > _SPHERE_TOL
@@ -190,10 +187,9 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
     else:
         center, center_spread = None, np.inf
         radius, radius_spread = None, np.inf
-    return MeanCurvatureData(eta=eta, A_eta=A_eta, kappa=kappa,
-                             off_identity=off, center=center,
-                             center_spread=center_spread, radius=radius,
-                             radius_spread=radius_spread,
+    return MeanCurvatureData(eta=eta, kappa=kappa, off_identity=off,
+                             center=center, center_spread=center_spread,
+                             radius=radius, radius_spread=radius_spread,
                              spherical=spherical)
 
 

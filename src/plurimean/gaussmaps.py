@@ -19,9 +19,9 @@ grid: d_v P_T from alpha, and the generator bundles tau', N°, N' from
 the derivative of a projector onto a constant-rank span
 (projector_derivative) with the generator derivatives built from d2
 and d_v alpha (alpha_derivative).  Only eq4's second route takes a
-finite difference (fd_tangent_projector_derivatives); it reads only
-d1, so its shifted grids take order-1 jets, and they pass the
-geometry's regularity gate (kaehler.regular_metric).
+finite difference (fd_tangent_projector_derivatives, on the shared
+stencil chartcalc.central_differences); its shifted grids take
+order-1 jets and pass the geometry's regularity gate.
 """
 
 import functools
@@ -31,7 +31,8 @@ from typing import Dict, NamedTuple
 import numpy as np
 
 from . import forms, kaehler
-from .chartcalc import RankError, contract_slots, eval_jet, holomorphic_basis
+from .chartcalc import (RankError, _check_boundary, central_differences,
+                        contract_slots, eval_jet, holomorphic_basis)
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -65,24 +66,19 @@ def dgauss_check(geom: forms.GeometryData, dP_T: np.ndarray) -> float:
 def fd_tangent_projector_derivatives(geom: forms.GeometryData,
                                      h: float) -> np.ndarray:
     """Central-difference chart derivatives (G, 2m, n, n) of the tangent
-    projector.  Only d1 is read, so the 2·2m shifted grids pts +- h e_v
-    are stacked into one order-1 jet call; the geometry's regularity
-    gate (kaehler.regular_metric) and the projector run on the stack,
-    which is then split into the differences.  Raises as the gate does
-    where the differential on a shifted grid is not finite or drops
-    rank."""
-    imm, pts = geom.imm, geom.pts
-    G, d = pts.shape
-    n = imm.ambient_dim
-    steps = h * np.eye(d)
-    # [v, 0] = pts + h e_v, [v, 1] = pts - h e_v
-    shifted = (pts + np.stack([steps, -steps], axis=1)[:, :, None]
-               ).reshape(2 * d * G, d)
-    jet = eval_jet(imm, shifted, order=1)
-    _, ginv = kaehler.regular_metric(jet, shifted)
-    P = forms.tangent_projector(jet.d1, ginv).reshape(d, 2, G, n, n)
-    return np.ascontiguousarray(
-        ((P[:, 0] - P[:, 1]) / (2.0 * h)).transpose(1, 0, 2, 3))
+    projector: the 2·2m shifted grids take one order-1 jet call and the
+    regularity gate (kaehler.regular_metric).  Raises BoundaryError
+    within 3h of the domain boundary, and as the gate does where a
+    shifted differential is not finite or drops rank."""
+    imm = geom.imm
+    _check_boundary(imm, geom.pts, h)
+
+    def tangent_projector(q):
+        jet = eval_jet(imm, q, order=1)
+        _, ginv = kaehler.regular_metric(jet, q)
+        return forms.tangent_projector(jet.d1, ginv)
+
+    return central_differences(tangent_projector, geom.pts, h)
 
 
 def gauss_levi_residual(geom: forms.GeometryData) -> float:

@@ -82,7 +82,8 @@ def curvature_symmetry_residual(R: np.ndarray) -> float:
     r1 = np.max(np.abs(R + R.transpose(0, 2, 1, 3, 4)))
     r2 = np.max(np.abs(R + R.transpose(0, 1, 2, 4, 3)))
     r3 = np.max(np.abs(R - R.transpose(0, 3, 4, 1, 2)))
-    return float(max(r1, r2, r3))
+    # np.max, not max(): a NaN must reach the caller
+    return float(np.max([r1, r2, r3]))
 
 
 def kaehler_curvature_identity_residual(R: np.ndarray, m: int) -> float:

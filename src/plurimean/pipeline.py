@@ -352,15 +352,11 @@ def run(config: RunConfig, extra_records=()) -> Report:
         for row in selected:
             check = row.name
             t0 = time.perf_counter()
-            if check != "kaehler" and not admitted:
-                results.append(CheckResult(
-                    fixture=name, check=check, status=SKIPPED,
-                    residual=None, threshold=None, expected=None,
-                    message="fixture not admitted as Kaehler"))
-                continue
             expected = row.expect(rec.flags)
             tol = row.tolerance(config)
             try:
+                if check != "kaehler" and not admitted:
+                    raise _Skip("fixture not admitted as Kaehler")
                 res, extras = CHECKS[check](ctx)
                 # a NaN compares false with every threshold
                 nan = [k for k, v in [("residual", res), *extras.items()]

@@ -5,7 +5,7 @@ of integrated family members.
 
 import csv
 import io
-from typing import Dict, List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -48,7 +48,9 @@ def report_tree(report: Report) -> dict:
     tree: dict = {
         "run": {
             "version": report.version,
-            "fixtures": ", ".join(cfg.fixtures),
+            # the fixtures that ran, in run order, a fixture file's too
+            "fixtures": ", ".join(dict.fromkeys(
+                r.fixture for r in report.results)),
             "grid": cfg.grid,
             "h": cfg.h,
             "tol_tier1": cfg.tol_tier1,
@@ -86,17 +88,6 @@ def report_tree(report: Report) -> dict:
 
 def render_report(report: Report) -> str:
     return render_tree(report_tree(report)) + "\n"
-
-
-def sweep_rows(fixture: str, thetas: Sequence[float],
-               residuals: List[Dict[str, float]]) -> List[dict]:
-    """Rows for the theta-sweep CSV: one row per theta."""
-    rows = []
-    for th, res in zip(thetas, residuals):
-        row = {"fixture": fixture, "theta": th}
-        row.update(res)
-        rows.append(row)
-    return rows
 
 
 def write_sweep_csv(path, rows: List[dict]) -> None:

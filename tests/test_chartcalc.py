@@ -48,6 +48,28 @@ def test_fd_convergence_is_second_order(name):
     assert convergence_order(imm, pts, eval_jet(imm, pts).d1) > 1.9
 
 
+@pytest.mark.parametrize("trailing", [(), (2,), (3, 2)])
+def test_central_differences_of_a_quadratic_are_its_gradient(trailing):
+    # a central difference has no truncation error on a quadratic, so
+    # only round-off separates it from the exact gradient A p + b
+    rng = np.random.default_rng(19)
+    d, k = 3, int(np.prod(trailing, dtype=int))
+    A = rng.standard_normal((k, d, d))
+    A = A + A.transpose(0, 2, 1)
+    b = rng.standard_normal((k, d))
+    pts = rng.standard_normal((7, d))
+
+    def fn(q):
+        vals = 0.5 * np.einsum("pi,xij,pj->px", q, A, q) + q @ b.T
+        return vals.reshape(len(q), *trailing)
+
+    grad = (np.einsum("xij,pj->pix", A, pts) + b.T).reshape(7, d, *trailing)
+    for h in (1e-1, 1e-3):
+        diff = chartcalc.central_differences(fn, pts, h)
+        assert diff.shape == (7, d, *trailing) and diff.flags.c_contiguous
+        assert np.max(np.abs(diff - grad)) < 1e-11 / h
+
+
 def test_fd_oracle_rejects_points_near_boundary():
     imm = get_immersion("catenoid")
     bad = imm.domain[:, 1][None, :]  # exactly on the corner

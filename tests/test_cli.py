@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import plurimean
-from plurimean import cli, family, pipeline
+from plurimean import cli, family, fixtures, pipeline
 
 
 def test_theta_parsing():
@@ -174,6 +175,35 @@ def test_verify_with_fixture_file(tmp_path):
     assert "my-cat" in rpt.read_text()
 
 
+@pytest.mark.parametrize("selected,ran", [
+    ("mysphere", ["mysphere"]),
+    ("plane", ["plane", "mysphere"]),
+    ("all", fixtures.fixture_names() + ["mysphere"]),
+])
+def test_report_lists_the_fixtures_that_ran(selected, ran, tmp_path):
+    fx = tmp_path / "s.fixture"
+    fx.write_text("name: mysphere\nformula: sphere\n")
+    rpt = tmp_path / "report.txt"
+    assert cli.main(["verify", "--fixtures", selected, "--fixture-file",
+                     str(fx), "--checks", "kaehler", "--grid", "5",
+                     "--report", str(rpt)]) == 0
+    text = rpt.read_text()
+    assert f"  fixtures: {', '.join(ran)}\n" in text
+    assert re.findall(r"^  (\S+):$", text, re.M) == ran
+
+
+def test_eq4_stencil_keeps_3h_off_the_domain_boundary(tmp_path):
+    """eq4's shifted grids reach 3h, like every central difference: at
+    h = 0.05 the catenoid grid lies within 0.15 of its boundary."""
+    rpt = tmp_path / "report.txt"
+    assert cli.main(["verify", "--fixtures", "catenoid",
+                     "--checks", "kaehler,eq4", "--h", "0.05",
+                     "--report", str(rpt)]) == 1
+    eq4 = rpt.read_text().split("    eq4:\n")[1]
+    assert eq4.startswith("      status: ERROR\n")
+    assert "note: BoundaryError: catenoid: points within 3h=0.15" in eq4
+
+
 def test_family_mesh_and_csv_export(tmp_path):
     mesh = tmp_path / "out.obj"
     sweep = tmp_path / "sweep.csv"
@@ -275,9 +305,7 @@ def test_flag_demo_fails_on_a_large_bracket_residual(residual, monkeypatch,
         grade = flags.grade
 
         def patched(elem):
-            grading = grade(elem)
-            grading.a3_residual = 2e-8
-            return grading
+            return dataclasses.replace(grade(elem), a3_residual=2e-8)
         monkeypatch.setattr(flags, "grade", patched)
     elif residual == "bracket_residual":
         monkeypatch.setattr(flags, "bracket_grading_residual",

@@ -101,6 +101,7 @@ def test_load_fixture_file_roundtrip(tmp_path):
     ("formula: catenoid\njets: fd\n", "jets"),
     ("formula catenoid\n", "malformed"),
     ("formula: catenoid\ngrid: 3\n", "grid"),
+    ("formula: catenoid\ngird: 7\n", "unknown fixture key 'gird'"),
 ])
 def test_load_fixture_file_rejects_bad_input(tmp_path, body, err):
     path = tmp_path / "bad.fixture"

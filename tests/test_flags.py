@@ -201,6 +201,20 @@ def test_bracket_folds_keep_a_nan():
     assert res["[k,k] in k"] < 1e-12
 
 
+def test_grading_attributes_cannot_be_replaced():
+    """Replacing spaces after bracket_table's first read would leave the
+    table stale, so the grading is frozen."""
+    grading = flags.grade(flags.canonical_unitary([1, 2]))
+    assert flags.bracket_grading_residual(grading) < 1e-12
+    nan_grading = _with_nan_in_g1(grading)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grading.spaces = nan_grading.spaces
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grading.a3_residual = 2e-8
+    assert flags.generation_check(grading).passed
+    assert np.isnan(flags.bracket_grading_residual(nan_grading))
+
+
 def test_graded_spaces_are_read_only():
     """bracket_table is cached on first read, so a space written after
     it would leave a stale table: grade's spaces refuse the write."""

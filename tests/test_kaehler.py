@@ -89,6 +89,16 @@ def test_curvature_symmetries(name):
     assert kaehler.kaehler_curvature_identity_residual(geom.R, m) < 1e-10
 
 
+def test_curvature_symmetry_residual_keeps_a_nan():
+    # R_0101 = inf, R_0110 = -inf: the antisymmetry in (k, l) reads
+    # inf - inf = nan while the one in (i, j) reads inf, which Python's
+    # max(inf, nan, ...) would return
+    R = np.zeros((1, 2, 2, 2, 2))
+    R[0, 0, 1, 0, 1], R[0, 0, 1, 1, 0] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(kaehler.curvature_symmetry_residual(R))
+
+
 def test_sphere_constant_curvature_one():
     # R_ijkl = g_il g_jk - g_ik g_jl for the unit sphere
     imm = get_immersion("sphere")

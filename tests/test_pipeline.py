@@ -7,8 +7,32 @@ import numpy as np
 import pytest
 
 from plurimean import forms, gaussmaps, pipeline, report
+from plurimean.chartcalc import ChartedImmersion
 from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_fixture,
                                 get_immersion, load_fixture_file, registry)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "product-spheres"])
+def test_fd_routes_call_the_chart_once_per_stencil(name, monkeypatch):
+    """The jets check evaluates the chart once per step size and eq4
+    takes one order-1 jet call: each stencil stacks its 2d shifted
+    grids (d = 2m)."""
+    ctx = pipeline.FixtureContext(get_fixture(name), pipeline.RunConfig())
+    G, d = ctx.pts.shape
+    ctx.geom  # the centre jets, before the spies
+    evaluate, jet = [], []
+    real_evaluate = ChartedImmersion.evaluate
+    real_jet = gaussmaps.eval_jet
+    monkeypatch.setattr(
+        ChartedImmersion, "evaluate",
+        lambda imm, pts: evaluate.append(len(pts)) or real_evaluate(imm, pts))
+    monkeypatch.setattr(
+        gaussmaps, "eval_jet", lambda imm, pts, order=3:
+        jet.append((len(pts), order)) or real_jet(imm, pts, order))
+    pipeline.CHECKS["jets"](ctx)
+    assert evaluate == [2 * d * G, 2 * d * G] and jet == []
+    pipeline.CHECKS["eq4"](ctx)
+    assert evaluate == [2 * d * G, 2 * d * G] and jet == [(2 * d * G, 1)]
 
 
 def test_classify_tiers():
