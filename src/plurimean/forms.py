@@ -12,8 +12,8 @@ numpy takes BLAS rather than its strided loop.  g and g^{-1} come from
 the regularity gate kaehler.regular_metric, which certifies the rank of
 d1 from the two, so no point runs an SVD unless its metric is
 ill-conditioned.  The normal frame (a QR of d1^T) is formed only when
-read: on a normal line R^N is 0 in closed form, so the family path of a
-surface in R^3 runs no QR.
+read, by R^N of a normal bundle of rank >= 2: on a normal line R^N is 0
+in closed form, so nothing run on a surface in R^3 forms a QR.
 Both slots of a form are contracted at once, as one product of a
 Kronecker matrix with the (d^2, n) values (chartcalc.contract_slots):
 kron(B, B) and kron(B, conj B) for the (2,0)- and (1,1)-parts, and
@@ -48,8 +48,8 @@ class GeometryData:
     alpha11: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d''_b)
 
     # the normal frame and the curvatures are computed on first read: a
-    # fixture that the kaehler check rejects never reads them, and the
-    # family path reads no frame
+    # fixture that the kaehler check rejects never reads them, and a
+    # normal line reads no frame
     @functools.cached_property
     def frame(self) -> np.ndarray:
         """(G, n-d, n) real orthonormal normal frame."""
@@ -163,17 +163,22 @@ class MeanCurvatureData:
 
 
 _SPHERE_TOL = 1e-6   # A_eta = kappa I and kappa != 0 within this
+_NORMAL_TOL = 1e-9   # relative tangential part eta may have
 
 
 def mean_curvature_and_sphere_reduction(geom: GeometryData
                                         ) -> MeanCurvatureData:
     """eta = (1/2m) trace_g alpha; if the shape operator A_eta is a
     multiple kappa of the identity, the point m = f + eta/kappa is a
-    common sphere center and |f - m| the radius."""
+    common sphere center and |f - m| the radius.  ValueError if eta has
+    a tangential part (alpha is then not normal-valued)."""
     d = geom.jet.chart_dim
     eta = np.einsum("gij,gijx->gx", geom.ginv, geom.alpha) / d
-    A_eta = kaehler.shape_operator(geom.alpha, geom.g, geom.ginv,
-                                   geom.jet.d1, eta)
+    tangency = np.max(np.abs(np.einsum("gix,gx->gi", geom.jet.d1, eta)))
+    if tangency > _NORMAL_TOL * max(1.0, float(np.max(np.abs(eta)))):
+        raise ValueError(f"eta is not normal (tangential part {tangency:g})")
+    A_eta = kaehler.shape_operators(geom.alpha, geom.ginv,
+                                    eta[:, None])[:, 0]
     kappa = float(np.mean(np.trace(A_eta, axis1=1, axis2=2)) / d)
     off = float(np.max(np.abs(A_eta - kappa * np.eye(d))))
     spherical = off < _SPHERE_TOL and abs(kappa) > _SPHERE_TOL

@@ -209,23 +209,22 @@ def alpha_derivative(geom: forms.GeometryData) -> np.ndarray:
     [v, i, j] = d_v alpha_ij:
 
         (D_v alpha)_ij + Gamma^l_vi alpha_lj + Gamma^l_vj alpha_il
-            - g^{ab} <alpha_va, alpha_ij> d1_b.
+            - df(A_{alpha_ij} d_v).
 
     The Gamma terms undo the connection terms of D alpha in the normal
-    part; the tangential part is <d_v alpha_ij, d1_b> =
-    -<alpha_ij, d2_vb> = -<alpha_ij, alpha_vb>.
+    part; the tangential part is the Weingarten term, as
+    <d_v alpha_ij, d1_b> = -<alpha_ij, d2_vb> = -<alpha_ij, alpha_vb>.
     """
     G, d, _, n = geom.alpha.shape
     alpha = geom.alpha
     # GA[v, i, j] = Gamma^l_vi alpha_lj; its (i, j) swap is the third term
     GA = (geom.Gamma.transpose(0, 2, 3, 1).reshape(G, d * d, d)
           @ alpha.reshape(G, d, d * n)).reshape(G, d, d, d, n)
-    # W[v, b] = g^{ba} alpha_va; gram[v, b, ij] = <W_vb, alpha_ij>
-    W = geom.ginv[:, None] @ alpha
-    gram = W.reshape(G, d * d, n) @ alpha.reshape(G, d * d, n).transpose(
-        0, 2, 1)
-    tangential = (gram.reshape(G, d, d, d * d).transpose(0, 1, 3, 2)
-                  @ geom.jet.d1[:, None]).reshape(G, d, d, d, n)
+    # A[ij, b, v] = (A_{alpha_ij})^b_v, taken to [v, ij, b]
+    A = kaehler.shape_operators(alpha, geom.ginv,
+                                alpha.reshape(G, d * d, n))
+    tangential = (A.transpose(0, 3, 1, 2).reshape(G, d ** 3, d)
+                  @ geom.jet.d1).reshape(G, d, d, d, n)
     return geom.Dalpha + GA + GA.transpose(0, 1, 3, 2, 4) - tangential
 
 
@@ -269,15 +268,6 @@ def projector_derivatives(geom: forms.GeometryData):
                    ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
 
 
-def holo_directions(dP: np.ndarray, m: int, kind: str = "(1,0)"):
-    """Combine real chart derivatives into d'_a or d''_a directions.
-
-    dP: (G, 2m, n, n) -> (G, m, n, n).
-    """
-    s = -1j if kind == "(1,0)" else 1j
-    return 0.5 * (dP[:, 0::2] + s * dP[:, 1::2])
-
-
 # -------------------------------------------------------------- residuals
 
 def superhorizontality_residual(bun: Bundles) -> float:
@@ -291,8 +281,10 @@ def holomorphicity_residuals(geom: forms.GeometryData, bun: Bundles):
     tau' escaping tau' (both vanish iff the flag lift is holomorphic)."""
     route1 = forms.pluriminimal_residual(geom)
     m = geom.imm.complex_dim
-    dbar = holo_directions(bun.taup.dP, m, "(0,1)")
     n = geom.imm.ambient_dim
+    # the (0,1) directions d''_a = (d/dx_a + i d/dy_a) / 2
+    dbar = (holomorphic_basis(m).conj()
+            @ bun.taup.dP.reshape(-1, 2 * m, n * n)).reshape(-1, m, n, n)
     P_out = np.eye(n, dtype=complex)[None] - bun.taup.P
     route2 = outside_residual(P_out, dbar, bun.taup.P)
     return route1, route2
@@ -341,6 +333,7 @@ def differential_chain_residuals(geom: forms.GeometryData, bun: Bundles):
     link.  Returns a dict arrow -> residual."""
     m = geom.imm.complex_dim
     n = geom.imm.ambient_dim
+    B = holomorphic_basis(m)
     eye = np.eye(n, dtype=complex)[None]
     chain = [("N''->tau''", bun.Npp, bun.taupp),
              ("tau''->N°", bun.taupp, bun.No),
@@ -349,7 +342,7 @@ def differential_chain_residuals(geom: forms.GeometryData, bun: Bundles):
              ("N'->0", bun.Np, None)]
     out = {}
     for label, S, nxt in chain:
-        dprime = holo_directions(S.dP, m, "(1,0)")
+        dprime = (B @ S.dP.reshape(-1, 2 * m, n * n)).reshape(-1, m, n, n)
         P_out = eye - S.P
         if nxt is not None:
             P_out = P_out - nxt.P

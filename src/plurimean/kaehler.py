@@ -3,7 +3,10 @@
 The intrinsic curvature is DEFINED through the Gauss equation of the
 isometric immersion (all fixtures are immersions into flat space), which
 avoids fourth derivatives of f; a finite-difference-of-metric oracle is
-kept in the tests as a slow cross-check.
+kept in the tests as a slow cross-check.  The normal curvature is
+defined through the Ricci equation, R^N(X,Y) xi = alpha(X, A_xi Y) -
+alpha(Y, A_xi X), with the Weingarten maps A_xi of shape_operators:
+normal_curvature reads it in a normal frame, the sublemma without one.
 """
 
 import numpy as np
@@ -93,29 +96,22 @@ def kaehler_curvature_identity_residual(R: np.ndarray, m: int) -> float:
     return float(np.max(np.abs(res)))
 
 
-_NORMAL_TOL = 1e-9   # relative tangential part a normal field may have
-
-
-def shape_operator(alpha, g, ginv, d1, xi):
-    """A_xi = g^{-1} <alpha, xi> for a normal vector field xi (G, n)."""
-    tangency = np.max(np.abs(np.einsum("gix,gx->gi", d1, xi)))
-    if tangency > _NORMAL_TOL * max(1.0, float(np.max(np.abs(xi)))):
-        raise ValueError(f"xi is not normal (tangential part {tangency:g})")
-    M = np.einsum("gijx,gx->gij", alpha, xi)
-    return np.einsum("gik,gkj->gij", ginv, M)
+def shape_operators(alpha, ginv, xi):
+    """The Weingarten maps A_xi = g^{-1} <alpha, xi>, (G, K, d, d), of a
+    stack of K fields xi (G, K, n): A_xi d_j = sum_i A[..., i, j] d_i.
+    Only the normal part of xi enters, since alpha is normal-valued."""
+    G, d, _, n = alpha.shape
+    M = xi @ alpha.reshape(G, d * d, n).transpose(0, 2, 1)
+    return ginv[:, None] @ M.reshape(G, xi.shape[1], d, d)
 
 
 def normal_frame(jet: Jet3) -> np.ndarray:
-    """Orthonormal real normal frame (G, n-2m, n) from the complete QR
-    factorisation of d1^T: its first 2m columns span the tangent plane,
-    the remaining n-2m its orthogonal complement.  d1 must have full
-    rank, which compute_geometry certifies first (regular_metric).
-    GeometryData.frame calls it on first read, which R^N of a normal
-    bundle of rank >= 2 and the sublemma do; a normal line needs none.
-
-    The gauge is arbitrary per point; only gauge-invariant (fully
-    frame-contracted) quantities may be built from it, as
-    normal_curvature and sublemma_residual do.
+    """Orthonormal real normal frame (G, n-2m, n): the last n-2m columns
+    of the complete QR factorisation of d1^T, whose first 2m span the
+    tangent plane (d1 has full rank: regular_metric certifies it).
+    Only R^N of a normal bundle of rank >= 2 reads it, as
+    GeometryData.frame.  Its gauge is arbitrary per point, so only
+    fully frame-contracted quantities, such as R^N, may be built on it.
     """
     d = jet.chart_dim
     q, _ = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
@@ -123,16 +119,10 @@ def normal_frame(jet: Jet3) -> np.ndarray:
 
 
 def normal_curvature(alpha, g, ginv, frame):
-    """RN[g,i,j,a,b] = <R^N(d_i,d_j) xi_a, xi_b> via shape-operator
-    commutators (the Ricci equation, which defines R^N here).
-
-    Batched products over the grid: frame coefficients M_a = <alpha,
-    xi_a>, shape operators A_a = g^{-1} M_a, commutators [A_a, A_b],
-    and the g-contraction (g [A_a, A_b])[j, i] = RN[i, j, a, b].
-    """
-    G, d, _, n = alpha.shape
-    M = frame @ alpha.reshape(G, d * d, n).transpose(0, 2, 1)
-    A = ginv[:, None] @ M.reshape(G, frame.shape[1], d, d)
+    """RN[g,i,j,a,b] = <R^N(d_i,d_j) xi_a, xi_b> by the Ricci equation:
+    the commutators of the shape operators A_a of the frame rows,
+    contracted with g, (g [A_a, A_b])[j, i] = RN[i, j, a, b]."""
+    A = shape_operators(alpha, ginv, frame)
     AB = A[:, :, None] @ A[:, None, :]
     comm = AB - AB.transpose(0, 2, 1, 3, 4)
     return (g[:, None, None] @ comm).transpose(0, 4, 3, 1, 2)
@@ -147,54 +137,37 @@ def rn_tprime_residual(RN: np.ndarray, m: int) -> float:
     return float(np.max(np.abs(res)))
 
 
-def curvature_operator(R: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Rop[g,i,j,k,l]: R(d_i,d_j) d_k = sum_l Rop[...] d_l."""
-    return np.einsum("gijka,gal->gijkl", R, ginv)
-
-
 def sublemma_residual(geom) -> float:
     """Intertwining of tangent and normal curvatures through the
     pluri-mean form beta(x', y'') = alpha(x', conj(y')):
 
         R^N(x,y) beta(e) = beta(R(x,y) e)   for e in T' (x) T''.
 
-    Expects a geometry bundle with jet, g, ginv, alpha, R, RN, frame.
+    The difference of the sides is the (1,1)-contraction of the real
+    T_ij(p,q) = R^N_ij alpha_pq - alpha(R_ij d_p, d_q) - alpha(d_p, R_ij d_q)
+    with R^N_ij xi = alpha(d_i, A_xi d_j) - alpha(d_j, A_xi d_i) (Ricci
+    equation).  Each term is contracted as it is formed, by the real and
+    imaginary rows of kron(B, conj B); it reads alpha, ginv and R only.
     """
-    lhs, rhs = _sublemma_sides(geom)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _sublemma_sides(geom):
-    """The two sides R^N(d_i, d_j) beta[a, b] and beta(R(d_i, d_j)
-    (d'_a (x) d''_b)) of the sublemma, each (G, d, d, m, m, n)."""
-    m = geom.imm.complex_dim
-    B = holomorphic_basis(m)
-    Bc = B.conj()
-    alpha_c = geom.alpha.astype(complex)
-    G, d = alpha_c.shape[:2]
-    n = alpha_c.shape[-1]
-    # alpha with one slot on the (0,1) resp. (1,0) basis: (G, d, m, n)
-    alpha_b = np.einsum("bq,glqx->glbx", Bc, alpha_c)
-    alpha_a = np.einsum("ap,gplx->glax", B, alpha_c)
-    # beta components: beta[a, b] = alpha(d'_a, d''_b), (G, m, m, n)
-    beta = np.einsum("ai,gibx->gabx", B, alpha_b)
-
-    Rop = curvature_operator(geom.R, geom.ginv)
-    # tangent curvature acting on the (1,0)/(0,1) coordinate basis:
-    # R(d_i,d_j) d'_a = sum over chart basis, then re-contract into alpha
-    Rprime = np.einsum("ak,gijkl->gijal", B, Rop.astype(complex))
-    Rsecond = np.einsum("bk,gijkl->gijbl", Bc, Rop.astype(complex))
-    rhs = ((Rprime.reshape(G, d * d * m, d)
-            @ alpha_b.reshape(G, d, m * n)).reshape(G, d, d, m, m, n)
-           + (Rsecond.reshape(G, d * d * m, d)
-              @ alpha_a.reshape(G, d, m * n)).reshape(G, d, d, m, m, n)
-           .transpose(0, 1, 2, 4, 3, 5))
-
-    # normal curvature as an operator through the real orthonormal frame
-    frame = geom.frame.astype(complex)
-    k = frame.shape[1]
-    beta_coeff = beta.reshape(G, m * m, n) @ frame.transpose(0, 2, 1)
-    lhs = (beta_coeff[:, None]
-           @ (geom.RN.reshape(G, d * d, k, k) @ frame[:, None])
-           ).reshape(G, d, d, m, m, n)
-    return lhs, rhs
+    alpha, ginv = geom.alpha, geom.ginv
+    G, d, _, n = alpha.shape
+    B = holomorphic_basis(geom.imm.complex_dim)
+    K = np.kron(B, B.conj())
+    K = np.concatenate([K.real, K.imag])       # (c, d^2), c = 2 m^2
+    c = len(K)
+    rows = alpha.reshape(G, d, d * n)          # alpha(d_k, .): symmetric
+    # S[c, j, i] = alpha(d_i, A_c d_j) for the fields beta_c = K alpha
+    A = shape_operators(alpha, ginv, K @ alpha.reshape(G, d * d, n))
+    S = (np.ascontiguousarray(A.transpose(0, 1, 3, 2)).reshape(
+        G, c * d, d) @ rows).reshape(G, c, d, d, n)
+    # U[i, j, c] = sum_pq K_sym[c,p,q] alpha(R_ij d_p, d_q): both R terms,
+    # K_sym[c,p,q] = K[c,p,q] + K[c,q,p]; as R_ij d_p = R_ijpa g^{al} d_l,
+    # U = sum_pa R_ijpa Y[a,p,c], Y[a,p,c] = sum_q K_sym[c,p,q] (g^-1 alpha)_aq
+    K3 = K.reshape(c, d, d)
+    K_sym = (K3 + K3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(d * c, d)
+    Y = K_sym @ (ginv @ rows).reshape(G, d, d, n)
+    U = geom.R.swapaxes(3, 4).reshape(G, d * d, d * d) @ Y.reshape(
+        G, d * d, c * n)
+    diff = (S.transpose(0, 3, 2, 1, 4) - S.transpose(0, 2, 3, 1, 4)
+            - U.reshape(G, d, d, c, n))
+    return float(np.max(np.hypot(*np.split(diff, 2, axis=3))))

@@ -333,7 +333,7 @@ class Report:
 def run(config: RunConfig, extra_records=()) -> Report:
     """Run the selected checks; extra_records are FixtureRecord objects
     (for example from a fixture definition file) checked in addition to
-    the named registry fixtures."""
+    the named registry fixtures, each under a name no other has."""
     from . import __version__
     unknown = [c for c in config.checks if c not in CHECKS and c != "all"]
     if unknown:
@@ -341,7 +341,11 @@ def run(config: RunConfig, extra_records=()) -> Report:
                          f"available: {list(CHECKS)}")
     selected = [c for c in TABLE
                 if "all" in config.checks or c.name in config.checks]
-    loaded = {rec.name: rec for rec in extra_records}
+    extra = [rec.name for rec in extra_records]
+    for name in extra:
+        if name in fixture_names() or extra.count(name) > 1:
+            raise ValueError(f"fixture {name!r} is defined twice")
+    loaded = dict(zip(extra, extra_records))
     names = list(config.fixtures) + [n for n in loaded
                                      if n not in config.fixtures]
     results: List[CheckResult] = []

@@ -175,6 +175,15 @@ def test_verify_with_fixture_file(tmp_path):
     assert "my-cat" in rpt.read_text()
 
 
+def test_verify_rejects_a_fixture_file_named_like_a_registry_fixture(
+        tmp_path, capsys):
+    fx = tmp_path / "s.fixture"
+    fx.write_text("name: sphere\nformula: catenoid\n")
+    assert cli.main(["verify", "--fixtures", "all", "--fixture-file",
+                     str(fx), "--checks", "kaehler"]) == 2
+    assert "error: fixture 'sphere'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("selected,ran", [
     ("mysphere", ["mysphere"]),
     ("plane", ["plane", "mysphere"]),

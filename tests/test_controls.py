@@ -2,12 +2,14 @@
 next to the checks the same immersion must still pass."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
-from plurimean import pipeline
-from plurimean.fixtures import get_fixture
+from plurimean import jets, pipeline
+from plurimean.chartcalc import ChartedImmersion
+from plurimean.fixtures import FLAG_NAMES, FixtureRecord, get_fixture
 
 
 def _d2_perturbed(name, eps=1e-3):
@@ -91,3 +93,38 @@ def test_codazzi_fails_on_one_asymmetric_third_derivative(name):
                if r.check == "codazzi"}
     assert 5e-3 < codazzi[rec.name] < 5e-2
     assert codazzi[symmetric.name] < 1e-12
+
+
+def _inverted_holomorphic_curve(u, v):
+    """x / |x|^2 for x = (z + 1, (z + 1)^2) in C^2 = R^4, z = u + iv:
+    the inversion of a holomorphic curve, conformal, so still Kaehler,
+    but neither ppmc nor pluriminimal."""
+    a, b = u + 1.0, v
+    x = [a, b, a**2 - b**2, 2 * a * b]
+    r2 = sum(c**2 for c in x)
+    return [c / r2 for c in x]
+
+
+def test_sublemma_fails_on_an_inverted_holomorphic_curve():
+    """No registry fixture fails the sublemma; this one does, next to
+    the Kaehler and T' x T' checks it passes."""
+    imm = ChartedImmersion(
+        name="inverted-holomorphic-curve", ambient_dim=4, complex_dim=1,
+        domain=[(-0.5, 0.5), (-0.5, 0.5)],
+        eval_fn=functools.partial(jets.values, _inverted_holomorphic_curve),
+        jet_fn=functools.partial(jets.jet, _inverted_holomorphic_curve))
+    flags = {f: None for f in FLAG_NAMES}
+    flags.update(kaehler=True, ppmc=False, pluriminimal=False)
+    rec = FixtureRecord(name=imm.name, immersion=imm, flags=flags)
+    checks = ["kaehler", "ppmc", "rn-tprime", "sublemma", "closedness"]
+    rep = pipeline.run(pipeline.RunConfig(fixtures=[], checks=checks),
+                       extra_records=[rec])
+    status = {r.check: r.status for r in rep.results}
+    assert status == {"kaehler": pipeline.PASS, "ppmc": pipeline.FAIL,
+                      "rn-tprime": pipeline.PASS,
+                      "sublemma": pipeline.FAIL,
+                      "closedness": pipeline.FAIL}
+    residual = {r.check: r.residual for r in rep.results}
+    assert residual["sublemma"] == pytest.approx(4.399882821413984,
+                                                 rel=1e-12)
+    assert rep.mismatches == []

@@ -1,13 +1,14 @@
-"""The geometry pass and the family integration call no index-loop
-np.einsum and no per-point np.linalg.svd: their contractions are batched
-`@` products and their rank test is certified from g and g^-1.  The
-family path forms no normal frame (np.linalg.qr): only R^N of a normal
-bundle of rank >= 2 reads it."""
+"""The geometry pass, the family integration and the sublemma call no
+index-loop np.einsum, and the first two no per-point np.linalg.svd:
+their contractions are batched `@` products and the rank test is
+certified from g and g^-1.  Neither the family path nor a full verify
+of a surface in R^3 forms a normal frame (np.linalg.qr): only R^N of a
+normal bundle of rank >= 2 reads it."""
 
 import numpy as np
 import pytest
 
-from plurimean import family, forms, pipeline
+from plurimean import family, forms, kaehler, pipeline
 from plurimean.fixtures import get_immersion, registry
 
 
@@ -55,3 +56,23 @@ def test_family_path_forms_no_normal_frame(qr_calls):
                                      per_axis=201)
     family.structure_equation_residuals(member.geom, family.THETA_SWEEP)
     assert qr_calls == []
+
+
+def test_verify_of_a_normal_line_forms_no_normal_frame(qr_calls):
+    names = [r.name for r in registry()
+             if r.immersion.ambient_dim - r.immersion.chart_dim == 1]
+    assert len(names) == 8
+    rep = pipeline.run(pipeline.RunConfig(fixtures=names))
+    assert rep.mismatches == []
+    assert qr_calls == []
+
+
+def test_sublemma_calls_no_einsum(monkeypatch):
+    cfg = pipeline.RunConfig()
+    geoms = [pipeline.FixtureContext(rec, cfg).geom for rec in registry()]
+    for geom in geoms:
+        geom.R
+    calls = _spy(monkeypatch, ((np, "einsum"),))
+    for geom in geoms:
+        kaehler.sublemma_residual(geom)
+    assert calls == []

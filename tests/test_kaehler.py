@@ -1,12 +1,15 @@
 """Metric, connection, Kaehler residuals, and curvature tensors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from plurimean import kaehler, pipeline
 from plurimean.chartcalc import eval_jet, standard_J
 from plurimean.fixtures import fixture_names, get_immersion, registry
-from plurimean.forms import compute_geometry
+from plurimean.forms import (compute_geometry,
+                             mean_curvature_and_sphere_reduction)
 
 ADMITTED = [r.name for r in registry(include_controls=False)]
 
@@ -113,18 +116,21 @@ def test_sphere_shape_operator_is_minus_identity():
     imm = get_immersion("sphere")
     geom = compute_geometry(imm, imm.grid(5, margin=0.05))
     xi = geom.jet.value  # outward unit normal of the unit sphere
-    A = kaehler.shape_operator(geom.alpha, geom.g, geom.ginv,
-                               geom.jet.d1, xi)
+    A = kaehler.shape_operators(geom.alpha, geom.ginv, xi[:, None])
+    assert A.shape == (25, 1, 2, 2)
     assert np.max(np.abs(A + np.eye(2))) < 1e-12
 
 
 def test_shape_operator_rejects_tangent_field():
+    """The sphere reduction takes the shape operator of eta only where
+    eta is normal: alpha_ij + g_ij d1_0 moves eta by the tangent d1_0."""
     imm = get_immersion("sphere")
     geom = compute_geometry(imm, imm.grid(5, margin=0.05))
-    xi = geom.jet.d1[:, 0, :]  # tangent, not normal
+    tilted = dataclasses.replace(
+        geom, alpha=geom.alpha + geom.g[..., None] * geom.jet.d1[:, None, :1])
     with pytest.raises(ValueError, match="not normal"):
-        kaehler.shape_operator(geom.alpha, geom.g, geom.ginv,
-                               geom.jet.d1, xi)
+        mean_curvature_and_sphere_reduction(tilted)
+    assert mean_curvature_and_sphere_reduction(geom).spherical
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -130,6 +130,20 @@ def test_extra_record_from_fixture_file(tmp_path):
     assert len(rep.mismatches) == 0
 
 
+@pytest.mark.parametrize("names", [["sphere"], ["mysphere", "mysphere"]])
+def test_extra_record_may_not_reuse_a_fixture_name(tmp_path, names):
+    """A record named like a registry fixture, or like another record,
+    would replace it in the run; the run refuses it and names it."""
+    recs = []
+    for i, name in enumerate(names):
+        path = tmp_path / f"{i}.fixture"
+        path.write_text(f"name: {name}\nformula: catenoid\n")
+        recs.append(load_fixture_file(path))
+    cfg = pipeline.RunConfig(fixtures=["plane"], checks=["kaehler"], grid=5)
+    with pytest.raises(ValueError, match=f"fixture '{names[-1]}'"):
+        pipeline.run(cfg, extra_records=recs)
+
+
 @pytest.mark.parametrize("formula,status", [("sphere", pipeline.PASS),
                                             ("catenoid", pipeline.SKIPPED)])
 def test_psi_runs_where_isotropy_computes_without_ledger_flags(formula,
