@@ -6,7 +6,9 @@ The rotated form is alpha_theta = u + cos 2theta v + sin 2theta w with
 theta-independent parts u, v, w (rotation_parts), and psi_theta is
 I + a P_N' + conj(a) P_N'' with a = e^{2i theta} - 1.  The structure
 equations and psi_theta's residuals are swept over all angles from
-terms formed once per geometry.
+terms formed once per geometry.  rotation_parts, the structure equations
+and psi_theta rotate alpha^{2,0} by e^{2i theta}; df o R_theta, which
+integrate_family and closedness_residual take, is the member at theta/2.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import forms
+from . import forms, kaehler
 from .chartcalc import ChartedImmersion
 from .gaussmaps import Bundles
 
@@ -37,7 +39,7 @@ def rotation_parts(J: np.ndarray) -> np.ndarray:
     u = a11 and v - i w = 2 a20 (the (p,q)-parts on the real basis,
     extended complex-bilinearly), so that
     alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 reads
-    u + cos 2theta v + sin 2theta w.
+    u + cos 2theta v + sin 2theta w (the e^{2i theta} convention).
     """
     d = J.shape[0]
     eye = np.eye(d)
@@ -91,10 +93,9 @@ def structure_equation_residuals(geom: forms.GeometryData,
       leaves a theta-independent sup |R|.
     * Codazzi: sup |X - X^{k<->i}| for X = D alpha_theta, linear in the
       parts of D alpha antisymmetrised on the pairs k < i.
-    * Ricci: the shape operators are linear in (u, v, w).  Commutators
-      are formed per angle on the frame pairs a < b only: R^N_theta
-      changes sign with (a, b) and vanishes on a = b, which leaves a
-      theta-independent sup |R^N_aa|.
+    * Ricci: the shape operators of u, v, w (kaehler) are formed once
+      in the normal frame, and R^N_theta of each angle by kaehler's
+      Ricci equation; on a normal line R^N of every form is 0.
 
     The full-tensor sup-norms are kept for inputs without the index
     symmetries of R and R^N.
@@ -137,20 +138,13 @@ def structure_equation_residuals(geom: forms.GeometryData,
     # Codazzi: the antisymmetrised parts of D alpha, (3, G, P d, n)
     cod = _codazzi_map(J)[:, None] @ geom.Dalpha.reshape(1, G, d ** 3, n)
 
-    # Ricci: shape operators A = g^{-1} <part, xi_a>, (G, 3, k, d, d)
+    # Ricci: the shape operators of the parts; a normal line reads no frame
     RN = geom.RN
-    frames = RN.shape[-1]
-    diag = np.arange(frames)
-    ricci_diag = float(np.max(np.abs(RN[:, :, :, diag, diag]),
-                              initial=0.0))
-    a, b = np.triu_indices(frames, 1)
-    if len(a):
-        M = ((geom.frame @ alpha.transpose(0, 2, 1))
-             @ K.reshape(3 * d * d, d * d).T)             # (G, k, 3 d^2)
-        A = geom.ginv[:, None, None] @ M.reshape(
-            G, frames, 3, d, d).transpose(0, 2, 1, 3, 4)
-        RN_ab = RN[:, :, :, a, b].transpose(0, 3, 2, 1)     # [g, pair, j, i]
-        RN_ba = RN[:, :, :, b, a].transpose(0, 3, 2, 1)
+    normal_line = RN.shape[-1] == 1
+    if not normal_line:
+        A_u, A_v, A_w = (kaehler.shape_operators(p, geom.ginv, geom.frame)
+                         for p in (K.reshape(3 * d * d, d * d) @ alpha)
+                         .reshape(G, 3, d, d, n).swapaxes(0, 1))
 
     out = np.empty((len(thetas), 3))
     for t in range(len(thetas)):
@@ -159,20 +153,15 @@ def structure_equation_residuals(geom: forms.GeometryData,
         out[t, 0] = np.max([gauss_zero, np.max(np.abs(R_views - Kt))])
         out[t, 1] = np.max(np.abs(cod[0] + c2[t] * cod[1]
                                   + s2[t] * cod[2]))
-        ricci = ricci_diag
-        if len(a):
-            At = A[:, 0] + c2[t] * A[:, 1] + s2[t] * A[:, 2]
-            gc = geom.g[:, None] @ (At[:, a] @ At[:, b]
-                                    - At[:, b] @ At[:, a])
-            ricci = np.max([ricci, np.max(np.abs(RN_ab - gc)),
-                            np.max(np.abs(RN_ba + gc))])
-        out[t, 2] = ricci
+        RN_t = 0.0 if normal_line else kaehler.ricci_commutators(
+            A_u + c2[t] * A_v + s2[t] * A_w, geom.g)
+        out[t, 2] = np.max(np.abs(RN - RN_t))
     return out
 
 
 def closedness_residual(geom: forms.GeometryData, theta: float) -> float:
-    """Closedness of the 1-form omega = df o R_theta:
-    sup | d_i omega_j - d_j omega_i | over the pairs i < j.
+    """Closedness of omega = df o R_theta (the alpha-family member at
+    theta/2): sup | d_i omega_j - d_j omega_i | over the pairs i < j.
 
     d_i omega_j = sum_k R_kj d2_ik is summed elementwise in k order,
     the same float operations as an index loop: on the catenoid and the
@@ -215,7 +204,7 @@ def _rotated_integrand(R: np.ndarray, d1: np.ndarray, d2: np.ndarray):
 
 def integrate_family(imm: ChartedImmersion, theta: float,
                      per_axis: int = 41) -> FamilyMember:
-    """Quadrature of df_theta = df o R_theta on a tensor grid (surfaces).
+    """Quadrature of df o R_theta, the alpha_theta member at theta/2.
 
     Row-major staircase paths with a derivative-corrected trapezoid rule
     (the h^2/12 endpoint-derivative term), which brings the quadrature

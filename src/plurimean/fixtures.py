@@ -213,10 +213,9 @@ def load_fixture_file(path) -> FixtureRecord:
     Recognized keys (one `key: value` pair per line, '#' comments):
     name, formula, n, m, domain (2m pairs of floats), jets (only
     'analytic' is accepted), grid (points per chart axis, at least 5);
-    any other key is a ValueError.
-    The formula must name a chart from the built-in catalog; n and m, if
-    given, are validated against it; domain overrides the default box;
-    without grid the catalog's grid applies, else the run's.
+    any other key is a ValueError.  name and formula are required; the
+    formula's registry fixture gives the flags, the default grid and the
+    dims that n and m, if given, must match; domain overrides the box.
     """
     text = open(path).read()
     kv = {}
@@ -232,9 +231,10 @@ def load_fixture_file(path) -> FixtureRecord:
             raise ValueError(f"unknown fixture key {k!r} in {raw!r}")
         kv[k] = val.strip()
 
-    formula = kv.get("formula", kv.get("name"))
+    needs = "a fixture file needs both a 'name' and a 'formula' key"
+    formula = kv.get("formula")
     if formula is None:
-        raise ValueError("fixture file needs a 'formula' or 'name' key")
+        raise ValueError(needs)
     domain = None
     if "domain" in kv:
         vals = [float(x) for x in kv["domain"].replace(",", " ").split()]
@@ -250,11 +250,12 @@ def load_fixture_file(path) -> FixtureRecord:
                          f"formula has {imm.complex_dim}")
     if kv.get("jets", "analytic") != "analytic":
         raise ValueError("jets must be 'analytic'")
-    grid = int(kv["grid"]) if "grid" in kv else _GRID.get(formula)
+    catalog = get_fixture(formula)
+    grid = int(kv["grid"]) if "grid" in kv else catalog.grid_per_axis
     if grid is not None and grid < 5:
         raise ValueError("grid must be at least 5 per axis")
-    name = kv.get("name", formula)
-    flags = dict(_FLAGS.get(formula, {f: None for f in FLAG_NAMES}))
-    return FixtureRecord(name=name, immersion=imm, flags=flags,
-                         grid_per_axis=grid,
+    if "name" not in kv:
+        raise ValueError(needs)
+    return FixtureRecord(name=kv["name"], immersion=imm,
+                         flags=catalog.flags, grid_per_axis=grid,
                          notes=f"loaded from {path}")

@@ -464,9 +464,9 @@ class SplitResult:
 
 def _validate_complex_structure(M, name="J"):
     d = M.shape[0]
-    if np.max(np.abs(M @ M + np.eye(d))) > _ORTHO_TOL:
+    if not np.max(np.abs(M @ M + np.eye(d))) <= _ORTHO_TOL:  # NaN fails too
         raise ValueError(f"{name}^2 != -I")
-    if np.max(np.abs(M.T @ M - np.eye(d))) > _ORTHO_TOL:
+    if not np.max(np.abs(M.T @ M - np.eye(d))) <= _ORTHO_TOL:
         raise ValueError(f"{name} is not orthogonal")
 
 

@@ -171,12 +171,14 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
     """eta = (1/2m) trace_g alpha; if the shape operator A_eta is a
     multiple kappa of the identity, the point m = f + eta/kappa is a
     common sphere center and |f - m| the radius.  ValueError if eta has
-    a tangential part (alpha is then not normal-valued)."""
+    a tangential part (alpha is then not normal-valued) or is not finite."""
     d = geom.jet.chart_dim
     eta = np.einsum("gij,gijx->gx", geom.ginv, geom.alpha) / d
     tangency = np.max(np.abs(np.einsum("gix,gx->gi", geom.jet.d1, eta)))
-    if tangency > _NORMAL_TOL * max(1.0, float(np.max(np.abs(eta)))):
-        raise ValueError(f"eta is not normal (tangential part {tangency:g})")
+    # not (tangency <= tol < inf): a NaN or an inf in eta fails too
+    if not tangency <= _NORMAL_TOL * max(1.0, np.abs(eta).max()) < np.inf:
+        raise ValueError(f"eta is not normal or not finite (tangential "
+                         f"part {tangency:g})")
     A_eta = kaehler.shape_operators(geom.alpha, geom.ginv,
                                     eta[:, None])[:, 0]
     kappa = float(np.mean(np.trace(A_eta, axis1=1, axis2=2)) / d)

@@ -6,7 +6,7 @@ avoids fourth derivatives of f; a finite-difference-of-metric oracle is
 kept in the tests as a slow cross-check.  The normal curvature is
 defined through the Ricci equation, R^N(X,Y) xi = alpha(X, A_xi Y) -
 alpha(Y, A_xi X), with the Weingarten maps A_xi of shape_operators:
-normal_curvature reads it in a normal frame, the sublemma without one.
+ricci_commutators reads it in a normal frame, the sublemma without one.
 """
 
 import numpy as np
@@ -109,23 +109,30 @@ def normal_frame(jet: Jet3) -> np.ndarray:
     """Orthonormal real normal frame (G, n-2m, n): the last n-2m columns
     of the complete QR factorisation of d1^T, whose first 2m span the
     tangent plane (d1 has full rank: regular_metric certifies it).
-    Only R^N of a normal bundle of rank >= 2 reads it, as
-    GeometryData.frame.  Its gauge is arbitrary per point, so only
-    fully frame-contracted quantities, such as R^N, may be built on it.
+    Only R^N and the structure sweep read it, as GeometryData.frame, and
+    only where the normal bundle has rank >= 2.  Its gauge is arbitrary
+    per point, so only fully frame-contracted quantities may use it.
     """
     d = jet.chart_dim
     q, _ = np.linalg.qr(jet.d1.transpose(0, 2, 1), mode="complete")
     return np.ascontiguousarray(q[:, :, d:].transpose(0, 2, 1))
 
 
+def ricci_commutators(A, g):
+    """RN[g,i,j,a,b] = (g [A_a, A_b])[j, i] for the shape operators A
+    (G, k, d, d) of a frame, one product per point: rows (i, a) hold A_a,
+    read as (d, k d) they hold the columns (b, j); BA swaps the pairs."""
+    G, k, d, _ = A.shape
+    rows = np.ascontiguousarray(A.transpose(0, 2, 1, 3)).reshape(G, d * k, d)
+    AB = (rows @ rows.reshape(G, d, k * d)).reshape(G, d, k * k, d)
+    BA = AB.take(np.arange(k * k).reshape(k, k).T.ravel(), axis=2)
+    gc = g @ (AB - BA).reshape(G, d, k * k * d)
+    return gc.reshape(G, d, k, k, d).transpose(0, 4, 1, 2, 3)
+
+
 def normal_curvature(alpha, g, ginv, frame):
-    """RN[g,i,j,a,b] = <R^N(d_i,d_j) xi_a, xi_b> by the Ricci equation:
-    the commutators of the shape operators A_a of the frame rows,
-    contracted with g, (g [A_a, A_b])[j, i] = RN[i, j, a, b]."""
-    A = shape_operators(alpha, ginv, frame)
-    AB = A[:, :, None] @ A[:, None, :]
-    comm = AB - AB.transpose(0, 2, 1, 3, 4)
-    return (g[:, None, None] @ comm).transpose(0, 4, 3, 1, 2)
+    """RN[g,i,j,a,b] = <R^N(d_i,d_j) xi_a, xi_b> of the frame rows xi_a."""
+    return ricci_commutators(shape_operators(alpha, ginv, frame), g)
 
 
 def rn_tprime_residual(RN: np.ndarray, m: int) -> float:

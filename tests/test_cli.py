@@ -156,10 +156,10 @@ def test_verify_rejects_a_fixture_file_with_one_domain_pair(tmp_path,
                                                             capsys):
     # the catenoid's chart has two coordinates
     fx = tmp_path / "cat.fixture"
-    fx.write_text("formula: catenoid\ndomain: -0.5 0.5\n")
+    fx.write_text("name: cat\nformula: catenoid\ndomain: -0.5 0.5\n")
     assert cli.main(["verify", "--fixtures", "plane",
                      "--fixture-file", str(fx), "--checks", "kaehler"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: catenoid: the domain must be 2" in capsys.readouterr().err
 
 
 def test_verify_with_fixture_file(tmp_path):

@@ -95,6 +95,34 @@ def test_codazzi_fails_on_one_asymmetric_third_derivative(name):
     assert codazzi[symmetric.name] < 1e-12
 
 
+def test_jets_fails_when_the_first_derivatives_leave_the_values():
+    """The catenoid with its jets' d1 scaled by 1.001 and its values
+    exact: the jets check, which holds d1 against central differences
+    of the values, FAILs, and eq4, which holds alpha from the jets
+    against those of d1, reads 1e-3.  The checks that read the jets
+    alone still pass: 1.001 d1 with the exact d2 and d3 is still a
+    Kaehler, pluriminimal chart to within the tiers."""
+    rec = get_fixture("catenoid")
+    imm = rec.immersion
+
+    def jet_fn(pts, order):
+        jet = imm.jet_fn(pts, order)
+        return dataclasses.replace(jet, d1=1.001 * jet.d1)
+
+    name = "catenoid-d1-scaled"
+    bad = dataclasses.replace(
+        rec, name=name,
+        immersion=dataclasses.replace(imm, name=name, jet_fn=jet_fn))
+    checks = ["kaehler", "jets", "eq4", "ppmc", "pluriminimal",
+              "structure-equations", "closedness"]
+    rep = pipeline.run(pipeline.RunConfig(fixtures=[], checks=checks),
+                       extra_records=[bad])
+    status = {r.check: r.status for r in rep.results}
+    assert status == {**{c: pipeline.PASS for c in checks},
+                      "jets": pipeline.FAIL,
+                      "eq4": pipeline.INCONCLUSIVE}
+
+
 def _inverted_holomorphic_curve(u, v):
     """x / |x|^2 for x = (z + 1, (z + 1)^2) in C^2 = R^4, z = u + iv:
     the inversion of a holomorphic curve, conformal, so still Kaehler,

@@ -112,7 +112,21 @@ def test_load_fixture_file_rejects_bad_input(tmp_path, body, err):
 
 def test_fixture_file_without_grid_takes_the_catalog_grid(tmp_path):
     path = tmp_path / "f.fixture"
-    path.write_text("formula: product-spheres\n")
+    path.write_text("name: f\nformula: product-spheres\n")
     assert load_fixture_file(path).grid_per_axis == 5
-    path.write_text("formula: catenoid\n")
+    path.write_text("name: f\nformula: catenoid\n")
     assert load_fixture_file(path).grid_per_axis is None
+
+
+@pytest.mark.parametrize("body", [
+    "formula: catenoid\ndomain: -0.5 0.5, -0.5 0.5\n",
+    "name: catenoid\n",
+])
+def test_fixture_file_must_name_itself_and_its_formula(tmp_path, body):
+    """Every formula is a registry fixture, so a file that took its name
+    from its formula, or its formula from its name, could never run."""
+    path = tmp_path / "f.fixture"
+    path.write_text(body)
+    with pytest.raises(ValueError,
+                       match="needs both a 'name' and a 'formula' key"):
+        load_fixture_file(path)

@@ -400,3 +400,15 @@ def test_split_validates_inputs():
     J = standard_J(2)
     with pytest.raises(ValueError, match="Jt"):
         flags.split_two_complex_structures(J, 0.5 * J)
+
+
+@pytest.mark.parametrize("which", ["J", "Jt"])
+def test_split_rejects_a_nan_complex_structure(which):
+    """A NaN compares false with the tolerance, so it must fail the
+    check rather than pass it and stall the eigensolver later."""
+    J = standard_J(2)
+    bad = J.copy()
+    bad[0, 1] = np.nan
+    args = (bad, J) if which == "J" else (J, bad)
+    with pytest.raises(ValueError, match=rf"^{which}\^2 != -I$"):
+        flags.split_two_complex_structures(*args)

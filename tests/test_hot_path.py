@@ -67,6 +67,26 @@ def test_verify_of_a_normal_line_forms_no_normal_frame(qr_calls):
     assert qr_calls == []
 
 
+def test_structure_sweep_takes_shape_operators_from_kaehler(monkeypatch):
+    """The sweep's Ricci term reads the Weingarten maps of the parts of
+    alpha_theta from kaehler, and only where the normal bundle has rank
+    >= 2: R^N of every form on a normal line is 0."""
+    cfg = pipeline.RunConfig()
+    geoms = {rec.name: pipeline.FixtureContext(rec, cfg).geom
+             for rec in registry()}
+    for geom in geoms.values():
+        geom.RN
+    calls = _spy(monkeypatch, ((kaehler, "shape_operators"),))
+    callers = set()
+    for name, geom in geoms.items():
+        before = len(calls)
+        family.structure_equation_residuals(geom, family.THETA_SWEEP)
+        if len(calls) > before:
+            callers.add(name)
+    assert len(geoms) == 11
+    assert callers == {"holomorphic-curve", "product-spheres", "veronese"}
+
+
 def test_sublemma_calls_no_einsum(monkeypatch):
     cfg = pipeline.RunConfig()
     geoms = [pipeline.FixtureContext(rec, cfg).geom for rec in registry()]

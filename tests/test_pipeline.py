@@ -353,6 +353,25 @@ def test_nan_in_a_curvature_reads_as_structure_equation_error(
     assert term in res.message
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("fixture", ["sphere", "veronese", "cylinder"])
+def test_non_finite_alpha_reads_as_sphere_reduction_error(monkeypatch,
+                                                            fixture, value):
+    # a NaN in eta compares false with the tangency bound, and an inf
+    # makes the bound inf; neither may let the reduction through to
+    # read "not spherical"
+    def edit(geom):
+        geom.alpha[0, 0, 0, 0] = value
+    _edit_geometry(monkeypatch, edit)
+    with np.errstate(invalid="ignore"):
+        rep = pipeline.run(pipeline.RunConfig(
+            fixtures=[fixture],
+            checks=["kaehler", "sphere-reduction", "section"], grid=5))
+    for res in rep.results[1:]:
+        assert res.status == pipeline.ERROR
+        assert "eta is not normal or not finite" in res.message
+
+
 def test_nan_in_the_second_jet_reads_as_closedness_error(monkeypatch):
     # d2[3, 3] enters only the pairs (i, 3), the last three of six
     def edit(geom):
