@@ -9,10 +9,11 @@ case, with Hilbert-Schmidt orthonormal bases per grading level.
 
 Every commutator of two basis stacks comes from two matrix products
 (_commutators).  Each grading brackets every pair of its levels once,
-into one table (Grading.bracket_table) of coordinates in the target
-level's basis and escapes off it.  The grading and Cartan residuals
-fold its escapes; the C2 closure grows level by level in its
-coordinates, with no n x n bracket inside a round.
+into one table (Grading.bracket_table) of escapes off the target level
+and, for the pairs with a level +-1, coordinates in its basis.  The
+grading and Cartan residuals fold its escapes; the C2 closure grows
+level by level in its coordinates, with no n x n bracket inside a
+round.
 """
 
 import functools
@@ -157,8 +158,11 @@ def _orthonormalize_stack(mats: np.ndarray):
 
 
 class Bracket(NamedTuple):
-    """[g_j, g_k] for levels j <= k, one entry of Grading.bracket_table."""
-    coords: np.ndarray    # [a_j, b_k] in g_{j+k}'s basis, (d_j, d_k, d_j+k)
+    """[g_j, g_k] for levels j <= k, one entry of Grading.bracket_table.
+    coords is kept only where j or k is the level +-1, the pairs that
+    generation_check reads, and is None elsewhere."""
+    # [a_j, b_k] in g_{j+k}'s basis, (d_j, d_k, d_j+k), or None
+    coords: Optional[np.ndarray]
     escape: float         # largest entry of a basis bracket off g_{j+k}
     cartan_escape: float  # off its Cartan target: k for j = k mod 2, else p
 
@@ -188,8 +192,9 @@ class Grading:
     def bracket_table(self) -> Dict[Tuple[float, float], Bracket]:
         """(j, k) -> Bracket for each pair of levels j <= k, from one
         _commutators call per pair; coords has width 0 when j + k is not
-        a level.  Within one level only a < b is bracketed and the rest
-        filled antisymmetrically.  Built once, on first read."""
+        a level, and is None unless j or k is +-1.  Within one level only
+        a < b is bracketed and the rest filled antisymmetrically.  Built
+        once, on first read."""
         n = self.elem.n
         cartan = [c.reshape(-1, n * n) for c in _cartan_parts(self)]
         table = {}
@@ -207,10 +212,13 @@ class Grading:
             # np.max, not max(): a NaN must reach the caller
             escapes = [float(np.max(np.abs(C - X), initial=0.0))
                        for X in (S @ T, (C @ K.conj().T) @ K)]
-            if j == k:
-                S, rows = np.zeros((p, p, T.shape[0]), dtype=complex), S
-                S[upper], S[upper[::-1]] = rows, -rows
-            table[j, k] = Bracket(S.reshape(p, q, T.shape[0]), *escapes)
+            coords = None
+            if min(abs(abs(j) - 1.0), abs(abs(k) - 1.0)) < _EIG_TOL:
+                if j == k:
+                    S, rows = np.zeros((p, p, T.shape[0]), dtype=complex), S
+                    S[upper], S[upper[::-1]] = rows, -rows
+                coords = S.reshape(p, q, T.shape[0])
+            table[j, k] = Bracket(coords, *escapes)
         return table
 
 

@@ -22,6 +22,11 @@ and d_v alpha (alpha_derivative).  Only eq4's second route takes a
 finite difference (fd_tangent_projector_derivatives, on the shared
 stencil chartcalc.central_differences); its shifted grids take
 order-1 jets and pass the geometry's regularity gate.
+
+Every batched product of the bundle layer is one product per grid
+point: the chart directions (or generator fields) are folded into the
+rows or columns of the matmul, never broadcast as one small n x n
+product per point and per direction, and no einsum runs.
 """
 
 import functools
@@ -39,7 +44,7 @@ from .chartcalc import (RankError, _check_boundary, central_differences,
 
 def grassmann_invariants(P: np.ndarray, dim: int):
     """(idempotency, symmetry, trace) residuals of a projector field."""
-    idem = float(np.max(np.abs(np.einsum("gxy,gyz->gxz", P, P) - P)))
+    idem = float(np.max(np.abs(P @ P - P)))
     symm = float(np.max(np.abs(P - P.transpose(0, 2, 1).conj())))
     tr = float(np.max(np.abs(np.trace(P, axis1=1, axis2=2) - dim)))
     return idem, symm, tr
@@ -54,13 +59,13 @@ def dgauss_check(geom: forms.GeometryData, dP_T: np.ndarray) -> float:
     projector.  The pipeline passes the central differences of
     fd_tangent_projector_derivatives: the closed form of
     projector_derivatives is built from alpha, so against it the two
-    routes would agree identically.
+    routes would agree identically.  All directions take one product
+    per point, rows (i, x) against d1^T.
     """
-    # np.max, not max(): a NaN must reach the caller
-    return float(np.max([
-        np.max(np.abs(np.einsum("gxy,gjy->gjx", dP_T[:, v].real,
-                                geom.jet.d1) - geom.alpha[:, v]))
-        for v in range(geom.jet.chart_dim)]))
+    G, d, n, _ = dP_T.shape
+    d1T = np.ascontiguousarray(geom.jet.d1.transpose(0, 2, 1))
+    dP_d1 = (dP_T.real.reshape(G, d * n, n) @ d1T).reshape(G, d, n, d)
+    return float(np.max(np.abs(dP_d1 - geom.alpha.transpose(0, 1, 3, 2))))
 
 
 def fd_tangent_projector_derivatives(geom: forms.GeometryData,
@@ -110,17 +115,22 @@ def _ranked_svd(gens: np.ndarray, scale: float):
     return u[:, :, :r], sv[:, :r], vh[:, :r, :]
 
 
+def _span_projector(vr: np.ndarray) -> np.ndarray:
+    """P = V_r^T conj(V_r) (G, n, n) for orthonormal rows vr (G, r, n)."""
+    return np.ascontiguousarray(vr.transpose(0, 2, 1)) @ vr.conj()
+
+
 def projector_from_generators(gens: np.ndarray, scale: float = 0.0):
     """Hermitian projector (G, n, n) onto the row span of gens (G, K, n).
 
     The numerical rank (singular values above _RANK_REL_TOL times the
     larger of the global largest one and the caller's scale) must be
-    constant over the grid; the scale lets an exactly-degenerate generator stack
-    (for example vanishing alpha^{(2,0)} values) classify as rank 0
-    instead of amplifying round-off.
+    constant over the grid; the scale lets an exactly-degenerate
+    generator stack (for example vanishing alpha^{(2,0)} values) classify
+    as rank 0 instead of amplifying round-off.
     """
     _, _, vr = _ranked_svd(gens, scale)
-    return np.einsum("gkx,gky->gxy", vr, vr.conj()), vr.shape[1]
+    return _span_projector(vr), vr.shape[1]
 
 
 def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
@@ -132,28 +142,36 @@ def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
     P projects onto the column span of A^T for A = gens; for constant
     rank (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973)
 
-        dP = X + X^H,   X = (I - P) (A+ dA)^T,   A+ = V_r S_r^-1 U_r^H.
+        dP = X + X^H,   X = (I - P) (A+ dA)^T = (I - P) dA^T (A+)^T,
 
-    A rank-0 stack has dP = 0.
+    with A+ = V_r S_r^-1 U_r^H.  All D directions go through one product
+    per point: (I - P) against the dA_v^T side by side (G, n, D K), whose
+    rows (x, v) then meet (A+)^T (G, K, n).  A rank-0 stack has dP = 0.
     """
     ur, sr, vr = _ranked_svd(gens, scale)
-    n = gens.shape[2]
-    P = np.einsum("gkx,gky->gxy", vr, vr.conj())
-    pinv = ((vr.conj().transpose(0, 2, 1) / sr[:, None, :])
-            @ ur.conj().transpose(0, 2, 1))
-    X = ((np.eye(n) - P)[:, None]
-         @ (pinv[:, None] @ dgens).transpose(0, 1, 3, 2))
-    return P, vr.shape[1], X + X.conj().transpose(0, 1, 3, 2)
+    G, D, K, n = dgens.shape
+    P = _span_projector(vr)
+    pinvT = ur.conj() @ (vr.conj() / sr[:, :, None])       # (A+)^T
+    dAT = dgens.transpose(0, 3, 1, 2).reshape(G, n, D * K)
+    X = ((np.eye(n) - P) @ dAT).reshape(G, n * D, K) @ pinvT
+    dP = np.ascontiguousarray(X.reshape(G, n, D, n).transpose(0, 2, 1, 3))
+    dP += dP.conj().transpose(0, 1, 3, 2)
+    return P, vr.shape[1], dP
 
 
 def outside_residual(P_target: np.ndarray, dP: np.ndarray,
                      P_source: np.ndarray) -> float:
     """sup || P_target (dP_source) P_source || over grid/directions.
 
-    dP has shape (G, D, n, n) for D (possibly complex) directions; the
-    two projectors are broadcast over the direction axis.
+    dP has shape (G, D, n, n) for D (possibly complex) directions.  Each
+    point takes two products: Y = dP P_source with the D blocks stacked
+    as rows (G, D n, n), then P_target against them side by side
+    (G, n, D n).
     """
-    M = P_target[:, None] @ dP @ P_source[:, None]
+    G, D, n, _ = dP.shape
+    Y = dP.reshape(G, D * n, n) @ P_source
+    Y = Y.reshape(G, D, n, n).transpose(0, 2, 1, 3).reshape(G, n, D * n)
+    M = P_target @ Y
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
@@ -243,26 +261,36 @@ def projector_derivatives(geom: forms.GeometryData):
     d1 = geom.jet.d1
     B = holomorphic_basis(m)
 
-    # [v] = sum_ab g^{ab} alpha_va d1_b^T, then its transpose added
-    dP_T = ((geom.ginv[:, None] @ geom.alpha).transpose(0, 1, 3, 2)
-            @ d1[:, None])
+    # [v] = sum_a alpha_va (g^{-1} d1)_a^T, rows (v, x) in one product,
+    # then its transpose added
+    dP_T = (geom.alpha.transpose(0, 1, 3, 2).reshape(G, d * n, d)
+            @ (geom.ginv @ d1)).reshape(G, d, n, n)
     dP_T = dP_T + dP_T.transpose(0, 1, 3, 2)
 
-    # tau' generators: df(d'_a), scaled by 2 for conditioning
-    tp_gens = np.einsum("ai,gix->gax", 2.0 * B, d1.astype(complex))
-    P_taup, r_tp, dP_taup = projector_derivative(tp_gens,
-                                                 (2.0 * B) @ geom.jet.d2)
+    # tau' generators: df(d'_a), scaled by 2 for conditioning; their
+    # derivatives 2B d2_v take d2's rows i against its columns (v, x),
+    # as d2 is symmetric in (v, i)
+    dtp = ((2.0 * B) @ geom.jet.d2.reshape(G, d, d * n)).reshape(G, m, d, n)
+    P_taup, r_tp, dP_taup = projector_derivative(
+        (2.0 * B) @ d1, dtp.transpose(0, 2, 1, 3))
     if r_tp != m:
         raise RankError(f"tau' rank {r_tp} != m = {m}")
 
-    dalpha = alpha_derivative(geom).reshape(G, d, d * d, n)
+    # the N° and N' generator derivatives kron(B, conj B) d_v alpha and
+    # kron(B, B) d_v alpha in one real product: the rows (x, v) of
+    # d alpha against the real and imaginary parts of the kron rows,
+    # interleaved so that the product reads as complex
+    K = np.concatenate([np.kron(B, B.conj()), np.kron(B, B)]).T
+    dalpha = alpha_derivative(geom).transpose(0, 4, 1, 2, 3).reshape(
+        G * n * d, d * d)
+    KdA = (dalpha @ np.stack([K.real, K.imag], axis=-1).reshape(d * d, -1)
+           ).view(complex).reshape(G, n, d, 2, m * m)
+    d11, d20 = (KdA[:, :, :, f].transpose(0, 2, 3, 1) for f in (0, 1))
     alpha_scale = float(np.max(np.abs(geom.alpha)))
     P_No, r_no, dP_No = projector_derivative(
-        geom.alpha11.reshape(G, m * m, n), np.kron(B, B.conj()) @ dalpha,
-        scale=alpha_scale)
+        geom.alpha11.reshape(G, m * m, n), d11, scale=alpha_scale)
     P_Np, r_np, dP_Np = projector_derivative(
-        geom.alpha20.reshape(G, m * m, n), np.kron(B, B) @ dalpha,
-        scale=alpha_scale)
+        geom.alpha20.reshape(G, m * m, n), d20, scale=alpha_scale)
     return Bundles(T=Bundle(geom.P_T, dP_T), taup=Bundle(P_taup, dP_taup),
                    No=Bundle(P_No, dP_No), Np=Bundle(P_Np, dP_Np),
                    ranks={"tau'": r_tp, "N°": r_no, "N'": r_np})
@@ -297,7 +325,7 @@ def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles):
     m = geom.imm.complex_dim
     a20 = geom.alpha20.reshape(G, m * m, -1)
     term1 = float(np.max(np.abs(
-        np.einsum("gxy,gky->gkx", bun.No.P, a20)))) if m else 0.0
+        a20 @ bun.No.P.transpose(0, 2, 1)))) if m else 0.0
     term2 = forms.ppmc_residual(geom)
     return term1, term2
 
@@ -319,8 +347,7 @@ def isotropy_decomposition(bun: Bundles) -> IsotropyReport:
     pairs = [(bun.Np.P, bun.No.P), (bun.Np.P, bun.Npp.P),
              (bun.No.P, bun.Npp.P)]
     # np.max, not max(): a NaN must reach the caller
-    orth = float(np.max([np.max(np.abs(np.einsum("gxy,gyz->gxz", A, B)))
-                         for A, B in pairs]))
+    orth = float(np.max([np.max(np.abs(A @ B)) for A, B in pairs]))
     par = float(np.max([outside_residual(bun.Nc.P - S.P, S.dP, S.P)
                         for S in (bun.Np, bun.No, bun.Npp)]))
     return IsotropyReport(ranks=dict(bun.ranks), orthogonality=orth,
@@ -358,15 +385,11 @@ def gauss_section_check(geom: forms.GeometryData, bun: Bundles,
     if not mc.spherical:
         raise ValueError(f"{geom.imm.name}: not spherical; no section")
     sec = geom.jet.value - mc.center[None]
-    normality = float(np.max(np.abs(
-        np.einsum("gix,gx->gi", geom.jet.d1, sec))))
+    normality = float(np.max(np.abs(geom.jet.d1 @ sec[:, :, None])))
     # d(f - m)(d'_a) = df(d'_a) must lie in tau'
-    m_ = geom.imm.complex_dim
-    B = holomorphic_basis(m_)
-    dfp = np.einsum("ai,gix->gax", B, geom.jet.d1.astype(complex))
+    dfp = holomorphic_basis(geom.imm.complex_dim) @ geom.jet.d1
     n = geom.imm.ambient_dim
     P_out = np.eye(n, dtype=complex)[None] - bun.taup.P
-    tangency = float(np.max(np.abs(
-        np.einsum("gxy,gay->gax", P_out, dfp))))
+    tangency = float(np.max(np.abs(dfp @ P_out.transpose(0, 2, 1))))
     return normality, tangency, mc.radius_spread
 

@@ -99,10 +99,13 @@ def kaehler_curvature_identity_residual(R: np.ndarray, m: int) -> float:
 def shape_operators(alpha, ginv, xi):
     """The Weingarten maps A_xi = g^{-1} <alpha, xi>, (G, K, d, d), of a
     stack of K fields xi (G, K, n): A_xi d_j = sum_i A[..., i, j] d_i.
-    Only the normal part of xi enters, since alpha is normal-valued."""
+    Only the normal part of xi enters, since alpha is normal-valued.
+    g^{-1} is applied to alpha once per point, then all K fields take
+    one product xi (g^{-1} alpha)^T per point."""
     G, d, _, n = alpha.shape
-    M = xi @ alpha.reshape(G, d * d, n).transpose(0, 2, 1)
-    return ginv[:, None] @ M.reshape(G, xi.shape[1], d, d)
+    ga = (ginv @ alpha.reshape(G, d, d * n)).reshape(G, d * d, n)
+    gaT = np.ascontiguousarray(ga.transpose(0, 2, 1))
+    return (xi @ gaT).reshape(G, xi.shape[1], d, d)
 
 
 def normal_frame(jet: Jet3) -> np.ndarray:

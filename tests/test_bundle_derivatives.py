@@ -175,8 +175,8 @@ MUTANTS = {
         "geom.Dalpha + GA + GA.transpose(0, 1, 3, 2, 4) - tangential",
         "geom.Dalpha - tangential", "veronese"),
     "conjugate transpose of A+ dA": (
-        "@ (pinv[:, None] @ dgens).transpose(0, 1, 3, 2))",
-        "@ (pinv[:, None] @ dgens).conj().transpose(0, 1, 3, 2))",
+        "((np.eye(n) - P) @ dAT).reshape(G, n * D, K) @ pinvT",
+        "((np.eye(n) - P) @ dAT.conj()).reshape(G, n * D, K) @ pinvT.conj()",
         "sphere"),
     "dP_No forced to zero": (
         "No=Bundle(P_No, dP_No)", "No=Bundle(P_No, 0.0 * dP_No)",

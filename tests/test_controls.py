@@ -156,3 +156,36 @@ def test_sublemma_fails_on_an_inverted_holomorphic_curve():
     assert residual["sublemma"] == pytest.approx(4.399882821413984,
                                                  rel=1e-12)
     assert rep.mismatches == []
+
+
+def _z1z2_graph(u1, v1, u2, v2):
+    """The graph of w = z1 z2 in C^3 = R^6, z_k = u_k + i v_k."""
+    return [u1, v1, u2, v2, u1 * u2 - v1 * v2, u1 * v2 + v1 * u2]
+
+
+def test_complex_hypersurface_has_curved_normal_bundle_flat_on_t_prime():
+    """A complex hypersurface (m = 2, n = 6) whose normal curvature is
+    not 0 (max |R^N| = 2 at the origin) but vanishes on T' x T': every
+    check the ledger asks for passes, and the sphere reduction FAILs
+    since the mean curvature is 0."""
+    imm = ChartedImmersion(
+        name="z1z2-graph", ambient_dim=6, complex_dim=2,
+        domain=[(-0.5, 0.5)] * 4,
+        eval_fn=functools.partial(jets.values, _z1z2_graph),
+        jet_fn=functools.partial(jets.jet, _z1z2_graph))
+    flags = {f: f != "spherical" for f in FLAG_NAMES}
+    rec = FixtureRecord(name=imm.name, immersion=imm, flags=flags,
+                        grid_per_axis=5)
+    cfg = pipeline.RunConfig(fixtures=[])
+    rep = pipeline.run(cfg, extra_records=[rec])
+    status = {r.check: r.status for r in rep.results}
+    assert len(status) == len(pipeline.TABLE)
+    assert status == {**{c.name: pipeline.PASS for c in pipeline.TABLE},
+                      "sphere-reduction": pipeline.FAIL,
+                      "section": pipeline.SKIPPED}
+    assert rep.mismatches == []
+    residual = {r.check: r.residual for r in rep.results}
+    assert residual["sphere-reduction"] == np.inf
+    RN = pipeline.FixtureContext(rec, cfg).geom.RN
+    assert np.max(np.abs(RN)) == pytest.approx(2.0, rel=1e-12)
+    assert residual["rn-tprime"] < 1e-15

@@ -196,6 +196,57 @@ def outside_residual_ref(P_target, dP, P_source):
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
+# ----------------------------------------- broadcast (per-direction) forms
+# The bundle layer's products as they were grouped before the direction
+# or field axis was folded into one product per point: one small
+# product per point and per direction (or field).
+
+def outside_residual_broadcast_ref(P_target, dP, P_source):
+    M = P_target[:, None] @ dP @ P_source[:, None]
+    return float(np.max(np.abs(M))) if M.size else 0.0
+
+
+def projector_derivative_broadcast_ref(gens, dgens, scale=0.0):
+    ur, sr, vr = gaussmaps._ranked_svd(gens, scale)
+    n = gens.shape[2]
+    P = np.einsum("gkx,gky->gxy", vr, vr.conj())
+    pinv = ((vr.conj().transpose(0, 2, 1) / sr[:, None, :])
+            @ ur.conj().transpose(0, 2, 1))
+    X = ((np.eye(n) - P)[:, None]
+         @ (pinv[:, None] @ dgens).transpose(0, 1, 3, 2))
+    return P, vr.shape[1], X + X.conj().transpose(0, 1, 3, 2)
+
+
+def shape_operators_broadcast_ref(alpha, ginv, xi):
+    G, d, _, n = alpha.shape
+    M = xi @ alpha.reshape(G, d * d, n).transpose(0, 2, 1)
+    return ginv[:, None] @ M.reshape(G, xi.shape[1], d, d)
+
+
+def projector_derivatives_broadcast_ref(geom):
+    """{field: (P, dP)} for T, tau', N° and N' with the generator
+    derivatives as broadcast complex products."""
+    m = geom.imm.complex_dim
+    G, d, _, n = geom.alpha.shape
+    d1 = geom.jet.d1
+    B = holomorphic_basis(m)
+    dP_T = ((geom.ginv[:, None] @ geom.alpha).transpose(0, 1, 3, 2)
+            @ d1[:, None])
+    out = {"T": (geom.P_T, dP_T + dP_T.transpose(0, 1, 3, 2))}
+    tp_gens = np.einsum("ai,gix->gax", 2.0 * B, d1.astype(complex))
+    P, _, dP = projector_derivative_broadcast_ref(tp_gens,
+                                                  (2.0 * B) @ geom.jet.d2)
+    out["taup"] = (P, dP)
+    dalpha = gaussmaps.alpha_derivative(geom).reshape(G, d, d * d, n)
+    scale = float(np.max(np.abs(geom.alpha)))
+    for name, a, K in (("No", geom.alpha11, np.kron(B, B.conj())),
+                       ("Np", geom.alpha20, np.kron(B, B))):
+        P, _, dP = projector_derivative_broadcast_ref(
+            a.reshape(G, m * m, n), K @ dalpha, scale)
+        out[name] = (P, dP)
+    return out
+
+
 # ----------------------------------------------------------- random data
 
 def _random_jet(seed, d, n, G=7):
@@ -547,3 +598,86 @@ def test_outside_residual_matches_einsum_on_fixtures(fixture_geoms, name):
     for P_t, dP_s, P_s in cases:
         assert abs(gaussmaps.outside_residual(P_t, dP_s, P_s)
                    - outside_residual_ref(P_t, dP_s, P_s)) < TOL
+
+
+# ------------------------------------- one product per point vs broadcast
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel_diff(got, ref):
+    """The largest entrywise difference over the largest reference entry,
+    or over 1 where that is smaller (a projector's own scale, and the
+    derivative of a field that does not move)."""
+    return _max_diff(got, ref) / max(float(np.max(np.abs(ref))), 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("D", [1, 2, 4])
+def test_outside_residual_matches_broadcast_on_random_operands(n, D):
+    """Non-Hermitian complex operands, and a real target."""
+    rng = np.random.default_rng(10 * n + D)
+    P_t, dP, P_s = _cplx(rng, 5, n, n), _cplx(rng, 5, D, n, n), \
+        _cplx(rng, 5, n, n)
+    for target in (P_t, P_t.real):
+        ref = outside_residual_broadcast_ref(target, dP, P_s)
+        assert ref > 1.0
+        assert abs(gaussmaps.outside_residual(target, dP, P_s) - ref) \
+            < TOL * ref
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("D", [1, 2, 4])
+@pytest.mark.parametrize("K,r", [(2, 2), (3, 2)])
+def test_projector_derivative_matches_broadcast_on_random_operands(n, D,
+                                                                   K, r):
+    """Complex generators of rank r (K = 3 rows of rank 2: a rank-
+    deficient stack) and non-Hermitian complex derivatives."""
+    rng = np.random.default_rng(100 * n + 10 * D + K)
+    gens = _cplx(rng, 5, K, r) @ _cplx(rng, 5, r, n)
+    dgens = _cplx(rng, 5, D, K, n)
+    P, rank, dP = gaussmaps.projector_derivative(gens, dgens)
+    P_ref, rank_ref, dP_ref = projector_derivative_broadcast_ref(gens,
+                                                                 dgens)
+    assert rank == rank_ref == r
+    assert _rel_diff(P, P_ref) < TOL
+    assert _rel_diff(dP, dP_ref) < TOL
+
+
+@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
+@pytest.mark.parametrize("K", [1, 3, 16])
+def test_shape_operators_match_broadcast_on_random_tensors(d, n, K):
+    geom = _random_geometry(5, d, n)
+    xi = np.random.default_rng(K).standard_normal((7, K, n))
+    ref = shape_operators_broadcast_ref(geom.alpha, geom.ginv, xi)
+    assert _rel_diff(kaehler.shape_operators(geom.alpha, geom.ginv, xi),
+                     ref) < TOL
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_bundle_products_match_broadcast_on_fixtures(fixture_geoms,
+                                                     fixture_bundles, name):
+    """Every projector and derivative, every outside residual between
+    two of the fields, and the shape operators of the frame and of the
+    alpha values.  A residual that vanishes is round-off, so residuals
+    are held to TOL times the product of their operands' largest
+    entries."""
+    geom, bun = fixture_geoms[name], fixture_bundles[name]
+    for field, (P_ref, dP_ref) in \
+            projector_derivatives_broadcast_ref(geom).items():
+        P, dP = getattr(bun, field)
+        assert _rel_diff(P, P_ref) < TOL and _rel_diff(dP, dP_ref) < TOL
+    fields = [bun.T, bun.taup, bun.taupp, bun.No, bun.Np, bun.Npp, bun.Nc]
+    for S in fields:
+        for target in fields:
+            scale = np.prod([np.max(np.abs(a), initial=0.0)
+                             for a in (target.P, S.dP, S.P)])
+            got = gaussmaps.outside_residual(target.P, S.dP, S.P)
+            ref = outside_residual_broadcast_ref(target.P, S.dP, S.P)
+            assert abs(got - ref) <= TOL * scale
+    G, d, _, n = geom.alpha.shape
+    for xi in (geom.frame, geom.alpha.reshape(G, d * d, n)):
+        ref = shape_operators_broadcast_ref(geom.alpha, geom.ginv, xi)
+        got = kaehler.shape_operators(geom.alpha, geom.ginv, xi)
+        assert _rel_diff(got, ref) < TOL

@@ -1,14 +1,14 @@
-"""The geometry pass, the family integration and the sublemma call no
-index-loop np.einsum, and the first two no per-point np.linalg.svd:
-their contractions are batched `@` products and the rank test is
-certified from g and g^-1.  Neither the family path nor a full verify
-of a surface in R^3 forms a normal frame (np.linalg.qr): only R^N of a
-normal bundle of rank >= 2 reads it."""
+"""The geometry pass, the family integration, the sublemma and the
+bundle layer call no index-loop np.einsum, and the first two no
+per-point np.linalg.svd: their contractions are batched `@` products
+and the rank test is certified from g and g^-1.  Neither the family
+path nor a full verify of a surface in R^3 forms a normal frame
+(np.linalg.qr): only R^N of a normal bundle of rank >= 2 reads it."""
 
 import numpy as np
 import pytest
 
-from plurimean import family, forms, kaehler, pipeline
+from plurimean import family, flags, forms, gaussmaps, kaehler, pipeline
 from plurimean.fixtures import get_immersion, registry
 
 
@@ -95,4 +95,33 @@ def test_sublemma_calls_no_einsum(monkeypatch):
     calls = _spy(monkeypatch, ((np, "einsum"),))
     for geom in geoms:
         kaehler.sublemma_residual(geom)
+    assert calls == []
+
+
+def test_bundle_layer_calls_no_einsum(monkeypatch):
+    """The projector derivatives, the residuals read from them and the
+    Grassmannian and eq4 residuals of P_T are batched `@` products on
+    every registry fixture."""
+    cfg = pipeline.RunConfig()
+    ctxs = [pipeline.FixtureContext(rec, cfg) for rec in registry()
+            if rec.flags["kaehler"]]
+    fd_dP_T = [gaussmaps.fd_tangent_projector_derivatives(ctx.geom, cfg.h)
+               for ctx in ctxs]
+    for ctx in ctxs:
+        ctx.mean_curvature   # built by forms, before the spy
+    calls = _spy(monkeypatch, ((np, "einsum"),))
+    for ctx, dP_T in zip(ctxs, fd_dP_T):
+        geom = ctx.geom
+        gaussmaps.grassmann_invariants(geom.P_T, geom.jet.chart_dim)
+        gaussmaps.dgauss_check(geom, dP_T)
+        bun = gaussmaps.projector_derivatives(geom)
+        gaussmaps.superhorizontality_residual(bun)
+        gaussmaps.holomorphicity_residuals(geom, bun)
+        gaussmaps.half_isotropy_residual(geom, bun)
+        flags.lift_grading_residual(bun)
+        gaussmaps.isotropy_decomposition(bun)
+        gaussmaps.differential_chain_residuals(geom, bun)
+        if ctx.mean_curvature.spherical:
+            gaussmaps.gauss_section_check(geom, bun, ctx.mean_curvature)
+    assert len(ctxs) == 10
     assert calls == []
