@@ -1,10 +1,14 @@
-"""Charted immersions, their jets, and the (1,0) coordinate basis.
+"""Charted immersions, their jets, and the chart's type algebra.
 
 Coordinates on a chart of complex dimension m are ordered
 (x1, y1, ..., xm, ym), so the complex structure J acts as a constant
 block matrix with J(d/dx_k) = d/dy_k.  All jet arrays carry a leading
 grid axis ``G`` followed by chart indices (``d = 2m``) and the ambient
 axis ``n``.
+
+The (p,q)-types of a form live here: form_parts splits it on the real
+basis into the parts u, v, w of rotation_parts, and contract_slots
+reads it on the (1,0) basis of holomorphic_basis.
 """
 
 import functools
@@ -207,6 +211,39 @@ def contract_slots(A: np.ndarray, B: np.ndarray,
     *lead, di, dj, n = T.shape
     flat = T.reshape(*lead, di * dj, n)
     return (np.kron(A, B) @ flat).reshape(*lead, A.shape[0], B.shape[0], n)
+
+
+def rotation_parts(J: np.ndarray) -> np.ndarray:
+    """(3, d^2, d^2): the constant matrices K_u, K_v, K_w with
+
+        kron(R_theta^T, R_theta^T) = K_u + cos 2theta K_v + sin 2theta K_w
+
+    for R_theta = cos(theta) I + sin(theta) J, from
+    cos^2 = (1 + cos 2theta) / 2, sin^2 = (1 - cos 2theta) / 2 and
+    cos sin = sin 2theta / 2.  Applied to a form they give its parts
+    u = a11 and v - i w = 2 a20 (the (p,q)-parts on the real basis,
+    extended complex-bilinearly), so that
+    alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 reads
+    u + cos 2theta v + sin 2theta w (the e^{2i theta} convention).
+    """
+    d = J.shape[0]
+    eye = np.eye(d)
+    JJ = np.kron(J.T, J.T)
+    return 0.5 * np.stack([np.eye(d * d) + JJ, np.eye(d * d) - JJ,
+                           np.kron(J.T, eye) + np.kron(eye, J.T)])
+
+
+def form_parts(J: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(3, ..., d, d, n): the parts u, v, w (rotation_parts) of a form T
+    (..., d, d, n) in its last two chart axes, leading axes carried
+    along: u is the (1,1)-part, v - i w twice the (2,0)-part.  One
+    product of the stacked (3 d^2, d^2) matrix with the (d^2, n) values;
+    each row has two entries +-1/2, so each part rounds once."""
+    T = np.asarray(T)
+    *lead, d, _, n = T.shape
+    parts = (rotation_parts(J).reshape(3 * d * d, d * d)
+             @ T.reshape(*lead, d * d, n))
+    return np.moveaxis(parts.reshape(*lead, 3, d, d, n), -4, 0)
 
 
 def convergence_order(imm: ChartedImmersion, pts: np.ndarray,

@@ -3,7 +3,8 @@ all theta, explicit integration of the associated family of pluriminimal
 surfaces, rigid matching, and the normal-bundle automorphism psi_theta.
 
 The rotated form is alpha_theta = u + cos 2theta v + sin 2theta w with
-theta-independent parts u, v, w (rotation_parts), and psi_theta is
+theta-independent parts u, v, w, which chartcalc's rotation_parts
+defines and form_parts splits off; psi_theta is
 I + a P_N' + conj(a) P_N'' with a = e^{2i theta} - 1.  The structure
 equations and psi_theta's residuals are swept over all angles from
 terms formed once per geometry.  rotation_parts, the structure equations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import forms, kaehler
-from .chartcalc import ChartedImmersion
+from .chartcalc import ChartedImmersion, form_parts, rotation_parts
 from .gaussmaps import Bundles
 
 THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
@@ -27,25 +28,6 @@ _CLOSEDNESS_TOL = 1e-6   # integrate_family's bound on d(df o R_theta)
 def rotation(J: np.ndarray, theta: float) -> np.ndarray:
     """R_theta = cos(theta) I + sin(theta) J on the chart."""
     return np.cos(theta) * np.eye(J.shape[0]) + np.sin(theta) * J
-
-
-def rotation_parts(J: np.ndarray) -> np.ndarray:
-    """(3, d^2, d^2): the constant matrices K_u, K_v, K_w with
-
-        kron(R_theta^T, R_theta^T) = K_u + cos 2theta K_v + sin 2theta K_w,
-
-    from cos^2 = (1 + cos 2theta) / 2, sin^2 = (1 - cos 2theta) / 2 and
-    cos sin = sin 2theta / 2.  Applied to a form they give its parts
-    u = a11 and v - i w = 2 a20 (the (p,q)-parts on the real basis,
-    extended complex-bilinearly), so that
-    alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 reads
-    u + cos 2theta v + sin 2theta w (the e^{2i theta} convention).
-    """
-    d = J.shape[0]
-    eye = np.eye(d)
-    JJ = np.kron(J.T, J.T)
-    return 0.5 * np.stack([np.eye(d * d) + JJ, np.eye(d * d) - JJ,
-                           np.kron(J.T, eye) + np.kron(eye, J.T)])
 
 
 def _codazzi_map(J: np.ndarray) -> np.ndarray:
@@ -81,7 +63,7 @@ def structure_equation_residuals(geom: forms.GeometryData,
     curvatures of f on the left and the rotated form alpha_theta on the
     right, one row per angle.
 
-    alpha_theta = u + cos 2theta v + sin 2theta w (rotation_parts), so
+    alpha_theta = u + cos 2theta v + sin 2theta w (form_parts), so
     every term is a polynomial of degree <= 2 in (cos 2theta, sin
     2theta).  Its theta-independent parts are formed once; each angle
     then costs a few axpys and a max:
@@ -143,8 +125,7 @@ def structure_equation_residuals(geom: forms.GeometryData,
     normal_line = RN.shape[-1] == 1
     if not normal_line:
         A_u, A_v, A_w = (kaehler.shape_operators(p, geom.ginv, geom.frame)
-                         for p in (K.reshape(3 * d * d, d * d) @ alpha)
-                         .reshape(G, 3, d, d, n).swapaxes(0, 1))
+                         for p in form_parts(J, geom.alpha))
 
     out = np.empty((len(thetas), 3))
     for t in range(len(thetas)):
@@ -281,7 +262,7 @@ def build_psi(geom: forms.GeometryData, bun: Bundles,
     Q = P_N'' and a = e^{2it} - 1, psi_theta = I + a P + conj(a) Q, so
     the theta-independent terms are formed once: psi alpha - alpha_theta
     = X0 + cos 2t X1 + sin 2t X2 (alpha is real and Q = conj P, and
-    alpha_theta comes from rotation_parts); psi psi* - I = C0 + E C1
+    alpha_theta comes from form_parts); psi psi* - I = C0 + E C1
     + E^2 P Q* + h.c. for E = e^{2it}, with P* and Q* kept, so that it
     holds for any P; (psi - I) P_Nc = 2 Re(a P P_Nc), as P_Nc is real.
     """
@@ -292,8 +273,7 @@ def build_psi(geom: forms.GeometryData, bun: Bundles,
     P, Q = bun.Np.P, bun.Npp.P
     Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
     alpha = geom.alpha.reshape(G, d * d, n)
-    u, v, w = (rotation_parts(geom.imm.J) @ alpha[:, None]).transpose(
-        1, 0, 2, 3)
+    u, v, w = form_parts(geom.imm.J, geom.alpha).reshape(3, G, d * d, n)
     Pa = alpha @ P.transpose(0, 2, 1)
     X = np.stack([alpha - 2 * Pa.real - u, 2 * Pa.real - v,
                   -2 * Pa.imag - w])

@@ -14,10 +14,10 @@ d1 from the two, so no point runs an SVD unless its metric is
 ill-conditioned.  The normal frame (a QR of d1^T) is formed only when
 read, by R^N of a normal bundle of rank >= 2: on a normal line R^N is 0
 in closed form, so nothing run on a surface in R^3 forms a QR.
-Both slots of a form are contracted at once, as one product of a
-Kronecker matrix with the (d^2, n) values (chartcalc.contract_slots):
-kron(B, B) and kron(B, conj B) for the (2,0)- and (1,1)-parts, and
-kron(J^T, J^T) for the J-rotation.
+The (p,q)-types of a form come from chartcalc: contract_slots with
+kron(B, B) or kron(B, conj B) on the (1,0) basis, form_parts on the
+real basis, and chart vectors (x, y), complex ones too, meet a form as
+one product of kron(x, y) with its (d^2, n) values.
 """
 
 import functools
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kaehler
 from .chartcalc import (ChartedImmersion, Jet3, contract_slots, eval_jet,
-                        holomorphic_basis)
+                        form_parts, holomorphic_basis)
 
 
 @dataclass
@@ -118,25 +118,18 @@ def normal_valued_residual(geom: GeometryData) -> float:
         np.einsum("gijx,gkx->gijk", geom.alpha, geom.jet.d1))))
 
 
-def alpha11_on_real(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """alpha^{(1,1)}(d_i, d_j) on the real basis:
-    (alpha(x,y) + alpha(Jx,Jy)) / 2."""
-    return 0.5 * (alpha + contract_slots(J.T, J.T, alpha))
-
-
 def eq2_consistency_residual(geom: GeometryData) -> float:
     """Real-basis pluri-mean values vs the complex (1,1)-components."""
-    m = geom.imm.complex_dim
-    B = holomorphic_basis(m)
+    B = holomorphic_basis(geom.imm.complex_dim)
     recon = contract_slots(B, B.conj(),
-                           alpha11_on_real(geom.alpha, geom.imm.J))
+                           form_parts(geom.imm.J, geom.alpha)[0])
     return float(np.max(np.abs(recon - geom.alpha11)))
 
 
 def ppmc_residual(geom: GeometryData) -> float:
     """sup |D(alpha^{(1,1)})|: covariant derivative of the pluri-mean
     part, the (1,1)-part of D(alpha) in (i,j), since J is parallel."""
-    return float(np.max(np.abs(alpha11_on_real(geom.Dalpha, geom.imm.J))))
+    return float(np.max(np.abs(form_parts(geom.imm.J, geom.Dalpha)[0])))
 
 
 def pluriminimal_residual(geom: GeometryData) -> float:
@@ -200,47 +193,25 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
                              spherical=spherical)
 
 
-# --------------------------------------------- complex-bilinear evaluation
-
-def alpha_complex(geom: GeometryData, x: np.ndarray, y: np.ndarray
-                  ) -> np.ndarray:
-    """Complex-bilinear extension alpha(x, y) for chart vectors (d,)."""
-    return np.einsum("i,j,gijx->gx", np.asarray(x, complex),
-                     np.asarray(y, complex), geom.alpha.astype(complex))
-
-
-def alpha_part(geom: GeometryData, x, y, part: str) -> np.ndarray:
-    """(p,q)-part of alpha on (possibly complex) chart vectors.
-
-    part in {"20", "11", "02"}; the (1,1)-part is
-    alpha(pi'x, pi''y) + alpha(pi''x, pi'y).
-    """
-    J = geom.imm.J.astype(complex)
-    x = np.asarray(x, complex)
-    y = np.asarray(y, complex)
-    xp, xq = 0.5 * (x - 1j * (J @ x)), 0.5 * (x + 1j * (J @ x))
-    yp, yq = 0.5 * (y - 1j * (J @ y)), 0.5 * (y + 1j * (J @ y))
-    if part == "20":
-        return alpha_complex(geom, xp, yp)
-    if part == "02":
-        return alpha_complex(geom, xq, yq)
-    if part == "11":
-        return (alpha_complex(geom, xp, yq)
-                + alpha_complex(geom, xq, yp))
-    raise ValueError(f"unknown part {part!r}")
-
+# ------------------------------------------------ cross-factor identities
 
 def cross_term_identity_residual(geom: GeometryData, x1, x2) -> float:
     """| |alpha^{(1,1)}(x1,x2)| - |alpha^{(2,0)}(x1,x2)| | pointwise sup
-    for tangent vectors from different product factors."""
-    n11 = np.linalg.norm(alpha_part(geom, x1, x2, "11"), axis=-1)
-    n20 = np.linalg.norm(alpha_part(geom, x1, x2, "20"), axis=-1)
+    for tangent vectors from different product factors: the parts u and
+    (v - i w)/2 of form_parts, evaluated at (x1, x2)."""
+    G, d, _, n = geom.alpha.shape
+    parts = form_parts(geom.imm.J, geom.alpha).reshape(3, G, d * d, n)
+    u, v, w = np.kron(x1, x2) @ parts
+    n11 = np.linalg.norm(u, axis=-1)
+    n20 = np.linalg.norm(0.5 * (v - 1j * w), axis=-1)
     return float(np.max(np.abs(n11 - n20)))
 
 
 def conjugate_cross_residual(geom: GeometryData, y1, y2) -> float:
     """| |alpha(y1, conj(y2))| - |alpha(y1, y2)| | for complexified
-    cross-factor tangent pairs."""
-    na = np.linalg.norm(alpha_complex(geom, y1, np.conj(y2)), axis=-1)
-    nb = np.linalg.norm(alpha_complex(geom, y1, y2), axis=-1)
+    cross-factor tangent pairs; alpha extends complex-bilinearly."""
+    G, d, _, n = geom.alpha.shape
+    alpha = geom.alpha.reshape(G, d * d, n)
+    na = np.linalg.norm(np.kron(y1, np.conj(y2)) @ alpha, axis=-1)
+    nb = np.linalg.norm(np.kron(y1, y2) @ alpha, axis=-1)
     return float(np.max(np.abs(na - nb)))

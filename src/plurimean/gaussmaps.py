@@ -102,7 +102,10 @@ _RANK_REL_TOL = 1e-8   # generator rank, relative to the largest value
 def _ranked_svd(gens: np.ndarray, scale: float):
     """Thin SVD (u, s, vh) of gens (G, K, n) cut to its numerical rank r:
     the singular values above _RANK_REL_TOL times the larger of the
-    global largest one and scale.  r must be constant over the grid."""
+    global largest one and scale.  r must be constant over the grid
+    (RankError otherwise).  The scale lets an exactly-degenerate stack
+    (for example vanishing alpha^{(2,0)} values) classify as rank 0
+    instead of amplifying round-off."""
     u, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
     smax = float(np.max(sv)) if sv.size else 0.0
     r = 0
@@ -120,24 +123,13 @@ def _span_projector(vr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vr.transpose(0, 2, 1)) @ vr.conj()
 
 
-def projector_from_generators(gens: np.ndarray, scale: float = 0.0):
-    """Hermitian projector (G, n, n) onto the row span of gens (G, K, n).
-
-    The numerical rank (singular values above _RANK_REL_TOL times the
-    larger of the global largest one and the caller's scale) must be
-    constant over the grid; the scale lets an exactly-degenerate
-    generator stack (for example vanishing alpha^{(2,0)} values) classify
-    as rank 0 instead of amplifying round-off.
-    """
-    _, _, vr = _ranked_svd(gens, scale)
-    return _span_projector(vr), vr.shape[1]
-
-
 def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
                          scale: float = 0.0):
-    """(P, r, dP): the projector and rank of projector_from_generators
-    and the derivatives dP (G, D, n, n) of P along the D derivatives
-    dgens (G, D, K, n) of the generators.
+    """(P, r, dP): the Hermitian projector P (G, n, n) onto the row span
+    of gens (G, K, n), its numerical rank r, constant over the grid
+    (_ranked_svd, with the caller's scale), and the derivatives dP
+    (G, D, n, n) of P along the D derivatives dgens (G, D, K, n) of the
+    generators.
 
     P projects onto the column span of A^T for A = gens; for constant
     rank (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973)
@@ -318,16 +310,14 @@ def holomorphicity_residuals(geom: forms.GeometryData, bun: Bundles):
     return route1, route2
 
 
-def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles):
-    """(term1, term2): Hermitian component of alpha(T',T') inside N°,
-    and the ppmc residual."""
+def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles) -> float:
+    """Hermitian component of alpha(T',T') inside N°; the half-isotropy
+    check pairs it with the ppmc residual."""
     G = geom.pts.shape[0]
     m = geom.imm.complex_dim
     a20 = geom.alpha20.reshape(G, m * m, -1)
-    term1 = float(np.max(np.abs(
+    return float(np.max(np.abs(
         a20 @ bun.No.P.transpose(0, 2, 1)))) if m else 0.0
-    term2 = forms.ppmc_residual(geom)
-    return term1, term2
 
 
 @dataclass

@@ -90,10 +90,10 @@ def curvature_symmetry_residual(R: np.ndarray) -> float:
 
 
 def kaehler_curvature_identity_residual(R: np.ndarray, m: int) -> float:
-    """sup |<R(x,y)u,v>| over u,v in the (1,0) coordinate basis."""
+    """sup |<R(x,y)u,v>| over u,v in the (1,0) coordinate basis: the
+    (2,0)-part of R's last slot pair."""
     B = holomorphic_basis(m)
-    res = np.einsum("ak,bl,gijkl->gijab", B, B, R)
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(contract_slots(B, B, R[..., None]))))
 
 
 def shape_operators(alpha, ginv, xi):

@@ -98,7 +98,8 @@ class FixtureContext:
 
     Each layer is computed on first use, once, from the layer before it:
 
-        geom -> bundles (one gaussmaps.Bundles: each projector with its
+        geom -> ppmc (forms.ppmc_residual, read by ppmc and half-isotropy)
+             -> bundles (one gaussmaps.Bundles: each projector with its
                     closed-form chart derivative)
                 -> isotropy (the N' + N° + N'' decomposition)
              -> mean_curvature
@@ -118,6 +119,10 @@ class FixtureContext:
     @functools.cached_property
     def geom(self) -> forms.GeometryData:
         return forms.compute_geometry(self.rec.immersion, self.pts)
+
+    @functools.cached_property
+    def ppmc(self) -> float:
+        return forms.ppmc_residual(self.geom)
 
     @functools.cached_property
     def bundles(self) -> gaussmaps.Bundles:
@@ -165,7 +170,7 @@ def _chk_codazzi(ctx: FixtureContext):
 
 
 def _chk_ppmc(ctx: FixtureContext):
-    return forms.ppmc_residual(ctx.geom), {}
+    return ctx.ppmc, {}
 
 
 def _chk_gauss_levi(ctx: FixtureContext):
@@ -202,8 +207,8 @@ def _chk_lift_grading(ctx: FixtureContext):
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
-    t1, t2 = gaussmaps.half_isotropy_residual(ctx.geom, ctx.bundles)
-    return max(t1, t2), {"alpha20_in_No": t1, "ppmc": t2}
+    t1 = gaussmaps.half_isotropy_residual(ctx.geom, ctx.bundles)
+    return max(t1, ctx.ppmc), {"alpha20_in_No": t1, "ppmc": ctx.ppmc}
 
 
 def _chk_isotropy(ctx: FixtureContext):

@@ -117,7 +117,8 @@ def test_acceptance_06_isotropy_flags():
     # Veronese: half-isotropic and isotropic but not holomorphic
     geom = _geom("veronese")
     bun = _bundles("veronese")
-    t1, t2 = gaussmaps.half_isotropy_residual(geom, bun)
+    t1 = gaussmaps.half_isotropy_residual(geom, bun)
+    t2 = forms.ppmc_residual(geom)
     rep = gaussmaps.isotropy_decomposition(bun)
     chain = gaussmaps.differential_chain_residuals(geom, bun)
     v1, v2 = gaussmaps.holomorphicity_residuals(geom, bun)

@@ -11,6 +11,7 @@ import pytest
 from plurimean import forms, gaussmaps
 from plurimean.chartcalc import holomorphic_basis
 from plurimean.fixtures import get_immersion, registry
+from test_gaussmaps import _projector
 
 ADMITTED = [r.name for r in registry(include_controls=False)]
 NAMES = ["T", "taup", "taupp", "Nc", "No", "Np", "Npp"]   # Bundles fields
@@ -28,18 +29,16 @@ def _geom(name):
 
 def _projectors(geom):
     """All seven projector fields of geom, built from the generator
-    stacks by projector_from_generators alone."""
+    stacks alone (projector_derivative with no derivative direction)."""
     m = geom.imm.complex_dim
     G, _, _, n = geom.alpha.shape
     B = holomorphic_basis(m)
     P_T = geom.P_T
-    P_taup, _ = gaussmaps.projector_from_generators(
+    P_taup, _ = _projector(
         np.einsum("ai,gix->gax", 2.0 * B, geom.jet.d1.astype(complex)))
     scale = float(np.max(np.abs(geom.alpha)))
-    P_No, _ = gaussmaps.projector_from_generators(
-        geom.alpha11.reshape(G, m * m, n), scale=scale)
-    P_Np, _ = gaussmaps.projector_from_generators(
-        geom.alpha20.reshape(G, m * m, n), scale=scale)
+    P_No, _ = _projector(geom.alpha11.reshape(G, m * m, n), scale=scale)
+    P_Np, _ = _projector(geom.alpha20.reshape(G, m * m, n), scale=scale)
     return {"T": P_T, "taup": P_taup, "taupp": P_taup.conj(),
             "Nc": np.eye(n) - P_T, "No": P_No, "Np": P_Np,
             "Npp": P_Np.conj()}
@@ -130,13 +129,13 @@ def test_projector_derivative_of_rank_deficient_family():
     dgens = np.stack([Cs[1] @ Es[0] + Cs[0] @ Es[1],
                       Cs[2] @ Es[0] + Cs[0] @ Es[2]], axis=1)
     P, r, dP = gaussmaps.projector_derivative(gens((0.0, 0.0)), dgens)
-    P_ref, r_ref = gaussmaps.projector_from_generators(gens((0.0, 0.0)))
+    P_ref, r_ref = _projector(gens((0.0, 0.0)))
     assert r == r_ref == 2
     assert np.array_equal(P, P_ref)
     h = 1e-5
     for k, e in enumerate(np.eye(2)):
-        Pp, _ = gaussmaps.projector_from_generators(gens(h * e))
-        Pm, _ = gaussmaps.projector_from_generators(gens(-h * e))
+        Pp, _ = _projector(gens(h * e))
+        Pm, _ = _projector(gens(-h * e))
         assert np.max(np.abs(dP[:, k] - (Pp - Pm) / (2.0 * h))) < 1e-7
     # Hermitian, and P dP P = 0 for a projector of constant rank
     assert np.max(np.abs(dP - dP.conj().transpose(0, 1, 3, 2))) < 1e-12

@@ -189,3 +189,45 @@ def test_complex_hypersurface_has_curved_normal_bundle_flat_on_t_prime():
     RN = pipeline.FixtureContext(rec, cfg).geom.RN
     assert np.max(np.abs(RN)) == pytest.approx(2.0, rel=1e-12)
     assert residual["rn-tprime"] < 1e-15
+
+
+def _inverted_product_spheres(u1, v1, u2, v2):
+    """(x - c) / |x - c|^2 for x the product of two unit spheres in
+    R^6, each in the stereographic chart
+    (u, v) -> (2u, 2v, u^2 + v^2 - 1) / (1 + u^2 + v^2), and the centre
+    c = (0, 0, -2, 0, 0, 0) off the product's centre."""
+    x = []
+    for u, v in ((u1, v1), (u2, v2)):
+        iw = 1 / (1 + u**2 + v**2)
+        x += [2 * u * iw, 2 * v * iw, (u**2 + v**2 - 1) * iw]
+    x[2] = x[2] + 2.0
+    r2 = sum(c**2 for c in x)
+    return [c / r2 for c in x]
+
+
+def test_kaehler_fails_on_off_centre_inverted_product_spheres():
+    """The inversion keeps the metric conformal, so J stays orthogonal,
+    but at m = 2 a conformal factor that is not constant breaks the
+    parallelity of J: kaehler FAILs through parallelity alone, and every
+    other check is SKIPPED.  The centred inversion x / |x|^2 cannot
+    serve: product-spheres lies on |x|^2 = 2, where it is the dilation
+    x / 2, which stays Kaehler."""
+    imm = ChartedImmersion(
+        name="inverted-product-spheres", ambient_dim=6, complex_dim=2,
+        domain=[(-0.6, 0.6)] * 4,
+        eval_fn=functools.partial(jets.values, _inverted_product_spheres),
+        jet_fn=functools.partial(jets.jet, _inverted_product_spheres))
+    flags = {f: None for f in FLAG_NAMES}
+    flags.update(kaehler=False)
+    rec = FixtureRecord(name=imm.name, immersion=imm, flags=flags,
+                        grid_per_axis=5)
+    rep = pipeline.run(pipeline.RunConfig(fixtures=[]),
+                       extra_records=[rec])
+    status = {r.check: r.status for r in rep.results}
+    assert status == {**{c.name: pipeline.SKIPPED for c in pipeline.TABLE},
+                      "kaehler": pipeline.FAIL}
+    assert rep.mismatches == []
+    kaehler = rep.results[0]
+    assert kaehler.residual == pytest.approx(2.3080484294138888, rel=1e-12)
+    assert kaehler.extras["parallelity"] == kaehler.residual
+    assert kaehler.extras["orthogonality"] < 1e-15

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, kaehler
-from plurimean.chartcalc import Jet3, holomorphic_basis, standard_J
+from plurimean.chartcalc import (Jet3, form_parts, holomorphic_basis,
+                                 standard_J)
 from plurimean.fixtures import fixture_names, get_immersion
 
 FIXTURES = ["catenoid", "veronese", "product-spheres", "ellipsoid"]
@@ -73,8 +74,8 @@ def alpha_types_ref(alpha, m):
 
 
 def basis_residuals_ref(geom):
-    """gauss-levi, alpha11_on_real, eq2, ppmc and rn-tprime, each with
-    its slot contractions written out."""
+    """gauss-levi, the (1,1)-part on the real basis, eq2, ppmc and
+    rn-tprime, each with its slot contractions written out."""
     m = geom.imm.complex_dim
     B = holomorphic_basis(m)
     J = geom.imm.J
@@ -371,11 +372,22 @@ def test_basis_residuals_match_einsum_on_fixtures(fixture_geoms, name):
     gauss_levi, a11_real, eq2, ppmc, rn_tprime = basis_residuals_ref(geom)
     m = geom.imm.complex_dim
     assert abs(gaussmaps.gauss_levi_residual(geom) - gauss_levi) < TOL
-    assert _max_diff(forms.alpha11_on_real(geom.alpha, geom.imm.J),
-                     a11_real) < TOL
+    assert _max_diff(form_parts(geom.imm.J, geom.alpha)[0], a11_real) < TOL
     assert abs(forms.eq2_consistency_residual(geom) - eq2) < TOL
     assert abs(forms.ppmc_residual(geom) - ppmc) < TOL
     assert abs(kaehler.rn_tprime_residual(geom.RN, m) - rn_tprime) < TOL
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_kaehler_curvature_identity_matches_einsum_on_random_tensors(m):
+    # a random R has a (2,0)-part in its last slot pair of order 1
+    d = 2 * m
+    R = np.random.default_rng(m).standard_normal((5, d, d, d, d))
+    B = holomorphic_basis(m)
+    ref = float(np.max(np.abs(np.einsum("ak,bl,gijkl->gijab", B, B, R))))
+    assert ref > 0.1
+    assert abs(kaehler.kaehler_curvature_identity_residual(R, m)
+               - ref) < TOL
 
 
 @pytest.mark.parametrize("name", fixture_names())

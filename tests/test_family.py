@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, report
-from plurimean.chartcalc import standard_J
+from plurimean.chartcalc import form_parts, standard_J
 from plurimean.fixtures import get_immersion, registry
 from test_einsum_references import rotate_form_ref
 
@@ -32,9 +32,7 @@ def _assert_parts_rebuild_rotation(form, J):
     and the parts are the (p,q)-parts on the real basis:
     alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 with u = a11 and
     v - i w = 2 a20, the (p,q)-parts extended complex-bilinearly."""
-    *lead, d, _, n = form.shape
-    parts = family.rotation_parts(J) @ form.reshape(*lead, 1, d * d, n)
-    u, v, w = np.moveaxis(parts.reshape(*lead, 3, d, d, n), -4, 0)
+    u, v, w = form_parts(J, form)
     for theta in family.THETA_SWEEP:
         rebuilt = u + np.cos(2 * theta) * v + np.sin(2 * theta) * w
         assert np.max(np.abs(rebuilt

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plurimean import forms
+from plurimean.chartcalc import contract_slots, form_parts, holomorphic_basis
 from plurimean.fixtures import get_immersion, registry
 
 ADMITTED = [r.name for r in registry(include_controls=False)]
@@ -33,16 +34,23 @@ def test_sphere_alpha_equals_minus_metric_times_position():
 def test_complex_parts_reassemble_alpha(name):
     geom = _geom(name)
     assert forms.eq2_consistency_residual(geom) < 1e-12
-    # the three (p,q)-parts sum to the complex-bilinear alpha
+    # the three (p,q)-parts of form_parts sum to the complex-bilinear
+    # alpha, and the (2,0)-part reads alpha20 on the (1,0) basis and 0
+    # on (1,0) x (0,1)
+    G, d, _, n = geom.alpha.shape
+    u, v, w = form_parts(geom.imm.J, geom.alpha)
+    a20, a02 = 0.5 * (v - 1j * w), 0.5 * (v + 1j * w)
+    B = holomorphic_basis(geom.imm.complex_dim)
+    assert np.max(np.abs(contract_slots(B, B, a20) - geom.alpha20)) < 1e-12
+    assert np.max(np.abs(contract_slots(B, B.conj(), a20))) < 1e-12
     rng = np.random.default_rng(5)
-    d = geom.jet.chart_dim
     for _ in range(5):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        total = (forms.alpha_part(geom, x, y, "20")
-                 + forms.alpha_part(geom, x, y, "11")
-                 + forms.alpha_part(geom, x, y, "02"))
-        assert np.allclose(total, forms.alpha_complex(geom, x, y),
+        total = sum(np.kron(x, y) @ p.reshape(G, d * d, n)
+                    for p in (a20, u, a02))
+        assert np.allclose(total,
+                           np.kron(x, y) @ geom.alpha.reshape(G, d * d, n),
                            atol=1e-10)
 
 
@@ -52,7 +60,7 @@ def test_surface_pluri_mean_part_is_metric_times_mean_curvature(name):
     # for surfaces: (alpha(x,y) + alpha(Jx,Jy))/2 = g(x,y) eta
     geom = _geom(name)
     mc = forms.mean_curvature_and_sphere_reduction(geom)
-    a11 = forms.alpha11_on_real(geom.alpha, geom.imm.J)
+    a11 = form_parts(geom.imm.J, geom.alpha)[0]
     expected = np.einsum("gij,gx->gijx", geom.g, mc.eta)
     assert np.max(np.abs(a11 - expected)) < 1e-9
 

@@ -1,9 +1,10 @@
-"""The geometry pass, the family integration, the sublemma and the
-bundle layer call no index-loop np.einsum, and the first two no
-per-point np.linalg.svd: their contractions are batched `@` products
-and the rank test is certified from g and g^-1.  Neither the family
-path nor a full verify of a surface in R^3 forms a normal frame
-(np.linalg.qr): only R^N of a normal bundle of rank >= 2 reads it."""
+"""The geometry pass, the family integration, the sublemma, the
+(p,q)-type residuals and the bundle layer call no index-loop np.einsum,
+and the first two no per-point np.linalg.svd: their contractions are
+batched `@` products and the rank test is certified from g and g^-1.
+Neither the family path nor a full verify of a surface in R^3 forms a
+normal frame (np.linalg.qr): only R^N of a normal bundle of rank >= 2
+reads it.  A full verify computes ppmc once per fixture."""
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ def test_sublemma_calls_no_einsum(monkeypatch):
     assert calls == []
 
 
+def test_form_type_residuals_call_no_einsum(monkeypatch):
+    """ppmc, eq2, the cross-factor identities and the Kaehler curvature
+    identity split forms into (p,q)-types by chartcalc's one-product
+    contractions (form_parts, contract_slots, kron) on every registry
+    fixture."""
+    cfg = pipeline.RunConfig()
+    geoms = [pipeline.FixtureContext(rec, cfg).geom for rec in registry()]
+    for geom in geoms:
+        geom.R
+    rng = np.random.default_rng(23)
+    calls = _spy(monkeypatch, ((np, "einsum"),))
+    for geom in geoms:
+        x1, x2 = rng.standard_normal((2, geom.jet.chart_dim))
+        y1, y2 = x1 + 1j * x2, x2 - 1j * x1
+        forms.ppmc_residual(geom)
+        forms.eq2_consistency_residual(geom)
+        forms.cross_term_identity_residual(geom, x1, x2)
+        forms.conjugate_cross_residual(geom, y1, y2)
+        kaehler.kaehler_curvature_identity_residual(geom.R,
+                                                    geom.imm.complex_dim)
+    assert len(geoms) == 11
+    assert calls == []
+
+
 def test_bundle_layer_calls_no_einsum(monkeypatch):
     """The projector derivatives, the residuals read from them and the
     Grassmannian and eq4 residuals of P_T are batched `@` products on
@@ -125,3 +150,16 @@ def test_bundle_layer_calls_no_einsum(monkeypatch):
             gaussmaps.gauss_section_check(geom, bun, ctx.mean_curvature)
     assert len(ctxs) == 10
     assert calls == []
+
+
+def test_verify_computes_ppmc_once_per_fixture(monkeypatch):
+    """The ppmc check and half-isotropy's ppmc term read one value, the
+    fixture context's ppmc layer."""
+    calls = _spy(monkeypatch, ((forms, "ppmc_residual"),))
+    names = ["veronese", "cylinder"]
+    rep = pipeline.run(pipeline.RunConfig(fixtures=names))
+    result = {(r.fixture, r.check): r for r in rep.results}
+    assert calls == ["ppmc_residual"] * len(names)
+    for name in names:
+        assert (result[name, "half-isotropy"].extras["ppmc"]
+                == result[name, "ppmc"].residual)
