@@ -8,7 +8,9 @@ axis ``n``.
 
 The (p,q)-types of a form live here: form_parts splits it on the real
 basis into the parts u, v, w of rotation_parts, and contract_slots
-reads it on the (1,0) basis of holomorphic_basis.
+reads it on the (1,0) basis through the slot pairs of type_rows.  Each
+chart constant is built once per m, read-only (chart_constant), so no
+grid pass rebuilds one.
 """
 
 import functools
@@ -199,26 +201,55 @@ def holomorphic_basis(m: int) -> np.ndarray:
     return B
 
 
-def contract_slots(A: np.ndarray, B: np.ndarray,
-                   T: np.ndarray) -> np.ndarray:
-    """out[..., a, b, x] = sum_ij A[a, i] B[b, j] T[..., i, j, x].
+def chart_constant(build):
+    """Decorator for a constant of the chart of complex dimension m:
+    build(m), an array or a tuple of arrays, runs once per m, and its
+    arrays are read-only, so a caller cannot change what the next call
+    reads.  Every chart's J is standard_J(m), so these constants depend
+    on m alone."""
+    @functools.cache
+    @functools.wraps(build)
+    def once(m: int):
+        out = build(m)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.flags.writeable = False
+        return out
+    return once
 
-    Contracts both slots of a bilinear form at once; any leading axes
-    (the grid, a derivative direction) are carried along.  This is one
-    product of the constant matrix A (x) B with the (d^2, n) values.
+
+@chart_constant
+def type_rows(m: int):
+    """(K20, K11), each (m, m, 2m, 2m) complex: K20[a, b] = d'_a (x) d'_b
+    and K11[a, b] = d'_a (x) d''_b, the slot pairs on which contract_slots
+    reads a form's (2,0)- and (1,1)-components in the (1,0) basis."""
+    B = holomorphic_basis(m)
+    d = 2 * m
+    return (np.kron(B, B).reshape(m, m, d, d),
+            np.kron(B, B.conj()).reshape(m, m, d, d))
+
+
+def contract_slots(K: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """out[..., a, b, x] = sum_ij K[a, b, i, j] T[..., i, j, x].
+
+    Contracts both slots of a bilinear form at once with the slot pairs
+    K (a, b, d, d), such as those of type_rows; any leading axes (the
+    grid, a derivative direction) are carried along.  This is one
+    product of K as an (a b, d^2) matrix with the (d^2, n) values.
     """
     T = np.asarray(T)
     *lead, di, dj, n = T.shape
+    a, b = K.shape[:2]
     flat = T.reshape(*lead, di * dj, n)
-    return (np.kron(A, B) @ flat).reshape(*lead, A.shape[0], B.shape[0], n)
+    return (K.reshape(a * b, di * dj) @ flat).reshape(*lead, a, b, n)
 
 
-def rotation_parts(J: np.ndarray) -> np.ndarray:
+@chart_constant
+def rotation_parts(m: int) -> np.ndarray:
     """(3, d^2, d^2): the constant matrices K_u, K_v, K_w with
 
         kron(R_theta^T, R_theta^T) = K_u + cos 2theta K_v + sin 2theta K_w
 
-    for R_theta = cos(theta) I + sin(theta) J, from
+    for R_theta = cos(theta) I + sin(theta) J, J = standard_J(m), from
     cos^2 = (1 + cos 2theta) / 2, sin^2 = (1 - cos 2theta) / 2 and
     cos sin = sin 2theta / 2.  Applied to a form they give its parts
     u = a11 and v - i w = 2 a20 (the (p,q)-parts on the real basis,
@@ -226,22 +257,24 @@ def rotation_parts(J: np.ndarray) -> np.ndarray:
     alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 reads
     u + cos 2theta v + sin 2theta w (the e^{2i theta} convention).
     """
-    d = J.shape[0]
+    J = standard_J(m)
+    d = 2 * m
     eye = np.eye(d)
     JJ = np.kron(J.T, J.T)
     return 0.5 * np.stack([np.eye(d * d) + JJ, np.eye(d * d) - JJ,
                            np.kron(J.T, eye) + np.kron(eye, J.T)])
 
 
-def form_parts(J: np.ndarray, T: np.ndarray) -> np.ndarray:
+def form_parts(T: np.ndarray) -> np.ndarray:
     """(3, ..., d, d, n): the parts u, v, w (rotation_parts) of a form T
-    (..., d, d, n) in its last two chart axes, leading axes carried
-    along: u is the (1,1)-part, v - i w twice the (2,0)-part.  One
-    product of the stacked (3 d^2, d^2) matrix with the (d^2, n) values;
-    each row has two entries +-1/2, so each part rounds once."""
+    (..., d, d, n) in its last two chart axes, on the standard chart of
+    dimension d, leading axes carried along: u is the (1,1)-part, v - i w
+    twice the (2,0)-part.  One product of the stacked (3 d^2, d^2)
+    matrix with the (d^2, n) values; each row has two entries +-1/2, so
+    each part rounds once."""
     T = np.asarray(T)
     *lead, d, _, n = T.shape
-    parts = (rotation_parts(J).reshape(3 * d * d, d * d)
+    parts = (rotation_parts(d // 2).reshape(3 * d * d, d * d)
              @ T.reshape(*lead, d * d, n))
     return np.moveaxis(parts.reshape(*lead, 3, d, d, n), -4, 0)
 

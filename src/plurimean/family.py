@@ -7,7 +7,10 @@ theta-independent parts u, v, w, which chartcalc's rotation_parts
 defines and form_parts splits off; psi_theta is
 I + a P_N' + conj(a) P_N'' with a = e^{2i theta} - 1.  The structure
 equations and psi_theta's residuals are swept over all angles from
-terms formed once per geometry.  rotation_parts, the structure equations
+terms formed once per geometry; the Gauss term is the curvature of
+alpha pulled back by Lambda^2 R_theta, with no per-angle form built.
+The sweep's constant matrices are chart constants, built once per m
+(chartcalc.chart_constant).  rotation_parts, the structure equations
 and psi_theta rotate alpha^{2,0} by e^{2i theta}; df o R_theta, which
 integrate_family and closedness_residual take, is the member at theta/2.
 """
@@ -17,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import forms, kaehler
-from .chartcalc import ChartedImmersion, form_parts, rotation_parts
+from . import forms, kaehler, kernels
+from .chartcalc import (ChartedImmersion, chart_constant, form_parts,
+                        rotation_parts)
 from .gaussmaps import Bundles
 
 THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
@@ -30,7 +34,8 @@ def rotation(J: np.ndarray, theta: float) -> np.ndarray:
     return np.cos(theta) * np.eye(J.shape[0]) + np.sin(theta) * J
 
 
-def _codazzi_map(J: np.ndarray) -> np.ndarray:
+@chart_constant
+def _codazzi_map(m: int) -> np.ndarray:
     """(3, P d, d^3): D alpha -> the parts of X - X^{k<->i} on the P
     pairs k < i, where X is the u, v or w part of D alpha.
 
@@ -38,8 +43,8 @@ def _codazzi_map(J: np.ndarray) -> np.ndarray:
     of k > i are their negatives and those of k = i vanish, so the pairs
     k < i carry the whole sup-norm.
     """
-    d = J.shape[0]
-    K = rotation_parts(J).reshape(3, d, d, d, d)   # [part, i, j, i', j']
+    d = 2 * m
+    K = rotation_parts(m).reshape(3, d, d, d, d)   # [part, i, j, i', j']
     pairs = list(zip(*np.triu_indices(d, 1)))
     L = np.zeros((3, len(pairs), d, d, d, d))      # [part, pair, j, k', i', j']
     for p, (k, i) in enumerate(pairs):
@@ -48,13 +53,62 @@ def _codazzi_map(J: np.ndarray) -> np.ndarray:
     return L.reshape(3, len(pairs) * d, d ** 3)
 
 
-def _gauss_components(d: int):
+@chart_constant
+def _gauss_components(m: int):
     """The independent curvature components i < j, k < l as index
-    arrays (i, j, k, l), each of length P^2 for P = d(d-1)/2."""
-    iu, ju = np.triu_indices(d, 1)
+    arrays (i, j, k, l), each of length P^2 for P = d(d-1)/2: the
+    component (i, j, k, l) is entry (p, q) of a P x P pair matrix, p
+    the pair (i, j) and q the pair (k, l)."""
+    iu, ju = np.triu_indices(2 * m, 1)
     P = len(iu)
     return (np.repeat(iu, P), np.repeat(ju, P),
             np.tile(iu, P), np.tile(ju, P))
+
+
+@chart_constant
+def _pair_parts(m: int) -> np.ndarray:
+    """(3, P, P): the parts of Lambda^2 R_theta^T on the pairs i < j,
+
+        Lambda_theta = Lambda_u + cos 2theta Lambda_v + sin 2theta Lambda_w,
+
+    Lambda_theta[(i, j), (a, b)] = R_ai R_bj - R_bi R_aj: the pair rows
+    of rotation_parts, antisymmetrised in their columns.  A form's
+    curvature pulls back on all four slots when the form does on two,
+    so on the pairs the curvature of alpha_theta is
+    Lambda_theta R_op Lambda_theta^T, R_op that of alpha."""
+    d = 2 * m
+    K = rotation_parts(m).reshape(3, d, d, d, d)
+    iu, ju = np.triu_indices(d, 1)
+    rows = K[:, iu, ju]                            # (3, P, d, d)
+    return rows[:, :, iu, ju] - rows[:, :, ju, iu]
+
+
+def _gauss_residuals(geom, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """The Gauss leg of structure_equation_residuals at the angles with
+    cos 2theta = c2 and sin 2theta = s2, (T,).
+
+    Lambda_theta (T, P, P) of every angle gives the products
+    Lambda_theta[p, r] Lambda_theta[q, s] as the columns (t, p, q) of
+    one (P^2, T P^2) matrix against the rows (r, s) of R_op."""
+    m = geom.alpha.shape[1] // 2
+    i, j, k, l = _gauss_components(m)
+    Lu, Lv, Lw = _pair_parts(m)
+    Lt = Lu + c2[:, None, None] * Lv + s2[:, None, None] * Lw
+    T, P = Lt.shape[:2]
+    W = (Lt[:, :, None, :, None] * Lt[:, None, :, None, :]).transpose(
+        3, 4, 0, 1, 2).reshape(P * P, T * P * P)
+    R_op = kernels.gauss_curvature(geom.alpha)[:, i, j, k, l]
+    K_t = (R_op @ W).reshape(len(R_op), T, P * P)
+    R = geom.R
+    R_views = np.stack([R[:, i, j, k, l], -R[:, j, i, k, l],
+                        -R[:, i, j, l, k], R[:, j, i, l, k]])
+    R_hi, R_lo = R_views.max(axis=0), R_views.min(axis=0)
+    gauss_zero = np.max([np.max(np.abs(R.diagonal(0, 1, 2))),
+                         np.max(np.abs(R.diagonal(0, 3, 4)))])
+    # np.max, not max(): a NaN must reach the caller
+    return np.max([np.broadcast_to(gauss_zero, T),
+                   np.max(R_hi[:, None] - K_t, axis=(0, 2)),
+                   np.max(K_t - R_lo[:, None], axis=(0, 2))], axis=0)
 
 
 def structure_equation_residuals(geom: forms.GeometryData,
@@ -63,16 +117,20 @@ def structure_equation_residuals(geom: forms.GeometryData,
     curvatures of f on the left and the rotated form alpha_theta on the
     right, one row per angle.
 
-    alpha_theta = u + cos 2theta v + sin 2theta w (form_parts), so
-    every term is a polynomial of degree <= 2 in (cos 2theta, sin
-    2theta).  Its theta-independent parts are formed once; each angle
-    then costs a few axpys and a max:
+    alpha_theta = alpha(R_theta ., R_theta .) = u + cos 2theta v
+    + sin 2theta w (form_parts), so the theta-independent terms are
+    formed once and each angle costs a few axpys and a max:
 
-    * Gauss: the curvature of a form is bilinear, so it is six pieces
-      of (u, v, w) on the components i < j, k < l.  Those are compared
-      with R's four sign-arranged views R_ijkl, -R_jikl, -R_ijlk,
-      R_jilk; on i = j or k = l the curvature of a form is 0, which
-      leaves a theta-independent sup |R|.
+    * Gauss: the curvature of alpha_theta is that of alpha pulled back
+      on all four slots, Lambda_theta R_op Lambda_theta^T on the
+      components i < j, k < l (_pair_parts), with R_op the Gauss
+      curvature of alpha itself (kernels.gauss_curvature), not geom.R.
+      Every angle takes one (G, P^2) @ (P^2, T P^2) product.  It is
+      compared with R's four sign-arranged views R_ijkl, -R_jikl,
+      -R_ijlk, R_jilk through their elementwise max and min, which is
+      exact: max_s |r_s - k| = max(max_s r_s - k, k - min_s r_s).  On
+      i = j or k = l the curvature of a form is 0, which leaves a
+      theta-independent sup |R|.
     * Codazzi: sup |X - X^{k<->i}| for X = D alpha_theta, linear in the
       parts of D alpha antisymmetrised on the pairs k < i.
     * Ricci: the shape operators of u, v, w (kaehler) are formed once
@@ -84,54 +142,23 @@ def structure_equation_residuals(geom: forms.GeometryData,
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     c2, s2 = np.cos(2 * thetas), np.sin(2 * thetas)
-    J = geom.imm.J
     G, d, _, n = geom.alpha.shape
-    K = rotation_parts(J)
-    alpha = geom.alpha.reshape(G, d * d, n)
+    m = d // 2
 
-    # Gauss: the pieces <X_il, Y_jk> - <X_ik, Y_jl> of the parts X, Y.
-    # The rows are formed straight from the rows of K, with the grid
-    # axis last so that the n-sums run over whole rows; one pair of row
-    # sets is alive at a time.
-    i, j, k, l = _gauss_components(d)
-    a_t = np.ascontiguousarray(alpha.transpose(1, 2, 0)).reshape(
-        d * d, n * G)
-
-    def products(p, q):
-        X = (K[:, p] @ a_t).reshape(3, -1, n, G)
-        Y = (K[:, q] @ a_t).reshape(3, -1, n, G)
-        return np.einsum("apxg,bpxg->abgp", X, Y)        # (3, 3, G, P^2)
-
-    gram = (products(i * d + l, j * d + k)
-            - products(i * d + k, j * d + l))
-    del a_t
-    pieces = np.stack([gram[0, 0], gram[1, 1], gram[2, 2],
-                       gram[0, 1] + gram[1, 0], gram[0, 2] + gram[2, 0],
-                       gram[1, 2] + gram[2, 1]])
-    del gram
-    gauss_coef = np.stack([np.ones_like(c2), c2 * c2, s2 * s2,
-                           c2, s2, c2 * s2], axis=1)
-    R = geom.R
-    R_views = np.stack([R[:, i, j, k, l], -R[:, j, i, k, l],
-                        -R[:, i, j, l, k], R[:, j, i, l, k]])
-    gauss_zero = np.max([np.max(np.abs(R.diagonal(0, 1, 2))),
-                         np.max(np.abs(R.diagonal(0, 3, 4)))])
+    out = np.empty((len(thetas), 3))
+    out[:, 0] = _gauss_residuals(geom, c2, s2)
 
     # Codazzi: the antisymmetrised parts of D alpha, (3, G, P d, n)
-    cod = _codazzi_map(J)[:, None] @ geom.Dalpha.reshape(1, G, d ** 3, n)
+    cod = _codazzi_map(m)[:, None] @ geom.Dalpha.reshape(1, G, d ** 3, n)
 
     # Ricci: the shape operators of the parts; a normal line reads no frame
     RN = geom.RN
     normal_line = RN.shape[-1] == 1
     if not normal_line:
         A_u, A_v, A_w = (kaehler.shape_operators(p, geom.ginv, geom.frame)
-                         for p in form_parts(J, geom.alpha))
+                         for p in form_parts(geom.alpha))
 
-    out = np.empty((len(thetas), 3))
     for t in range(len(thetas)):
-        Kt = np.tensordot(gauss_coef[t], pieces, axes=1)
-        # np.max, not max(): a NaN must reach the caller
-        out[t, 0] = np.max([gauss_zero, np.max(np.abs(R_views - Kt))])
         out[t, 1] = np.max(np.abs(cod[0] + c2[t] * cod[1]
                                   + s2[t] * cod[2]))
         RN_t = 0.0 if normal_line else kaehler.ricci_commutators(
@@ -273,7 +300,7 @@ def build_psi(geom: forms.GeometryData, bun: Bundles,
     P, Q = bun.Np.P, bun.Npp.P
     Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
     alpha = geom.alpha.reshape(G, d * d, n)
-    u, v, w = form_parts(geom.imm.J, geom.alpha).reshape(3, G, d * d, n)
+    u, v, w = form_parts(geom.alpha).reshape(3, G, d * d, n)
     Pa = alpha @ P.transpose(0, 2, 1)
     X = np.stack([alpha - 2 * Pa.real - u, 2 * Pa.real - v,
                   -2 * Pa.imag - w])

@@ -15,9 +15,10 @@ ill-conditioned.  The normal frame (a QR of d1^T) is formed only when
 read, by R^N of a normal bundle of rank >= 2: on a normal line R^N is 0
 in closed form, so nothing run on a surface in R^3 forms a QR.
 The (p,q)-types of a form come from chartcalc: contract_slots with
-kron(B, B) or kron(B, conj B) on the (1,0) basis, form_parts on the
-real basis, and chart vectors (x, y), complex ones too, meet a form as
-one product of kron(x, y) with its (d^2, n) values.
+the slot pairs kron(B, B) or kron(B, conj B) of type_rows on the (1,0)
+basis, form_parts on the real basis, both built once per m, and chart
+vectors (x, y), complex ones too, meet a form as one product of
+kron(x, y) with its (d^2, n) values.
 """
 
 import functools
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import kaehler
 from .chartcalc import (ChartedImmersion, Jet3, contract_slots, eval_jet,
-                        form_parts, holomorphic_basis)
+                        form_parts, type_rows)
 
 
 @dataclass
@@ -101,9 +102,9 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     Dalpha -= corr
     Dalpha -= corr.transpose(0, 1, 3, 2, 4)
 
-    B = holomorphic_basis(imm.complex_dim)
-    alpha20 = contract_slots(B, B, alpha)
-    alpha11 = contract_slots(B, B.conj(), alpha)
+    K20, K11 = type_rows(imm.complex_dim)
+    alpha20 = contract_slots(K20, alpha)
+    alpha11 = contract_slots(K11, alpha)
 
     return GeometryData(imm=imm, pts=pts, jet=jet, g=g, ginv=ginv,
                         P_T=P_T, Gamma=Gamma, alpha=alpha, Dalpha=Dalpha,
@@ -120,16 +121,15 @@ def normal_valued_residual(geom: GeometryData) -> float:
 
 def eq2_consistency_residual(geom: GeometryData) -> float:
     """Real-basis pluri-mean values vs the complex (1,1)-components."""
-    B = holomorphic_basis(geom.imm.complex_dim)
-    recon = contract_slots(B, B.conj(),
-                           form_parts(geom.imm.J, geom.alpha)[0])
+    _, K11 = type_rows(geom.imm.complex_dim)
+    recon = contract_slots(K11, form_parts(geom.alpha)[0])
     return float(np.max(np.abs(recon - geom.alpha11)))
 
 
 def ppmc_residual(geom: GeometryData) -> float:
     """sup |D(alpha^{(1,1)})|: covariant derivative of the pluri-mean
     part, the (1,1)-part of D(alpha) in (i,j), since J is parallel."""
-    return float(np.max(np.abs(form_parts(geom.imm.J, geom.Dalpha)[0])))
+    return float(np.max(np.abs(form_parts(geom.Dalpha)[0])))
 
 
 def pluriminimal_residual(geom: GeometryData) -> float:
@@ -200,7 +200,7 @@ def cross_term_identity_residual(geom: GeometryData, x1, x2) -> float:
     for tangent vectors from different product factors: the parts u and
     (v - i w)/2 of form_parts, evaluated at (x1, x2)."""
     G, d, _, n = geom.alpha.shape
-    parts = form_parts(geom.imm.J, geom.alpha).reshape(3, G, d * d, n)
+    parts = form_parts(geom.alpha).reshape(3, G, d * d, n)
     u, v, w = np.kron(x1, x2) @ parts
     n11 = np.linalg.norm(u, axis=-1)
     n20 = np.linalg.norm(0.5 * (v - 1j * w), axis=-1)

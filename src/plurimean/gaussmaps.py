@@ -37,7 +37,8 @@ import numpy as np
 
 from . import forms, kaehler
 from .chartcalc import (RankError, _check_boundary, central_differences,
-                        contract_slots, eval_jet, holomorphic_basis)
+                        chart_constant, contract_slots, eval_jet,
+                        holomorphic_basis, type_rows)
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -89,9 +90,8 @@ def fd_tangent_projector_derivatives(geom: forms.GeometryData,
 def gauss_levi_residual(geom: forms.GeometryData) -> float:
     """Levi form of the Gauss map under the df identification:
     sup |(D_k alpha)(X', Y'')| over (1,0)x(0,1) basis pairs."""
-    m = geom.imm.complex_dim
-    B = holomorphic_basis(m)
-    return float(np.max(np.abs(contract_slots(B, B.conj(), geom.Dalpha))))
+    _, K11 = type_rows(geom.imm.complex_dim)
+    return float(np.max(np.abs(contract_slots(K11, geom.Dalpha))))
 
 
 # ------------------------------------------------------ projector algebra
@@ -238,6 +238,17 @@ def alpha_derivative(geom: forms.GeometryData) -> np.ndarray:
     return geom.Dalpha + GA + GA.transpose(0, 1, 3, 2, 4) - tangential
 
 
+@chart_constant
+def _generator_columns(m: int) -> np.ndarray:
+    """(d^2, 4 m^2) real: the rows of kron(B, conj B) and kron(B, B)
+    (type_rows) as columns, each column's real and imaginary parts
+    interleaved, so that a real (., d^2) array times it reads as the
+    complex (., 2 m^2) product with both."""
+    K20, K11 = type_rows(m)
+    K = np.concatenate([K11, K20]).reshape(2 * m * m, -1).T
+    return np.stack([K.real, K.imag], axis=-1).reshape(len(K), -1)
+
+
 def projector_derivatives(geom: forms.GeometryData):
     """Bundle projectors at geom's points and their chart derivatives,
     in closed form from geom alone (no shifted grids).
@@ -269,14 +280,11 @@ def projector_derivatives(geom: forms.GeometryData):
         raise RankError(f"tau' rank {r_tp} != m = {m}")
 
     # the N° and N' generator derivatives kron(B, conj B) d_v alpha and
-    # kron(B, B) d_v alpha in one real product: the rows (x, v) of
-    # d alpha against the real and imaginary parts of the kron rows,
-    # interleaved so that the product reads as complex
-    K = np.concatenate([np.kron(B, B.conj()), np.kron(B, B)]).T
+    # kron(B, B) d_v alpha in one real product (_generator_columns)
     dalpha = alpha_derivative(geom).transpose(0, 4, 1, 2, 3).reshape(
         G * n * d, d * d)
-    KdA = (dalpha @ np.stack([K.real, K.imag], axis=-1).reshape(d * d, -1)
-           ).view(complex).reshape(G, n, d, 2, m * m)
+    KdA = (dalpha @ _generator_columns(m)).view(complex).reshape(
+        G, n, d, 2, m * m)
     d11, d20 = (KdA[:, :, :, f].transpose(0, 2, 3, 1) for f in (0, 1))
     alpha_scale = float(np.max(np.abs(geom.alpha)))
     P_No, r_no, dP_No = projector_derivative(

@@ -10,7 +10,18 @@ through each operation by the Leibniz rule and Faa di Bruno's formula
 ch. 13).  Each rule forms only the terms up to the order, so an order-1
 jet costs a value and a gradient, and its d1 equals, bit for bit, the
 d1 of the order-3 jet.
+
+The coordinates and the constant components have identically zero d2
+and d3 blocks, known before any grid point is read.  Those blocks are
+the sentinel _ZERO rather than arrays of zeros, and every rule drops
+the terms that have it as a factor, so the coordinates' zeros are never
+multiplied through the Leibniz and Faa di Bruno terms.  The terms that
+remain are summed in the rule's own left-to-right order, so every block
+equals the one the rule gives with explicit zero arrays.  The sentinel
+never leaves this module: jet() writes a zero block out as zeros.
 """
+
+import operator
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -34,6 +45,42 @@ def _series(ufunc, x, order):
     return out
 
 
+class _Zero:
+    """An identically zero derivative block of any shape: it absorbs
+    products, vanishes from sums and is its own index and transpose.
+    ndarray operators defer to it (__array_ufunc__ = None).
+
+    Dropping a term 0 * x changes no value where x is finite (x + 0 is
+    x, up to the sign of a zero); where x is inf or NaN the rule with a
+    zero array gave NaN.  Such a point has a non-finite value and d1,
+    which carry no sentinel, so the metric gate still names it."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __getitem__(self, index):
+        return self
+
+    def transpose(self, *axes):
+        return self
+
+
+_ZERO = _Zero()
+
+
 def _upto(op, a, *rest):
     """op(a, *rest) for a derivative array a; None past the order."""
     return None if a is None else op(a, *rest)
@@ -41,7 +88,7 @@ def _upto(op, a, *rest):
 
 def _sym3(t):
     """t[i,j,k] + t[i,k,j] + t[j,k,i] for t symmetric in i, j: the sum
-    over the three places of the odd index."""
+    over the three places of the odd index (_ZERO for t = _ZERO)."""
     return t + t.transpose(0, 2, 1, 3) + t.transpose(2, 0, 1, 3)
 
 
@@ -49,8 +96,8 @@ class Jet:
     """A scalar field on G grid points with its derivatives in d chart
     coordinates up to the jet's order (1, 2 or 3), grid axis last:
     v (G,), d1 (d, G), d2 (d, d, G), d3 (d, d, d, G); those above the
-    order are None.  Non-Jet operands are constants; the Jets of one
-    formula share one order.
+    order are None, and a d2 or d3 known to vanish is _ZERO.  Non-Jet
+    operands are constants; the Jets of one formula share one order.
 
     With the grid axis last every elementwise step runs over contiguous
     rows of G points; :func:`jet` moves it to the front once, for
@@ -68,15 +115,15 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.v + other.v, self.d1 + other.d1,
-                       _upto(np.add, self.d2, other.d2),
-                       _upto(np.add, self.d3, other.d3))
+                       _upto(operator.add, self.d2, other.d2),
+                       _upto(operator.add, self.d3, other.d3))
         return Jet(self.v + other, self.d1, self.d2, self.d3)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.v, -self.d1, _upto(np.negative, self.d2),
-                   _upto(np.negative, self.d3))
+        return Jet(-self.v, -self.d1, _upto(operator.neg, self.d2),
+                   _upto(operator.neg, self.d3))
 
     def __sub__(self, other):
         return self + (-other)
@@ -87,8 +134,8 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.v * other, self.d1 * other,
-                       _upto(np.multiply, self.d2, other),
-                       _upto(np.multiply, self.d3, other))
+                       _upto(operator.mul, self.d2, other),
+                       _upto(operator.mul, self.d3, other))
         a, b = self, other
         d2 = d3 = None
         if a.d2 is not None:
@@ -171,13 +218,16 @@ def values(formula, pts):
                     axis=-1)
 
 
-def _grid_first(blocks):
-    """Stack per-component blocks (..., G) into one array (G, ..., n);
+def _grid_first(blocks, shape):
+    """Per-component blocks (..., G) written once into one array
+    (G, ..., n) of the given leading shape (G, ...), zeros for _ZERO;
     None past the order."""
     if blocks[0] is None:
         return None
-    return np.ascontiguousarray(np.moveaxis(np.stack(blocks, axis=-1),
-                                            -2, 0))
+    out = np.empty(shape + (len(blocks),))
+    for x, block in enumerate(blocks):
+        out[..., x] = 0.0 if block is _ZERO else np.moveaxis(block, -1, 0)
+    return out
 
 
 def jet(formula, pts, order=3):
@@ -187,14 +237,13 @@ def jet(formula, pts, order=3):
         raise ValueError(f"jet orders are 1, 2 or 3, not {order!r}")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     G, d = pts.shape
-    high = [np.zeros((d,) * k + (G,)) if k <= order else None
-            for k in (2, 3)]
+    high = [_ZERO if k <= order else None for k in (2, 3)]
     coords = [Jet(pts[:, i], np.repeat(np.eye(d)[:, i, None], G, axis=1),
                   *high) for i in range(d)]
     comps = [c if isinstance(c, Jet) else
              Jet(np.full(G, float(c)), np.zeros((d, G)), *high)
              for c in formula(*coords)]
-    return Jet3(value=_grid_first([c.v for c in comps]),
-                d1=_grid_first([c.d1 for c in comps]),
-                d2=_grid_first([c.d2 for c in comps]),
-                d3=_grid_first([c.d3 for c in comps]))
+    value, d1, d2, d3 = (_grid_first([getattr(c, name) for c in comps],
+                                     (G,) + (d,) * k)
+                         for k, name in enumerate(("v", "d1", "d2", "d3")))
+    return Jet3(value=value, d1=d1, d2=d2, d3=d3)

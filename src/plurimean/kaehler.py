@@ -12,8 +12,8 @@ ricci_commutators reads it in a normal frame, the sublemma without one.
 import numpy as np
 
 from . import kernels
-from .chartcalc import (Jet3, RankError, _check_rank, contract_slots,
-                        holomorphic_basis)
+from .chartcalc import (Jet3, RankError, _check_rank, chart_constant,
+                        contract_slots, type_rows)
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
@@ -21,11 +21,36 @@ def induced_metric(jet: Jet3) -> np.ndarray:
     return jet.d1 @ np.ascontiguousarray(jet.d1.transpose(0, 2, 1))
 
 
+def _cholesky_inverse(L: np.ndarray) -> np.ndarray:
+    """g^-1 = L^-T L^-1 (G, d, d) from the Cholesky factor L of g.
+
+    M = L^-1 is lower triangular; forward substitution gives each of its
+    d(d+1)/2 entries as one vector step over the grid axis,
+    M_ij = -(sum_{j <= k < i} L_ik M_kj) / L_ii, and each entry of the
+    symmetric g^-1 is sum_{k >= max(a, b)} M_ka M_kb, written to both
+    triangles.  Small d and many points: this replaces one LAPACK call
+    per 2 x 2 or 4 x 4 matrix."""
+    d = L.shape[1]
+    M = [[None] * d for _ in range(d)]
+    for i in range(d):
+        r = 1.0 / L[:, i, i]
+        M[i][i] = r
+        for j in range(i):
+            M[i][j] = -r * sum(L[:, i, k] * M[k][j] for k in range(j, i))
+    ginv = np.empty_like(L)
+    for a in range(d):
+        for b in range(a + 1):
+            ginv[:, a, b] = ginv[:, b, a] = sum(M[k][a] * M[k][b]
+                                                for k in range(a, d))
+    return ginv
+
+
 def regular_metric(jet: Jet3, pts: np.ndarray):
     """(g, ginv) at the chart points pts (G, d), certified regular: the
     one gate of the geometry and of eq4's shifted grids.  ValueError
     names the first point with a non-finite g; RankError marks lost rank,
-    from Cholesky (g = d1 d1^T fails it exactly there) or _check_rank."""
+    from Cholesky (g = d1 d1^T fails it exactly there) or _check_rank.
+    ginv comes from the gate's own Cholesky factor (_cholesky_inverse)."""
     g = induced_metric(jet)
     bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
     if bad.size:
@@ -33,11 +58,11 @@ def regular_metric(jet: Jet3, pts: np.ndarray):
                          + ", ".join(f"{x:g}" for x in pts[bad[0]])
                          + f") (grid point {bad[0]})")
     try:
-        np.linalg.cholesky(g)
+        L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as e:
         raise RankError("induced metric not positive definite: the "
                         "differential has lost rank") from e
-    ginv = np.linalg.inv(g)
+    ginv = _cholesky_inverse(L)
     _check_rank(jet.d1, g, ginv)
     return g, ginv
 
@@ -45,7 +70,8 @@ def regular_metric(jet: Jet3, pts: np.ndarray):
 def metric_data(jet: Jet3, pts: np.ndarray):
     """(g, ginv, dg, Gamma) with dg[g,i,j,l] = d_i g_{jl} and
     Gamma[g,k,i,j] = Gamma^k_{ij}, all from analytic jets at chart points
-    pts (g and ginv from regular_metric).
+    pts (g and ginv from regular_metric, ginv from its Cholesky factor,
+    so the geometry factors g once and inverts no matrix).
 
     dg_ijl = <d2_ij, d1_l> + <d1_j, d2_il> = T_ijl + T_ilj for the one
     product T = d2 d1^T over the (d^2, n) values of d2."""
@@ -92,8 +118,8 @@ def curvature_symmetry_residual(R: np.ndarray) -> float:
 def kaehler_curvature_identity_residual(R: np.ndarray, m: int) -> float:
     """sup |<R(x,y)u,v>| over u,v in the (1,0) coordinate basis: the
     (2,0)-part of R's last slot pair."""
-    B = holomorphic_basis(m)
-    return float(np.max(np.abs(contract_slots(B, B, R[..., None]))))
+    K20, _ = type_rows(m)
+    return float(np.max(np.abs(contract_slots(K20, R[..., None]))))
 
 
 def shape_operators(alpha, ginv, xi):
@@ -141,10 +167,23 @@ def normal_curvature(alpha, g, ginv, frame):
 def rn_tprime_residual(RN: np.ndarray, m: int) -> float:
     """sup |<R^N(x,y) xi, eta>| for x,y in the (1,0) basis (Lemma-style
     flatness of the normal curvature on T' x T')."""
-    B = holomorphic_basis(m)
+    K20, _ = type_rows(m)
     G, d, _, k, _ = RN.shape
-    res = contract_slots(B, B, RN.reshape(G, d, d, k * k))
+    res = contract_slots(K20, RN.reshape(G, d, d, k * k))
     return float(np.max(np.abs(res)))
+
+
+@chart_constant
+def _sublemma_rows(m: int):
+    """(K, K_sym): the real and imaginary rows of kron(B, conj B)
+    (type_rows) stacked, K (c, d^2) for c = 2 m^2, and
+    K_sym[(p, c), q] = K[c, p, q] + K[c, q, p], (d c, d)."""
+    d = 2 * m
+    _, K11 = type_rows(m)
+    K = np.concatenate([K11.real, K11.imag]).reshape(2 * m * m, d * d)
+    K3 = K.reshape(-1, d, d)
+    K_sym = (K3 + K3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, d)
+    return K, K_sym
 
 
 def sublemma_residual(geom) -> float:
@@ -157,13 +196,12 @@ def sublemma_residual(geom) -> float:
     T_ij(p,q) = R^N_ij alpha_pq - alpha(R_ij d_p, d_q) - alpha(d_p, R_ij d_q)
     with R^N_ij xi = alpha(d_i, A_xi d_j) - alpha(d_j, A_xi d_i) (Ricci
     equation).  Each term is contracted as it is formed, by the real and
-    imaginary rows of kron(B, conj B); it reads alpha, ginv and R only.
+    imaginary rows of kron(B, conj B) (_sublemma_rows); it reads alpha,
+    ginv and R only.
     """
     alpha, ginv = geom.alpha, geom.ginv
     G, d, _, n = alpha.shape
-    B = holomorphic_basis(geom.imm.complex_dim)
-    K = np.kron(B, B.conj())
-    K = np.concatenate([K.real, K.imag])       # (c, d^2), c = 2 m^2
+    K, K_sym = _sublemma_rows(geom.imm.complex_dim)   # (c, d^2), c = 2 m^2
     c = len(K)
     rows = alpha.reshape(G, d, d * n)          # alpha(d_k, .): symmetric
     # S[c, j, i] = alpha(d_i, A_c d_j) for the fields beta_c = K alpha
@@ -173,8 +211,6 @@ def sublemma_residual(geom) -> float:
     # U[i, j, c] = sum_pq K_sym[c,p,q] alpha(R_ij d_p, d_q): both R terms,
     # K_sym[c,p,q] = K[c,p,q] + K[c,q,p]; as R_ij d_p = R_ijpa g^{al} d_l,
     # U = sum_pa R_ijpa Y[a,p,c], Y[a,p,c] = sum_q K_sym[c,p,q] (g^-1 alpha)_aq
-    K3 = K.reshape(c, d, d)
-    K_sym = (K3 + K3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(d * c, d)
     Y = K_sym @ (ginv @ rows).reshape(G, d, d, n)
     U = geom.R.swapaxes(3, 4).reshape(G, d * d, d * d) @ Y.reshape(
         G, d * d, c * n)

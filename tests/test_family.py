@@ -32,7 +32,7 @@ def _assert_parts_rebuild_rotation(form, J):
     and the parts are the (p,q)-parts on the real basis:
     alpha_theta = e^{2it} a20 + a11 + e^{-2it} a02 with u = a11 and
     v - i w = 2 a20, the (p,q)-parts extended complex-bilinearly."""
-    u, v, w = form_parts(J, form)
+    u, v, w = form_parts(form)
     for theta in family.THETA_SWEEP:
         rebuilt = u + np.cos(2 * theta) * v + np.sin(2 * theta) * w
         assert np.max(np.abs(rebuilt
@@ -67,7 +67,7 @@ def test_rotation_parts_rebuild_rotated_forms_on_random_forms(m, n):
 def test_rotation_by_pi_fixes_alpha():
     geom = _geom("veronese")
     G, d, _, n = geom.alpha.shape
-    u, v, w = (family.rotation_parts(geom.imm.J)
+    u, v, w = (family.rotation_parts(geom.imm.complex_dim)
                @ geom.alpha.reshape(G, 1, d * d, n)).transpose(1, 0, 2, 3)
     rot = u + np.cos(2 * np.pi) * v + np.sin(2 * np.pi) * w
     assert np.max(np.abs(rot.reshape(geom.alpha.shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plurimean import forms
-from plurimean.chartcalc import contract_slots, form_parts, holomorphic_basis
+from plurimean.chartcalc import contract_slots, form_parts, type_rows
 from plurimean.fixtures import get_immersion, registry
 
 ADMITTED = [r.name for r in registry(include_controls=False)]
@@ -38,11 +38,11 @@ def test_complex_parts_reassemble_alpha(name):
     # alpha, and the (2,0)-part reads alpha20 on the (1,0) basis and 0
     # on (1,0) x (0,1)
     G, d, _, n = geom.alpha.shape
-    u, v, w = form_parts(geom.imm.J, geom.alpha)
+    u, v, w = form_parts(geom.alpha)
     a20, a02 = 0.5 * (v - 1j * w), 0.5 * (v + 1j * w)
-    B = holomorphic_basis(geom.imm.complex_dim)
-    assert np.max(np.abs(contract_slots(B, B, a20) - geom.alpha20)) < 1e-12
-    assert np.max(np.abs(contract_slots(B, B.conj(), a20))) < 1e-12
+    K20, K11 = type_rows(geom.imm.complex_dim)
+    assert np.max(np.abs(contract_slots(K20, a20) - geom.alpha20)) < 1e-12
+    assert np.max(np.abs(contract_slots(K11, a20))) < 1e-12
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -60,7 +60,7 @@ def test_surface_pluri_mean_part_is_metric_times_mean_curvature(name):
     # for surfaces: (alpha(x,y) + alpha(Jx,Jy))/2 = g(x,y) eta
     geom = _geom(name)
     mc = forms.mean_curvature_and_sphere_reduction(geom)
-    a11 = form_parts(geom.imm.J, geom.alpha)[0]
+    a11 = form_parts(geom.alpha)[0]
     expected = np.einsum("gij,gx->gijx", geom.g, mc.eta)
     assert np.max(np.abs(a11 - expected)) < 1e-9
 

@@ -1,15 +1,19 @@
-"""The geometry pass, the family integration, the sublemma, the
-(p,q)-type residuals and the bundle layer call no index-loop np.einsum,
-and the first two no per-point np.linalg.svd: their contractions are
-batched `@` products and the rank test is certified from g and g^-1.
-Neither the family path nor a full verify of a surface in R^3 forms a
-normal frame (np.linalg.qr): only R^N of a normal bundle of rank >= 2
-reads it.  A full verify computes ppmc once per fixture."""
+"""The geometry pass, the family integration, the structure sweep, the
+sublemma, the (p,q)-type residuals and the bundle layer call no
+index-loop np.einsum, and the first two no per-point np.linalg.svd:
+their contractions are batched `@` products and the rank test is
+certified from g and g^-1.  g^-1 comes from the gate's Cholesky factor,
+never from np.linalg.inv, and the chart constants are built once per m,
+read-only, so a warm verify pass calls no np.kron.  Neither the family
+path nor a full verify of a surface in R^3 forms a normal frame
+(np.linalg.qr): only R^N of a normal bundle of rank >= 2 reads it.  A
+full verify computes ppmc once per fixture."""
 
 import numpy as np
 import pytest
 
-from plurimean import family, flags, forms, gaussmaps, kaehler, pipeline
+from plurimean import (chartcalc, family, flags, forms, gaussmaps, kaehler,
+                       pipeline)
 from plurimean.fixtures import get_immersion, registry
 
 
@@ -163,3 +167,52 @@ def test_verify_computes_ppmc_once_per_fixture(monkeypatch):
     for name in names:
         assert (result[name, "half-isotropy"].extras["ppmc"]
                 == result[name, "ppmc"].residual)
+
+
+def test_verify_and_large_geometry_call_no_inverse(monkeypatch):
+    calls = _spy(monkeypatch, ((np.linalg, "inv"),))
+    rep = pipeline.run(pipeline.RunConfig())
+    assert rep.mismatches == [] and len(rep.results) == 220
+    catenoid = get_immersion("catenoid")
+    forms.compute_geometry(catenoid, catenoid.grid(201))
+    assert calls == []
+
+
+def test_structure_sweep_calls_no_einsum(monkeypatch):
+    cfg = pipeline.RunConfig()
+    geoms = [pipeline.FixtureContext(rec, cfg).geom for rec in registry()]
+    catenoid = get_immersion("catenoid")
+    geoms.append(forms.compute_geometry(catenoid, catenoid.grid(201)))
+    for geom in geoms:
+        geom.R, geom.RN
+    calls = _spy(monkeypatch, ((np, "einsum"),))
+    for geom in geoms:
+        family.structure_equation_residuals(geom, family.THETA_SWEEP)
+    assert len(geoms) == 12
+    assert calls == []
+
+
+def test_second_warm_verify_pass_calls_no_kron(monkeypatch):
+    pipeline.run(pipeline.RunConfig())
+    calls = _spy(monkeypatch, ((np, "kron"),))
+    rep = pipeline.run(pipeline.RunConfig())
+    assert rep.mismatches == [] and len(rep.results) == 220
+    assert calls == []
+
+
+CHART_CONSTANTS = ((chartcalc, "type_rows"), (chartcalc, "rotation_parts"),
+                   (family, "_codazzi_map"), (family, "_gauss_components"),
+                   (family, "_pair_parts"), (gaussmaps, "_generator_columns"),
+                   (kaehler, "_sublemma_rows"))
+
+
+@pytest.mark.parametrize("module,name", CHART_CONSTANTS,
+                         ids=[name for _, name in CHART_CONSTANTS])
+@pytest.mark.parametrize("m", [1, 2])
+def test_chart_constants_are_built_once_and_read_only(module, name, m):
+    constant = getattr(module, name)
+    first = constant(m)
+    assert constant(m) is first
+    for a in first if isinstance(first, tuple) else (first,):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1

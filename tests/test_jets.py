@@ -1,10 +1,14 @@
-"""Taylor-mode jet arithmetic against hand-derived derivatives."""
+"""Taylor-mode jet arithmetic against hand-derived derivatives, and
+against dense reference rules that carry every zero block as an array."""
+
+import functools
 
 import numpy as np
 import pytest
 
-from plurimean import jets
-from plurimean.fixtures import fixture_names, get_immersion
+from plurimean import forms, jets
+from plurimean.chartcalc import ChartedImmersion
+from plurimean.fixtures import _CATALOG, fixture_names, get_immersion
 
 
 def _formula(x1, x2, x3, x4):
@@ -130,3 +134,148 @@ def test_jet_powers_are_positive_integers():
     for k in (0, 0.5):
         with pytest.raises(ValueError):
             u ** k
+
+
+# ------------------------------------------------- dense reference rules
+
+class DenseJet(jets.Jet):
+    """The Leibniz and Faa di Bruno rules with every derivative block an
+    array, the zero ones included, summed term by term in the rule's
+    order: the test oracle for jets.jet, which drops the terms of
+    identically zero blocks.  A subclass, so that jets.polyval, the
+    ufunc dispatch, reciprocal, division, powers and subtraction route
+    through these rules."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, jets.Jet):
+            return DenseJet(self.v + other.v, self.d1 + other.d1,
+                            _dense(np.add, self.d2, other.d2),
+                            _dense(np.add, self.d3, other.d3))
+        return DenseJet(self.v + other, self.d1, self.d2, self.d3)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseJet(-self.v, -self.d1, _dense(np.negative, self.d2),
+                        _dense(np.negative, self.d3))
+
+    def __mul__(self, other):
+        if not isinstance(other, jets.Jet):
+            return DenseJet(self.v * other, self.d1 * other,
+                            _dense(np.multiply, self.d2, other),
+                            _dense(np.multiply, self.d3, other))
+        a, b = self, other
+        d2 = d3 = None
+        if a.d2 is not None:
+            a1b1 = a.d1[:, None] * b.d1
+            d2 = a.d2 * b.v + a1b1 + a1b1.transpose(1, 0, 2) + a.v * b.d2
+        if a.d3 is not None:
+            d3 = (a.d3 * b.v + a.v * b.d3
+                  + _sym3_dense(a.d2[:, :, None] * b.d1)
+                  + _sym3_dense(b.d2[:, :, None] * a.d1))
+        return DenseJet(a.v * b.v, a.d1 * b.v + a.v * b.d1, d2, d3)
+
+    __rmul__ = __mul__
+
+    def compose(self, *f):
+        x1, x2 = self.d1, self.d2
+        d2 = d3 = None
+        if x2 is not None:
+            x11 = x1[:, None] * x1
+            d2 = f[1] * x2 + f[2] * x11
+        if self.d3 is not None:
+            d3 = (f[1] * self.d3 + f[2] * _sym3_dense(x2[:, :, None] * x1)
+                  + f[3] * (x11[:, :, None] * x1))
+        return DenseJet(f[0], f[1] * x1, d2, d3)
+
+
+def _dense(op, a, *rest):
+    return None if a is None else op(a, *rest)
+
+
+def _sym3_dense(t):
+    return t + t.transpose(0, 2, 1, 3) + t.transpose(2, 0, 1, 3)
+
+
+def dense_jet(formula, pts, order=3):
+    """jets.jet with np.zeros blocks for the coordinates' and constants'
+    d2 and d3, stacked per block and moved to the grid-first layout."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    G, d = pts.shape
+    high = [np.zeros((d,) * k + (G,)) if k <= order else None
+            for k in (2, 3)]
+    coords = [DenseJet(pts[:, i],
+                       np.repeat(np.eye(d)[:, i, None], G, axis=1), *high)
+              for i in range(d)]
+    comps = [c if isinstance(c, jets.Jet) else
+             DenseJet(np.full(G, float(c)), np.zeros((d, G)), *high)
+             for c in formula(*coords)]
+
+    def grid_first(blocks):
+        if blocks[0] is None:
+            return None
+        return np.ascontiguousarray(
+            np.moveaxis(np.stack(blocks, axis=-1), -2, 0))
+
+    return tuple(grid_first([getattr(c, name) for c in comps])
+                 for name in ("v", "d1", "d2", "d3"))
+
+
+def _hand_formula(x1, x2, x3, x4):
+    """Every rule once: polyval, reciprocal, Jet and scalar division,
+    integer powers, negation, subtraction, constant components, and
+    products of coordinates whose d3 is identically zero."""
+    return [-(x1 ** 3) + x2 ** 2 - x3, 2.5, x3.reciprocal() * x4,
+            (x1 - 2.0) / (x2 + 3.0) - 1.5 / (x4 - 2.0) + x1 / 4.0,
+            jets.polyval(x2, (0.5, -1.0, 0.0, 2.0)) - np.sin(x3 * x4),
+            -x4, x1 * x2 * x3 * x4, 0.0, 3.0 - np.cosh(x1) * x2]
+
+
+def _assert_dense_equal(formula, pts, d, n):
+    for order in (1, 2, 3):
+        jet = jets.jet(formula, pts, order)
+        blocks = (jet.value, jet.d1, jet.d2, jet.d3)
+        G = len(pts)
+        for k, (got, ref) in enumerate(zip(blocks,
+                                           dense_jet(formula, pts, order))):
+            if k > order:
+                assert got is None and ref is None
+                continue
+            # every block is an array of its documented shape
+            assert isinstance(got, np.ndarray)
+            assert got.shape == (G,) + (d,) * k + (n,)
+            assert np.array_equal(got, ref)
+
+
+def test_jets_equal_dense_rules_on_hand_formula():
+    pts = np.random.default_rng(6).uniform(0.1, 0.9, size=(9, 4))
+    _assert_dense_equal(_hand_formula, pts, 4, 9)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_jets_equal_dense_rules_on_fixtures(name):
+    imm = get_immersion(name)
+    pts = imm.grid(3 if imm.complex_dim > 1 else 7, margin=0.02)
+    _assert_dense_equal(_CATALOG[name][1], pts, imm.chart_dim,
+                        imm.ambient_dim)
+
+
+def test_pole_on_the_grid_names_the_same_point():
+    # the zero blocks drop the terms 0 * x, where the dense rules gave
+    # 0 * inf = NaN at a pole; the value and d1 carry no zero blocks, so
+    # the metric gate names the pole's first grid point all the same
+    def formula(u, v):
+        return [u, v, u * v + 1 / u]
+
+    imm = ChartedImmersion(
+        name="pole", ambient_dim=3, complex_dim=1,
+        domain=[(-1.0, 1.0), (-1.0, 1.0)],
+        eval_fn=functools.partial(jets.values, formula),
+        jet_fn=functools.partial(jets.jet, formula))
+    pts = imm.grid(5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^induced metric not finite "
+                           r"at chart point \(0, -1\) \(grid point 10\)$"):
+            forms.compute_geometry(imm, pts)

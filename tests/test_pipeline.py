@@ -266,20 +266,21 @@ def test_run_grid_applies_to_fixtures_without_their_own(geometry_calls):
 
 def test_kaehler_and_grassmann_checks_reuse_the_metric(monkeypatch,
                                                        geometry_calls):
-    # one inverse metric per geometry: the checks read the geometry's
-    # g, Gamma and tangent projector instead of rebuilding them
-    inversions = []
-    inv = np.linalg.inv
+    # one factored metric per geometry (its Cholesky factor gives the
+    # inverse): the checks read the geometry's g, Gamma and tangent
+    # projector instead of rebuilding them
+    factorisations = []
+    cholesky = np.linalg.cholesky
 
     def spy(a):
-        inversions.append(a.shape)
-        return inv(a)
+        factorisations.append(a.shape)
+        return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "inv", spy)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
     rep = _subset_run(["catenoid", "veronese", "product-spheres"],
                       ["kaehler", "grassmann"])
     assert [r.status for r in rep.results] == [pipeline.PASS] * 6
-    assert len(inversions) == len(geometry_calls) == 3
+    assert len(factorisations) == len(geometry_calls) == 3
 
 
 # A NaN in a fold's input must reach the runner's guard: Python's max()
