@@ -11,6 +11,11 @@ basis into the parts u, v, w of rotation_parts, and contract_slots
 reads it on the (1,0) basis through the slot pairs of type_rows.  Each
 chart constant is built once per m, read-only (chart_constant), so no
 grid pass rebuilds one.
+
+A residual that is a max of pointwise values may run block by block of
+grid points through grid_max, which folds the blocks' maxima with
+np.max: its values stay bit for bit those of one full-grid pass, while
+its temporaries shrink to one block's.
 """
 
 import functools
@@ -152,6 +157,24 @@ def central_differences(fn: Callable[[np.ndarray], np.ndarray],
     out = out.reshape(d, 2, G, *out.shape[1:])
     return np.ascontiguousarray(
         np.moveaxis((out[:, 0] - out[:, 1]) / (2.0 * h), 0, 1))
+
+
+_BLOCK = 128   # grid points per block of grid_max, chosen by measurement
+
+
+def grid_max(fn: Callable[..., np.ndarray], *fields: np.ndarray):
+    """np.max over blocks of _BLOCK grid points of fn(*blocks), each
+    field sliced on its leading grid axis: elementwise for array results
+    (all blocks alike in shape), so a NaN in any block reaches the
+    result.  For a pointwise fn whose result is a max over the points
+    this equals fn(*fields) bit for bit, and its temporaries are those
+    of one block, which stay in cache, instead of multi-MB arrays that a
+    warm pass would fault in afresh.  A grid of at most _BLOCK points,
+    an empty one too, runs the loop once."""
+    G = len(fields[0])
+    # np.max, not max(): a NaN must reach the caller
+    return np.max([fn(*(f[s:s + _BLOCK] for f in fields))
+                   for s in range(0, max(G, 1), _BLOCK)], axis=0)
 
 
 def fd_d1(imm: ChartedImmersion, pts: np.ndarray,

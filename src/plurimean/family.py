@@ -10,11 +10,15 @@ equations and psi_theta's residuals are swept over all angles from
 terms formed once per geometry; the Gauss term is the curvature of
 alpha pulled back by Lambda^2 R_theta, with no per-angle form built.
 The sweep's constant matrices are chart constants, built once per m
-(chartcalc.chart_constant).  rotation_parts, the structure equations
-and psi_theta rotate alpha^{2,0} by e^{2i theta}; df o R_theta, which
-integrate_family and closedness_residual take, is the member at theta/2.
+(chartcalc.chart_constant).  psi_theta's sweep runs block by block of
+grid points (chartcalc.grid_max); the structure sweep, which the family
+verb shares at 201^2 points, runs over the whole grid.  rotation_parts,
+the structure equations and psi_theta rotate alpha^{2,0} by
+e^{2i theta}; df o R_theta, which integrate_family and
+closedness_residual take, is the member at theta/2.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import forms, kaehler, kernels
 from .chartcalc import (ChartedImmersion, chart_constant, form_parts,
-                        rotation_parts)
+                        grid_max, rotation_parts)
 from .gaussmaps import Bundles
 
 THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
@@ -279,6 +283,33 @@ def rigid_match(A: np.ndarray, B: np.ndarray):
 
 # ------------------------------------------------------------- psi_theta
 
+def _psi_sweep(c2, s2, E, alpha, P, Q, P_Nc) -> np.ndarray:
+    """build_psi's (T, 3) residuals on one block of grid points, at the
+    angles with cos 2theta = c2, sin 2theta = s2 and e^{2i theta} = E:
+    alpha (G, d, d, n), P = P_N', Q = P_N'' and P_Nc (G, n, n)."""
+    G, d, _, n = alpha.shape
+    Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
+    u, v, w = form_parts(alpha).reshape(3, G, d * d, n)
+    alpha = alpha.reshape(G, d * d, n)
+    Pa = alpha @ P.transpose(0, 2, 1)
+    X = np.stack([alpha - 2 * Pa.real - u, 2 * Pa.real - v,
+                  -2 * Pa.imag - w])
+
+    PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
+    C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
+    C1 = P + Qh - PPh_QQh - 2 * PQh
+    M = P @ P_Nc
+
+    out = np.empty((len(c2), 3))
+    for t in range(len(c2)):
+        out[t, 0] = np.max(np.abs(X[0] + c2[t] * X[1] + s2[t] * X[2]))
+        Y = E[t] * C1 + E[t] ** 2 * PQh
+        out[t, 1] = np.max(np.abs(C0 + Y + Y.conj().transpose(0, 2, 1)))
+        out[t, 2] = 2 * np.max(np.abs((c2[t] - 1) * M.real
+                                      - s2[t] * M.imag))
+    return out
+
+
 def build_psi(geom: forms.GeometryData, bun: Bundles,
               thetas: Sequence[float]):
     """psi_theta = e^{2it} on N', 1 on N° and the flat remainder,
@@ -292,31 +323,15 @@ def build_psi(geom: forms.GeometryData, bun: Bundles,
     alpha_theta comes from form_parts); psi psi* - I = C0 + E C1
     + E^2 P Q* + h.c. for E = e^{2it}, with P* and Q* kept, so that it
     holds for any P; (psi - I) P_Nc = 2 Re(a P P_Nc), as P_Nc is real.
+    The sweep runs block by block of grid points (_psi_sweep over
+    grid_max), the eigenspace count over the whole grid.
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     c2, s2 = np.cos(2 * thetas), np.sin(2 * thetas)
     E = np.exp(2j * thetas)
-    G, d, _, n = geom.alpha.shape
     P, Q = bun.Np.P, bun.Npp.P
-    Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
-    alpha = geom.alpha.reshape(G, d * d, n)
-    u, v, w = form_parts(geom.alpha).reshape(3, G, d * d, n)
-    Pa = alpha @ P.transpose(0, 2, 1)
-    X = np.stack([alpha - 2 * Pa.real - u, 2 * Pa.real - v,
-                  -2 * Pa.imag - w])
-
-    PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
-    C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
-    C1 = P + Qh - PPh_QQh - 2 * PQh
-    M = P @ bun.Nc.P
-
-    out = np.empty((len(thetas), 3))
-    for t in range(len(thetas)):
-        out[t, 0] = np.max(np.abs(X[0] + c2[t] * X[1] + s2[t] * X[2]))
-        Y = E[t] * C1 + E[t] ** 2 * PQh
-        out[t, 1] = np.max(np.abs(C0 + Y + Y.conj().transpose(0, 2, 1)))
-        out[t, 2] = 2 * np.max(np.abs((c2[t] - 1) * M.real
-                                      - s2[t] * M.imag))
+    out = grid_max(functools.partial(_psi_sweep, c2, s2, E),
+                   geom.alpha, P, Q, bun.Nc.P)
 
     # psi_{pi/2} is real symmetric; on N it is +1 on N° + rest and -1 on
     # the real points of N' + N''

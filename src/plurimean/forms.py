@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kaehler
 from .chartcalc import (ChartedImmersion, Jet3, contract_slots, eval_jet,
-                        form_parts, type_rows)
+                        form_parts, rotation_parts, type_rows)
 
 
 @dataclass
@@ -45,12 +45,23 @@ class GeometryData:
     Gamma: np.ndarray    # (G, d, d, d), Gamma[g,k,i,j] = Gamma^k_{ij}
     alpha: np.ndarray    # (G, d, d, n)
     Dalpha: np.ndarray   # (G, d, d, d, n), [k,i,j] = (D_k alpha)(i,j)
-    alpha20: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d'_b)
-    alpha11: np.ndarray  # (G, m, m, n) complex: alpha(d'_a, d''_b)
 
-    # the normal frame and the curvatures are computed on first read: a
-    # fixture that the kaehler check rejects never reads them, and a
+    # the (p,q)-components, the normal frame and the curvatures are
+    # computed on first read: the family path reads no (p,q)-component,
+    # a fixture that the kaehler check rejects reads no curvature, and a
     # normal line reads no frame
+    @functools.cached_property
+    def alpha20(self) -> np.ndarray:
+        """(G, m, m, n) complex: alpha(d'_a, d'_b)."""
+        return contract_slots(type_rows(self.imm.complex_dim)[0],
+                              self.alpha)
+
+    @functools.cached_property
+    def alpha11(self) -> np.ndarray:
+        """(G, m, m, n) complex: alpha(d'_a, d''_b)."""
+        return contract_slots(type_rows(self.imm.complex_dim)[1],
+                              self.alpha)
+
     @functools.cached_property
     def frame(self) -> np.ndarray:
         """(G, n-d, n) real orthonormal normal frame."""
@@ -102,13 +113,8 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     Dalpha -= corr
     Dalpha -= corr.transpose(0, 1, 3, 2, 4)
 
-    K20, K11 = type_rows(imm.complex_dim)
-    alpha20 = contract_slots(K20, alpha)
-    alpha11 = contract_slots(K11, alpha)
-
     return GeometryData(imm=imm, pts=pts, jet=jet, g=g, ginv=ginv,
-                        P_T=P_T, Gamma=Gamma, alpha=alpha, Dalpha=Dalpha,
-                        alpha20=alpha20, alpha11=alpha11)
+                        P_T=P_T, Gamma=Gamma, alpha=alpha, Dalpha=Dalpha)
 
 
 # ------------------------------------------------------------- residuals
@@ -128,8 +134,12 @@ def eq2_consistency_residual(geom: GeometryData) -> float:
 
 def ppmc_residual(geom: GeometryData) -> float:
     """sup |D(alpha^{(1,1)})|: covariant derivative of the pluri-mean
-    part, the (1,1)-part of D(alpha) in (i,j), since J is parallel."""
-    return float(np.max(np.abs(form_parts(geom.Dalpha)[0])))
+    part, the (1,1)-part of D(alpha) in (i,j), since J is parallel.
+    Only the u rows of rotation_parts are applied, the rows of
+    form_parts' first part, which round alike."""
+    G, d, _, _, n = geom.Dalpha.shape
+    u = rotation_parts(d // 2)[0] @ geom.Dalpha.reshape(G, d, d * d, n)
+    return float(np.max(np.abs(u)))
 
 
 def pluriminimal_residual(geom: GeometryData) -> float:

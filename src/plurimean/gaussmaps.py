@@ -26,7 +26,10 @@ order-1 jets and pass the geometry's regularity gate.
 Every batched product of the bundle layer is one product per grid
 point: the chart directions (or generator fields) are folded into the
 rows or columns of the matmul, never broadcast as one small n x n
-product per point and per direction, and no einsum runs.
+product per point and per direction, and no einsum runs.  The layer
+itself is built over the whole grid; the derivative residuals, all
+through outside_residual, run block by block of grid points
+(chartcalc.grid_max).
 """
 
 import functools
@@ -38,7 +41,7 @@ import numpy as np
 from . import forms, kaehler
 from .chartcalc import (RankError, _check_boundary, central_differences,
                         chart_constant, contract_slots, eval_jet,
-                        holomorphic_basis, type_rows)
+                        grid_max, holomorphic_basis, type_rows)
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -155,16 +158,21 @@ def outside_residual(P_target: np.ndarray, dP: np.ndarray,
                      P_source: np.ndarray) -> float:
     """sup || P_target (dP_source) P_source || over grid/directions.
 
-    dP has shape (G, D, n, n) for D (possibly complex) directions.  Each
-    point takes two products: Y = dP P_source with the D blocks stacked
-    as rows (G, D n, n), then P_target against them side by side
-    (G, n, D n).
+    dP has shape (G, D, n, n) for D (possibly complex) directions; the
+    products run block by block of grid points (grid_max).
     """
+    return float(grid_max(_outside_block, P_target, dP, P_source))
+
+
+def _outside_block(P_target, dP, P_source):
+    """outside_residual on one block of grid points: two products per
+    point, Y = dP P_source with the D blocks stacked as rows (G, D n, n),
+    then P_target against them side by side (G, n, D n)."""
     G, D, n, _ = dP.shape
     Y = dP.reshape(G, D * n, n) @ P_source
     Y = Y.reshape(G, D, n, n).transpose(0, 2, 1, 3).reshape(G, n, D * n)
     M = P_target @ Y
-    return float(np.max(np.abs(M))) if M.size else 0.0
+    return np.max(np.abs(M)) if M.size else 0.0
 
 
 class Bundle(NamedTuple):
@@ -346,8 +354,11 @@ def isotropy_decomposition(bun: Bundles) -> IsotropyReport:
              (bun.No.P, bun.Npp.P)]
     # np.max, not max(): a NaN must reach the caller
     orth = float(np.max([np.max(np.abs(A @ B)) for A, B in pairs]))
+    # N'' = conj N' and P_Nc is real, so the residual of N'' is the
+    # entrywise conjugate of that of N', with the same max bit for bit:
+    # it is not formed
     par = float(np.max([outside_residual(bun.Nc.P - S.P, S.dP, S.P)
-                        for S in (bun.Np, bun.No, bun.Npp)]))
+                        for S in (bun.Np, bun.No)]))
     return IsotropyReport(ranks=dict(bun.ranks), orthogonality=orth,
                           parallelity=par)
 

@@ -7,13 +7,17 @@ kept in the tests as a slow cross-check.  The normal curvature is
 defined through the Ricci equation, R^N(X,Y) xi = alpha(X, A_xi Y) -
 alpha(Y, A_xi X), with the Weingarten maps A_xi of shape_operators:
 ricci_commutators reads it in a normal frame, the sublemma without one.
+The sublemma runs block by block of grid points (chartcalc.grid_max),
+so its (G, d, d, 2m^2, n) terms are formed one block at a time.
 """
+
+import functools
 
 import numpy as np
 
 from . import kernels
 from .chartcalc import (Jet3, RankError, _check_rank, chart_constant,
-                        contract_slots, type_rows)
+                        contract_slots, grid_max, type_rows)
 
 
 def induced_metric(jet: Jet3) -> np.ndarray:
@@ -186,6 +190,28 @@ def _sublemma_rows(m: int):
     return K, K_sym
 
 
+def _sublemma_block(alpha, ginv, R, K, K_sym) -> float:
+    """The sublemma residual on one block of grid points: alpha
+    (G, d, d, n), ginv (G, d, d) and R (G, d, d, d, d), with the rows
+    (K, K_sym) of _sublemma_rows."""
+    G, d, _, n = alpha.shape
+    c = len(K)
+    rows = alpha.reshape(G, d, d * n)          # alpha(d_k, .): symmetric
+    # S[c, j, i] = alpha(d_i, A_c d_j) for the fields beta_c = K alpha
+    A = shape_operators(alpha, ginv, K @ alpha.reshape(G, d * d, n))
+    S = (np.ascontiguousarray(A.transpose(0, 1, 3, 2)).reshape(
+        G, c * d, d) @ rows).reshape(G, c, d, d, n)
+    # U[i, j, c] = sum_pq K_sym[c,p,q] alpha(R_ij d_p, d_q): both R terms,
+    # K_sym[c,p,q] = K[c,p,q] + K[c,q,p]; as R_ij d_p = R_ijpa g^{al} d_l,
+    # U = sum_pa R_ijpa Y[a,p,c], Y[a,p,c] = sum_q K_sym[c,p,q] (g^-1 alpha)_aq
+    Y = K_sym @ (ginv @ rows).reshape(G, d, d, n)
+    U = R.swapaxes(3, 4).reshape(G, d * d, d * d) @ Y.reshape(
+        G, d * d, c * n)
+    diff = (S.transpose(0, 3, 2, 1, 4) - S.transpose(0, 2, 3, 1, 4)
+            - U.reshape(G, d, d, c, n))
+    return np.max(np.hypot(*np.split(diff, 2, axis=3)))
+
+
 def sublemma_residual(geom) -> float:
     """Intertwining of tangent and normal curvatures through the
     pluri-mean form beta(x', y'') = alpha(x', conj(y')):
@@ -197,23 +223,9 @@ def sublemma_residual(geom) -> float:
     with R^N_ij xi = alpha(d_i, A_xi d_j) - alpha(d_j, A_xi d_i) (Ricci
     equation).  Each term is contracted as it is formed, by the real and
     imaginary rows of kron(B, conj B) (_sublemma_rows); it reads alpha,
-    ginv and R only.
+    ginv and R only, block by block of grid points (grid_max).
     """
-    alpha, ginv = geom.alpha, geom.ginv
-    G, d, _, n = alpha.shape
     K, K_sym = _sublemma_rows(geom.imm.complex_dim)   # (c, d^2), c = 2 m^2
-    c = len(K)
-    rows = alpha.reshape(G, d, d * n)          # alpha(d_k, .): symmetric
-    # S[c, j, i] = alpha(d_i, A_c d_j) for the fields beta_c = K alpha
-    A = shape_operators(alpha, ginv, K @ alpha.reshape(G, d * d, n))
-    S = (np.ascontiguousarray(A.transpose(0, 1, 3, 2)).reshape(
-        G, c * d, d) @ rows).reshape(G, c, d, d, n)
-    # U[i, j, c] = sum_pq K_sym[c,p,q] alpha(R_ij d_p, d_q): both R terms,
-    # K_sym[c,p,q] = K[c,p,q] + K[c,q,p]; as R_ij d_p = R_ijpa g^{al} d_l,
-    # U = sum_pa R_ijpa Y[a,p,c], Y[a,p,c] = sum_q K_sym[c,p,q] (g^-1 alpha)_aq
-    Y = K_sym @ (ginv @ rows).reshape(G, d, d, n)
-    U = geom.R.swapaxes(3, 4).reshape(G, d * d, d * d) @ Y.reshape(
-        G, d * d, c * n)
-    diff = (S.transpose(0, 3, 2, 1, 4) - S.transpose(0, 2, 3, 1, 4)
-            - U.reshape(G, d, d, c, n))
-    return float(np.max(np.hypot(*np.split(diff, 2, axis=3))))
+    return float(grid_max(
+        functools.partial(_sublemma_block, K=K, K_sym=K_sym),
+        geom.alpha, geom.ginv, geom.R))

@@ -6,15 +6,20 @@ certified from g and g^-1.  g^-1 comes from the gate's Cholesky factor,
 never from np.linalg.inv, and the chart constants are built once per m,
 read-only, so a warm verify pass calls no np.kron.  Neither the family
 path nor a full verify of a surface in R^3 forms a normal frame
-(np.linalg.qr): only R^N of a normal bundle of rank >= 2 reads it.  A
-full verify computes ppmc once per fixture."""
+(np.linalg.qr): only R^N of a normal bundle of rank >= 2 reads it, and
+the family path forms no (p,q)-component of alpha.  A full verify
+computes ppmc once per fixture.  The residual bodies that run in blocks
+of grid points (chartcalc.grid_max) form no multi-MB temporary on
+product-spheres (5^4 = 625 points)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from plurimean import (chartcalc, family, flags, forms, gaussmaps, kaehler,
-                       pipeline)
-from plurimean.fixtures import get_immersion, registry
+from plurimean import (chartcalc, cli, family, flags, forms, gaussmaps,
+                       kaehler, pipeline)
+from plurimean.fixtures import get_fixture, get_immersion, registry
 
 
 def _spy(monkeypatch, targets):
@@ -54,6 +59,16 @@ def test_family_integration_calls_no_einsum_and_no_svd(hot_calls):
     family.integrate_family(get_immersion("catenoid"), np.pi / 2,
                             per_axis=201)
     assert hot_calls == []
+
+
+def test_family_verb_forms_no_pq_components(monkeypatch, tmp_path):
+    """alpha20 and alpha11 are read by the bundle layer and the verify
+    checks only; the family verb's geometries never form them."""
+    calls = _spy(monkeypatch, ((forms, "contract_slots"),))
+    assert cli.main(["family", "--fixture", "catenoid", "--grid", "41",
+                     "--match", "helicoid",
+                     "--report", str(tmp_path / "family.txt")]) == 0
+    assert calls == []
 
 
 def test_family_path_forms_no_normal_frame(qr_calls):
@@ -216,3 +231,40 @@ def test_chart_constants_are_built_once_and_read_only(module, name, m):
     for a in first if isinstance(first, tuple) else (first,):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
+
+
+# tracemalloc peaks of one warm call on product-spheres, in MiB, set
+# above the measured peaks (numpy 2.4): sublemma 3.63, build_psi 1.60,
+# superhorizontality 0.71, ppmc 3.66.  Over the full grid they read
+# 17.2, 7.33, 3.43 and 7.39 MiB.
+PEAK_BOUNDS_MIB = {"sublemma": 4.0, "psi": 2.0, "superhorizontality": 1.0,
+                   "ppmc": 4.0}
+
+
+@pytest.fixture(scope="module")
+def product_spheres():
+    ctx = pipeline.FixtureContext(get_fixture("product-spheres"),
+                                  pipeline.RunConfig())
+    assert len(ctx.pts) == 625
+    return ctx
+
+
+@pytest.mark.parametrize("body", sorted(PEAK_BOUNDS_MIB))
+def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
+    geom, bun = product_spheres.geom, product_spheres.bundles
+    call = {
+        "sublemma": lambda: kaehler.sublemma_residual(geom),
+        "psi": lambda: family.build_psi(geom, bun,
+                                        [*family.THETA_SWEEP, np.pi]),
+        "superhorizontality": lambda: gaussmaps.superhorizontality_residual(
+            bun),
+        "ppmc": lambda: forms.ppmc_residual(geom),
+    }[body]
+    call()      # the layers' lazy fields and the chart constants
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUNDS_MIB[body] * 2 ** 20
