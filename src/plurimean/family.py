@@ -7,8 +7,9 @@ theta-independent parts u, v, w, which chartcalc's rotation_parts
 defines and form_parts splits off; psi_theta is
 I + a P_N' + conj(a) P_N'' with a = e^{2i theta} - 1.  The structure
 equations and psi_theta's residuals are swept over all angles from
-terms formed once per geometry; the Gauss term is the curvature of
-alpha pulled back by Lambda^2 R_theta, with no per-angle form built.
+terms formed once per geometry; the Gauss term is the geometry's R,
+the curvature of alpha, pulled back by Lambda^2 R_theta, with no
+per-angle form built.
 The sweep's constant matrices are chart constants, built once per m
 (chartcalc.chart_constant).  psi_theta's sweep runs block by block of
 grid points (chartcalc.grid_max); the structure sweep, which the family
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import forms, kaehler, kernels
+from . import forms, kaehler
 from .chartcalc import (ChartedImmersion, chart_constant, form_parts,
                         grid_max, rotation_parts)
 from .gaussmaps import Bundles
@@ -79,7 +80,8 @@ def _pair_parts(m: int) -> np.ndarray:
     of rotation_parts, antisymmetrised in their columns.  A form's
     curvature pulls back on all four slots when the form does on two,
     so on the pairs the curvature of alpha_theta is
-    Lambda_theta R_op Lambda_theta^T, R_op that of alpha."""
+    Lambda_theta R_op Lambda_theta^T, R_op the pair matrix of alpha's
+    curvature, geom.R."""
     d = 2 * m
     K = rotation_parts(m).reshape(3, d, d, d, d)
     iu, ju = np.triu_indices(d, 1)
@@ -93,7 +95,8 @@ def _gauss_residuals(geom, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
     Lambda_theta (T, P, P) of every angle gives the products
     Lambda_theta[p, r] Lambda_theta[q, s] as the columns (t, p, q) of
-    one (P^2, T P^2) matrix against the rows (r, s) of R_op."""
+    one (P^2, T P^2) matrix against the rows (r, s) of R_op, R's
+    components i < j, k < l."""
     m = geom.alpha.shape[1] // 2
     i, j, k, l = _gauss_components(m)
     Lu, Lv, Lw = _pair_parts(m)
@@ -101,18 +104,9 @@ def _gauss_residuals(geom, c2: np.ndarray, s2: np.ndarray) -> np.ndarray:
     T, P = Lt.shape[:2]
     W = (Lt[:, :, None, :, None] * Lt[:, None, :, None, :]).transpose(
         3, 4, 0, 1, 2).reshape(P * P, T * P * P)
-    R_op = kernels.gauss_curvature(geom.alpha)[:, i, j, k, l]
+    R_op = geom.R[:, i, j, k, l]
     K_t = (R_op @ W).reshape(len(R_op), T, P * P)
-    R = geom.R
-    R_views = np.stack([R[:, i, j, k, l], -R[:, j, i, k, l],
-                        -R[:, i, j, l, k], R[:, j, i, l, k]])
-    R_hi, R_lo = R_views.max(axis=0), R_views.min(axis=0)
-    gauss_zero = np.max([np.max(np.abs(R.diagonal(0, 1, 2))),
-                         np.max(np.abs(R.diagonal(0, 3, 4)))])
-    # np.max, not max(): a NaN must reach the caller
-    return np.max([np.broadcast_to(gauss_zero, T),
-                   np.max(R_hi[:, None] - K_t, axis=(0, 2)),
-                   np.max(K_t - R_lo[:, None], axis=(0, 2))], axis=0)
+    return np.max(np.abs(R_op[:, None] - K_t), axis=(0, 2))
 
 
 def structure_equation_residuals(geom: forms.GeometryData,
@@ -127,22 +121,19 @@ def structure_equation_residuals(geom: forms.GeometryData,
 
     * Gauss: the curvature of alpha_theta is that of alpha pulled back
       on all four slots, Lambda_theta R_op Lambda_theta^T on the
-      components i < j, k < l (_pair_parts), with R_op the Gauss
-      curvature of alpha itself (kernels.gauss_curvature), not geom.R.
-      Every angle takes one (G, P^2) @ (P^2, T P^2) product.  It is
-      compared with R's four sign-arranged views R_ijkl, -R_jikl,
-      -R_ijlk, R_jilk through their elementwise max and min, which is
-      exact: max_s |r_s - k| = max(max_s r_s - k, k - min_s r_s).  On
-      i = j or k = l the curvature of a form is 0, which leaves a
-      theta-independent sup |R|.
+      components i < j, k < l (_pair_parts), with R_op those components
+      of geom.R, which is the Gauss curvature of alpha.  Every angle
+      takes one (G, P^2) @ (P^2, T P^2) product, compared with R_op.
+      R is antisymmetric in (i, j) and in (k, l), exactly as the kernel
+      forms it, so these components carry the whole sup-norm.
     * Codazzi: sup |X - X^{k<->i}| for X = D alpha_theta, linear in the
       parts of D alpha antisymmetrised on the pairs k < i.
     * Ricci: the shape operators of u, v, w (kaehler) are formed once
       in the normal frame, and R^N_theta of each angle by kaehler's
       Ricci equation; on a normal line R^N of every form is 0.
 
-    The full-tensor sup-norms are kept for inputs without the index
-    symmetries of R and R^N.
+    The Ricci leg keeps the full-tensor sup-norm, for an R^N without
+    its index symmetries.
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     c2, s2 = np.cos(2 * thetas), np.sin(2 * thetas)

@@ -438,19 +438,6 @@ def corollary_even_space(elem: CanonicalElement):
     return out
 
 
-def lift_grading_residual(bun) -> float:
-    """Superhorizontality of the flag lift in orbit coordinates: the
-    pointwise canonical element is xi(p) = i (P_tau' - P_tau''); its
-    chart derivative must have no g_{+-2} components, i.e. no
-    tau'<->tau'' blocks."""
-    from .gaussmaps import outside_residual
-    dxi = 1j * (bun.taup.dP - bun.taupp.dP)
-    up = outside_residual(bun.taup.P, dxi, bun.taupp.P)
-    down = outside_residual(bun.taupp.P, dxi, bun.taup.P)
-    # np.max, not max(): a NaN must reach the caller
-    return float(np.max([up, down]))
-
-
 # ------------------------------------- two commuting complex structures
 
 @dataclass

@@ -312,6 +312,19 @@ def superhorizontality_residual(bun: Bundles) -> float:
     return outside_residual(bun.taupp.P, bun.taup.dP, bun.taup.P)
 
 
+def lift_grading_residual(bun: Bundles) -> float:
+    """Superhorizontality of the flag lift in orbit coordinates: the
+    pointwise canonical element is xi(p) = i (P_tau' - P_tau''); its
+    chart derivative must have no g_{+-2} components, i.e. no
+    tau'<->tau'' blocks.
+
+    tau'' = conj tau', so d xi = -2 Im dP_tau' is real and the
+    tau'' -> tau' block is the entrywise conjugate of the tau' -> tau''
+    one, with the same max bit for bit: only the latter is formed."""
+    dxi = -2.0 * bun.taup.dP.imag
+    return outside_residual(bun.taup.P, dxi, bun.taupp.P)
+
+
 def holomorphicity_residuals(geom: forms.GeometryData, bun: Bundles):
     """(route1, route2): sup |alpha^{(1,1)}| and the (0,1)-derivative of
     tau' escaping tau' (both vanish iff the flag lift is holomorphic)."""

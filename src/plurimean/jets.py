@@ -24,7 +24,6 @@ never leaves this module: jet() writes a zero block out as zeros.
 import operator
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .chartcalc import Jet3
 
@@ -202,12 +201,13 @@ class Jet:
 def polyval(x, c):
     """Polynomial with coefficients c (index = power) at x, a float
     array or a Jet."""
+    p = np.asarray(c, dtype=float)[::-1]   # highest power first
     if not isinstance(x, Jet):
-        return npoly.polyval(x, c)
-    derivs = [np.asarray(c, dtype=float)]
+        return np.polyval(p, x)
+    derivs = [p]
     for _ in range(x.order):
-        derivs.append(npoly.polyder(derivs[-1]))
-    return x.compose(*(npoly.polyval(x.v, p) for p in derivs))
+        derivs.append(np.polyder(derivs[-1]))
+    return x.compose(*(np.polyval(q, x.v) for q in derivs))
 
 
 def values(formula, pts):

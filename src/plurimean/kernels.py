@@ -4,9 +4,9 @@ Array layout: a leading grid axis ``G``, then chart indices (``d = 2m``),
 then the ambient axis ``n`` where applicable.  Both kernels run as one
 batched ``@`` product over the grid axis plus index permutations taken
 as transposed views (an ``einsum`` would evaluate them as an index
-loop).  gauss_curvature gives R of a geometry and, once per call, the
-curvature of alpha that the theta sweep (family.py) pulls back by
-Lambda^2 R_theta for every angle; christoffel runs once per geometry.
+loop).  gauss_curvature gives R of a geometry, which the theta sweep
+(family.py) pulls back by Lambda^2 R_theta for every angle; it and
+christoffel run once per geometry.
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """The residual bodies that run in blocks of grid points
 (chartcalc.grid_max) against their full-grid bodies, kept here as
 references: the sublemma, the bundles' outside residuals, psi_theta's
-sweep, the three-bundle isotropy parallelity and ppmc's (1,1)-part must
-equal them exactly (==) on every registry fixture and on the first 1
-and 129 points of product-spheres, either side of the block edge.  A
+sweep, the three-bundle isotropy parallelity, the two-sided lift
+grading and ppmc's (1,1)-part must equal them exactly (==) on every
+registry fixture and on the first 1 and 129 points of product-spheres,
+either side of the block edge.  A
 NaN in the last, partial block of product-spheres' 625 points
 (625 = 4 * 128 + 113) reaches each residual, and the runner reads
 ERROR."""
@@ -13,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from plurimean import chartcalc, family, flags, forms, gaussmaps, kaehler
+from plurimean import chartcalc, family, forms, gaussmaps, kaehler
 from plurimean import pipeline
 from plurimean.chartcalc import form_parts
 from plurimean.fixtures import fixture_names, get_fixture
@@ -54,6 +55,14 @@ def isotropy_parallelity_ref(bun):
     """The parallelity of N', N° and N'' each, N'' included."""
     return float(np.max([outside_residual_ref(bun.Nc.P - S.P, S.dP, S.P)
                          for S in (bun.Np, bun.No, bun.Npp)]))
+
+
+def lift_grading_ref(bun):
+    """The lift grading from both cross blocks, tau' -> tau'' and
+    tau'' -> tau', of d xi = i (dP_tau' - dP_tau'')."""
+    dxi = 1j * (bun.taup.dP - bun.taupp.dP)
+    return float(np.max([outside_residual_ref(bun.taup.P, dxi, bun.taupp.P),
+                         outside_residual_ref(bun.taupp.P, dxi, bun.taup.P)]))
 
 
 def build_psi_ref(geom, bun, thetas):
@@ -144,9 +153,9 @@ def test_outside_residuals_equal_full_grid(monkeypatch, layers, case):
     gaussmaps.superhorizontality_residual(bun)
     gaussmaps.holomorphicity_residuals(geom, bun)
     gaussmaps.differential_chain_residuals(geom, bun)
-    flags.lift_grading_residual(bun)
+    gaussmaps.lift_grading_residual(bun)
     gaussmaps.isotropy_decomposition(bun)
-    assert len(calls) == 1 + 1 + 5 + 2 + 2
+    assert len(calls) == 1 + 1 + 5 + 1 + 2
     for got, ref in calls:
         assert got == ref
 
@@ -156,6 +165,12 @@ def test_isotropy_parallelity_equals_three_bundle_reference(layers, case):
     _, bun = layers[case]
     assert (gaussmaps.isotropy_decomposition(bun).parallelity
             == isotropy_parallelity_ref(bun))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lift_grading_equals_two_sided_reference(layers, case):
+    _, bun = layers[case]
+    assert gaussmaps.lift_grading_residual(bun) == lift_grading_ref(bun)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -51,6 +51,33 @@ def _d3_perturbed(name, slots, eps=1e-2):
         immersion=dataclasses.replace(imm, name=label, jet_fn=jet_fn))
 
 
+def _d1_scaled(name, factor=1.001):
+    """The fixture with the first derivatives of its jets scaled by
+    factor; its values stay exact."""
+    rec = get_fixture(name)
+    imm = rec.immersion
+
+    def jet_fn(pts, order):
+        jet = imm.jet_fn(pts, order)
+        return dataclasses.replace(jet, d1=factor * jet.d1)
+
+    label = f"{name}-d1-scaled"
+    return dataclasses.replace(
+        rec, name=label,
+        immersion=dataclasses.replace(imm, name=label, jet_fn=jet_fn))
+
+
+def _formula_record(name, formula, ambient_dim, complex_dim, domain,
+                    flags, grid_per_axis=None):
+    """A FixtureRecord of a chart formula, evaluated through jets."""
+    imm = ChartedImmersion(
+        name=name, ambient_dim=ambient_dim, complex_dim=complex_dim,
+        domain=domain, eval_fn=functools.partial(jets.values, formula),
+        jet_fn=functools.partial(jets.jet, formula))
+    return FixtureRecord(name=name, immersion=imm, flags=flags,
+                         grid_per_axis=grid_per_axis)
+
+
 def test_eq4_fails_on_perturbed_second_derivatives():
     rec = _d2_perturbed("sphere")
     imm, exact = rec.immersion, get_fixture("sphere").immersion
@@ -102,17 +129,7 @@ def test_jets_fails_when_the_first_derivatives_leave_the_values():
     against those of d1, reads 1e-3.  The checks that read the jets
     alone still pass: 1.001 d1 with the exact d2 and d3 is still a
     Kaehler, pluriminimal chart to within the tiers."""
-    rec = get_fixture("catenoid")
-    imm = rec.immersion
-
-    def jet_fn(pts, order):
-        jet = imm.jet_fn(pts, order)
-        return dataclasses.replace(jet, d1=1.001 * jet.d1)
-
-    name = "catenoid-d1-scaled"
-    bad = dataclasses.replace(
-        rec, name=name,
-        immersion=dataclasses.replace(imm, name=name, jet_fn=jet_fn))
+    bad = _d1_scaled("catenoid")
     checks = ["kaehler", "jets", "eq4", "ppmc", "pluriminimal",
               "structure-equations", "closedness"]
     rep = pipeline.run(pipeline.RunConfig(fixtures=[], checks=checks),
@@ -133,17 +150,18 @@ def _inverted_holomorphic_curve(u, v):
     return [c / r2 for c in x]
 
 
+def _inverted_holomorphic_curve_record():
+    flags = {f: None for f in FLAG_NAMES}
+    flags.update(kaehler=True, ppmc=False, pluriminimal=False)
+    return _formula_record("inverted-holomorphic-curve",
+                           _inverted_holomorphic_curve, 4, 1,
+                           [(-0.5, 0.5), (-0.5, 0.5)], flags)
+
+
 def test_sublemma_fails_on_an_inverted_holomorphic_curve():
     """No registry fixture fails the sublemma; this one does, next to
     the Kaehler and T' x T' checks it passes."""
-    imm = ChartedImmersion(
-        name="inverted-holomorphic-curve", ambient_dim=4, complex_dim=1,
-        domain=[(-0.5, 0.5), (-0.5, 0.5)],
-        eval_fn=functools.partial(jets.values, _inverted_holomorphic_curve),
-        jet_fn=functools.partial(jets.jet, _inverted_holomorphic_curve))
-    flags = {f: None for f in FLAG_NAMES}
-    flags.update(kaehler=True, ppmc=False, pluriminimal=False)
-    rec = FixtureRecord(name=imm.name, immersion=imm, flags=flags)
+    rec = _inverted_holomorphic_curve_record()
     checks = ["kaehler", "ppmc", "rn-tprime", "sublemma", "closedness"]
     rep = pipeline.run(pipeline.RunConfig(fixtures=[], checks=checks),
                        extra_records=[rec])
@@ -163,19 +181,19 @@ def _z1z2_graph(u1, v1, u2, v2):
     return [u1, v1, u2, v2, u1 * u2 - v1 * v2, u1 * v2 + v1 * u2]
 
 
+def _z1z2_record():
+    return _formula_record("z1z2-graph", _z1z2_graph, 6, 2,
+                           [(-0.5, 0.5)] * 4,
+                           {f: f != "spherical" for f in FLAG_NAMES},
+                           grid_per_axis=5)
+
+
 def test_complex_hypersurface_has_curved_normal_bundle_flat_on_t_prime():
     """A complex hypersurface (m = 2, n = 6) whose normal curvature is
     not 0 (max |R^N| = 2 at the origin) but vanishes on T' x T': every
     check the ledger asks for passes, and the sphere reduction FAILs
     since the mean curvature is 0."""
-    imm = ChartedImmersion(
-        name="z1z2-graph", ambient_dim=6, complex_dim=2,
-        domain=[(-0.5, 0.5)] * 4,
-        eval_fn=functools.partial(jets.values, _z1z2_graph),
-        jet_fn=functools.partial(jets.jet, _z1z2_graph))
-    flags = {f: f != "spherical" for f in FLAG_NAMES}
-    rec = FixtureRecord(name=imm.name, immersion=imm, flags=flags,
-                        grid_per_axis=5)
+    rec = _z1z2_record()
     cfg = pipeline.RunConfig(fixtures=[])
     rep = pipeline.run(cfg, extra_records=[rec])
     status = {r.check: r.status for r in rep.results}
@@ -205,6 +223,14 @@ def _inverted_product_spheres(u1, v1, u2, v2):
     return [c / r2 for c in x]
 
 
+def _inverted_product_spheres_record():
+    flags = {f: None for f in FLAG_NAMES}
+    flags.update(kaehler=False)
+    return _formula_record("inverted-product-spheres",
+                           _inverted_product_spheres, 6, 2,
+                           [(-0.6, 0.6)] * 4, flags, grid_per_axis=5)
+
+
 def test_kaehler_fails_on_off_centre_inverted_product_spheres():
     """The inversion keeps the metric conformal, so J stays orthogonal,
     but at m = 2 a conformal factor that is not constant breaks the
@@ -212,15 +238,7 @@ def test_kaehler_fails_on_off_centre_inverted_product_spheres():
     other check is SKIPPED.  The centred inversion x / |x|^2 cannot
     serve: product-spheres lies on |x|^2 = 2, where it is the dilation
     x / 2, which stays Kaehler."""
-    imm = ChartedImmersion(
-        name="inverted-product-spheres", ambient_dim=6, complex_dim=2,
-        domain=[(-0.6, 0.6)] * 4,
-        eval_fn=functools.partial(jets.values, _inverted_product_spheres),
-        jet_fn=functools.partial(jets.jet, _inverted_product_spheres))
-    flags = {f: None for f in FLAG_NAMES}
-    flags.update(kaehler=False)
-    rec = FixtureRecord(name=imm.name, immersion=imm, flags=flags,
-                        grid_per_axis=5)
+    rec = _inverted_product_spheres_record()
     rep = pipeline.run(pipeline.RunConfig(fixtures=[]),
                        extra_records=[rec])
     status = {r.check: r.status for r in rep.results}
@@ -231,3 +249,29 @@ def test_kaehler_fails_on_off_centre_inverted_product_spheres():
     assert kaehler.residual == pytest.approx(2.3080484294138888, rel=1e-12)
     assert kaehler.extras["parallelity"] == kaehler.residual
     assert kaehler.extras["orthogonality"] < 1e-15
+
+
+CONTROLS = {
+    "sphere-d2-perturbed": lambda: _d2_perturbed("sphere"),
+    **{f"{name}-d3-{label}": functools.partial(_d3_perturbed, name, slots)
+       for name in ("sphere", "catenoid")
+       for label, slots in (("010", [(0, 1, 0)]),
+                            ("symmetric", [(0, 0, 1), (0, 1, 0),
+                                           (1, 0, 0)]))},
+    "catenoid-d1-scaled": lambda: _d1_scaled("catenoid"),
+    "inverted-holomorphic-curve": _inverted_holomorphic_curve_record,
+    "z1z2-graph": _z1z2_record,
+    "inverted-product-spheres": _inverted_product_spheres_record,
+}
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_curvature_is_exactly_antisymmetric_on_the_controls(control):
+    """The structure sweep's Gauss leg reads R on i < j, k < l only:
+    each control's R, on the grid verify builds, holds both
+    antisymmetries bit for bit, as the registry's does
+    (test_kaehler.py)."""
+    R = pipeline.FixtureContext(CONTROLS[control](),
+                                pipeline.RunConfig()).geom.R
+    assert np.array_equal(R, -R.swapaxes(1, 2))
+    assert np.array_equal(R, -R.swapaxes(3, 4))

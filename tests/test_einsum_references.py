@@ -260,8 +260,10 @@ def _random_jet(seed, d, n, G=7):
 
 
 def _random_geometry(seed, d, n, G=7):
-    """A stand-in with the fields structure_equation_residuals reads;
-    R and RN are unrelated random tensors, so the residuals are O(1)."""
+    """A stand-in with the fields structure_equation_residuals reads.
+    R is the curvature of alpha, as GeometryData.R is; D alpha and RN
+    are unrelated random tensors, so the Codazzi and Ricci legs are
+    O(1) at every angle (_assert_legs_fit)."""
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal((G, d, d, n))
     alpha = 0.5 * (alpha + alpha.transpose(0, 2, 1, 3))
@@ -273,7 +275,7 @@ def _random_geometry(seed, d, n, G=7):
         imm=SimpleNamespace(J=standard_J(d // 2), complex_dim=d // 2),
         alpha=alpha,
         Dalpha=Dalpha, g=g, ginv=np.linalg.inv(g), frame=frame,
-        R=rng.standard_normal((G, d, d, d, d)),
+        R=gauss_curvature_ref(alpha),
         RN=rng.standard_normal((G, d, d, n - d, n - d)))
 
 
@@ -437,6 +439,18 @@ def test_normal_curvature_matches_einsum_on_fixtures(fixture_geoms, name):
 
 # ------------------------------------------------ structure-equation sweep
 
+def _assert_legs_fit(ref, thetas, d):
+    """The random stand-ins fit no leg that can be nonzero: Codazzi and
+    Ricci at every angle, and Gauss on a 4-manifold at the angles off
+    the multiples of pi.  A surface's Gauss leg is 0 at every angle, as
+    Lambda^2 R_theta = 1 on its one pair, and every Gauss leg is 0
+    where R_theta = +-I."""
+    ref = np.asarray(ref)
+    assert ref[:, 1:].min() > 1e-3
+    if d == 4:
+        assert np.all(ref[~np.isclose(np.sin(thetas), 0.0), 0] > 1e-3)
+
+
 @pytest.mark.parametrize("d,n", RANDOM_SHAPES)
 @pytest.mark.parametrize("theta", THETAS)
 def test_structure_equation_residuals_match_einsum_on_random_tensors(
@@ -444,7 +458,7 @@ def test_structure_equation_residuals_match_einsum_on_random_tensors(
     geom = _random_geometry(3, d, n)
     got = family.structure_equation_residuals(geom, [theta])[0]
     ref = structure_equation_residuals_ref(geom, theta)
-    assert min(ref) > 1e-3   # the random R, RN and D alpha do not fit
+    _assert_legs_fit([ref], [theta], d)
     assert _max_diff(got, ref) < TOL
 
 
@@ -472,22 +486,10 @@ def _assert_sweep_matches_reference(geom):
 
 @pytest.mark.parametrize("d,n", RANDOM_SHAPES)
 def test_structure_equation_sweep_matches_einsum_on_random_tensors(d, n):
-    # R, RN and D alpha without symmetries; n = 3 gives a rank-1 normal
+    # RN and D alpha without symmetries; n = 3 gives a rank-1 normal
     # bundle, where only the diagonal of RN enters the Ricci term
     ref = _assert_sweep_matches_reference(_random_geometry(5, d, n))
-    assert ref.min() > 1e-3
-
-
-@pytest.mark.parametrize("d,n", RANDOM_SHAPES)
-def test_structure_equation_sweep_reads_r_where_the_form_gives_zero(d, n):
-    # R is the curvature of alpha itself except on one component with
-    # i = j, where the curvature of every alpha_theta is 0: at theta = 0
-    # that component is the whole Gauss residual
-    geom = _random_geometry(6, d, n)
-    geom.R = gauss_curvature_ref(geom.alpha)
-    geom.R[:, 1, 1, 0, 1] = 7.0
-    ref = _assert_sweep_matches_reference(geom)
-    assert abs(ref[0, 0] - 7.0) < TOL
+    _assert_legs_fit(ref, family.THETA_SWEEP, d)
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -3,12 +3,11 @@ and the two-complex-structure splitting algorithm."""
 
 import dataclasses
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from plurimean import flags, gaussmaps
+from plurimean import flags
 from plurimean.chartcalc import standard_J
 
 
@@ -273,44 +272,6 @@ def test_nan_frames_are_not_orthonormal():
     fr[0, 0] = np.nan
     with pytest.raises(ValueError, match="not jointly orthonormal"):
         flags.canonical_orthogonal({1.0: fr}, 4, real_frame=np.eye(4)[2:])
-
-
-def _lift_bundles(dP_taup, dP_taupp):
-    """Coordinate projectors on C^5 at two points: tau' on e_0, e_1,
-    tau'' on e_2, e_3 and the rest on e_4, with the given derivatives
-    over two directions."""
-    P_taup = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
-    P_taupp = np.diag([0.0, 0.0, 1.0, 1.0, 0.0]).astype(complex)
-    return SimpleNamespace(
-        taup=gaussmaps.Bundle(np.stack([P_taup] * 2), dP_taup),
-        taupp=gaussmaps.Bundle(np.stack([P_taupp] * 2), dP_taupp))
-
-
-def _lift_dxi():
-    rng = np.random.default_rng(5)
-    dxi = rng.standard_normal((2, 2, 5, 5)) \
-        + 1j * rng.standard_normal((2, 2, 5, 5))
-    dxi[..., :2, 2:4] = dxi[..., 2:4, :2] = 0.0   # no tau' <-> tau''
-    return dxi
-
-
-def test_lift_grading_residual_reads_the_cross_block():
-    """xi = i (P_tau' - P_tau''): a chart derivative with a
-    tau' -> tau'' block reads exactly that block's largest entry; the
-    tau'-, tau''- and rest-blocks it keeps do not count."""
-    dxi = _lift_dxi()
-    block = np.zeros((2, 2, 2, 2), dtype=complex)
-    block[1, 0] = [[0.3, -0.7j], [0.2, 0.1]]
-    dxi[..., 2:4, :2] = block
-    # dP_tau'' - dP_tau' = i dxi, split across both projectors
-    bun = _lift_bundles(-0.5j * dxi, 0.5j * dxi)
-    assert flags.lift_grading_residual(bun) == 0.7
-
-
-def test_lift_grading_residual_is_zero_without_cross_blocks():
-    dxi = _lift_dxi()
-    bun = _lift_bundles(-1j * dxi, np.zeros_like(dxi))
-    assert flags.lift_grading_residual(bun) == 0.0
 
 
 def test_superhorizontal_space_shapes():

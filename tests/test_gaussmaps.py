@@ -171,6 +171,57 @@ def test_superhorizontality_reads_the_cross_block():
     assert gaussmaps.superhorizontality_residual(bun) == 0.7
 
 
+def _lift_bundles(dxi):
+    """Bundles on C^5 at two points with tau' spanned by (e_0 + i e_1)
+    and (e_2 + i e_3), tau'' = conj tau' (Bundles derives it) and the
+    rest e_4, so that both projectors have the exact entries 0, 1/2 and
+    +-i/2.  dP_tau' has an integer real part, which xi does not see, and
+    the imaginary part -dxi/2 for the given derivatives dxi (G, D, 5, 5)
+    of xi = i (P_tau' - P_tau'')."""
+    w = np.array([[1, 1j, 0, 0, 0], [0, 0, 1, 1j, 0]])
+    P_taup = 0.5 * (w.T @ w.conj())
+    real = np.random.default_rng(3).integers(-3, 4, dxi.shape)
+    return gaussmaps.Bundles(
+        T=None, taup=gaussmaps.Bundle(np.stack([P_taup] * 2),
+                                      real - 0.5j * dxi),
+        No=None, Np=None, ranks={})
+
+
+def _lift_dxi():
+    """Integer combinations, at two points and two directions, of real
+    skew and symmetric generators that keep tau' (and so tau''): the
+    rotations within e_0, e_1 and within e_2, e_3, the maps
+    e_0 + i e_1 <-> e_2 + i e_3, those between tau' + tau'' and e_4,
+    and e_4 e_4^T."""
+    E = np.eye(5)
+
+    def skew(a, b):
+        return np.outer(E[b], E[a]) - np.outer(E[a], E[b])
+
+    def sym(a, b):
+        return np.outer(E[b], E[a]) + np.outer(E[a], E[b])
+
+    keep = [skew(0, 1), skew(2, 3), skew(0, 2) + skew(1, 3),
+            sym(0, 2) + sym(1, 3), *(skew(a, 4) for a in range(4)),
+            *(sym(a, 4) for a in range(5))]
+    coeff = np.random.default_rng(5).integers(-3, 4, (2, 2, len(keep)))
+    return (coeff @ np.reshape(keep, (len(keep), 25))).reshape(2, 2, 5, 5)
+
+
+def test_lift_grading_residual_is_zero_without_cross_blocks():
+    bun = _lift_bundles(_lift_dxi())
+    assert gaussmaps.lift_grading_residual(bun) == 0.0
+
+
+def test_lift_grading_residual_reads_the_cross_block():
+    """diag(1, -1) on e_0, e_1 maps e_0 + i e_1 to e_0 - i e_1, a
+    tau' <-> tau'' block, and P_tau' (c diag(1, -1)) P_tau'' has the
+    largest entry c/2; the blocks that keep tau' do not count."""
+    dxi = _lift_dxi()
+    dxi[1, 0] += 1.5 * np.diag([1.0, -1.0, 0.0, 0.0, 0.0])
+    assert gaussmaps.lift_grading_residual(_lift_bundles(dxi)) == 0.75
+
+
 @pytest.mark.parametrize("name,small", [
     ("catenoid", True), ("holomorphic-curve", True), ("plane", True),
     ("veronese", False), ("sphere", False),

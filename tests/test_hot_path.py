@@ -8,7 +8,7 @@ read-only, so a warm verify pass calls no np.kron.  Neither the family
 path nor a full verify of a surface in R^3 forms a normal frame
 (np.linalg.qr): only R^N of a normal bundle of rank >= 2 reads it, and
 the family path forms no (p,q)-component of alpha.  A full verify
-computes ppmc once per fixture.  The residual bodies that run in blocks
+computes ppmc and R once per fixture, and the family verb R once.  The residual bodies that run in blocks
 of grid points (chartcalc.grid_max) form no multi-MB temporary on
 product-spheres (5^4 = 625 points)."""
 
@@ -17,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plurimean import (chartcalc, cli, family, flags, forms, gaussmaps,
-                       kaehler, pipeline)
+from plurimean import (chartcalc, cli, family, forms, gaussmaps, kaehler,
+                       kernels, pipeline)
 from plurimean.fixtures import get_fixture, get_immersion, registry
 
 
@@ -162,7 +162,7 @@ def test_bundle_layer_calls_no_einsum(monkeypatch):
         gaussmaps.superhorizontality_residual(bun)
         gaussmaps.holomorphicity_residuals(geom, bun)
         gaussmaps.half_isotropy_residual(geom, bun)
-        flags.lift_grading_residual(bun)
+        gaussmaps.lift_grading_residual(bun)
         gaussmaps.isotropy_decomposition(bun)
         gaussmaps.differential_chain_residuals(geom, bun)
         if ctx.mean_curvature.spherical:
@@ -182,6 +182,28 @@ def test_verify_computes_ppmc_once_per_fixture(monkeypatch):
     for name in names:
         assert (result[name, "half-isotropy"].extras["ppmc"]
                 == result[name, "ppmc"].residual)
+
+
+def test_verify_and_family_verb_compute_r_once_per_geometry(monkeypatch,
+                                                          tmp_path):
+    """The structure sweep reads GeometryData.R, so a full verify calls
+    kernels.gauss_curvature once per admitted fixture, and the family
+    verb once.  Each admitted fixture's bundle checks take ten outside
+    residuals: superhorizontality, holomorphicity, lift-grading, two
+    for the isotropy parallelity and five for the chain."""
+    calls = _spy(monkeypatch, ((kernels, "gauss_curvature"),
+                               (gaussmaps, "outside_residual")))
+    rep = pipeline.run(pipeline.RunConfig())
+    admitted = {r.fixture for r in rep.results
+                if r.check == "kaehler" and r.status == pipeline.PASS}
+    assert len(admitted) == 10
+    assert calls.count("gauss_curvature") == len(admitted)
+    assert calls.count("outside_residual") == 10 * len(admitted)
+    calls.clear()
+    assert cli.main(["family", "--fixture", "catenoid", "--grid", "41",
+                     "--sweep-csv", str(tmp_path / "sweep.csv"),
+                     "--report", str(tmp_path / "family.txt")]) == 0
+    assert calls == ["gauss_curvature"]
 
 
 def test_verify_and_large_geometry_call_no_inverse(monkeypatch):

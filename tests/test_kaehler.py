@@ -7,7 +7,8 @@ import pytest
 
 from plurimean import kaehler, pipeline
 from plurimean.chartcalc import eval_jet, standard_J
-from plurimean.fixtures import fixture_names, get_immersion, registry
+from plurimean.fixtures import (fixture_names, get_fixture, get_immersion,
+                                registry)
 from plurimean.forms import (compute_geometry,
                              mean_curvature_and_sphere_reduction)
 
@@ -90,6 +91,26 @@ def test_curvature_symmetries(name):
     assert kaehler.curvature_symmetry_residual(geom.R) < 1e-12
     m = geom.imm.complex_dim
     assert kaehler.kaehler_curvature_identity_residual(geom.R, m) < 1e-10
+
+
+def _assert_exactly_antisymmetric(R):
+    """R = -R_jikl = -R_ijlk bit for bit: the structure sweep's Gauss
+    leg reads R on the components i < j, k < l only."""
+    assert np.array_equal(R, -R.swapaxes(1, 2))
+    assert np.array_equal(R, -R.swapaxes(3, 4))
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_curvature_is_exactly_antisymmetric_on_the_verify_grids(name):
+    cfg = pipeline.RunConfig()
+    _assert_exactly_antisymmetric(
+        pipeline.FixtureContext(get_fixture(name), cfg).geom.R)
+
+
+def test_curvature_is_exactly_antisymmetric_on_the_family_grid():
+    catenoid = get_immersion("catenoid")
+    _assert_exactly_antisymmetric(
+        compute_geometry(catenoid, catenoid.grid(201)).R)
 
 
 def test_curvature_symmetry_residual_keeps_a_nan():

@@ -1,12 +1,13 @@
 """Check runner: classification, skipping, ledger comparison, reports."""
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
 import pytest
 
-from plurimean import forms, gaussmaps, pipeline, report
+from plurimean import family, forms, gaussmaps, kaehler, pipeline, report
 from plurimean.chartcalc import ChartedImmersion
 from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_fixture,
                                 get_immersion, load_fixture_file, registry)
@@ -317,7 +318,7 @@ def _edit_bundles(monkeypatch, edit):
 
 
 def test_nan_in_a_bundle_derivative_reads_as_isotropy_error(monkeypatch):
-    # N° is the second of the three parallelity terms
+    # N° is the second of the two parallelity terms
     def edit(bun):
         bun.No.dP[0, 0, 0, 0] = np.nan
     _edit_bundles(monkeypatch, edit)
@@ -384,19 +385,93 @@ def test_nan_in_the_second_jet_reads_as_closedness_error(monkeypatch):
 
 
 def test_nan_in_one_lift_grading_direction_is_an_error(monkeypatch):
-    # the tau'' -> tau' block is the second term of the fold
-    calls = []
-    outside = gaussmaps.outside_residual
-
-    def second_is_nan(*args):
-        calls.append(args)
-        return np.nan if len(calls) == 2 else outside(*args)
-
-    monkeypatch.setattr(gaussmaps, "outside_residual", second_is_nan)
+    # d xi = -2 Im dP_tau' enters the one product: a NaN in the
+    # imaginary part of one entry along the last chart direction
+    def edit(bun):
+        bun.taup.dP[0, -1, 0, 1] += complex(0.0, np.nan)
+    _edit_bundles(monkeypatch, edit)
     res = _nan_run("veronese", "lift-grading")
-    assert len(calls) == 2
     assert res.status == pipeline.ERROR
     assert "NaN in residual" in res.message
+
+
+def _replaced(value, key):
+    """value with a NaN at key: a position of a tuple, an arrow of a
+    dict, an index of an array or a field of an IsotropyReport."""
+    if isinstance(value, tuple):
+        return value[:key] + (np.nan,) + value[key + 1:]
+    if isinstance(value, dict):
+        return {**value, key: np.nan}
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out[key] = np.nan
+        return out
+    return dataclasses.replace(value, **{key: np.nan})
+
+
+def _psi_nan(key):
+    return lambda out: (_replaced(out[0], key), out[1])
+
+
+ARROWS = ["N''->tau''", "tau''->N°", "N°->tau'", "tau'->N'", "N'->0"]
+
+# (check, fixture, module, function, edit of the function's value):
+# one case per sub-residual of every body that folds several
+SUB_RESIDUAL_NANS = [
+    *(("kaehler", "veronese", kaehler, "kaehler_residual",
+       functools.partial(_replaced, key=k)) for k in range(2)),
+    ("jets", "veronese", pipeline, "convergence_order",
+     lambda order: np.nan),
+    *(("grassmann", "veronese", gaussmaps, "grassmann_invariants",
+       functools.partial(_replaced, key=k)) for k in range(3)),
+    *(("structure-equations", "veronese", family,
+       "structure_equation_residuals",
+       functools.partial(_replaced, key=(1, k))) for k in range(3)),
+    ("half-isotropy", "veronese", gaussmaps, "half_isotropy_residual",
+     lambda t1: np.nan),
+    ("half-isotropy", "veronese", forms, "ppmc_residual",
+     lambda ppmc: np.nan),
+    *(("isotropy", "veronese", gaussmaps, "isotropy_decomposition",
+       functools.partial(_replaced, key=k))
+      for k in ("orthogonality", "parallelity")),
+    *(("chain", "veronese", gaussmaps, "differential_chain_residuals",
+       functools.partial(_replaced, key=k)) for k in ARROWS),
+    *(("section", "veronese", gaussmaps, "gauss_section_check",
+       functools.partial(_replaced, key=k)) for k in range(3)),
+    *(("psi", "veronese", family, "build_psi", _psi_nan(key))
+      for key in ((0, 0), (0, 1), (-1, 2))),
+]
+
+
+def _nan_in(monkeypatch, module, name, edit):
+    """module.name with edit applied to every value it returns."""
+    call = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: edit(call(*args)))
+
+
+@pytest.mark.parametrize(
+    "check,fixture,module,name,edit", SUB_RESIDUAL_NANS,
+    ids=[f"{c[0]}-{[d[0] for d in SUB_RESIDUAL_NANS[:i]].count(c[0])}"
+         for i, c in enumerate(SUB_RESIDUAL_NANS)])
+def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
+                                                    fixture, module, name,
+                                                    edit):
+    """Each body folds its sub-residuals with np.max, so a NaN in any
+    one of them, first or not, is the reported residual."""
+    _nan_in(monkeypatch, module, name, edit)
+    res = _nan_run(fixture, check)
+    assert res.status == pipeline.ERROR
+    assert np.isnan(res.residual)
+
+
+def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
+    # psi's admission guard folds the isotropy residuals like its body
+    _nan_in(monkeypatch, gaussmaps, "isotropy_decomposition",
+            functools.partial(_replaced, key="parallelity"))
+    res = _nan_run("veronese", "psi")
+    assert res.status == pipeline.SKIPPED
+    assert res.message == "psi_theta needs the isotropy decomposition"
 
 
 # A NaN in the jets must stop at the regularity gate of both metric
