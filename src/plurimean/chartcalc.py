@@ -8,9 +8,9 @@ axis ``n``.
 
 The (p,q)-types of a form live here: form_parts splits it on the real
 basis into the parts u, v, w of rotation_parts, and contract_slots
-reads it on the (1,0) basis through the slot pairs of type_rows.  Each
-chart constant is built once per m, read-only (chart_constant), so no
-grid pass rebuilds one.
+reads it on the (1,0) basis through the real slot pairs of type_rows.
+Each chart constant is built once per m, read-only (chart_constant),
+so no grid pass rebuilds one.
 
 A residual that is a max of pointwise values may run block by block of
 grid points through grid_max, which folds the blocks' maxima with
@@ -242,28 +242,33 @@ def chart_constant(build):
 
 @chart_constant
 def type_rows(m: int):
-    """(K20, K11), each (m, m, 2m, 2m) complex: K20[a, b] = d'_a (x) d'_b
-    and K11[a, b] = d'_a (x) d''_b, the slot pairs on which contract_slots
-    reads a form's (2,0)- and (1,1)-components in the (1,0) basis."""
+    """(K20, K11), each (2, m, m, 2m, 2m) real: the real and imaginary
+    parts of K20[a, b] = d'_a (x) d'_b and K11[a, b] = d'_a (x) d''_b,
+    on which contract_slots reads a real form's (2,0)- and (1,1)-parts
+    in the (1,0) basis; two entries +-1/4 per row, so each rounds once."""
     B = holomorphic_basis(m)
     d = 2 * m
-    return (np.kron(B, B).reshape(m, m, d, d),
-            np.kron(B, B.conj()).reshape(m, m, d, d))
+    return tuple(np.stack([K.real, K.imag]).reshape(2, m, m, d, d)
+                 for K in (np.kron(B, B), np.kron(B, B.conj())))
 
 
 def contract_slots(K: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """out[..., a, b, x] = sum_ij K[a, b, i, j] T[..., i, j, x].
+    """out[..., a, b, x] = sum_ij (K[0] + i K[1])[a, b, i, j] T[..., i, j, x].
 
-    Contracts both slots of a bilinear form at once with the slot pairs
-    K (a, b, d, d), such as those of type_rows; any leading axes (the
-    grid, a derivative direction) are carried along.  This is one
-    product of K as an (a b, d^2) matrix with the (d^2, n) values.
+    Contracts both slots of a real form T at once with slot pairs K
+    (2, a, b, d, d) given by their real and imaginary parts, such as
+    those of type_rows, carrying any leading axes along: one real
+    product of K as a (2 a b, d^2) matrix with the (d^2, n) values,
+    whose halves are written as the result's real and imaginary parts
+    (re + 1j*im would make an infinite im a NaN real part).
     """
-    T = np.asarray(T)
     *lead, di, dj, n = T.shape
-    a, b = K.shape[:2]
-    flat = T.reshape(*lead, di * dj, n)
-    return (K.reshape(a * b, di * dj) @ flat).reshape(*lead, a, b, n)
+    a, b = K.shape[1:3]
+    parts = (K.reshape(2 * a * b, di * dj) @ T.reshape(*lead, di * dj, n)
+             ).reshape(*lead, 2, a, b, n)
+    out = np.empty((*lead, a, b, n), dtype=complex)
+    out.real, out.imag = parts[..., 0, :, :, :], parts[..., 1, :, :, :]
+    return out
 
 
 @chart_constant

@@ -211,25 +211,27 @@ def load_fixture_file(path) -> FixtureRecord:
     """Parse a structured-text fixture definition.
 
     Recognized keys (one `key: value` pair per line, '#' comments):
-    name, formula, n, m, domain (2m pairs of floats), jets (only
-    'analytic' is accepted), grid (points per chart axis, at least 5);
-    any other key is a ValueError.  name and formula are required; the
-    formula's registry fixture gives the flags, the default grid and the
-    dims that n and m, if given, must match; domain overrides the box.
+    name, formula, n, m, domain (2m pairs of floats), grid (points per
+    chart axis, at least 5); any other key, or a key given twice, is a
+    ValueError.  name and formula are required; the formula's registry
+    fixture gives the flags, the default grid and the dims that n and m,
+    if given, must match; domain overrides the box.
     """
-    text = open(path).read()
     kv = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError(f"malformed fixture line: {raw!r}")
-        k, val = line.split(":", 1)
-        k = k.strip().lower()
-        if k not in ("name", "formula", "n", "m", "domain", "jets", "grid"):
-            raise ValueError(f"unknown fixture key {k!r} in {raw!r}")
-        kv[k] = val.strip()
+    with open(path) as fh:
+        for raw in fh.read().splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if ":" not in line:
+                raise ValueError(f"malformed fixture line: {raw!r}")
+            k, val = line.split(":", 1)
+            k = k.strip().lower()
+            if k not in ("name", "formula", "n", "m", "domain", "grid"):
+                raise ValueError(f"unknown fixture key {k!r} in {raw!r}")
+            if k in kv:
+                raise ValueError(f"fixture key {k!r} given twice: {raw!r}")
+            kv[k] = val.strip()
 
     needs = "a fixture file needs both a 'name' and a 'formula' key"
     formula = kv.get("formula")
@@ -248,8 +250,6 @@ def load_fixture_file(path) -> FixtureRecord:
     if "m" in kv and int(kv["m"]) != imm.complex_dim:
         raise ValueError(f"complex dim mismatch: file says {kv['m']}, "
                          f"formula has {imm.complex_dim}")
-    if kv.get("jets", "analytic") != "analytic":
-        raise ValueError("jets must be 'analytic'")
     catalog = get_fixture(formula)
     grid = int(kv["grid"]) if "grid" in kv else catalog.grid_per_axis
     if grid is not None and grid < 5:

@@ -14,9 +14,10 @@ d1 from the two, so no point runs an SVD unless its metric is
 ill-conditioned.  The normal frame (a QR of d1^T) is formed only when
 read, by R^N of a normal bundle of rank >= 2: on a normal line R^N is 0
 in closed form, so nothing run on a surface in R^3 forms a QR.
-The (p,q)-types of a form come from chartcalc: contract_slots with
-the slot pairs kron(B, B) or kron(B, conj B) of type_rows on the (1,0)
-basis, form_parts on the real basis, both built once per m, and chart
+The (p,q)-types of a form come from chartcalc: contract_slots, one
+real product with the real and imaginary parts of the slot pairs
+kron(B, B) or kron(B, conj B) of type_rows, on the (1,0) basis,
+form_parts on the real basis, both built once per m, and chart
 vectors (x, y), complex ones too, meet a form as one product of
 kron(x, y) with its (d^2, n) values.
 """

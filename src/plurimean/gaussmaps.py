@@ -40,8 +40,8 @@ import numpy as np
 
 from . import forms, kaehler
 from .chartcalc import (RankError, _check_boundary, central_differences,
-                        chart_constant, contract_slots, eval_jet,
-                        grid_max, holomorphic_basis, type_rows)
+                        contract_slots, eval_jet, grid_max,
+                        holomorphic_basis, type_rows)
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -246,17 +246,6 @@ def alpha_derivative(geom: forms.GeometryData) -> np.ndarray:
     return geom.Dalpha + GA + GA.transpose(0, 1, 3, 2, 4) - tangential
 
 
-@chart_constant
-def _generator_columns(m: int) -> np.ndarray:
-    """(d^2, 4 m^2) real: the rows of kron(B, conj B) and kron(B, B)
-    (type_rows) as columns, each column's real and imaginary parts
-    interleaved, so that a real (., d^2) array times it reads as the
-    complex (., 2 m^2) product with both."""
-    K20, K11 = type_rows(m)
-    K = np.concatenate([K11, K20]).reshape(2 * m * m, -1).T
-    return np.stack([K.real, K.imag], axis=-1).reshape(len(K), -1)
-
-
 def projector_derivatives(geom: forms.GeometryData):
     """Bundle projectors at geom's points and their chart derivatives,
     in closed form from geom alone (no shifted grids).
@@ -288,12 +277,11 @@ def projector_derivatives(geom: forms.GeometryData):
         raise RankError(f"tau' rank {r_tp} != m = {m}")
 
     # the N° and N' generator derivatives kron(B, conj B) d_v alpha and
-    # kron(B, B) d_v alpha in one real product (_generator_columns)
-    dalpha = alpha_derivative(geom).transpose(0, 4, 1, 2, 3).reshape(
-        G * n * d, d * d)
-    KdA = (dalpha @ _generator_columns(m)).view(complex).reshape(
-        G, n, d, 2, m * m)
-    d11, d20 = (KdA[:, :, :, f].transpose(0, 2, 3, 1) for f in (0, 1))
+    # kron(B, B) d_v alpha, in projector_derivative's (G, D, K, n) layout
+    dalpha = alpha_derivative(geom)
+    K20, K11 = type_rows(m)
+    d11, d20 = (contract_slots(K, dalpha).reshape(G, d, m * m, n)
+                for K in (K11, K20))
     alpha_scale = float(np.max(np.abs(geom.alpha)))
     P_No, r_no, dP_No = projector_derivative(
         geom.alpha11.reshape(G, m * m, n), d11, scale=alpha_scale)

@@ -179,12 +179,11 @@ def rn_tprime_residual(RN: np.ndarray, m: int) -> float:
 
 @chart_constant
 def _sublemma_rows(m: int):
-    """(K, K_sym): the real and imaginary rows of kron(B, conj B)
-    (type_rows) stacked, K (c, d^2) for c = 2 m^2, and
+    """(K, K_sym): the stacked real and imaginary rows K (c, d^2),
+    c = 2 m^2, of kron(B, conj B), read from type_rows, and
     K_sym[(p, c), q] = K[c, p, q] + K[c, q, p], (d c, d)."""
     d = 2 * m
-    _, K11 = type_rows(m)
-    K = np.concatenate([K11.real, K11.imag]).reshape(2 * m * m, d * d)
+    K = type_rows(m)[1].reshape(2 * m * m, d * d)
     K3 = K.reshape(-1, d, d)
     K_sym = (K3 + K3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, d)
     return K, K_sym
@@ -221,9 +220,9 @@ def sublemma_residual(geom) -> float:
     The difference of the sides is the (1,1)-contraction of the real
     T_ij(p,q) = R^N_ij alpha_pq - alpha(R_ij d_p, d_q) - alpha(d_p, R_ij d_q)
     with R^N_ij xi = alpha(d_i, A_xi d_j) - alpha(d_j, A_xi d_i) (Ricci
-    equation).  Each term is contracted as it is formed, by the real and
-    imaginary rows of kron(B, conj B) (_sublemma_rows); it reads alpha,
-    ginv and R only, block by block of grid points (grid_max).
+    equation).  Each term is contracted as it is formed, by the real slot
+    pairs K11 of type_rows (_sublemma_rows); it reads alpha, ginv and R
+    only, block by block of grid points (grid_max).
     """
     K, K_sym = _sublemma_rows(geom.imm.complex_dim)   # (c, d^2), c = 2 m^2
     return float(grid_max(

@@ -344,7 +344,8 @@ class Report:
 def run(config: RunConfig, extra_records=()) -> Report:
     """Run the selected checks; extra_records are FixtureRecord objects
     (for example from a fixture definition file) checked in addition to
-    the named registry fixtures, each under a name no other has."""
+    the named registry fixtures, each under a name no other has; a run of
+    no check, no fixture or one fixture twice is a ValueError."""
     from . import __version__
     unknown = [c for c in config.checks if c not in CHECKS and c != "all"]
     if unknown:
@@ -359,6 +360,12 @@ def run(config: RunConfig, extra_records=()) -> Report:
     loaded = dict(zip(extra, extra_records))
     names = list(config.fixtures) + [n for n in loaded
                                      if n not in config.fixtures]
+    if not selected or not names:
+        raise ValueError("no check selected" if not selected
+                         else "no fixture selected")
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"fixture {name!r} is selected twice")
     results: List[CheckResult] = []
     for name in names:
         rec = loaded.get(name) or get_fixture(name)  # raises on unknown

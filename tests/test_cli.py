@@ -142,7 +142,8 @@ def test_verify_unknown_fixture_errors(capsys):
 
 @pytest.mark.parametrize("flag", [
     ["--h", "0"], ["--h", "nan"], ["--tol-tier1", "inf"],
-    ["--tol-tier2", "0"], ["--theta", ","],
+    ["--tol-tier2", "0"], ["--theta", ","], ["--checks", ","],
+    ["--fixtures", ","], ["--fixtures", "veronese,veronese"],
 ])
 def test_verify_rejects_settings_under_which_checks_pass_vacuously(
         flag, capsys):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from plurimean import family, forms, gaussmaps, kaehler
-from plurimean.chartcalc import (Jet3, form_parts, holomorphic_basis,
-                                 standard_J)
+from plurimean.chartcalc import (Jet3, contract_slots, form_parts,
+                                 holomorphic_basis, standard_J, type_rows)
 from plurimean.fixtures import fixture_names, get_immersion
 
 FIXTURES = ["catenoid", "veronese", "product-spheres", "ellipsoid"]
@@ -71,6 +71,33 @@ def alpha_types_ref(alpha, m):
     ac = alpha.astype(complex)
     return (np.einsum("ai,bj,gijx->gabx", B, B, ac),
             np.einsum("ai,bj,gijx->gabx", B, B.conj(), ac))
+
+
+def contract_slots_ref(T, m):
+    """The (2,0)- and (1,1)-slot contractions of a real form T
+    (..., d, d, n), each one einsum with the complex kron(B, B) and
+    kron(B, conj B) and the values cast to complex."""
+    B = holomorphic_basis(m)
+    d = 2 * m
+    return tuple(np.einsum("abij,...ijx->...abx", K.reshape(m, m, d, d),
+                           T.astype(complex))
+                 for K in (np.kron(B, B), np.kron(B, B.conj())))
+
+
+def generator_derivatives_ref(geom):
+    """(d11, d20) (G, d, m^2, n), the N° and N' generator derivatives of
+    projector_derivatives, as one real product of d_v alpha with the
+    rows of kron(B, conj B) and kron(B, B) laid out as columns, each
+    column's real and imaginary parts interleaved, read as complex."""
+    m = geom.imm.complex_dim
+    G, d, _, n = geom.alpha.shape
+    B = holomorphic_basis(m)
+    K = np.concatenate([np.kron(B, B.conj()), np.kron(B, B)]).T
+    cols = np.stack([K.real, K.imag], axis=-1).reshape(d * d, -1)
+    dalpha = gaussmaps.alpha_derivative(geom).transpose(
+        0, 4, 1, 2, 3).reshape(G * n * d, d * d)
+    KdA = (dalpha @ cols).view(complex).reshape(G, n, d, 2, m * m)
+    return tuple(KdA[:, :, :, f].transpose(0, 2, 3, 1) for f in (0, 1))
 
 
 def basis_residuals_ref(geom):
@@ -378,6 +405,42 @@ def test_basis_residuals_match_einsum_on_fixtures(fixture_geoms, name):
     assert abs(forms.eq2_consistency_residual(geom) - eq2) < TOL
     assert abs(forms.ppmc_residual(geom) - ppmc) < TOL
     assert abs(kaehler.rn_tprime_residual(geom.RN, m) - rn_tprime) < TOL
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_contract_slots_equals_complex_einsum_on_fixtures(fixture_geoms,
+                                                          name):
+    """The real product equals the complex one exactly (==, so an exact
+    zero may differ in sign) on alpha, D alpha, R, R^N and d alpha, with
+    both slot pairs: each component is a sum of two exact products."""
+    geom = fixture_geoms[name]
+    m = geom.imm.complex_dim
+    G, d, _, n = geom.alpha.shape
+    k = geom.RN.shape[-1]
+    for T in (geom.alpha, geom.Dalpha, geom.R[..., None],
+              geom.RN.reshape(G, d, d, k * k),
+              gaussmaps.alpha_derivative(geom)):
+        for K, ref in zip(type_rows(m), contract_slots_ref(T, m)):
+            assert np.array_equal(contract_slots(K, T), ref)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_generator_derivatives_equal_interleaved_columns_on_fixtures(
+        fixture_geoms, monkeypatch, name):
+    """The N° and N' generator derivatives that projector_derivatives
+    hands to projector_derivative equal the interleaved-column route
+    exactly (==)."""
+    geom = fixture_geoms[name]
+    dgens = []
+
+    def spy(gens, dg, scale=0.0, _f=gaussmaps.projector_derivative):
+        dgens.append(dg)
+        return _f(gens, dg, scale)
+    monkeypatch.setattr(gaussmaps, "projector_derivative", spy)
+    gaussmaps.projector_derivatives(geom)
+    assert len(dgens) == 3          # tau', N°, N'
+    for got, ref in zip(dgens[1:], generator_derivatives_ref(geom)):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("m", [1, 2])

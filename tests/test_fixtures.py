@@ -80,7 +80,6 @@ def test_load_fixture_file_roundtrip(tmp_path):
         "n: 3\n"
         "m: 1\n"
         "domain: -0.5 0.5, -0.5 0.5\n"
-        "jets: analytic\n"
         "grid: 7\n")
     rec = load_fixture_file(path)
     assert rec.name == "cat-narrow"
@@ -91,7 +90,7 @@ def test_load_fixture_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("body,err", [
-    ("jets: analytic\n", "formula"),
+    ("n: 3\n", "formula"),
     ("formula: catenoid\nn: 5\n", "ambient"),
     ("formula: catenoid\nm: 2\n", "complex"),
     ("formula: catenoid\ndomain: 1 2 3\n", "even number"),
@@ -102,6 +101,9 @@ def test_load_fixture_file_roundtrip(tmp_path):
     ("formula catenoid\n", "malformed"),
     ("formula: catenoid\ngrid: 3\n", "grid"),
     ("formula: catenoid\ngird: 7\n", "unknown fixture key 'gird'"),
+    ("formula: catenoid\njets: analytic\n", "unknown fixture key 'jets'"),
+    ("formula: catenoid\ngrid: 7\ngrid: 5\n", "key 'grid' given twice"),
+    ("name: a\nformula: catenoid\nname: b\n", "key 'name' given twice"),
 ])
 def test_load_fixture_file_rejects_bad_input(tmp_path, body, err):
     path = tmp_path / "bad.fixture"

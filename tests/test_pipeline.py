@@ -145,6 +145,21 @@ def test_extra_record_may_not_reuse_a_fixture_name(tmp_path, names):
         pipeline.run(cfg, extra_records=recs)
 
 
+@pytest.mark.parametrize("names,checks,err", [
+    ([], ["kaehler"], "no fixture selected"),
+    (["plane"], [], "no check selected"),
+    (["plane", "plane"], ["kaehler", "ppmc"], "'plane' is selected twice"),
+])
+def test_run_refuses_a_selection_that_runs_nothing_or_repeats(names, checks,
+                                                              err):
+    """An empty run would report nothing and a repeated fixture would
+    run twice under one report node; both are refused before any check
+    runs."""
+    cfg = pipeline.RunConfig(fixtures=names, checks=checks, grid=5)
+    with pytest.raises(ValueError, match=err):
+        pipeline.run(cfg)
+
+
 @pytest.mark.parametrize("formula,status", [("sphere", pipeline.PASS),
                                             ("catenoid", pipeline.SKIPPED)])
 def test_psi_runs_where_isotropy_computes_without_ledger_flags(formula,
