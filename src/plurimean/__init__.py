@@ -8,15 +8,3 @@ the flag-manifold linear algebra behind the superhorizontal lifts.
 """
 
 __version__ = "0.1.0"
-
-from .chartcalc import ChartedImmersion, Jet3, eval_jet, fd_jet_oracle
-from .fixtures import registry
-
-__all__ = [
-    "ChartedImmersion",
-    "Jet3",
-    "eval_jet",
-    "fd_jet_oracle",
-    "registry",
-    "__version__",
-]

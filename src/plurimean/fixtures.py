@@ -1,15 +1,17 @@
 """Fixture zoo: explicit charted immersions with known verification flags.
 
-Each fixture is one chart formula, a Python function of the chart
-coordinates: on float arrays it gives the immersion's values, on
-Taylor-mode jets (jets.py) its closed-form jets to order 1, 2 or 3.
-It comes with a ledger of expected classification flags; reproducing
-the ledger is the master regression property of the whole toolkit.
+Each fixture is one catalog row: a chart formula, its default box, its
+ledger of expected classification flags, notes and, if it has one, its
+own grid.  The formula is a Python function of the chart coordinates:
+on float arrays it gives the immersion's values, on Taylor-mode jets
+(jets.py) its closed-form jets to order 1, 2 or 3.  `immersion` turns
+any chart formula on a box into a ChartedImmersion.  Reproducing the
+ledger is the master regression property of the whole toolkit.
 """
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,98 +75,99 @@ def _veronese(u, v):
     return [x**2, y**2, z**2, r2 * x * y, r2 * x * z, r2 * y * z]
 
 
-# name -> (complex dimension m, chart formula, default domain)
+class _Row(NamedTuple):
+    formula: Callable
+    box: tuple                   # default box: 2m (lo, hi) pairs
+    flags: dict                  # the ledger, in FLAG_NAMES order
+    notes: str
+    grid: Optional[int] = None   # None: the run's --grid
+
+
+# in registry order, which is also the report's order
 _CATALOG = {
-    "plane": (1, lambda u, v: [u, v, 0.0], [(-1, 1), (-1, 1)]),
-    "skewed-plane": (1, lambda u, v: [u + v / 2, v, 0.0],
-                     [(-1, 1), (-1, 1)]),
-    "sphere": (1, _stereo_sphere, [(-0.8, 0.8), (-0.8, 0.8)]),
-    "cylinder": (1, lambda u, v: [np.cos(v), np.sin(v), u],
-                 [(-1, 1), (-1, 1)]),
-    "catenoid": (1, lambda u, v: [np.cosh(u) * np.cos(v),
-                                  np.cosh(u) * np.sin(v), u],
-                 [(-0.8, 0.8), (-0.8, 0.8)]),
-    "helicoid": (1, lambda u, v: [np.sinh(u) * np.cos(v),
-                                  np.sinh(u) * np.sin(v), v],
-                 [(-0.8, 0.8), (-0.8, 0.8)]),
-    "holomorphic-curve": (1, lambda u, v: [u, v, u**2 - v**2, 2 * u * v],
-                          [(-0.7, 0.7), (-0.7, 0.7)]),
-    "ellipsoid": (1, _spheroid, [(-0.35, 0.35), (-0.7, 0.7)]),
-    "product-spheres": (2, lambda u1, v1, u2, v2: (_stereo_sphere(u1, v1)
-                                                   + _stereo_sphere(u2, v2)),
-                        [(-0.6, 0.6)] * 4),
-    "veronese": (1, _veronese, [(-0.7, 0.7), (-0.7, 0.7)]),
+    "plane": _Row(
+        lambda u, v: [u, v, 0.0], ((-1, 1), (-1, 1)),
+        dict(kaehler=True, ppmc=True, pluriminimal=True,
+             half_isotropic=True, isotropic=True, spherical=False),
+        "totally geodesic; every flag trivially passes"),
+    "skewed-plane": _Row(
+        lambda u, v: [u + v / 2, v, 0.0], ((-1, 1), (-1, 1)),
+        dict(kaehler=False, ppmc=None, pluriminimal=None,
+             half_isotropic=None, isotropic=None, spherical=None),
+        "non-conformal chart of the plane; fails the Kaehler "
+        "orthogonality residual (negative control)"),
+    "sphere": _Row(
+        _stereo_sphere, ((-0.8, 0.8), (-0.8, 0.8)),
+        dict(kaehler=True, ppmc=True, pluriminimal=False,
+             half_isotropic=True, isotropic=True, spherical=True),
+        "alpha = -<.,.> f; J-invariant second fundamental form"),
+    "ellipsoid": _Row(
+        _spheroid, ((-0.35, 0.35), (-0.7, 0.7)),
+        dict(kaehler=True, ppmc=False, pluriminimal=False,
+             half_isotropic=False, isotropic=False, spherical=False),
+        "spheroid (1,1,1.45) in a conformal chart; generic "
+        "non-parallel surface (negative control)"),
+    "cylinder": _Row(
+        lambda u, v: [np.cos(v), np.sin(v), u], ((-1, 1), (-1, 1)),
+        dict(kaehler=True, ppmc=True, pluriminimal=False,
+             half_isotropic=False, isotropic=False, spherical=False),
+        "parallel mean curvature but alpha(T',T') lands in the "
+        "span of the pluri-mean values"),
+    "catenoid": _Row(
+        lambda u, v: [np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), u],
+        ((-0.8, 0.8), (-0.8, 0.8)),
+        dict(kaehler=True, ppmc=True, pluriminimal=True,
+             half_isotropic=True, isotropic=False, spherical=False),
+        "minimal; conjugate partner of the helicoid at theta=pi/2"),
+    "helicoid": _Row(
+        lambda u, v: [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), v],
+        ((-0.8, 0.8), (-0.8, 0.8)),
+        dict(kaehler=True, ppmc=True, pluriminimal=True,
+             half_isotropic=True, isotropic=False, spherical=False),
+        "minimal; conjugate partner of the catenoid"),
+    "holomorphic-curve": _Row(
+        lambda u, v: [u, v, u**2 - v**2, 2 * u * v],
+        ((-0.7, 0.7), (-0.7, 0.7)),
+        dict(kaehler=True, ppmc=True, pluriminimal=True,
+             half_isotropic=True, isotropic=True, spherical=False),
+        "z -> (z, z^2) in C^2 = R^4; pluriminimal"),
+    "product-spheres": _Row(
+        lambda u1, v1, u2, v2: (_stereo_sphere(u1, v1)
+                                + _stereo_sphere(u2, v2)),
+        ((-0.6, 0.6),) * 4,
+        dict(kaehler=True, ppmc=True, pluriminimal=False,
+             half_isotropic=True, isotropic=True, spherical=True),
+        "product of round spheres in R^6; m = 2", grid=5),
+    "veronese": _Row(
+        _veronese, ((-0.7, 0.7), (-0.7, 0.7)),
+        dict(kaehler=True, ppmc=True, pluriminimal=False,
+             half_isotropic=True, isotropic=True, spherical=True),
+        "S S^T in the affine space {trace = 1} of symmetric "
+        "3x3 matrices; extrinsic symmetric"),
     # standard embedding p -> J_p of the sphere into the rotation algebra
     # (Frobenius norm sqrt(2) per unit vector)
-    "standard-embedding": (1, lambda u, v: [np.sqrt(2.0) * e for e in
-                                            _stereo_sphere(u, v)],
-                           [(-0.7, 0.7), (-0.7, 0.7)]),
+    "standard-embedding": _Row(
+        lambda u, v: [np.sqrt(2.0) * e for e in _stereo_sphere(u, v)],
+        ((-0.7, 0.7), (-0.7, 0.7)),
+        dict(kaehler=True, ppmc=True, pluriminimal=False,
+             half_isotropic=True, isotropic=True, spherical=True),
+        "sqrt(2) times the unit sphere: the rotation "
+        "algebra picture of p -> J_p"),
 }
 
 
-_FLAGS = {
-    "plane": dict(kaehler=True, ppmc=True, pluriminimal=True,
-                  half_isotropic=True, isotropic=True, spherical=False),
-    "skewed-plane": dict(kaehler=False, ppmc=None, pluriminimal=None,
-                         half_isotropic=None, isotropic=None, spherical=None),
-    "sphere": dict(kaehler=True, ppmc=True, pluriminimal=False,
-                   half_isotropic=True, isotropic=True, spherical=True),
-    "ellipsoid": dict(kaehler=True, ppmc=False, pluriminimal=False,
-                      half_isotropic=False, isotropic=False, spherical=False),
-    "cylinder": dict(kaehler=True, ppmc=True, pluriminimal=False,
-                     half_isotropic=False, isotropic=False, spherical=False),
-    "catenoid": dict(kaehler=True, ppmc=True, pluriminimal=True,
-                     half_isotropic=True, isotropic=False, spherical=False),
-    "helicoid": dict(kaehler=True, ppmc=True, pluriminimal=True,
-                     half_isotropic=True, isotropic=False, spherical=False),
-    "holomorphic-curve": dict(kaehler=True, ppmc=True, pluriminimal=True,
-                              half_isotropic=True, isotropic=True,
-                              spherical=False),
-    "product-spheres": dict(kaehler=True, ppmc=True, pluriminimal=False,
-                            half_isotropic=True, isotropic=True,
-                            spherical=True),
-    "veronese": dict(kaehler=True, ppmc=True, pluriminimal=False,
-                     half_isotropic=True, isotropic=True, spherical=True),
-    "standard-embedding": dict(kaehler=True, ppmc=True, pluriminimal=False,
-                               half_isotropic=True, isotropic=True,
-                               spherical=True),
-}
-
-_NOTES = {
-    "plane": "totally geodesic; every flag trivially passes",
-    "skewed-plane": "non-conformal chart of the plane; fails the Kaehler "
-                    "orthogonality residual (negative control)",
-    "sphere": "alpha = -<.,.> f; J-invariant second fundamental form",
-    "ellipsoid": "spheroid (1,1,1.45) in a conformal chart; generic "
-                 "non-parallel surface (negative control)",
-    "cylinder": "parallel mean curvature but alpha(T',T') lands in the "
-                "span of the pluri-mean values",
-    "catenoid": "minimal; conjugate partner of the helicoid at theta=pi/2",
-    "helicoid": "minimal; conjugate partner of the catenoid",
-    "holomorphic-curve": "z -> (z, z^2) in C^2 = R^4; pluriminimal",
-    "product-spheres": "product of round spheres in R^6; m = 2",
-    "veronese": "S S^T in the affine space {trace = 1} of symmetric "
-                "3x3 matrices; extrinsic symmetric",
-    "standard-embedding": "sqrt(2) times the unit sphere: the rotation "
-                          "algebra picture of p -> J_p",
-}
-
-_GRID = {"product-spheres": 5}
-
-
-@functools.lru_cache(maxsize=None)
-def _build_immersion(name, domain_key=None):
-    m, formula, default_domain = _CATALOG[name]
-    domain = np.asarray(domain_key if domain_key is not None
-                        else default_domain, dtype=float)
+def immersion(name: str, formula, box) -> ChartedImmersion:
+    """The chart formula on box, 2m (lo, hi) pairs, as a ChartedImmersion:
+    values and jets through jets.py, n from the value at the box centre."""
+    box = np.asarray(box, dtype=float)
     return ChartedImmersion(
-        name=name,
-        ambient_dim=len(formula(*domain.mean(axis=1))),
-        complex_dim=m,
-        domain=domain,
+        name=name, ambient_dim=len(formula(*box.mean(axis=1))),
+        complex_dim=len(box) // 2, domain=box,
         eval_fn=functools.partial(jets.values, formula),
-        jet_fn=functools.partial(jets.jet, formula),
-    )
+        jet_fn=functools.partial(jets.jet, formula))
+
+
+_cached_immersion = functools.lru_cache(maxsize=None)(immersion)
 
 
 def get_immersion(name: str, domain=None) -> ChartedImmersion:
@@ -172,39 +175,34 @@ def get_immersion(name: str, domain=None) -> ChartedImmersion:
     finite (lo, hi) pairs with lo < hi."""
     if name not in _CATALOG:
         raise KeyError(f"unknown chart formula {name!r}")
-    key = None
+    box = _CATALOG[name].box
     if domain is not None:
-        key = tuple(tuple(float(x) for x in row) for row in domain)
-        d = 2 * _CATALOG[name][0]
-        if (len(key) != d or any(len(row) != 2 for row in key)
-                or not np.all(np.isfinite(key))
-                or any(lo >= hi for lo, hi in key)):
+        d = len(box)
+        box = tuple(tuple(float(x) for x in row) for row in domain)
+        if (len(box) != d or any(len(row) != 2 for row in box)
+                or not np.all(np.isfinite(box))
+                or any(lo >= hi for lo, hi in box)):
             raise ValueError(f"{name}: the domain must be {d} finite "
-                             f"(lo, hi) pairs with lo < hi, got {key}")
-    return _build_immersion(name, key)
+                             f"(lo, hi) pairs with lo < hi, got {box}")
+    return _cached_immersion(name, _CATALOG[name].formula, box)
 
 
 def get_fixture(name: str) -> FixtureRecord:
-    if name not in _FLAGS:
+    if name not in _CATALOG:
         raise KeyError(f"unknown fixture {name!r}")
-    return FixtureRecord(
-        name=name,
-        immersion=get_immersion(name),
-        flags=dict(_FLAGS[name]),
-        grid_per_axis=_GRID.get(name),
-        notes=_NOTES[name],
-    )
+    row = _CATALOG[name]
+    return FixtureRecord(name=name, immersion=get_immersion(name),
+                         flags=dict(row.flags), grid_per_axis=row.grid,
+                         notes=row.notes)
 
 
-def registry(include_controls: bool = True):
-    """All fixtures in deterministic order."""
-    names = [n for n in _FLAGS
-             if include_controls or _FLAGS[n]["kaehler"]]
-    return [get_fixture(n) for n in names]
+def registry():
+    """All fixtures in registry order."""
+    return [get_fixture(n) for n in _CATALOG]
 
 
 def fixture_names():
-    return list(_FLAGS)
+    return list(_CATALOG)
 
 
 def load_fixture_file(path) -> FixtureRecord:

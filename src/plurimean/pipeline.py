@@ -304,7 +304,7 @@ TABLE = (
     Check("jets", _chk_jets, 1e-6, _always),
     Check("grassmann", _chk_grassmann, 1e-10, _always),
     Check("eq4", _chk_eq4, TIER2, _always),
-    Check("codazzi", _chk_codazzi, TIER2, _always),
+    Check("codazzi", _chk_codazzi, TIER1, _always),
     Check("ppmc", _chk_ppmc, TIER1, _ledger("ppmc")),
     Check("gauss-levi", _chk_gauss_levi, TIER1, _ledger("ppmc")),
     Check("pluriminimal", _chk_pluriminimal, TIER1,
@@ -312,7 +312,7 @@ TABLE = (
     Check("structure-equations", _chk_structure_equations, TIER1,
           _ledger("ppmc")),
     Check("rn-tprime", _chk_rn_tprime, TIER1, _pass_if("ppmc")),
-    Check("sublemma", _chk_sublemma, TIER2, _pass_if("ppmc")),
+    Check("sublemma", _chk_sublemma, TIER1, _pass_if("ppmc")),
     Check("superhorizontality", _chk_superhorizontality, TIER1, _always),
     Check("lift-grading", _chk_lift_grading, TIER1, _always),
     Check("half-isotropy", _chk_half_isotropy, TIER1,
@@ -321,7 +321,7 @@ TABLE = (
     Check("chain", _chk_chain, TIER1, _pass_if("isotropic")),
     Check("sphere-reduction", _chk_sphere_reduction, TIER1,
           _ledger("spherical")),
-    Check("section", _chk_section, TIER2, _always),
+    Check("section", _chk_section, TIER1, _always),
     Check("psi", _chk_psi, TIER1, _always),
     Check("closedness", _chk_closedness, TIER1, _ledger("pluriminimal")),
 )

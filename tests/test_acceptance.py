@@ -12,7 +12,7 @@ from plurimean import family, flags, forms, gaussmaps, kaehler
 from plurimean.chartcalc import convergence_order, eval_jet, standard_J
 from plurimean.fixtures import get_immersion, registry
 
-ADMITTED = [r.name for r in registry(include_controls=False)]
+ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 PPMC = [r.name for r in registry() if r.flags["ppmc"]]
 PASS_SET = ["plane", "sphere", "cylinder", "catenoid",
             "holomorphic-curve", "veronese", "standard-embedding"]

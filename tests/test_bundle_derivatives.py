@@ -13,7 +13,7 @@ from plurimean.chartcalc import holomorphic_basis
 from plurimean.fixtures import get_immersion, registry
 from test_gaussmaps import _projector
 
-ADMITTED = [r.name for r in registry(include_controls=False)]
+ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 NAMES = ["T", "taup", "taupp", "Nc", "No", "Np", "Npp"]   # Bundles fields
 C = 100.0     # |analytic - FD(h)| <= C h^2; veronese's dP_T needs 31
 

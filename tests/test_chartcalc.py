@@ -1,17 +1,17 @@
 """Chart calculus: jets, finite-difference oracles, type projections."""
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from plurimean import chartcalc, forms, gaussmaps, jets, pipeline
+from plurimean import chartcalc, forms, gaussmaps, pipeline
 from plurimean.chartcalc import (
-    BoundaryError, ChartedImmersion, RankError, convergence_order,
+    BoundaryError, RankError, convergence_order,
     eval_jet, fd_d1, fd_jet_oracle, holomorphic_basis, standard_J,
 )
-from plurimean.fixtures import fixture_names, get_immersion, registry
+from plurimean.fixtures import (fixture_names, get_immersion, immersion,
+                                registry)
 
 
 ALL_FIXTURES = fixture_names()
@@ -178,13 +178,8 @@ def test_geometry_rank_test_takes_no_svd_on_registry(svd_calls):
 
 def _cusp():
     """f(x, y) = (x, y^3, 0): its differential drops rank on y = 0."""
-    def formula(x, y):
-        return [x, y**3, 0.0]
-    return ChartedImmersion(
-        name="cusp", ambient_dim=3, complex_dim=1,
-        domain=[(-1.0, 1.0), (-1.0, 1.0)],
-        eval_fn=functools.partial(jets.values, formula),
-        jet_fn=functools.partial(jets.jet, formula))
+    return immersion("cusp", lambda x, y: [x, y**3, 0.0],
+                     [(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def test_geometry_raises_rank_error_on_degenerate_grid_point():
@@ -197,13 +192,8 @@ def test_geometry_raises_rank_error_on_degenerate_grid_point():
 def test_geometry_rank_certificate_rejects_a_positive_definite_metric():
     # g = diag(1, 1e-22) passes the Cholesky test and inverts exactly;
     # only the rank test sees sigma_2 / sigma_1 = 1e-11
-    def formula(x, y):
-        return [x, 1e-11 * y, 0.0]
-    imm = ChartedImmersion(
-        name="flat-strip", ambient_dim=3, complex_dim=1,
-        domain=[(-1.0, 1.0), (-1.0, 1.0)],
-        eval_fn=functools.partial(jets.values, formula),
-        jet_fn=functools.partial(jets.jet, formula))
+    imm = immersion("flat-strip", lambda x, y: [x, 1e-11 * y, 0.0],
+                    [(-1.0, 1.0), (-1.0, 1.0)])
     with pytest.raises(RankError, match="rank below 2"):
         forms.compute_geometry(imm, imm.grid(3))
 

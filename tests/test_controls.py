@@ -3,41 +3,39 @@ next to the checks the same immersion must still pass."""
 
 import dataclasses
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from plurimean import jets, pipeline
-from plurimean.chartcalc import ChartedImmersion
-from plurimean.fixtures import FLAG_NAMES, FixtureRecord, get_fixture
+from plurimean import pipeline
+from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_fixture,
+                                immersion)
+
+
+def _with_jets(name, label, edit):
+    """The fixture `name` renamed `label`, each jet it computes passed
+    through edit(jet, order); its values stay exact."""
+    rec = get_fixture(name)
+    jet_fn = rec.immersion.jet_fn
+    imm = dataclasses.replace(
+        rec.immersion, name=label,
+        jet_fn=lambda pts, order: edit(jet_fn(pts, order), order))
+    return dataclasses.replace(rec, name=label, immersion=imm)
 
 
 def _d2_perturbed(name, eps=1e-3):
     """The fixture with eps added to every second derivative of its
     jets of order 2 and 3; its values and order-1 jets stay exact."""
-    rec = get_fixture(name)
-    imm = rec.immersion
-
-    def jet_fn(pts, order):
-        jet = imm.jet_fn(pts, order)
-        return jet if order < 2 else dataclasses.replace(jet,
-                                                         d2=jet.d2 + eps)
-
-    return dataclasses.replace(
-        rec, name=f"{name}-d2-perturbed",
-        immersion=dataclasses.replace(imm, name=f"{name}-d2-perturbed",
-                                      jet_fn=jet_fn))
+    return _with_jets(name, f"{name}-d2-perturbed", lambda jet, order: (
+        jet if order < 2 else dataclasses.replace(jet, d2=jet.d2 + eps)))
 
 
 def _d3_perturbed(name, slots, eps=1e-2):
     """The fixture with eps added to the third derivatives d3[i, j, k]
     of its order-3 jets for each (i, j, k) in slots; its values and
     lower jets stay exact."""
-    rec = get_fixture(name)
-    imm = rec.immersion
-
-    def jet_fn(pts, order):
-        jet = imm.jet_fn(pts, order)
+    def edit(jet, order):
         if order < 3:
             return jet
         d3 = jet.d3.copy()
@@ -46,36 +44,20 @@ def _d3_perturbed(name, slots, eps=1e-2):
         return dataclasses.replace(jet, d3=d3)
 
     label = "-".join([name, "d3"] + ["".join(map(str, s)) for s in slots])
-    return dataclasses.replace(
-        rec, name=label,
-        immersion=dataclasses.replace(imm, name=label, jet_fn=jet_fn))
+    return _with_jets(name, label, edit)
 
 
 def _d1_scaled(name, factor=1.001):
     """The fixture with the first derivatives of its jets scaled by
     factor; its values stay exact."""
-    rec = get_fixture(name)
-    imm = rec.immersion
-
-    def jet_fn(pts, order):
-        jet = imm.jet_fn(pts, order)
-        return dataclasses.replace(jet, d1=factor * jet.d1)
-
-    label = f"{name}-d1-scaled"
-    return dataclasses.replace(
-        rec, name=label,
-        immersion=dataclasses.replace(imm, name=label, jet_fn=jet_fn))
+    return _with_jets(name, f"{name}-d1-scaled", lambda jet, order:
+                      dataclasses.replace(jet, d1=factor * jet.d1))
 
 
-def _formula_record(name, formula, ambient_dim, complex_dim, domain,
-                    flags, grid_per_axis=None):
+def _formula_record(name, formula, domain, flags, grid_per_axis=None):
     """A FixtureRecord of a chart formula, evaluated through jets."""
-    imm = ChartedImmersion(
-        name=name, ambient_dim=ambient_dim, complex_dim=complex_dim,
-        domain=domain, eval_fn=functools.partial(jets.values, formula),
-        jet_fn=functools.partial(jets.jet, formula))
-    return FixtureRecord(name=name, immersion=imm, flags=flags,
-                         grid_per_axis=grid_per_axis)
+    return FixtureRecord(name, immersion(name, formula, domain), flags,
+                         grid_per_axis)
 
 
 def test_eq4_fails_on_perturbed_second_derivatives():
@@ -154,7 +136,7 @@ def _inverted_holomorphic_curve_record():
     flags = {f: None for f in FLAG_NAMES}
     flags.update(kaehler=True, ppmc=False, pluriminimal=False)
     return _formula_record("inverted-holomorphic-curve",
-                           _inverted_holomorphic_curve, 4, 1,
+                           _inverted_holomorphic_curve,
                            [(-0.5, 0.5), (-0.5, 0.5)], flags)
 
 
@@ -182,8 +164,7 @@ def _z1z2_graph(u1, v1, u2, v2):
 
 
 def _z1z2_record():
-    return _formula_record("z1z2-graph", _z1z2_graph, 6, 2,
-                           [(-0.5, 0.5)] * 4,
+    return _formula_record("z1z2-graph", _z1z2_graph, [(-0.5, 0.5)] * 4,
                            {f: f != "spherical" for f in FLAG_NAMES},
                            grid_per_axis=5)
 
@@ -227,8 +208,8 @@ def _inverted_product_spheres_record():
     flags = {f: None for f in FLAG_NAMES}
     flags.update(kaehler=False)
     return _formula_record("inverted-product-spheres",
-                           _inverted_product_spheres, 6, 2,
-                           [(-0.6, 0.6)] * 4, flags, grid_per_axis=5)
+                           _inverted_product_spheres, [(-0.6, 0.6)] * 4,
+                           flags, grid_per_axis=5)
 
 
 def test_kaehler_fails_on_off_centre_inverted_product_spheres():
@@ -275,3 +256,49 @@ def test_curvature_is_exactly_antisymmetric_on_the_controls(control):
                                 pipeline.RunConfig()).geom.R
     assert np.array_equal(R, -R.swapaxes(1, 2))
     assert np.array_equal(R, -R.swapaxes(3, 4))
+
+
+class _CannotFail(NamedTuple):
+    reason: str   # why no admitted record can make the row FAIL
+
+
+# each TABLE row -> the registry fixture (a name) or the control (a
+# builder above) on which it FAILs, or why nothing can make it FAIL
+CAN_FAIL = {
+    "kaehler": "skewed-plane", "ppmc": "ellipsoid",
+    "gauss-levi": "ellipsoid", "structure-equations": "ellipsoid",
+    "pluriminimal": "sphere", "closedness": "sphere",
+    "half-isotropy": "cylinder", "isotropy": "catenoid",
+    "chain": "catenoid", "sphere-reduction": "plane",
+    "jets": lambda: _d1_scaled("catenoid"),
+    "eq4": lambda: _d2_perturbed("sphere"),
+    "codazzi": lambda: _d3_perturbed("sphere", [(0, 1, 0)]),
+    "sublemma": _inverted_holomorphic_curve_record,
+    "grassmann": _CannotFail("P_T = df g^-1 df^T: a rank-2m projector"),
+    "superhorizontality": _CannotFail("it holds on every Kaehler chart"),
+    "lift-grading": _CannotFail("superhorizontality in orbit coordinates"),
+    "psi": _CannotFail("it runs only where its isotropy split holds"),
+    "section": _CannotFail("it runs only where f lies on a sphere about c: "
+                           "f - c is normal, of constant length, and "
+                           "df(T') = tau'"),
+    "rn-tprime": _CannotFail(
+        "0 at m = 1; no Kaehler, non-ppmc, m >= 2 immersion without "
+        "product structure is known in closed form (Dajczer & Gromoll "
+        "1985), and inversion breaks the Kaehler condition at m = 2"),
+}
+
+
+def test_every_check_row_can_fail_or_says_why_not():
+    assert CAN_FAIL.keys() == {c.name for c in pipeline.TABLE}
+    controls = {c: how() for c, how in CAN_FAIL.items() if callable(how)}
+    # only the controls' own checks run on them: the perturbed d2 fails
+    # kaehler, which would leave every other check SKIPPED
+    cfg = pipeline.RunConfig(fixtures=[], checks=list(controls))
+    reps = [pipeline.run(pipeline.RunConfig()),
+            pipeline.run(cfg, extra_records=list(controls.values()))]
+    status = {(r.fixture, r.check): r.status
+              for rep in reps for r in rep.results}
+    for check, how in CAN_FAIL.items():
+        if not isinstance(how, _CannotFail):
+            fixture = controls[check].name if callable(how) else how
+            assert status[fixture, check] == pipeline.FAIL, (check, fixture)

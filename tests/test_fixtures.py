@@ -11,10 +11,12 @@ from plurimean.fixtures import (
 
 def test_registry_is_complete_and_ordered():
     recs = registry()
-    assert [r.name for r in recs] == fixture_names()
-    assert len(recs) == 11
-    admitted = registry(include_controls=False)
-    assert all(r.flags["kaehler"] for r in admitted)
+    # the registry order is the report's and the benchmark's
+    assert [r.name for r in recs] == fixture_names() == [
+        "plane", "skewed-plane", "sphere", "ellipsoid", "cylinder",
+        "catenoid", "helicoid", "holomorphic-curve", "product-spheres",
+        "veronese", "standard-embedding"]
+    admitted = [r for r in recs if r.flags["kaehler"]]
     assert len(admitted) == len(recs) - 1  # one non-Kaehler control
 
 

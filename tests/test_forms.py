@@ -7,7 +7,7 @@ from plurimean import forms
 from plurimean.chartcalc import contract_slots, form_parts, type_rows
 from plurimean.fixtures import get_immersion, registry
 
-ADMITTED = [r.name for r in registry(include_controls=False)]
+ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 
 
 def _geom(name, per_axis=5):

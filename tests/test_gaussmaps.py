@@ -9,7 +9,7 @@ from plurimean import forms, gaussmaps
 from plurimean.chartcalc import RankError
 from plurimean.fixtures import get_immersion, registry
 
-ADMITTED = [r.name for r in registry(include_controls=False)]
+ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 
 # verified subbundle ranks (tau', N°, N') per fixture
 EXPECTED_RANKS = {

@@ -1,14 +1,12 @@
 """Taylor-mode jet arithmetic against hand-derived derivatives, and
 against dense reference rules that carry every zero block as an array."""
 
-import functools
-
 import numpy as np
 import pytest
 
 from plurimean import forms, jets
-from plurimean.chartcalc import ChartedImmersion
-from plurimean.fixtures import _CATALOG, fixture_names, get_immersion
+from plurimean.fixtures import (_CATALOG, fixture_names, get_immersion,
+                                immersion)
 
 
 def _formula(x1, x2, x3, x4):
@@ -258,7 +256,7 @@ def test_jets_equal_dense_rules_on_hand_formula():
 def test_jets_equal_dense_rules_on_fixtures(name):
     imm = get_immersion(name)
     pts = imm.grid(3 if imm.complex_dim > 1 else 7, margin=0.02)
-    _assert_dense_equal(_CATALOG[name][1], pts, imm.chart_dim,
+    _assert_dense_equal(_CATALOG[name].formula, pts, imm.chart_dim,
                         imm.ambient_dim)
 
 
@@ -269,13 +267,10 @@ def test_pole_on_the_grid_names_the_same_point():
     def formula(u, v):
         return [u, v, u * v + 1 / u]
 
-    imm = ChartedImmersion(
-        name="pole", ambient_dim=3, complex_dim=1,
-        domain=[(-1.0, 1.0), (-1.0, 1.0)],
-        eval_fn=functools.partial(jets.values, formula),
-        jet_fn=functools.partial(jets.jet, formula))
-    pts = imm.grid(5)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # the constructor evaluates the formula at the box centre u = 0
+        imm = immersion("pole", formula, [(-1.0, 1.0), (-1.0, 1.0)])
+        pts = imm.grid(5)
         with pytest.raises(ValueError, match=r"^induced metric not finite "
                            r"at chart point \(0, -1\) \(grid point 10\)$"):
             forms.compute_geometry(imm, pts)

@@ -12,7 +12,7 @@ from plurimean.fixtures import (fixture_names, get_fixture, get_immersion,
 from plurimean.forms import (compute_geometry,
                              mean_curvature_and_sphere_reduction)
 
-ADMITTED = [r.name for r in registry(include_controls=False)]
+ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 
 
 def _jet(name, per_axis=5):

@@ -11,6 +11,7 @@ from plurimean import family, forms, gaussmaps, kaehler, pipeline, report
 from plurimean.chartcalc import ChartedImmersion
 from plurimean.fixtures import (FLAG_NAMES, FixtureRecord, get_fixture,
                                 get_immersion, load_fixture_file, registry)
+from test_controls import _with_jets
 
 
 @pytest.mark.parametrize("name", ["catenoid", "product-spheres"])
@@ -218,6 +219,10 @@ def test_thresholds_come_from_the_check_table():
     assert default["sphere", "jets"] == 1e-6
     assert default["sphere", "grassmann"] == 1e-10
     assert default["sphere", "isotropy"] == 1e-8
+    # eq4 alone takes central differences at step h; the other tiered
+    # rows are closed forms from the jets
+    assert {c.name for c in pipeline.TABLE
+            if c.threshold == pipeline.TIER2} == {"eq4"}
 
 
 def test_render_tree_formats_scalars():
@@ -494,19 +499,12 @@ def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
 
 def _nan_catenoid(index):
     """The catenoid with a NaN in d1 at one grid point of every jet call."""
-    rec = get_fixture("catenoid")
-    imm = rec.immersion
-
-    def jet_fn(pts, order):
-        jet = imm.jet_fn(pts, order)
+    def edit(jet, order):
         d1 = jet.d1.copy()
         d1[index, 0, 0] = np.nan
         return dataclasses.replace(jet, d1=d1)
 
-    return dataclasses.replace(
-        rec, name="nan-catenoid",
-        immersion=dataclasses.replace(imm, name="nan-catenoid",
-                                      jet_fn=jet_fn))
+    return _with_jets("catenoid", "nan-catenoid", edit)
 
 
 def _not_finite_at(pts, index):
