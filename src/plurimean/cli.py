@@ -48,23 +48,6 @@ def _parse_list(text: str):
     return [t for t in (s.strip() for s in text.split(",")) if t]
 
 
-def _add_common(p):
-    p.add_argument("--grid", type=int, default=9,
-                   help="grid points per chart axis (default 9) for "
-                        "fixtures without a grid of their own "
-                        "(product-spheres: 5; a fixture file's grid:)")
-    p.add_argument("--h", type=float, default=1e-4,
-                   help="finite-difference step of eq4's second route "
-                        "(default 1e-4)")
-    p.add_argument("--tol-tier1", type=float, default=1e-8,
-                   help="strict tolerance tier (default 1e-8)")
-    p.add_argument("--tol-tier2", type=float, default=1e-5,
-                   help="finite-difference tolerance tier (default 1e-5)")
-    p.add_argument("--report", metavar="PATH", default=None,
-                   help="write the key-value report to PATH instead of "
-                        "stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plurimean",
@@ -84,7 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--theta", default=None,
                     help="comma-separated rotation angles for the sweep "
                          "(default: k*pi/8 for k = 0..8); accepts 'pi/4'")
-    _add_common(pv)
+    pv.add_argument("--grid", type=int, default=9,
+                    help="grid points per chart axis (default 9) for "
+                         "fixtures without a grid of their own "
+                         "(product-spheres: 5; a fixture file's grid:)")
+    pv.add_argument("--h", type=float, default=1e-4,
+                    help="finite-difference step of eq4's second route "
+                         "(default 1e-4)")
+    pv.add_argument("--report", metavar="PATH", default=None,
+                    help="write the key-value report to PATH instead of "
+                         "stdout")
 
     pf = sub.add_parser("family",
                         help="integrate an associated-family member")
@@ -144,8 +136,7 @@ def cmd_verify(args) -> int:
         extra.append(fixtures.load_fixture_file(args.fixture_file))
     cfg = pipeline.RunConfig(
         fixtures=names, checks=_parse_list(args.checks),
-        grid=args.grid, h=args.h, tol_tier1=args.tol_tier1,
-        tol_tier2=args.tol_tier2, thetas=thetas)
+        grid=args.grid, h=args.h, thetas=thetas)
     rep = pipeline.run(cfg, extra_records=extra)
     _emit(report.render_report(rep), args.report)
     return min(125, sum(r.mismatch or r.status == pipeline.ERROR
@@ -155,6 +146,13 @@ def cmd_verify(args) -> int:
 def cmd_family(args) -> int:
     theta = _parse_theta(args.theta)
     imm = fixtures.get_immersion(args.fixture)
+    if args.match:
+        target = fixtures.get_immersion(args.match)
+        if target.chart_dim != imm.chart_dim:
+            raise ValueError(
+                f"cannot match {args.fixture} (chart dimension "
+                f"{imm.chart_dim}) against {args.match} (chart dimension "
+                f"{target.chart_dim})")
     member = family.integrate_family(imm, theta, per_axis=args.grid)
     geom = member.geom
     tree = {
@@ -165,7 +163,6 @@ def cmd_family(args) -> int:
         "closedness_residual": member.closedness,
     }
     if args.match:
-        target = fixtures.get_immersion(args.match)
         B = target.evaluate(member.pts)
         _, _, rms = family.rigid_match(member.values, B)
         tree["match"] = {"fixture": args.match, "rms": rms}
@@ -208,9 +205,6 @@ def _demo_element(args):
         pos, args.n, real_frame=rest if rest.size else None)
 
 
-_FLAG_RESIDUAL_MAX = 1e-8   # strict tier for the bracket relations
-
-
 def cmd_flag_demo(args) -> int:
     elem = _demo_element(args)
     grading = flags.grade(elem)
@@ -237,7 +231,7 @@ def cmd_flag_demo(args) -> int:
         "cartan_split_residual": float(np.max(list(cartan.values()))),
     }
     _emit(report.render_tree(tree) + "\n", args.report)
-    residuals_ok = all(tree[key] <= _FLAG_RESIDUAL_MAX for key in (
+    residuals_ok = all(tree[key] <= pipeline.TIER1 for key in (
         "A3_residual", "bracket_residual", "cartan_split_residual"))
     return 0 if (grading.c1_pass and c2.passed and residuals_ok) else 1
 

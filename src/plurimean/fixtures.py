@@ -10,7 +10,7 @@ ledger is the master regression property of the whole toolkit.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -248,12 +248,14 @@ def load_fixture_file(path) -> FixtureRecord:
     if "m" in kv and int(kv["m"]) != imm.complex_dim:
         raise ValueError(f"complex dim mismatch: file says {kv['m']}, "
                          f"formula has {imm.complex_dim}")
-    catalog = get_fixture(formula)
-    grid = int(kv["grid"]) if "grid" in kv else catalog.grid_per_axis
+    row = _CATALOG[formula]
+    grid = int(kv["grid"]) if "grid" in kv else row.grid
     if grid is not None and grid < 5:
         raise ValueError("grid must be at least 5 per axis")
     if "name" not in kv:
         raise ValueError(needs)
-    return FixtureRecord(name=kv["name"], immersion=imm,
-                         flags=catalog.flags, grid_per_axis=grid,
+    # under the file's name, so that messages name the file's fixture
+    return FixtureRecord(name=kv["name"],
+                         immersion=replace(imm, name=kv["name"]),
+                         flags=dict(row.flags), grid_per_axis=grid,
                          notes=f"loaded from {path}")

@@ -3,17 +3,17 @@
 compares PASS/FAIL statuses against each fixture's expected-flag ledger.
 
 Each check is declared once, as a row of TABLE: its name, its body
-(context -> residual and extras), its threshold (the strict tier, the
-finite-difference tier, or a fixed value) and its ledger rule (fixture
-flags -> expected status).  CHECKS maps each name to its body; the
-runner calls the bodies through it and reads the threshold and the
-expectation from the row.
+(context -> residual and extras), its threshold (a number: the strict
+tier TIER1, the finite-difference tier TIER2, or a value of its own) and
+its ledger rule (fixture flags -> expected status).  CHECKS maps each
+name to its body; the runner calls the bodies through it and reads the
+threshold and the expectation from the row.
 """
 
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .fixtures import FixtureRecord, get_fixture, fixture_names
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
 SKIPPED, ERROR = "SKIPPED", "ERROR"
 
+# the strict tier of every residual read from the jets in closed form,
+# and the finite-difference tier of eq4's central differences at step h
+TIER1, TIER2 = 1e-8, 1e-5
+
 
 @dataclass
 class RunConfig:
@@ -31,8 +35,6 @@ class RunConfig:
     checks: List[str] = field(default_factory=lambda: ["all"])
     grid: int = 9
     h: float = 1e-4
-    tol_tier1: float = 1e-8
-    tol_tier2: float = 1e-5
     thetas: List[float] = field(default_factory=lambda: list(family.THETA_SWEEP))
 
     def __post_init__(self):
@@ -40,9 +42,6 @@ class RunConfig:
             raise ValueError("grid must be at least 5 per axis")
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError("the step h must be finite and positive")
-        for t in (self.tol_tier1, self.tol_tier2):
-            if not (np.isfinite(t) and t > 0):
-                raise ValueError("tolerances must be finite and positive")
         if len(self.thetas) == 0:
             raise ValueError("the angle list is empty")
         if not np.all(np.isfinite(self.thetas)):
@@ -238,7 +237,7 @@ def _chk_sphere_reduction(ctx: FixtureContext):
     if mc.radius is not None:
         extras["radius"] = mc.radius
     # a vanishing mean curvature has no sphere to reduce to
-    res = mc.off_identity if abs(mc.kappa) > ctx.cfg.tol_tier1 else np.inf
+    res = mc.off_identity if abs(mc.kappa) > TIER1 else np.inf
     return res, extras
 
 
@@ -259,7 +258,7 @@ def _chk_psi(ctx: FixtureContext):
     # psi_theta is built on the decomposition, so it runs exactly where
     # the isotropy check passes
     rep = ctx.isotropy
-    if not _fold(rep.orthogonality, rep.parallelity) < ctx.cfg.tol_tier1:
+    if not _fold(rep.orthogonality, rep.parallelity) < TIER1:
         raise _Skip("psi_theta needs the isotropy decomposition")
     # one sweep over the angles and the full turn
     res, minus_dim = family.build_psi(ctx.geom, ctx.bundles,
@@ -280,20 +279,12 @@ class _Skip(Exception):
     pass
 
 
-TIER1, TIER2 = "tier1", "tier2"
-
-
 class Check(NamedTuple):
     """One row of the check table."""
     name: str
     body: Callable[[FixtureContext], Tuple[float, Dict[str, float]]]
-    threshold: Union[str, float]   # TIER1, TIER2 or a fixed value
+    threshold: float
     expect: Callable[[dict], Optional[str]]   # ledger flags -> status
-
-    def tolerance(self, cfg: RunConfig) -> float:
-        if isinstance(self.threshold, str):
-            return getattr(cfg, f"tol_{self.threshold}")
-        return self.threshold
 
 
 # ordered: later checks depend on earlier classifications.  The expected
@@ -375,7 +366,6 @@ def run(config: RunConfig, extra_records=()) -> Report:
             check = row.name
             t0 = time.perf_counter()
             expected = row.expect(rec.flags)
-            tol = row.tolerance(config)
             try:
                 if check != "kaehler" and not admitted:
                     raise _Skip("fixture not admitted as Kaehler")
@@ -385,8 +375,8 @@ def run(config: RunConfig, extra_records=()) -> Report:
                        if np.isnan(v)]
                 results.append(CheckResult(
                     fixture=name, check=check,
-                    status=ERROR if nan else classify(res, tol),
-                    residual=res, threshold=tol, expected=expected,
+                    status=ERROR if nan else classify(res, row.threshold),
+                    residual=res, threshold=row.threshold, expected=expected,
                     extras=extras, runtime=time.perf_counter() - t0,
                     message=f"NaN in {', '.join(nan)}" if nan else ""))
             except _Skip as s:

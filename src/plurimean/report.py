@@ -53,8 +53,6 @@ def report_tree(report: Report) -> dict:
                 r.fixture for r in report.results)),
             "grid": cfg.grid,
             "h": cfg.h,
-            "tol_tier1": cfg.tol_tier1,
-            "tol_tier2": cfg.tol_tier2,
         }
     }
     fixtures: dict = {}

@@ -5,35 +5,27 @@ Every expected value is either derived by an independent construction
 inside the test or is a structural constant of the fixture catalog.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from plurimean import family, flags, forms, gaussmaps, kaehler
 from plurimean.chartcalc import convergence_order, eval_jet, standard_J
 from plurimean.fixtures import get_immersion, registry
+from test_forms import _geom
 
 ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 PPMC = [r.name for r in registry() if r.flags["ppmc"]]
 PASS_SET = ["plane", "sphere", "cylinder", "catenoid",
             "holomorphic-curve", "veronese", "standard-embedding"]
 
-_geom_cache = {}
+_geom = functools.lru_cache(maxsize=None)(_geom)
 
 
-def _geom(name, per_axis=5):
-    key = (name, per_axis)
-    if key not in _geom_cache:
-        imm = get_immersion(name)
-        _geom_cache[key] = forms.compute_geometry(
-            imm, imm.grid(per_axis, margin=0.05))
-    return _geom_cache[key]
-
-
+@functools.lru_cache(maxsize=None)
 def _bundles(name):
-    key = ("bun", name)
-    if key not in _geom_cache:
-        _geom_cache[key] = gaussmaps.projector_derivatives(_geom(name))
-    return _geom_cache[key]
+    return gaussmaps.projector_derivatives(_geom(name))
 
 
 def _verdict(num, ok, detail):

@@ -2,6 +2,7 @@
 projectors on shifted geometries, plus mutants the comparison must
 reject."""
 
+import functools
 import inspect
 import types
 
@@ -10,7 +11,8 @@ import pytest
 
 from plurimean import forms, gaussmaps
 from plurimean.chartcalc import holomorphic_basis
-from plurimean.fixtures import get_immersion, registry
+from plurimean.fixtures import registry
+from test_forms import _geom
 from test_gaussmaps import _projector
 
 ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
@@ -18,13 +20,7 @@ NAMES = ["T", "taup", "taupp", "Nc", "No", "Np", "Npp"]   # Bundles fields
 C = 100.0     # |analytic - FD(h)| <= C h^2; veronese's dP_T needs 31
 
 _cache = {}
-
-
-def _geom(name):
-    if name not in _cache:
-        imm = get_immersion(name)
-        _cache[name] = forms.compute_geometry(imm, imm.grid(5, margin=0.05))
-    return _cache[name]
+_geom = functools.lru_cache(maxsize=None)(_geom)
 
 
 def _projectors(geom):

@@ -53,7 +53,7 @@ def test_verify_exit_code_counts_mismatches(tmp_path):
         "verify", "--fixtures", "catenoid,ellipsoid",
         "--checks", "kaehler,ppmc,structure-equations",
         "--grid", "5", "--theta", "pi/4",
-        "--tol-tier1", "1e-8", "--tol-tier2", "1e-5", "--h", "1e-4",
+        "--h", "1e-4",
         "--report", str(rpt)])
     assert code == 0  # the ellipsoid failing ppmc is expected
     text = rpt.read_text()
@@ -112,7 +112,9 @@ def test_cli_import_leaves_out_sympy():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol-tier3", "1e-3"]])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol-tier3", "1e-3"],
+                                  ["--tol-tier1", "1e-8"],
+                                  ["--tol-tier2", "1e-5"]])
 def test_verify_rejects_removed_options(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--fixtures", "plane", "--checks", "kaehler",
@@ -127,9 +129,10 @@ def test_verify_help_lists_only_options_that_take_effect(capsys):
         cli.main(["verify", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--grid", "--h", "--tol-tier1", "--tol-tier2", "--theta"):
+    for flag in ("--grid", "--h", "--theta"):
         assert flag in text
-    assert "--tol-tier3" not in text
+    # the thresholds are the check table's
+    assert "--tol-tier" not in text
     assert "--seed" not in text
     assert "unused" not in text
 
@@ -141,8 +144,8 @@ def test_verify_unknown_fixture_errors(capsys):
 
 
 @pytest.mark.parametrize("flag", [
-    ["--h", "0"], ["--h", "nan"], ["--tol-tier1", "inf"],
-    ["--tol-tier2", "0"], ["--theta", ","], ["--checks", ","],
+    ["--h", "0"], ["--h", "nan"], ["--h", "inf"],
+    ["--grid", "1"], ["--theta", ","], ["--checks", ","],
     ["--fixtures", ","], ["--fixtures", "veronese,veronese"],
 ])
 def test_verify_rejects_settings_under_which_checks_pass_vacuously(
@@ -212,6 +215,17 @@ def test_eq4_stencil_keeps_3h_off_the_domain_boundary(tmp_path):
     eq4 = rpt.read_text().split("    eq4:\n")[1]
     assert eq4.startswith("      status: ERROR\n")
     assert "note: BoundaryError: catenoid: points within 3h=0.15" in eq4
+
+
+def test_a_fixture_file_note_names_the_file_fixture(tmp_path):
+    fx = tmp_path / "f.fixture"
+    fx.write_text("name: cat-narrow\nformula: catenoid\n")
+    rpt = tmp_path / "report.txt"
+    cli.main(["verify", "--fixtures", "plane", "--checks", "kaehler,eq4",
+              "--fixture-file", str(fx), "--h", "0.2",
+              "--report", str(rpt)])
+    eq4 = rpt.read_text().split("  cat-narrow:\n")[1].split("    eq4:\n")[1]
+    assert "note: BoundaryError: cat-narrow: points within 3h=0.6" in eq4
 
 
 def test_family_mesh_and_csv_export(tmp_path):
@@ -286,6 +300,15 @@ def test_family_rejects_nonminimal_fixture(capsys):
     assert cli.main(["family", "--fixture", "sphere",
                      "--theta", "pi/2"]) == 2
     assert "not closed" in capsys.readouterr().err
+
+
+def test_family_rejects_a_match_of_another_chart_dimension(capsys):
+    assert cli.main(["family", "--fixture", "catenoid", "--grid", "11",
+                     "--match", "product-spheres"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "catenoid (chart dimension 2)" in err
+    assert "product-spheres (chart dimension 4)" in err
 
 
 def test_flag_demo_exit_codes(tmp_path):

@@ -10,13 +10,9 @@ from plurimean import family, forms, gaussmaps, report
 from plurimean.chartcalc import form_parts, standard_J
 from plurimean.fixtures import get_immersion, registry
 from test_einsum_references import rotate_form_ref
+from test_forms import _geom
 
 PPMC = [r.name for r in registry() if r.flags["ppmc"]]
-
-
-def _geom(name, per_axis=5):
-    imm = get_immersion(name)
-    return forms.compute_geometry(imm, imm.grid(per_axis, margin=0.05))
 
 
 @pytest.mark.parametrize("theta", family.THETA_SWEEP)

@@ -7,7 +7,8 @@ import pytest
 
 from plurimean import forms, gaussmaps
 from plurimean.chartcalc import RankError
-from plurimean.fixtures import get_immersion, registry
+from plurimean.fixtures import registry
+from test_forms import _geom
 
 ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
 
@@ -24,11 +25,6 @@ EXPECTED_RANKS = {
     "veronese": (1, 1, 1),
     "standard-embedding": (1, 1, 0),
 }
-
-
-def _geom(name, per_axis=5):
-    imm = get_immersion(name)
-    return forms.compute_geometry(imm, imm.grid(per_axis, margin=0.05))
 
 
 def _bundles(name, per_axis=5):

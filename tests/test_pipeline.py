@@ -47,8 +47,6 @@ def test_classify_tiers():
 def test_config_validation():
     with pytest.raises(ValueError):
         pipeline.RunConfig(grid=3)
-    with pytest.raises(ValueError):
-        pipeline.RunConfig(tol_tier2=0.0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             pipeline.RunConfig(thetas=[0.0, bad])
@@ -61,7 +59,6 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field,bad", [
     ("h", 0.0), ("h", -1e-4), ("h", np.nan), ("h", np.inf),
-    ("tol_tier1", np.inf), ("tol_tier1", np.nan), ("tol_tier2", np.inf),
 ])
 def test_config_rejects_steps_and_tolerances_not_finite_and_positive(
         field, bad):
@@ -198,31 +195,20 @@ def test_full_registry_matches_expectation_ledger():
 
 def test_thresholds_come_from_the_check_table():
     rows = {c.name: c for c in pipeline.TABLE}
-
-    def thresholds(**kw):
-        cfg = pipeline.RunConfig(fixtures=["sphere", "veronese"], grid=5,
-                                 **kw)
-        tiers = {pipeline.TIER1: cfg.tol_tier1, pipeline.TIER2: cfg.tol_tier2}
-        out = {}
-        for r in pipeline.run(cfg).results:
-            row = rows[r.check]
-            assert r.threshold == tiers.get(row.threshold, row.threshold)
-            out[r.fixture, r.check] = r.threshold
-        return out
-
-    default = thresholds()
-    strict = thresholds(tol_tier1=1e-9)
-    assert {c for _, c in default} == set(rows)  # every row was run
-    changed = {c for key, c in default if strict[key, c] != default[key, c]}
-    assert changed == {c.name for c in pipeline.TABLE
-                       if c.threshold == pipeline.TIER1}
-    assert default["sphere", "jets"] == 1e-6
-    assert default["sphere", "grassmann"] == 1e-10
-    assert default["sphere", "isotropy"] == 1e-8
-    # eq4 alone takes central differences at step h; the other tiered
-    # rows are closed forms from the jets
-    assert {c.name for c in pipeline.TABLE
-            if c.threshold == pipeline.TIER2} == {"eq4"}
+    assert all(type(c.threshold) is float for c in pipeline.TABLE)
+    cfg = pipeline.RunConfig(fixtures=["sphere", "veronese"], grid=5)
+    results = pipeline.run(cfg).results
+    assert {r.check for r in results} == set(rows)  # every row was run
+    assert all(r.threshold == rows[r.check].threshold for r in results)
+    assert rows["jets"].threshold == 1e-6
+    assert rows["grassmann"].threshold == 1e-10
+    # every residual read from the jets in closed form is held to the
+    # strict tier; eq4 alone takes central differences at step h
+    assert pipeline.TIER1 == 1e-8 and pipeline.TIER2 == 1e-5
+    assert {c.name for c in pipeline.TABLE if c.threshold == 1e-8} == \
+        set(rows) - {"jets", "grassmann", "eq4"}
+    assert {c.name for c in pipeline.TABLE if c.threshold == 1e-5} == \
+        {"eq4"}
 
 
 def test_render_tree_formats_scalars():
