@@ -13,7 +13,7 @@ gauge (for a section s of S: P_T d_v s = P_T (d_v P_S) s).
 
 Each projector field travels with its real-chart derivative as one
 Bundle(P, dP); projector_derivatives returns them all as one Bundles,
-which derives tau'' = conj tau', N'' = conj N' and N^c = I - P_T once.
+which derives N'' = conj N' and N^c = I - P_T once.
 The derivatives are closed forms in the order-3 jets of the centre
 grid: d_v P_T from alpha, and the generator bundles tau', N°, N' from
 the derivative of a projector onto a constant-rank span
@@ -21,8 +21,9 @@ the derivative of a projector onto a constant-rank span
 d_v alpha (alpha_derivative).  tau' has rank m wherever the metric
 passed its gate, so its pseudo-inverse comes from its m x m Gram
 matrix; N° and N' take an SVD for their rank, and none where the stack
-is negligible against alpha.  Only eq4's second route takes a finite
-difference (fd_tangent_projector_derivatives, on the shared stencil
+is negligible against alpha: that stack is rank 0, with P = dP = 0.
+Only eq4's second route takes a finite difference
+(fd_tangent_projector_derivatives, on the shared stencil
 chartcalc.central_differences); its shifted grids take order-1 jets and
 pass the geometry's regularity gate.
 
@@ -31,9 +32,10 @@ point: the chart directions (or generator fields) are folded into the
 rows or columns of the matmul, never broadcast as one small n x n
 product per point and per direction, and no einsum runs.  The layer
 itself is built over the whole grid; its derivative residuals run
-block by block of grid points (chartcalc.grid_max): the nine read from
-the (1,0) and (0,1) directions of tau', N° and N' share one pass,
-Bundles.derivative_residuals, and lift-grading takes outside_residual.
+block by block of grid points (chartcalc.grid_max), all ten in one
+pass, Bundles.derivative_residuals: the one table that the checks of
+superhorizontality, lift-grading, pluriminimal, isotropy and the chain
+index.
 """
 
 import functools
@@ -147,9 +149,13 @@ def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
     (_ranked_svd, with the caller's scale), and the derivatives dP
     (G, D, n, n) of P along the D derivatives dgens (G, D, K, n) of the
     generators (_span_derivative), with A+ = V_r S_r^-1 U_r^H.  A rank-0
-    stack has dP = 0.
+    stack has P = 0 and dP = 0, formed with no product.
     """
     ur, sr, vr = _ranked_svd(gens, scale)
+    G, D, _, n = dgens.shape
+    if vr.shape[1] == 0:
+        return (np.zeros((G, n, n), complex), 0,
+                np.zeros((G, D, n, n), complex))
     P = _span_projector(vr)
     pinvT = ur.conj() @ (vr.conj() / sr[:, :, None])       # (A+)^T
     return P, vr.shape[1], _span_derivative(P, pinvT, dgens)
@@ -194,21 +200,6 @@ def _span_derivative(P: np.ndarray, pinvT: np.ndarray,
     return dP
 
 
-def outside_residual(P_target: np.ndarray, dP: np.ndarray,
-                     P_source: np.ndarray) -> float:
-    """sup || P_target (dP_source) P_source || over grid/directions.
-
-    dP has shape (G, D, n, n) for D (possibly complex) directions; the
-    products run block by block of grid points (grid_max).
-    """
-    return float(grid_max(_outside_block, P_target, dP, P_source))
-
-
-def _outside_block(P_target, dP, P_source):
-    """outside_residual on one block of grid points."""
-    return _target_max(P_target, _right_product(dP, P_source))
-
-
 def _right_product(dP, P):
     """Y = dP P (G, D, n, n): one product per point, the D blocks of dP
     stacked as rows (G, D n, n)."""
@@ -236,7 +227,8 @@ def _directions(C, Y):
 CHAIN = ("N''->tau''", "tau''->N°", "N°->tau'", "tau'->N'", "N'->0")
 # Bundles.derivative_residuals' keys, in _derivative_block's order
 DERIVATIVE_RESIDUALS = ("superhorizontality", "frame_route",
-                        "parallelity N'", "parallelity N°", *CHAIN)
+                        "parallelity N'", "parallelity N°", *CHAIN,
+                        "lift-grading")
 
 
 def _derivative_block(taup, dtaup, No, dNo, Np, dNp, Nc):
@@ -249,7 +241,9 @@ def _derivative_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     B Y and conj(B) Y of those blocks.  tau'' and N'' are the
     conjugates of tau' and N', so their (1,0) blocks are the conjugated
     (0,1) blocks of tau' and N': a target T meets them as conj(T) meets
-    those blocks, |T conj(Y)| = |conj(T) Y|, conjugation being exact."""
+    those blocks, |T conj(Y)| = |conj(T) Y|, conjugation being exact.
+    Lift-grading takes one more product of tau', of its derivative's
+    imaginary part against P_tau''."""
     G, d, n, _ = dtaup.shape
     B = holomorphic_basis(d // 2)
     eye = np.eye(n)
@@ -264,6 +258,12 @@ def _derivative_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     del Yc
     out["tau'->N'"] = _target_max(eye - taup - Np, Yb)
     del Yb
+    # the flag lift xi = i (P_tau' - P_tau'') has d xi = -2 Im dP_tau',
+    # real, so its tau'' -> tau' block is the entrywise conjugate of the
+    # tau' -> tau'' one, with the same max bit for bit: only the latter
+    # is formed
+    out["lift-grading"] = _target_max(
+        taup, _right_product(-2.0 * dtaup.imag, taup.conj()))
 
     Y = _right_product(dNp, Np)
     out["parallelity N'"] = _target_max(Nc - Np, Y)
@@ -296,19 +296,15 @@ class Bundles:
     """All projector fields of one geometry grid, each with its chart
     derivative.
 
-    Only the independent fields are stored; tau'' and N'' (conjugates)
+    Only the independent fields are stored; N'' (the conjugate of N')
     and N^c (I - P_T, with derivative -dP_T) are derived once, on first
-    read."""
+    read, and tau'' is conj tau' where it is read."""
 
     T: Bundle        # tangent bundle, real
     taup: Bundle     # tau' = df(T')
     No: Bundle       # span of alpha^{(1,1)} values
     Np: Bundle       # span of alpha^{(2,0)} values
     ranks: Dict[str, int]
-
-    @functools.cached_property
-    def taupp(self) -> Bundle:
-        return self.taup.conj()
 
     @functools.cached_property
     def Npp(self) -> Bundle:
@@ -322,11 +318,21 @@ class Bundles:
 
     @functools.cached_property
     def derivative_residuals(self) -> Dict[str, float]:
-        """The nine residuals P_target (d P_S) P_S whose source S is
-        tau', N° or N' (or a conjugate), from one pass over blocks of
-        grid points (_derivative_block): superhorizontality, the frame
-        route of holomorphicity, the parallelity of N' and of N°, and
-        the five chain arrows."""
+        """The residuals P_target (d P_S) P_S whose source S is tau', N°
+        or N' (or a conjugate), keyed as DERIVATIVE_RESIDUALS, from one
+        pass over blocks of grid points (_derivative_block):
+
+        - superhorizontality: the tau''-component of d tau', zero for
+          every Kaehler immersion;
+        - frame_route: the (0,1)-derivative of tau' escaping tau', zero
+          iff the flag lift is holomorphic;
+        - the parallelity of N' and of N°: their derivatives escaping
+          into the rest of N^c;
+        - the arrows of the (1,0)-derivative chain
+          N'' -> tau'' -> N° -> tau' -> N' -> 0: each d'-derivative
+          leaves its bundle only into the next link;
+        - lift-grading: the g_{+-2} components of the derivative of the
+          flag lift xi = i (P_tau' - P_tau'')."""
         res = grid_max(_derivative_block, self.taup.P, self.taup.dP,
                        self.No.P, self.No.dP, self.Np.P, self.Np.dP,
                        self.Nc.P)
@@ -413,32 +419,6 @@ def projector_derivatives(geom: forms.GeometryData):
 
 # -------------------------------------------------------------- residuals
 
-def superhorizontality_residual(bun: Bundles) -> float:
-    """tau''-component of the derivative of tau' in every real chart
-    direction (must vanish for every Kaehler immersion)."""
-    return bun.derivative_residuals["superhorizontality"]
-
-
-def lift_grading_residual(bun: Bundles) -> float:
-    """Superhorizontality of the flag lift in orbit coordinates: the
-    pointwise canonical element is xi(p) = i (P_tau' - P_tau''); its
-    chart derivative must have no g_{+-2} components, i.e. no
-    tau'<->tau'' blocks.
-
-    tau'' = conj tau', so d xi = -2 Im dP_tau' is real and the
-    tau'' -> tau' block is the entrywise conjugate of the tau' -> tau''
-    one, with the same max bit for bit: only the latter is formed."""
-    dxi = -2.0 * bun.taup.dP.imag
-    return outside_residual(bun.taup.P, dxi, bun.taupp.P)
-
-
-def holomorphicity_residuals(geom: forms.GeometryData, bun: Bundles):
-    """(route1, route2): sup |alpha^{(1,1)}| and the (0,1)-derivative of
-    tau' escaping tau' (both vanish iff the flag lift is holomorphic)."""
-    return (forms.pluriminimal_residual(geom),
-            bun.derivative_residuals["frame_route"])
-
-
 def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles) -> float:
     """Hermitian component of alpha(T',T') inside N°; the half-isotropy
     check pairs it with the ppmc residual."""
@@ -449,38 +429,14 @@ def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles) -> float:
         a20 @ bun.No.P.transpose(0, 2, 1)))) if m else 0.0
 
 
-@dataclass
-class IsotropyReport:
-    ranks: Dict[str, int]
-    orthogonality: float
-    parallelity: float
-
-
-def isotropy_decomposition(bun: Bundles) -> IsotropyReport:
-    """Theorem-8 style splitting N^c = N' + N° + N''.
-
-    orthogonality: mutual Hermitian products of the three projectors;
-    parallelity: normal-connection derivative of each subbundle escaping
-    into the rest of N^c.
-    """
+def isotropy_orthogonality(bun: Bundles) -> float:
+    """Mutual Hermitian products of the projectors of the splitting
+    N^c = N' + N° + N'' (Theorem 8); its parallelity is read from
+    Bundles.derivative_residuals."""
     pairs = [(bun.Np.P, bun.No.P), (bun.Np.P, bun.Npp.P),
              (bun.No.P, bun.Npp.P)]
     # np.max, not max(): a NaN must reach the caller
-    orth = float(np.max([np.max(np.abs(A @ B)) for A, B in pairs]))
-    # N'' = conj N' and P_Nc is real, so the residual of N'' is the
-    # entrywise conjugate of that of N', with the same max bit for bit:
-    # it is not formed
-    res = bun.derivative_residuals
-    par = float(np.max([res["parallelity N'"], res["parallelity N°"]]))
-    return IsotropyReport(ranks=dict(bun.ranks), orthogonality=orth,
-                          parallelity=par)
-
-
-def differential_chain_residuals(geom: forms.GeometryData, bun: Bundles):
-    """(1,0)-derivative chain N'' -> tau'' -> N° -> tau' -> N' -> 0:
-    for each bundle the d'-derivative may leave it only into the next
-    link.  Returns a dict arrow -> residual."""
-    return {arrow: bun.derivative_residuals[arrow] for arrow in CHAIN}
+    return float(np.max([np.max(np.abs(A @ B)) for A, B in pairs]))
 
 
 def gauss_section_check(geom: forms.GeometryData, bun: Bundles,

@@ -79,20 +79,19 @@ def regular_metric(jet: Jet3, pts: np.ndarray):
     """(g, ginv) at the chart points pts (G, d), certified regular: the
     one gate of the geometry and of eq4's shifted grids.  ValueError
     names the first point with a non-finite g; RankError marks lost rank,
-    from Cholesky (g = d1 d1^T fails it exactly there) or _check_rank.
-    ginv comes from the gate's own Cholesky factor (_cholesky_inverse)."""
+    from Cholesky (g = d1 d1^T fails it exactly there, and its inverse
+    is not finite) or _check_rank.  ginv comes from the gate's own
+    Cholesky factor (hermitian_inverse)."""
     g = induced_metric(jet)
     bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
     if bad.size:
         raise ValueError("induced metric not finite at chart point ("
                          + ", ".join(f"{x:g}" for x in pts[bad[0]])
                          + f") (grid point {bad[0]})")
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as e:
+    ginv = hermitian_inverse(g)
+    if not np.all(np.isfinite(ginv)):
         raise RankError("induced metric not positive definite: the "
-                        "differential has lost rank") from e
-    ginv = _cholesky_inverse(L)
+                        "differential has lost rank")
     _check_rank(jet.d1, g, ginv)
     return g, ginv
 

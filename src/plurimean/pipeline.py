@@ -101,11 +101,11 @@ class FixtureContext:
              -> bundles (one gaussmaps.Bundles: each projector with its
                     closed-form chart derivative)
                 -> its derivative_residuals (one pass over blocks of
-                       grid points for the nine residuals of
-                       superhorizontality, pluriminimal's frame route,
-                       the isotropy parallelity and the chain; cached on
-                       the Bundles, read through gaussmaps' readers)
-                -> isotropy (the N' + N° + N'' decomposition)
+                       grid points for the ten residuals of
+                       superhorizontality, lift-grading, pluriminimal's
+                       frame route, the isotropy parallelity and the
+                       chain; cached on the Bundles, whose table the
+                       check bodies index)
              -> mean_curvature
 
     The point set is the fixture's own grid (rec.grid_per_axis) or else
@@ -131,10 +131,6 @@ class FixtureContext:
     @functools.cached_property
     def bundles(self) -> gaussmaps.Bundles:
         return gaussmaps.projector_derivatives(self.geom)
-
-    @functools.cached_property
-    def isotropy(self) -> gaussmaps.IsotropyReport:
-        return gaussmaps.isotropy_decomposition(self.bundles)
 
     @functools.cached_property
     def mean_curvature(self) -> forms.MeanCurvatureData:
@@ -188,8 +184,10 @@ def _chk_gauss_levi(ctx: FixtureContext):
 
 
 def _chk_pluriminimal(ctx: FixtureContext):
-    r1, r2 = gaussmaps.holomorphicity_residuals(ctx.geom, ctx.bundles)
-    return r1, {"frame_route": r2}
+    # sup |alpha^{(1,1)}| and the (0,1)-derivative of tau' escaping
+    # tau': both vanish iff the flag lift is holomorphic
+    route2 = ctx.bundles.derivative_residuals["frame_route"]
+    return forms.pluriminimal_residual(ctx.geom), {"frame_route": route2}
 
 
 def _chk_structure_equations(ctx: FixtureContext):
@@ -209,11 +207,11 @@ def _chk_sublemma(ctx: FixtureContext):
 
 
 def _chk_superhorizontality(ctx: FixtureContext):
-    return gaussmaps.superhorizontality_residual(ctx.bundles), {}
+    return ctx.bundles.derivative_residuals["superhorizontality"], {}
 
 
 def _chk_lift_grading(ctx: FixtureContext):
-    return gaussmaps.lift_grading_residual(ctx.bundles), {}
+    return ctx.bundles.derivative_residuals["lift-grading"], {}
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
@@ -221,16 +219,26 @@ def _chk_half_isotropy(ctx: FixtureContext):
     return _fold(t1, ctx.ppmc), {"alpha20_in_No": t1, "ppmc": ctx.ppmc}
 
 
+def _isotropy(bun: gaussmaps.Bundles):
+    """(orthogonality, parallelity) of the splitting N^c = N' + N° + N'',
+    the parallelity the fold of those of N' and N°: the residual of N''
+    is the entrywise conjugate of that of N', with the same max."""
+    res = bun.derivative_residuals
+    return (gaussmaps.isotropy_orthogonality(bun),
+            _fold(res["parallelity N'"], res["parallelity N°"]))
+
+
 def _chk_isotropy(ctx: FixtureContext):
-    rep = ctx.isotropy
-    extras = {"orthogonality": rep.orthogonality,
-              "parallelity": rep.parallelity}
-    extras.update({f"rank {k}": float(v) for k, v in rep.ranks.items()})
-    return _fold(rep.orthogonality, rep.parallelity), extras
+    orth, par = _isotropy(ctx.bundles)
+    extras = {"orthogonality": orth, "parallelity": par}
+    extras.update({f"rank {k}": float(v)
+                   for k, v in ctx.bundles.ranks.items()})
+    return _fold(orth, par), extras
 
 
 def _chk_chain(ctx: FixtureContext):
-    ch = gaussmaps.differential_chain_residuals(ctx.geom, ctx.bundles)
+    res = ctx.bundles.derivative_residuals
+    ch = {arrow: res[arrow] for arrow in gaussmaps.CHAIN}
     return _fold(*ch.values()), ch
 
 
@@ -262,8 +270,7 @@ def _chk_section(ctx: FixtureContext):
 def _chk_psi(ctx: FixtureContext):
     # psi_theta is built on the decomposition, so it runs exactly where
     # the isotropy check passes
-    rep = ctx.isotropy
-    if not _fold(rep.orthogonality, rep.parallelity) < TIER1:
+    if not _fold(*_isotropy(ctx.bundles)) < TIER1:
         raise _Skip("psi_theta needs the isotropy decomposition")
     # one sweep over the angles and the full turn
     res, minus_dim = family.build_psi(ctx.geom, ctx.bundles,

@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from plurimean import family, flags, forms, gaussmaps, kaehler
+from plurimean import family, flags, forms, gaussmaps, kaehler, pipeline
 from plurimean.chartcalc import convergence_order, eval_jet, standard_J
 from plurimean.fixtures import get_immersion, registry
 from test_forms import _geom
@@ -92,7 +92,7 @@ def test_acceptance_04_normal_curvature_flatness():
 def test_acceptance_05_superhorizontality_universal():
     worst, where = 0.0, ""
     for name in ADMITTED:
-        r = gaussmaps.superhorizontality_residual(_bundles(name))
+        r = _bundles(name).derivative_residuals["superhorizontality"]
         if r > worst:
             worst, where = r, name
     _verdict(5, worst < 1e-8,
@@ -103,20 +103,21 @@ def test_acceptance_05_superhorizontality_universal():
 def test_acceptance_06_isotropy_flags():
     ok = True
     # holomorphic curve: pluriminimal via both routes
-    h1, h2 = gaussmaps.holomorphicity_residuals(
-        _geom("holomorphic-curve"), _bundles("holomorphic-curve"))
+    h1 = forms.pluriminimal_residual(_geom("holomorphic-curve"))
+    h2 = _bundles("holomorphic-curve").derivative_residuals["frame_route"]
     ok &= h1 < 1e-6 and h2 < 1e-6
     # Veronese: half-isotropic and isotropic but not holomorphic
     geom = _geom("veronese")
     bun = _bundles("veronese")
     t1 = gaussmaps.half_isotropy_residual(geom, bun)
     t2 = forms.ppmc_residual(geom)
-    rep = gaussmaps.isotropy_decomposition(bun)
-    chain = gaussmaps.differential_chain_residuals(geom, bun)
-    v1, v2 = gaussmaps.holomorphicity_residuals(geom, bun)
+    orthogonality, parallelity = pipeline._isotropy(bun)
+    table = bun.derivative_residuals
+    chain = [table[arrow] for arrow in gaussmaps.CHAIN]
+    v1, v2 = forms.pluriminimal_residual(geom), table["frame_route"]
     ok &= max(t1, t2) < 1e-6
-    ok &= rep.orthogonality < 1e-8 and rep.parallelity < 1e-8
-    ok &= max(chain.values()) < 1e-8
+    ok &= orthogonality < 1e-8 and parallelity < 1e-8
+    ok &= max(chain) < 1e-8
     ok &= v1 > 1e-1 and v2 > 1e-1
     # standard embedding: no (2,0)-part, trivial half-turn automorphism
     gse = _geom("standard-embedding")
@@ -132,8 +133,8 @@ def test_acceptance_06_isotropy_flags():
     ok &= minus_dim == 2 and full < 1e-12 and eq8 < 1e-6
     _verdict(6, ok,
              f"holo-curve routes {h1:.1e}/{h2:.1e}; Veronese half-iso "
-             f"{max(t1, t2):.1e}, orth {rep.orthogonality:.1e}, par "
-             f"{rep.parallelity:.1e}, chain {max(chain.values()):.1e}, "
+             f"{max(t1, t2):.1e}, orth {orthogonality:.1e}, par "
+             f"{parallelity:.1e}, chain {max(chain):.1e}, "
              f"holo {min(v1, v2):.1e}; std-emb a20 {a20:.1e}, "
              f"psi half-turn {se_half:.1e}; Veronese psi "
              f"(-1)-dim {minus_dim}, psi_pi-I "

@@ -1,15 +1,13 @@
 """The residual bodies that run in blocks of grid points
 (chartcalc.grid_max) against their full-grid bodies, kept here as
-references: the sublemma, the bundles' derivative residuals and
-lift-grading's outside residual, psi_theta's sweep, the three-bundle
-isotropy parallelity, the two-sided lift grading and ppmc's
-(1,1)-part must equal them exactly (==) on every registry fixture and
-on the first 1 and 129 points of product-spheres, either side of the
-block edge.  psi_theta's sweep also stays within 1e-12 of its
-per-angle form.  A
-NaN in the last, partial block of product-spheres' 625 points
-(625 = 4 * 128 + 113) reaches each residual, and the runner reads
-ERROR."""
+references: the sublemma, the bundles' derivative residuals,
+psi_theta's sweep, the three-bundle isotropy parallelity, the two-sided
+lift grading and ppmc's (1,1)-part must equal them exactly (==) on
+every registry fixture and on the first 1 and 129 points of
+product-spheres, either side of the block edge.  psi_theta's sweep also
+stays within 1e-12 of its per-angle form.  A NaN in the last, partial
+block of product-spheres' 625 points (625 = 4 * 128 + 113) reaches each
+residual, and the runner reads ERROR."""
 
 import dataclasses
 
@@ -45,7 +43,9 @@ def sublemma_residual_ref(geom):
 
 
 def outside_residual_ref(P_target, dP, P_source):
-    """gaussmaps.outside_residual's two products over the whole grid."""
+    """sup |P_target dP P_source| as the derivative pass forms it, its
+    two products (_right_product, then _target_max) over the whole
+    grid."""
     G, D, n, _ = dP.shape
     Y = dP.reshape(G, D * n, n) @ P_source
     Y = Y.reshape(G, D, n, n).transpose(0, 2, 1, 3).reshape(G, n, D * n)
@@ -57,7 +57,8 @@ def derivative_residuals_ref(bun):
     """Bundles.derivative_residuals with each residual's products over
     the whole grid, every source its own field (tau'' and N'' too):
     Y = dP_S P_S, its (1,0) or (0,1) combinations, then the target
-    against them."""
+    against them; lift-grading's tau' -> tau'' block of d xi."""
+    taupp = bun.taup.conj()
     B = holomorphic_basis(bun.taup.dP.shape[1] // 2)
     n = bun.taup.P.shape[-1]
     eye = np.eye(n, dtype=complex)[None]
@@ -71,12 +72,12 @@ def derivative_residuals_ref(bun):
         M = P_target @ Y.transpose(0, 2, 1, 3).reshape(G, n, -1)
         return float(np.max(np.abs(M))) if M.size else 0.0
 
-    out = {"superhorizontality": target(bun.taupp.P, bun.taup),
+    out = {"superhorizontality": target(taupp.P, bun.taup),
            "frame_route": target(eye - bun.taup.P, bun.taup, B.conj()),
            "parallelity N'": target(bun.Nc.P - bun.Np.P, bun.Np),
            "parallelity N°": target(bun.Nc.P - bun.No.P, bun.No)}
-    chain = [("N''->tau''", bun.Npp, bun.taupp),
-             ("tau''->N°", bun.taupp, bun.No),
+    chain = [("N''->tau''", bun.Npp, taupp),
+             ("tau''->N°", taupp, bun.No),
              ("N°->tau'", bun.No, bun.taup),
              ("tau'->N'", bun.taup, bun.Np),
              ("N'->0", bun.Np, None)]
@@ -85,6 +86,8 @@ def derivative_residuals_ref(bun):
         if nxt is not None:
             P_out = P_out - nxt.P
         out[arrow] = target(P_out, S, B)
+    out["lift-grading"] = outside_residual_ref(
+        bun.taup.P, -2.0 * bun.taup.dP.imag, taupp.P)
     return out
 
 
@@ -97,9 +100,10 @@ def isotropy_parallelity_ref(bun):
 def lift_grading_ref(bun):
     """The lift grading from both cross blocks, tau' -> tau'' and
     tau'' -> tau', of d xi = i (dP_tau' - dP_tau'')."""
-    dxi = 1j * (bun.taup.dP - bun.taupp.dP)
-    return float(np.max([outside_residual_ref(bun.taup.P, dxi, bun.taupp.P),
-                         outside_residual_ref(bun.taupp.P, dxi, bun.taup.P)]))
+    taupp = bun.taup.conj()
+    dxi = 1j * (bun.taup.dP - taupp.dP)
+    return float(np.max([outside_residual_ref(bun.taup.P, dxi, taupp.P),
+                         outside_residual_ref(taupp.P, dxi, bun.taup.P)]))
 
 
 def _psi_terms(geom, bun):
@@ -209,45 +213,27 @@ def test_sublemma_equals_full_grid(layers, case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_outside_residuals_equal_full_grid(monkeypatch, layers, case):
-    """Every outside residual: the nine of the shared derivative pass
-    (superhorizontality, holomorphicity, the two isotropy terms and the
-    chain), each against its own full-grid products, and lift-grading's
-    outside_residual, call by call."""
-    geom, bun = layers[case]
-    calls = []
-    blocked = gaussmaps.outside_residual
-
-    def spy(*args):
-        calls.append((blocked(*args), outside_residual_ref(*args)))
-        return calls[-1][0]
-
-    monkeypatch.setattr(gaussmaps, "outside_residual", spy)
+def test_outside_residuals_equal_full_grid(layers, case):
+    """Every outside residual of the shared derivative pass
+    (superhorizontality, holomorphicity, the two isotropy terms, the
+    chain and lift-grading), each against its own full-grid products."""
+    _, bun = layers[case]
     fresh = dataclasses.replace(bun)    # the derivative pass not cached
     ref = derivative_residuals_ref(fresh)
     assert fresh.derivative_residuals == ref
     assert list(ref) == list(gaussmaps.DERIVATIVE_RESIDUALS)
-    gaussmaps.superhorizontality_residual(fresh)
-    gaussmaps.holomorphicity_residuals(geom, fresh)
-    gaussmaps.differential_chain_residuals(geom, fresh)
-    gaussmaps.isotropy_decomposition(fresh)
-    gaussmaps.lift_grading_residual(fresh)
-    assert len(calls) == 1
-    for got, ref in calls:
-        assert got == ref
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_isotropy_parallelity_equals_three_bundle_reference(layers, case):
     _, bun = layers[case]
-    assert (gaussmaps.isotropy_decomposition(bun).parallelity
-            == isotropy_parallelity_ref(bun))
+    assert pipeline._isotropy(bun)[1] == isotropy_parallelity_ref(bun)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_lift_grading_equals_two_sided_reference(layers, case):
     _, bun = layers[case]
-    assert gaussmaps.lift_grading_residual(bun) == lift_grading_ref(bun)
+    assert bun.derivative_residuals["lift-grading"] == lift_grading_ref(bun)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -308,7 +294,6 @@ def spheres():
     ctx = pipeline.FixtureContext(get_fixture("product-spheres"),
                                   pipeline.RunConfig())
     assert len(ctx.pts) == 625
-    ctx.isotropy        # computed clean, before any field is replaced
     return ctx
 
 
@@ -320,9 +305,13 @@ def _with_nan(a, index):
 
 def _run(monkeypatch, ctx, checks, **layers):
     """pipeline.run on product-spheres with the context's layers
-    replaced by the given ones; {check: result}."""
+    replaced by the given ones; {check: result}.  The isotropy residuals
+    stay those of the clean bundles, so that psi's admission guard
+    passes and psi itself reads the replaced ones."""
+    clean = pipeline._isotropy(ctx.bundles)
+    monkeypatch.setattr(pipeline, "_isotropy", lambda bun: clean)
     for name, value in {"geom": ctx.geom, "bundles": ctx.bundles,
-                        "isotropy": ctx.isotropy, **layers}.items():
+                        **layers}.items():
         monkeypatch.setattr(pipeline.FixtureContext, name,
                             property(lambda self, v=value: v))
     rep = pipeline.run(pipeline.RunConfig(fixtures=["product-spheres"],
@@ -344,9 +333,9 @@ def test_nan_in_tau_prime_derivative_reaches_its_residuals(monkeypatch,
     bun = spheres.bundles
     bun = dataclasses.replace(bun, taup=bun.taup._replace(
         dP=_with_nan(bun.taup.dP, (3, 4, 5))))
-    assert np.isnan(gaussmaps.superhorizontality_residual(bun))
-    chain = gaussmaps.differential_chain_residuals(spheres.geom, bun)
-    assert np.isnan(chain["tau'->N'"])
+    res = bun.derivative_residuals
+    assert np.isnan(res["superhorizontality"])
+    assert np.isnan(res["tau'->N'"])
     res = _run(monkeypatch, spheres, ["superhorizontality", "chain"],
                bundles=bun)
     assert res["superhorizontality"].status == pipeline.ERROR

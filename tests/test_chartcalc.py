@@ -204,9 +204,8 @@ def test_fd_projector_route_raises_rank_error_on_shifted_grid():
     pts = np.stack([np.linspace(-0.5, 0.5, 5), np.full(5, h)], axis=-1)
     geom = forms.compute_geometry(imm, pts)  # full rank at y = h
     # the grid shifted by -h e_y lies on y = 0, where g is singular
-    with pytest.raises(RankError) as err:
+    with pytest.raises(RankError, match="not positive definite"):
         gaussmaps.fd_tangent_projector_derivatives(geom, h)
-    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_grid_margin_shrinks_domain():

@@ -218,6 +218,14 @@ def sublemma_sides_ref(geom):
     return lhs, rhs
 
 
+def _outside(P_target, dP, P_source):
+    """sup |P_target dP_v P_source| as the derivative pass of
+    gaussmaps.Bundles forms it: one product for the right factor, one
+    for the target."""
+    return float(gaussmaps._target_max(
+        P_target, gaussmaps._right_product(dP, P_source)))
+
+
 def outside_residual_ref(P_target, dP, P_source):
     M = np.einsum("gxy,gvyz,gzw->gvxw", P_target.astype(complex),
                   dP.astype(complex), P_source.astype(complex))
@@ -428,18 +436,25 @@ def test_contract_slots_equals_complex_einsum_on_fixtures(fixture_geoms,
 def test_generator_derivatives_equal_interleaved_columns_on_fixtures(
         fixture_geoms, monkeypatch, name):
     """The N° and N' generator derivatives that projector_derivatives
-    hands to the shared derivative formula _span_derivative equal the
-    interleaved-column route exactly (==)."""
+    hands to projector_derivative equal the interleaved-column route
+    exactly (==).  tau' and each stack of positive rank take the shared
+    derivative formula _span_derivative; a rank-0 stack skips it."""
     geom = fixture_geoms[name]
-    dgens = []
+    dgens, spans = [], []
 
-    def spy(P, pinvT, dg, _f=gaussmaps._span_derivative):
+    def spy(gens, dg, scale=0.0, _f=gaussmaps.projector_derivative):
         dgens.append(dg)
-        return _f(P, pinvT, dg)
-    monkeypatch.setattr(gaussmaps, "_span_derivative", spy)
-    gaussmaps.projector_derivatives(geom)
-    assert len(dgens) == 3          # tau', N°, N'
-    for got, ref in zip(dgens[1:], generator_derivatives_ref(geom)):
+        return _f(gens, dg, scale)
+
+    def span_spy(*args, _f=gaussmaps._span_derivative):
+        spans.append(args)
+        return _f(*args)
+    monkeypatch.setattr(gaussmaps, "projector_derivative", spy)
+    monkeypatch.setattr(gaussmaps, "_span_derivative", span_spy)
+    bun = gaussmaps.projector_derivatives(geom)
+    assert len(dgens) == 2          # N°, N'
+    assert len(spans) == 1 + sum(bun.ranks[k] > 0 for k in ("N°", "N'"))
+    for got, ref in zip(dgens, generator_derivatives_ref(geom)):
         assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
@@ -654,10 +669,10 @@ def test_outside_residual_matches_einsum_on_random_tensors(n, D):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     P_t, dP, P_s = cplx(G, n, n), cplx(G, D, n, n), cplx(G, n, n)
-    assert abs(gaussmaps.outside_residual(P_t, dP, P_s)
+    assert abs(_outside(P_t, dP, P_s)
                - outside_residual_ref(P_t, dP, P_s)) < TOL
     # a real target projector against complex derivatives
-    assert abs(gaussmaps.outside_residual(P_t.real, dP, P_s)
+    assert abs(_outside(P_t.real, dP, P_s)
                - outside_residual_ref(P_t.real, dP, P_s)) < TOL
 
 
@@ -669,11 +684,11 @@ def test_outside_residual_matches_einsum_on_fixtures(fixture_geoms, name):
     Bc = holomorphic_basis(geom.imm.complex_dim).conj()
     n = geom.imm.ambient_dim
     P_out = np.eye(n, dtype=complex)[None] - taup.P
-    cases = [(bun.taupp.P, taup.dP, taup.P),
+    cases = [(taup.P.conj(), taup.dP, taup.P),
              (P_out, np.einsum("ak,gkxy->gaxy", Bc, taup.dP), taup.P),
              (bun.Nc.P - No.P, No.dP, No.P)]
     for P_t, dP_s, P_s in cases:
-        assert abs(gaussmaps.outside_residual(P_t, dP_s, P_s)
+        assert abs(_outside(P_t, dP_s, P_s)
                    - outside_residual_ref(P_t, dP_s, P_s)) < TOL
 
 
@@ -700,8 +715,7 @@ def test_outside_residual_matches_broadcast_on_random_operands(n, D):
     for target in (P_t, P_t.real):
         ref = outside_residual_broadcast_ref(target, dP, P_s)
         assert ref > 1.0
-        assert abs(gaussmaps.outside_residual(target, dP, P_s) - ref) \
-            < TOL * ref
+        assert abs(_outside(target, dP, P_s) - ref) < TOL * ref
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -745,12 +759,13 @@ def test_bundle_products_match_broadcast_on_fixtures(fixture_geoms,
             projector_derivatives_broadcast_ref(geom).items():
         P, dP = getattr(bun, field)
         assert _rel_diff(P, P_ref) < TOL and _rel_diff(dP, dP_ref) < TOL
-    fields = [bun.T, bun.taup, bun.taupp, bun.No, bun.Np, bun.Npp, bun.Nc]
+    fields = [bun.T, bun.taup, bun.taup.conj(), bun.No, bun.Np, bun.Npp,
+              bun.Nc]
     for S in fields:
         for target in fields:
             scale = np.prod([np.max(np.abs(a), initial=0.0)
                              for a in (target.P, S.dP, S.P)])
-            got = gaussmaps.outside_residual(target.P, S.dP, S.P)
+            got = _outside(target.P, S.dP, S.P)
             ref = outside_residual_broadcast_ref(target.P, S.dP, S.P)
             assert abs(got - ref) <= TOL * scale
     G, d, _, n = geom.alpha.shape

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plurimean import forms, gaussmaps
+from plurimean import forms, gaussmaps, pipeline
 from plurimean.chartcalc import RankError
 from plurimean.fixtures import registry
 from test_forms import _geom
@@ -127,15 +127,14 @@ def test_subbundle_ranks(name):
 def test_derived_bundles_are_conjugates_and_complement(name):
     geom, bun = _bundles(name)
     n = geom.imm.ambient_dim
-    for derived, P, dP in ((bun.taupp, bun.taup.P.conj(),
+    for derived, P, dP in ((bun.taup.conj(), bun.taup.P.conj(),
                             bun.taup.dP.conj()),
                            (bun.Npp, bun.Np.P.conj(), bun.Np.dP.conj()),
                            (bun.Nc, np.eye(n) - bun.T.P, -bun.T.dP)):
         assert isinstance(derived, gaussmaps.Bundle)
         assert np.array_equal(derived.P, P)
         assert np.array_equal(derived.dP, dP)
-    # each is derived once per Bundles
-    assert bun.taupp is bun.taupp
+    # N'' and N^c are derived once per Bundles
     assert bun.Npp is bun.Npp
     assert bun.Nc is bun.Nc
 
@@ -143,7 +142,7 @@ def test_derived_bundles_are_conjugates_and_complement(name):
 @pytest.mark.parametrize("name", ADMITTED)
 def test_superhorizontality_universal(name):
     _, bun = _bundles(name)
-    assert gaussmaps.superhorizontality_residual(bun) < 1e-8
+    assert bun.derivative_residuals["superhorizontality"] < 1e-8
 
 
 def test_superhorizontality_reads_the_cross_block():
@@ -174,10 +173,10 @@ def test_superhorizontality_reads_the_cross_block():
             T=zero, taup=gaussmaps.Bundle(np.stack([P_taup] * 2), dP),
             No=zero, Np=zero, ranks={})
 
-    assert gaussmaps.superhorizontality_residual(bundles()) == 0.0
+    assert bundles().derivative_residuals["superhorizontality"] == 0.0
     # c/2 conj(w_1) w_1^H maps w_1 to c conj(w_1), with largest entry c/2
     dP[1, 0] += 0.75 * np.outer(w[0].conj(), w[0].conj())
-    assert gaussmaps.superhorizontality_residual(bundles()) == 0.75
+    assert bundles().derivative_residuals["superhorizontality"] == 0.75
 
 
 def _lift_bundles(dxi):
@@ -186,14 +185,17 @@ def _lift_bundles(dxi):
     rest e_4, so that both projectors have the exact entries 0, 1/2 and
     +-i/2.  dP_tau' has an integer real part, which xi does not see, and
     the imaginary part -dxi/2 for the given derivatives dxi (G, D, 5, 5)
-    of xi = i (P_tau' - P_tau'')."""
+    of xi = i (P_tau' - P_tau'').  T, N° and N' are zero fields, which
+    the shared derivative pass reads for its other residuals."""
     w = np.array([[1, 1j, 0, 0, 0], [0, 0, 1, 1j, 0]])
     P_taup = 0.5 * (w.T @ w.conj())
     real = np.random.default_rng(3).integers(-3, 4, dxi.shape)
+    zero = gaussmaps.Bundle(np.zeros((2, 5, 5), complex),
+                            np.zeros((2, 2, 5, 5), complex))
     return gaussmaps.Bundles(
-        T=None, taup=gaussmaps.Bundle(np.stack([P_taup] * 2),
+        T=zero, taup=gaussmaps.Bundle(np.stack([P_taup] * 2),
                                       real - 0.5j * dxi),
-        No=None, Np=None, ranks={})
+        No=zero, Np=zero, ranks={})
 
 
 def _skew(a, b):
@@ -221,7 +223,7 @@ def _lift_dxi():
 
 def test_lift_grading_residual_is_zero_without_cross_blocks():
     bun = _lift_bundles(_lift_dxi())
-    assert gaussmaps.lift_grading_residual(bun) == 0.0
+    assert bun.derivative_residuals["lift-grading"] == 0.0
 
 
 def test_lift_grading_residual_reads_the_cross_block():
@@ -231,7 +233,8 @@ def test_lift_grading_residual_reads_the_cross_block():
     blocks that keep tau' do not count."""
     dxi = _lift_dxi()
     dxi[1, 0] += 1.5 * (_skew(0, 2) - _skew(1, 3))
-    assert gaussmaps.lift_grading_residual(_lift_bundles(dxi)) == 0.75
+    bun = _lift_bundles(dxi)
+    assert bun.derivative_residuals["lift-grading"] == 0.75
 
 
 @pytest.mark.parametrize("name,small", [
@@ -240,7 +243,8 @@ def test_lift_grading_residual_reads_the_cross_block():
 ])
 def test_holomorphicity_routes_agree(name, small):
     geom, bun = _bundles(name)
-    r1, r2 = gaussmaps.holomorphicity_residuals(geom, bun)
+    r1 = forms.pluriminimal_residual(geom)
+    r2 = bun.derivative_residuals["frame_route"]
     if small:
         assert r1 < 1e-6 and r2 < 1e-8
     else:
@@ -269,9 +273,9 @@ def isotropy_invariants(bun):
 
 def test_isotropy_decomposition_veronese():
     _, bun = _bundles("veronese")
-    rep = gaussmaps.isotropy_decomposition(bun)
-    assert rep.orthogonality < 1e-8
-    assert rep.parallelity < 1e-8
+    orthogonality, parallelity = pipeline._isotropy(bun)
+    assert orthogonality < 1e-8
+    assert parallelity < 1e-8
     conj_sym, no_real, iso = isotropy_invariants(bun)
     assert conj_sym < 1e-10
     assert no_real < 1e-10
@@ -280,17 +284,16 @@ def test_isotropy_decomposition_veronese():
 
 def test_isotropy_decomposition_rejects_catenoid():
     _, bun = _bundles("catenoid")
-    rep = gaussmaps.isotropy_decomposition(bun)
-    assert rep.orthogonality > 1e-2
+    assert gaussmaps.isotropy_orthogonality(bun) > 1e-2
 
 
 @pytest.mark.parametrize("name", ["veronese", "holomorphic-curve",
                                   "product-spheres",
                                   "standard-embedding"])
 def test_differential_chain(name):
-    geom, bun = _bundles(name)
-    ch = gaussmaps.differential_chain_residuals(geom, bun)
-    assert max(ch.values()) < 1e-8
+    _, bun = _bundles(name)
+    res = bun.derivative_residuals
+    assert max(res[arrow] for arrow in gaussmaps.CHAIN) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["sphere", "veronese",

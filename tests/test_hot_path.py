@@ -162,12 +162,10 @@ def test_bundle_layer_calls_no_einsum(monkeypatch):
         gaussmaps.grassmann_invariants(geom.P_T, geom.jet.chart_dim)
         gaussmaps.dgauss_check(geom, dP_T)
         bun = gaussmaps.projector_derivatives(geom)
-        gaussmaps.superhorizontality_residual(bun)
-        gaussmaps.holomorphicity_residuals(geom, bun)
+        bun.derivative_residuals
+        forms.pluriminimal_residual(geom)
         gaussmaps.half_isotropy_residual(geom, bun)
-        gaussmaps.lift_grading_residual(bun)
-        gaussmaps.isotropy_decomposition(bun)
-        gaussmaps.differential_chain_residuals(geom, bun)
+        gaussmaps.isotropy_orthogonality(bun)
         if ctx.mean_curvature.spherical:
             gaussmaps.gauss_section_check(geom, bun, ctx.mean_curvature)
     assert len(ctxs) == 10
@@ -192,18 +190,15 @@ def test_verify_and_family_verb_compute_r_once_per_geometry(monkeypatch,
     """The structure sweep reads GeometryData.R, so a full verify calls
     kernels.gauss_curvature once per admitted fixture, and the family
     verb once.  Each admitted fixture's bundle checks take one pass of
-    the nine derivative residuals (one _derivative_block per block of
-    grid points: one on 81 points, five on product-spheres' 625) and
-    one outside residual, lift-grading's."""
+    the ten derivative residuals (one _derivative_block per block of
+    grid points: one on 81 points, five on product-spheres' 625)."""
     calls = _spy(monkeypatch, ((kernels, "gauss_curvature"),
-                               (gaussmaps, "outside_residual"),
                                (gaussmaps, "_derivative_block")))
     rep = pipeline.run(pipeline.RunConfig())
     admitted = {r.fixture for r in rep.results
                 if r.check == "kaehler" and r.status == pipeline.PASS}
     assert len(admitted) == 10
     assert calls.count("gauss_curvature") == len(admitted)
-    assert calls.count("outside_residual") == len(admitted)
     assert calls.count("_derivative_block") == 9 + 5
     calls.clear()
     assert cli.main(["family", "--fixture", "catenoid", "--grid", "41",
@@ -295,11 +290,11 @@ def product_spheres():
 @pytest.mark.parametrize("body", sorted(PEAK_BOUNDS_MIB))
 def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
     geom, bun = product_spheres.geom, product_spheres.bundles
-    bun.Nc, bun.taupp, bun.Npp      # derived before any measurement
+    bun.Nc, bun.Npp     # derived before any measurement
 
     def uncached(bun):
-        """bun without its cached derivative pass, so that each call of
-        superhorizontality's reader runs the pass afresh."""
+        """bun without its cached derivative pass, so that each read of
+        the superhorizontality entry runs the pass afresh."""
         out = copy.copy(bun)
         out.__dict__.pop("derivative_residuals", None)
         return out
@@ -308,8 +303,8 @@ def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
         "sublemma": lambda: kaehler.sublemma_residual(geom),
         "psi": lambda: family.build_psi(geom, bun,
                                         [*family.THETA_SWEEP, np.pi]),
-        "superhorizontality": lambda: gaussmaps.superhorizontality_residual(
-            uncached(bun)),
+        "superhorizontality": lambda: uncached(bun).derivative_residuals[
+            "superhorizontality"],
         "ppmc": lambda: forms.ppmc_residual(geom),
         "structure-equations": lambda: family.structure_equation_residuals(
             geom, family.THETA_SWEEP),

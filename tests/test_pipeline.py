@@ -277,13 +277,13 @@ def test_kaehler_and_grassmann_checks_reuse_the_metric(monkeypatch,
     # inverse): the checks read the geometry's g, Gamma and tangent
     # projector instead of rebuilding them
     factorisations = []
-    cholesky = np.linalg.cholesky
+    inverse = kaehler.hermitian_inverse
 
     def spy(a):
         factorisations.append(a.shape)
-        return cholesky(a)
+        return inverse(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(kaehler, "hermitian_inverse", spy)
     rep = _subset_run(["catenoid", "veronese", "product-spheres"],
                       ["kaehler", "grassmann"])
     assert [r.status for r in rep.results] == [pipeline.PASS] * 6
@@ -402,26 +402,22 @@ def test_nan_in_one_lift_grading_direction_is_an_error(monkeypatch):
 
 
 def _replaced(value, key):
-    """value with a NaN at key: a position of a tuple, an arrow of a
-    dict, an index of an array or a field of an IsotropyReport."""
+    """value with a NaN at key: a position of a tuple, an entry of a
+    dict or an index of an array."""
     if isinstance(value, tuple):
         return value[:key] + (np.nan,) + value[key + 1:]
     if isinstance(value, dict):
         return {**value, key: np.nan}
-    if isinstance(value, np.ndarray):
-        out = value.copy()
-        out[key] = np.nan
-        return out
-    return dataclasses.replace(value, **{key: np.nan})
+    out = value.copy()
+    out[key] = np.nan
+    return out
 
 
 def _psi_nan(key):
     return lambda out: (_replaced(out[0], key), out[1])
 
 
-ARROWS = ["N''->tau''", "tau''->N°", "N°->tau'", "tau'->N'", "N'->0"]
-
-# (check, fixture, module, function, edit of the function's value):
+# (check, fixture, owner, name, edit of the value it returns):
 # one case per sub-residual of every body that folds several
 SUB_RESIDUAL_NANS = [
     *(("kaehler", "veronese", kaehler, "kaehler_residual",
@@ -437,11 +433,13 @@ SUB_RESIDUAL_NANS = [
      lambda t1: np.nan),
     ("half-isotropy", "veronese", forms, "ppmc_residual",
      lambda ppmc: np.nan),
-    *(("isotropy", "veronese", gaussmaps, "isotropy_decomposition",
+    ("isotropy", "veronese", gaussmaps, "isotropy_orthogonality",
+     lambda orth: np.nan),
+    *(("isotropy", "veronese", gaussmaps.Bundles, "derivative_residuals",
        functools.partial(_replaced, key=k))
-      for k in ("orthogonality", "parallelity")),
-    *(("chain", "veronese", gaussmaps, "differential_chain_residuals",
-       functools.partial(_replaced, key=k)) for k in ARROWS),
+      for k in ("parallelity N'", "parallelity N°")),
+    *(("chain", "veronese", gaussmaps.Bundles, "derivative_residuals",
+       functools.partial(_replaced, key=k)) for k in gaussmaps.CHAIN),
     *(("section", "veronese", gaussmaps, "gauss_section_check",
        functools.partial(_replaced, key=k)) for k in range(3)),
     *(("psi", "veronese", family, "build_psi", _psi_nan(key))
@@ -449,23 +447,27 @@ SUB_RESIDUAL_NANS = [
 ]
 
 
-def _nan_in(monkeypatch, module, name, edit):
-    """module.name with edit applied to every value it returns."""
-    call = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args: edit(call(*args)))
+def _nan_in(monkeypatch, owner, name, edit):
+    """owner.name, a function of a module or a cached property of a
+    class, with edit applied to every value it returns."""
+    call = getattr(owner, name)
+    if isinstance(call, functools.cached_property):
+        monkeypatch.setattr(owner, name,
+                            property(lambda self: edit(call.func(self))))
+    else:
+        monkeypatch.setattr(owner, name, lambda *args: edit(call(*args)))
 
 
 @pytest.mark.parametrize(
-    "check,fixture,module,name,edit", SUB_RESIDUAL_NANS,
+    "check,fixture,owner,name,edit", SUB_RESIDUAL_NANS,
     ids=[f"{c[0]}-{[d[0] for d in SUB_RESIDUAL_NANS[:i]].count(c[0])}"
          for i, c in enumerate(SUB_RESIDUAL_NANS)])
 def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
-                                                    fixture, module, name,
+                                                    fixture, owner, name,
                                                     edit):
     """Each body folds its sub-residuals with np.max, so a NaN in any
     one of them, first or not, is the reported residual."""
-    _nan_in(monkeypatch, module, name, edit)
+    _nan_in(monkeypatch, owner, name, edit)
     res = _nan_run(fixture, check)
     assert res.status == pipeline.ERROR
     assert np.isnan(res.residual)
@@ -473,8 +475,8 @@ def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
 
 def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
     # psi's admission guard folds the isotropy residuals like its body
-    _nan_in(monkeypatch, gaussmaps, "isotropy_decomposition",
-            functools.partial(_replaced, key="parallelity"))
+    _nan_in(monkeypatch, gaussmaps.Bundles, "derivative_residuals",
+            functools.partial(_replaced, key="parallelity N°"))
     res = _nan_run("veronese", "psi")
     assert res.status == pipeline.SKIPPED
     assert res.message == "psi_theta needs the isotropy decomposition"
