@@ -305,11 +305,11 @@ def rigid_match(A: np.ndarray, B: np.ndarray):
 
 # ------------------------------------------------------------- psi_theta
 
-def _psi_sweep(rows, alpha, P, Q, P_Nc) -> np.ndarray:
+def _psi_sweep(rows, alpha, P, P_Nc) -> np.ndarray:
     """build_psi's (T, 3) residuals on one block of grid points, each leg
     one product (_row_max) of its angle rows in rows = (eq8, unitarity,
     identity on N) with its theta-independent terms: alpha
-    (G, d, d, n), P = P_N', Q = P_N'' and P_Nc (G, n, n)."""
+    (G, d, d, n), P = P_N' and P_Nc (G, n, n), and Q = P_N'' = conj P."""
     eq8, unitarity, identity = rows
     G, d, _, n = alpha.shape
     out = np.empty((len(eq8), 3))
@@ -320,6 +320,7 @@ def _psi_sweep(rows, alpha, P, Q, P_Nc) -> np.ndarray:
                                         2 * Pa.real - v, -2 * Pa.imag - w]))
     del u, v, w, Pa
 
+    Q = P.conj()
     Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
     PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
     C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
@@ -363,13 +364,14 @@ def build_psi(geom: forms.GeometryData, bun: Bundles,
             np.stack([np.ones_like(E), E, E ** 2, E.conj(), E.conj() ** 2],
                      axis=1),
             np.stack([c2 - 1, -s2], axis=1))
-    P, Q = bun.Np.P, bun.Npp.P
+    P = bun.Np.P
     out = grid_max(functools.partial(_psi_sweep, rows),
-                   geom.alpha, P, Q, bun.Nc.P)
+                   geom.alpha, P, bun.Nc.P)
 
-    # psi_{pi/2} is real symmetric; on N it is +1 on N° + rest and -1 on
-    # the real points of N' + N''
-    half_turn = np.real(bun.Nc.P - 2 * (P + Q))
+    # psi_{pi/2} = Re(P_Nc - 2 (P + Q)), as P + Q = 2 Re P, is real
+    # symmetric; on N it is +1 on N° + rest and -1 on the real points of
+    # N' + N''
+    half_turn = bun.Nc.P.real - 4 * P.real
     counts = np.sum(np.linalg.eigvalsh(half_turn) < -0.5, axis=1)
     if np.any(counts != counts[0]):
         raise ValueError("(-1)-eigenspace dimension varies over grid")

@@ -166,7 +166,7 @@ class MeanCurvatureData:
     spherical: bool
 
 
-_SPHERE_TOL = 1e-6   # A_eta = kappa I and kappa != 0 within this
+SPHERE_TOL = 1e-6    # A_eta = kappa I and kappa != 0 within this
 _NORMAL_TOL = 1e-9   # relative tangential part eta may have
 
 
@@ -187,7 +187,7 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
                                     eta[:, None])[:, 0]
     kappa = float(np.mean(np.trace(A_eta, axis1=1, axis2=2)) / d)
     off = float(np.max(np.abs(A_eta - kappa * np.eye(d))))
-    spherical = off < _SPHERE_TOL and abs(kappa) > _SPHERE_TOL
+    spherical = off < SPHERE_TOL and abs(kappa) > SPHERE_TOL
     if spherical:
         centers = geom.jet.value + eta / kappa
         center = centers.mean(axis=0)

@@ -13,7 +13,7 @@ gauge (for a section s of S: P_T d_v s = P_T (d_v P_S) s).
 
 Each projector field travels with its real-chart derivative as one
 Bundle(P, dP); projector_derivatives returns them all as one Bundles,
-which derives N'' = conj N' and N^c = I - P_T once.
+which derives N^c = I - P_T once; N'' is conj N' where it is read.
 The derivatives are closed forms in the order-3 jets of the centre
 grid: d_v P_T from alpha, and the generator bundles tau', N°, N' from
 the derivative of a projector onto a constant-rank span
@@ -31,11 +31,11 @@ Every batched product of the bundle layer is one product per grid
 point: the chart directions (or generator fields) are folded into the
 rows or columns of the matmul, never broadcast as one small n x n
 product per point and per direction, and no einsum runs.  The layer
-itself is built over the whole grid; its derivative residuals run
-block by block of grid points (chartcalc.grid_max), all ten in one
-pass, Bundles.derivative_residuals: the one table that the checks of
-superhorizontality, lift-grading, pluriminimal, isotropy and the chain
-index.
+itself is built over the whole grid; its residuals run block by block
+of grid points (chartcalc.grid_max), all eleven in one pass,
+Bundles.residuals: the one table that the checks of superhorizontality,
+lift-grading, pluriminimal, isotropy and the chain and psi's admission
+guard index.
 """
 
 import functools
@@ -225,16 +225,15 @@ def _directions(C, Y):
 
 # the arrows of the (1,0)-derivative chain, in the order they are read
 CHAIN = ("N''->tau''", "tau''->N°", "N°->tau'", "tau'->N'", "N'->0")
-# Bundles.derivative_residuals' keys, in _derivative_block's order
-DERIVATIVE_RESIDUALS = ("superhorizontality", "frame_route",
-                        "parallelity N'", "parallelity N°", *CHAIN,
-                        "lift-grading")
+# Bundles.residuals' keys, in _residual_block's order
+RESIDUALS = ("superhorizontality", "frame_route", "parallelity N'",
+             "parallelity N°", *CHAIN, "lift-grading", "orthogonality")
 
 
-def _derivative_block(taup, dtaup, No, dNo, Np, dNp, Nc):
-    """Bundles.derivative_residuals on one block of grid points, in the
-    order of DERIVATIVE_RESIDUALS: the projectors (G, n, n) and the
-    chart derivatives (G, 2m, n, n) of tau', N° and N', and P_Nc.
+def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
+    """Bundles.residuals on one block of grid points, in the order of
+    RESIDUALS: the projectors (G, n, n) and the chart derivatives
+    (G, 2m, n, n) of tau', N° and N', and P_Nc.
 
     Each source S takes one product, Y = dP_S P_S over its real
     directions; its (1,0) and (0,1) directions are the combinations
@@ -243,7 +242,8 @@ def _derivative_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     (0,1) blocks of tau' and N': a target T meets them as conj(T) meets
     those blocks, |T conj(Y)| = |conj(T) Y|, conjugation being exact.
     Lift-grading takes one more product of tau', of its derivative's
-    imaginary part against P_tau''."""
+    imaginary part against P_tau'', and orthogonality, last, the mutual
+    products of N', N° and N'' = conj N'."""
     G, d, n, _ = dtaup.shape
     B = holomorphic_basis(d // 2)
     eye = np.eye(n)
@@ -277,7 +277,13 @@ def _derivative_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     Y = _right_product(dNo, No)
     out["parallelity N°"] = _target_max(Nc - No, Y)
     out["N°->tau'"] = _target_max(eye - No - taup, _directions(B, Y))
-    return np.array([out[k] for k in DERIVATIVE_RESIDUALS])
+    del Y
+
+    conj_Np = Np.conj()     # P_N''
+    # np.max, not max(): a NaN must reach the table
+    out["orthogonality"] = np.max([np.max(np.abs(A @ C)) for A, C in
+                                   ((Np, No), (Np, conj_Np), (No, conj_Np))])
+    return np.array([out[k] for k in RESIDUALS])
 
 
 class Bundle(NamedTuple):
@@ -296,9 +302,9 @@ class Bundles:
     """All projector fields of one geometry grid, each with its chart
     derivative.
 
-    Only the independent fields are stored; N'' (the conjugate of N')
-    and N^c (I - P_T, with derivative -dP_T) are derived once, on first
-    read, and tau'' is conj tau' where it is read."""
+    Only the independent fields are stored; N^c (I - P_T, with
+    derivative -dP_T) is derived once, on first read, and N'' and tau''
+    are conj N' and conj tau' where they are read."""
 
     T: Bundle        # tangent bundle, real
     taup: Bundle     # tau' = df(T')
@@ -307,20 +313,16 @@ class Bundles:
     ranks: Dict[str, int]
 
     @functools.cached_property
-    def Npp(self) -> Bundle:
-        return self.Np.conj()
-
-    @functools.cached_property
     def Nc(self) -> Bundle:
         """Complexified normal bundle."""
         n = self.T.P.shape[-1]
         return Bundle(np.eye(n, dtype=complex)[None] - self.T.P, -self.T.dP)
 
     @functools.cached_property
-    def derivative_residuals(self) -> Dict[str, float]:
-        """The residuals P_target (d P_S) P_S whose source S is tau', N°
-        or N' (or a conjugate), keyed as DERIVATIVE_RESIDUALS, from one
-        pass over blocks of grid points (_derivative_block):
+    def residuals(self) -> Dict[str, float]:
+        """The residuals of the bundles, keyed as RESIDUALS, from one pass
+        over blocks of grid points (_residual_block); all but the last
+        are P_target (d P_S) P_S, S among tau', N° and N' or conjugates:
 
         - superhorizontality: the tau''-component of d tau', zero for
           every Kaehler immersion;
@@ -332,11 +334,13 @@ class Bundles:
           N'' -> tau'' -> N° -> tau' -> N' -> 0: each d'-derivative
           leaves its bundle only into the next link;
         - lift-grading: the g_{+-2} components of the derivative of the
-          flag lift xi = i (P_tau' - P_tau'')."""
-        res = grid_max(_derivative_block, self.taup.P, self.taup.dP,
+          flag lift xi = i (P_tau' - P_tau'');
+        - orthogonality: the mutual Hermitian products of the projectors
+          of the splitting N^c = N' + N° + N'' (Theorem 8)."""
+        res = grid_max(_residual_block, self.taup.P, self.taup.dP,
                        self.No.P, self.No.dP, self.Np.P, self.Np.dP,
                        self.Nc.P)
-        return dict(zip(DERIVATIVE_RESIDUALS, res.tolist()))
+        return dict(zip(RESIDUALS, res.tolist()))
 
 
 # Kept for the benchmark's span table, which binds it; nothing in the
@@ -427,16 +431,6 @@ def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles) -> float:
     a20 = geom.alpha20.reshape(G, m * m, -1)
     return float(np.max(np.abs(
         a20 @ bun.No.P.transpose(0, 2, 1)))) if m else 0.0
-
-
-def isotropy_orthogonality(bun: Bundles) -> float:
-    """Mutual Hermitian products of the projectors of the splitting
-    N^c = N' + N° + N'' (Theorem 8); its parallelity is read from
-    Bundles.derivative_residuals."""
-    pairs = [(bun.Np.P, bun.No.P), (bun.Np.P, bun.Npp.P),
-             (bun.No.P, bun.Npp.P)]
-    # np.max, not max(): a NaN must reach the caller
-    return float(np.max([np.max(np.abs(A @ B)) for A, B in pairs]))
 
 
 def gauss_section_check(geom: forms.GeometryData, bun: Bundles,

@@ -100,13 +100,13 @@ class FixtureContext:
         geom -> ppmc (forms.ppmc_residual, read by ppmc and half-isotropy)
              -> bundles (one gaussmaps.Bundles: each projector with its
                     closed-form chart derivative)
-                -> its derivative_residuals (one pass over blocks of
-                       grid points for the ten residuals of
-                       superhorizontality, lift-grading, pluriminimal's
-                       frame route, the isotropy parallelity and the
+                -> its residuals (one pass over blocks of grid points
+                       for the eleven residuals of superhorizontality,
+                       lift-grading, pluriminimal's frame route, the
+                       isotropy orthogonality and parallelity and the
                        chain; cached on the Bundles, whose table the
-                       check bodies index)
-             -> mean_curvature
+                       check bodies and psi's admission guard index)
+             -> mean_curvature (its spherical flag gates section)
 
     The point set is the fixture's own grid (rec.grid_per_axis) or else
     cfg.grid points per chart axis; it is the only grid whose geometry
@@ -186,7 +186,7 @@ def _chk_gauss_levi(ctx: FixtureContext):
 def _chk_pluriminimal(ctx: FixtureContext):
     # sup |alpha^{(1,1)}| and the (0,1)-derivative of tau' escaping
     # tau': both vanish iff the flag lift is holomorphic
-    route2 = ctx.bundles.derivative_residuals["frame_route"]
+    route2 = ctx.bundles.residuals["frame_route"]
     return forms.pluriminimal_residual(ctx.geom), {"frame_route": route2}
 
 
@@ -207,11 +207,11 @@ def _chk_sublemma(ctx: FixtureContext):
 
 
 def _chk_superhorizontality(ctx: FixtureContext):
-    return ctx.bundles.derivative_residuals["superhorizontality"], {}
+    return ctx.bundles.residuals["superhorizontality"], {}
 
 
 def _chk_lift_grading(ctx: FixtureContext):
-    return ctx.bundles.derivative_residuals["lift-grading"], {}
+    return ctx.bundles.residuals["lift-grading"], {}
 
 
 def _chk_half_isotropy(ctx: FixtureContext):
@@ -220,11 +220,11 @@ def _chk_half_isotropy(ctx: FixtureContext):
 
 
 def _isotropy(bun: gaussmaps.Bundles):
-    """(orthogonality, parallelity) of the splitting N^c = N' + N° + N'',
+    """The table's (orthogonality, parallelity) of N^c = N' + N° + N'',
     the parallelity the fold of those of N' and N°: the residual of N''
     is the entrywise conjugate of that of N', with the same max."""
-    res = bun.derivative_residuals
-    return (gaussmaps.isotropy_orthogonality(bun),
+    res = bun.residuals
+    return (res["orthogonality"],
             _fold(res["parallelity N'"], res["parallelity N°"]))
 
 
@@ -237,7 +237,7 @@ def _chk_isotropy(ctx: FixtureContext):
 
 
 def _chk_chain(ctx: FixtureContext):
-    res = ctx.bundles.derivative_residuals
+    res = ctx.bundles.residuals
     ch = {arrow: res[arrow] for arrow in gaussmaps.CHAIN}
     return _fold(*ch.values()), ch
 
@@ -249,16 +249,15 @@ def _chk_sphere_reduction(ctx: FixtureContext):
               "radius_spread": mc.radius_spread}
     if mc.radius is not None:
         extras["radius"] = mc.radius
-    # a vanishing mean curvature has no sphere to reduce to
-    res = mc.off_identity if abs(mc.kappa) > TIER1 else np.inf
+    # kappa within the tolerance of mc.spherical: no sphere to reduce to
+    res = mc.off_identity if abs(mc.kappa) > forms.SPHERE_TOL else np.inf
     return res, extras
 
 
 def _chk_section(ctx: FixtureContext):
+    # a wrong "spherical" ledger mismatches on sphere-reduction
     mc = ctx.mean_curvature
     if not mc.spherical:
-        if ctx.rec.flags.get("spherical"):
-            return np.inf, {"note_not_spherical": 1.0}
         raise _Skip("not spherical; no normal section to check")
     normality, tangency, spread = gaussmaps.gauss_section_check(
         ctx.geom, ctx.bundles, mc)
@@ -269,7 +268,7 @@ def _chk_section(ctx: FixtureContext):
 
 def _chk_psi(ctx: FixtureContext):
     # psi_theta is built on the decomposition, so it runs exactly where
-    # the isotropy check passes
+    # the isotropy check passes, on the same entries of the table
     if not _fold(*_isotropy(ctx.bundles)) < TIER1:
         raise _Skip("psi_theta needs the isotropy decomposition")
     # one sweep over the angles and the full turn

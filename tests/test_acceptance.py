@@ -92,7 +92,7 @@ def test_acceptance_04_normal_curvature_flatness():
 def test_acceptance_05_superhorizontality_universal():
     worst, where = 0.0, ""
     for name in ADMITTED:
-        r = _bundles(name).derivative_residuals["superhorizontality"]
+        r = _bundles(name).residuals["superhorizontality"]
         if r > worst:
             worst, where = r, name
     _verdict(5, worst < 1e-8,
@@ -104,7 +104,7 @@ def test_acceptance_06_isotropy_flags():
     ok = True
     # holomorphic curve: pluriminimal via both routes
     h1 = forms.pluriminimal_residual(_geom("holomorphic-curve"))
-    h2 = _bundles("holomorphic-curve").derivative_residuals["frame_route"]
+    h2 = _bundles("holomorphic-curve").residuals["frame_route"]
     ok &= h1 < 1e-6 and h2 < 1e-6
     # Veronese: half-isotropic and isotropic but not holomorphic
     geom = _geom("veronese")
@@ -112,7 +112,7 @@ def test_acceptance_06_isotropy_flags():
     t1 = gaussmaps.half_isotropy_residual(geom, bun)
     t2 = forms.ppmc_residual(geom)
     orthogonality, parallelity = pipeline._isotropy(bun)
-    table = bun.derivative_residuals
+    table = bun.residuals
     chain = [table[arrow] for arrow in gaussmaps.CHAIN]
     v1, v2 = forms.pluriminimal_residual(geom), table["frame_route"]
     ok &= max(t1, t2) < 1e-6

@@ -1,6 +1,6 @@
 """The residual bodies that run in blocks of grid points
 (chartcalc.grid_max) against their full-grid bodies, kept here as
-references: the sublemma, the bundles' derivative residuals,
+references: the sublemma, the bundles' residual table,
 psi_theta's sweep, the three-bundle isotropy parallelity, the two-sided
 lift grading and ppmc's (1,1)-part must equal them exactly (==) on
 every registry fixture and on the first 1 and 129 points of
@@ -53,12 +53,13 @@ def outside_residual_ref(P_target, dP, P_source):
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
-def derivative_residuals_ref(bun):
-    """Bundles.derivative_residuals with each residual's products over
-    the whole grid, every source its own field (tau'' and N'' too):
-    Y = dP_S P_S, its (1,0) or (0,1) combinations, then the target
-    against them; lift-grading's tau' -> tau'' block of d xi."""
-    taupp = bun.taup.conj()
+def residuals_ref(bun):
+    """Bundles.residuals with each residual's products over the whole
+    grid, every source its own field (tau'' and N'' too): Y = dP_S P_S,
+    its (1,0) or (0,1) combinations, then the target against them;
+    lift-grading's tau' -> tau'' block of d xi; the mutual products of
+    the projectors of N', N° and N''."""
+    taupp, Npp = bun.taup.conj(), bun.Np.conj()
     B = holomorphic_basis(bun.taup.dP.shape[1] // 2)
     n = bun.taup.P.shape[-1]
     eye = np.eye(n, dtype=complex)[None]
@@ -76,7 +77,7 @@ def derivative_residuals_ref(bun):
            "frame_route": target(eye - bun.taup.P, bun.taup, B.conj()),
            "parallelity N'": target(bun.Nc.P - bun.Np.P, bun.Np),
            "parallelity N°": target(bun.Nc.P - bun.No.P, bun.No)}
-    chain = [("N''->tau''", bun.Npp, taupp),
+    chain = [("N''->tau''", Npp, taupp),
              ("tau''->N°", taupp, bun.No),
              ("N°->tau'", bun.No, bun.taup),
              ("tau'->N'", bun.taup, bun.Np),
@@ -88,13 +89,17 @@ def derivative_residuals_ref(bun):
         out[arrow] = target(P_out, S, B)
     out["lift-grading"] = outside_residual_ref(
         bun.taup.P, -2.0 * bun.taup.dP.imag, taupp.P)
+    out["orthogonality"] = float(np.max([
+        np.max(np.abs(A @ B)) for A, B in ((bun.Np.P, bun.No.P),
+                                           (bun.Np.P, Npp.P),
+                                           (bun.No.P, Npp.P))]))
     return out
 
 
 def isotropy_parallelity_ref(bun):
     """The parallelity of N', N° and N'' each, N'' included."""
     return float(np.max([outside_residual_ref(bun.Nc.P - S.P, S.dP, S.P)
-                         for S in (bun.Np, bun.No, bun.Npp)]))
+                         for S in (bun.Np, bun.No, bun.Np.conj())]))
 
 
 def lift_grading_ref(bun):
@@ -111,7 +116,7 @@ def _psi_terms(geom, bun):
     (3, G, d^2, n) of eq8, the unitarity terms C0, C1, P Q*, their
     conjugate transposes as needed, and M = P P_Nc."""
     G, d, _, n = geom.alpha.shape
-    P, Q = bun.Np.P, bun.Npp.P
+    P, Q = bun.Np.P, bun.Np.P.conj()
     Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
     alpha = geom.alpha.reshape(G, d * d, n)
     u, v, w = form_parts(geom.alpha).reshape(3, G, d * d, n)
@@ -125,7 +130,7 @@ def _psi_terms(geom, bun):
 
 
 def _minus_one_dim(bun):
-    P, Q = bun.Np.P, bun.Npp.P
+    P, Q = bun.Np.P, bun.Np.P.conj()
     half_turn = np.real(bun.Nc.P - 2 * (P + Q))
     counts = np.sum(np.linalg.eigvalsh(half_turn) < -0.5, axis=1)
     if np.any(counts != counts[0]):
@@ -214,14 +219,14 @@ def test_sublemma_equals_full_grid(layers, case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_outside_residuals_equal_full_grid(layers, case):
-    """Every outside residual of the shared derivative pass
-    (superhorizontality, holomorphicity, the two isotropy terms, the
+    """Every residual of the shared pass (superhorizontality,
+    holomorphicity, the isotropy parallelity and orthogonality, the
     chain and lift-grading), each against its own full-grid products."""
     _, bun = layers[case]
-    fresh = dataclasses.replace(bun)    # the derivative pass not cached
-    ref = derivative_residuals_ref(fresh)
-    assert fresh.derivative_residuals == ref
-    assert list(ref) == list(gaussmaps.DERIVATIVE_RESIDUALS)
+    fresh = dataclasses.replace(bun)    # the residual pass not cached
+    ref = residuals_ref(fresh)
+    assert fresh.residuals == ref
+    assert list(ref) == list(gaussmaps.RESIDUALS)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -233,7 +238,7 @@ def test_isotropy_parallelity_equals_three_bundle_reference(layers, case):
 @pytest.mark.parametrize("case", CASES)
 def test_lift_grading_equals_two_sided_reference(layers, case):
     _, bun = layers[case]
-    assert bun.derivative_residuals["lift-grading"] == lift_grading_ref(bun)
+    assert bun.residuals["lift-grading"] == lift_grading_ref(bun)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -303,13 +308,20 @@ def _with_nan(a, index):
     return a
 
 
+# the entries of the bundles' table that psi's admission guard folds
+ISOTROPY_KEYS = ("orthogonality", "parallelity N'", "parallelity N°")
+
+
 def _run(monkeypatch, ctx, checks, **layers):
     """pipeline.run on product-spheres with the context's layers
-    replaced by the given ones; {check: result}.  The isotropy residuals
-    stay those of the clean bundles, so that psi's admission guard
-    passes and psi itself reads the replaced ones."""
-    clean = pipeline._isotropy(ctx.bundles)
-    monkeypatch.setattr(pipeline, "_isotropy", lambda bun: clean)
+    replaced by the given ones; {check: result}.  Replaced bundles keep
+    the isotropy entries of the clean bundles' table, so that psi's
+    admission guard passes and psi itself reads the replaced
+    projectors."""
+    if "bundles" in layers:
+        clean = ctx.bundles.residuals
+        layers["bundles"].residuals.update(
+            {k: clean[k] for k in ISOTROPY_KEYS})
     for name, value in {"geom": ctx.geom, "bundles": ctx.bundles,
                         **layers}.items():
         monkeypatch.setattr(pipeline.FixtureContext, name,
@@ -333,7 +345,7 @@ def test_nan_in_tau_prime_derivative_reaches_its_residuals(monkeypatch,
     bun = spheres.bundles
     bun = dataclasses.replace(bun, taup=bun.taup._replace(
         dP=_with_nan(bun.taup.dP, (3, 4, 5))))
-    res = bun.derivative_residuals
+    res = bun.residuals
     assert np.isnan(res["superhorizontality"])
     assert np.isnan(res["tau'->N'"])
     res = _run(monkeypatch, spheres, ["superhorizontality", "chain"],
@@ -345,12 +357,14 @@ def test_nan_in_tau_prime_derivative_reaches_its_residuals(monkeypatch,
 def test_nan_in_n_prime_reaches_the_psi_sweep(monkeypatch, spheres):
     """A NaN imaginary part of P_N' leaves psi_{pi/2} = Re(...) finite,
     so the eigenspace count still runs, and every angle of the sweep
-    reads NaN."""
+    reads NaN.  The isotropy entries of its own table read NaN too, so
+    _run keeps the clean ones for psi's admission guard."""
     bun = spheres.bundles
     P = bun.Np.P.copy()
     P[624, 0, 1] = complex(P[624, 0, 1].real, np.nan)
     bun = dataclasses.replace(bun, Np=bun.Np._replace(P=P))
     out, _ = family.build_psi(spheres.geom, bun, THETAS)
     assert np.isnan(out[:, :2]).all()
+    assert np.isnan(bun.residuals["orthogonality"])
     res = _run(monkeypatch, spheres, ["psi"], bundles=bun)
     assert res["psi"].status == pipeline.ERROR

@@ -20,7 +20,7 @@ from test_gaussmaps import _projector
 from test_hot_path import _spy
 
 ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
-NAMES = ["T", "taup", "Nc", "No", "Np", "Npp"]   # Bundles fields
+NAMES = ["T", "taup", "Nc", "No", "Np"]   # Bundles fields
 C = 100.0     # |analytic - FD(h)| <= C h^2; veronese's dP_T needs 31
 
 _cache = {}
@@ -28,7 +28,7 @@ _geom = functools.lru_cache(maxsize=None)(_geom)
 
 
 def _projectors(geom):
-    """The six projector fields of geom, built from the generator
+    """The five projector fields of geom, built from the generator
     stacks alone (projector_derivative with no derivative direction)."""
     m = geom.imm.complex_dim
     G, _, _, n = geom.alpha.shape
@@ -40,7 +40,7 @@ def _projectors(geom):
     P_No, _ = _projector(geom.alpha11.reshape(G, m * m, n), scale=scale)
     P_Np, _ = _projector(geom.alpha20.reshape(G, m * m, n), scale=scale)
     return {"T": P_T, "taup": P_taup, "Nc": np.eye(n) - P_T, "No": P_No,
-            "Np": P_Np, "Npp": P_Np.conj()}
+            "Np": P_Np}
 
 
 def fd_projector_derivatives(name, h):

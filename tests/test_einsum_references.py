@@ -176,7 +176,7 @@ def build_psi_ref(geom, bun, theta):
     n = geom.imm.ambient_dim
     eye = np.eye(n, dtype=complex)[None]
     P_T, P_Nc = bun.T.P, bun.Nc.P
-    P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Npp.P
+    P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Np.P.conj()
     P_rest = P_Nc - P_Np - P_No - P_Npp
     Psi = (P_T + np.exp(2j * theta) * P_Np + P_No
            + np.exp(-2j * theta) * P_Npp + P_rest)
@@ -193,7 +193,7 @@ def build_psi_ref(geom, bun, theta):
 def psi_minus_one_dims_ref(bun):
     """The (-1)-eigenspace dimension of psi_{pi/2} on N at each point."""
     P_T, P_Nc = bun.T.P, bun.Nc.P
-    P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Npp.P
+    P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Np.P.conj()
     Psi = (P_T - P_Np + P_No - P_Npp + P_Nc - P_Np - P_No - P_Npp)
     return np.sum(np.linalg.eigvalsh(np.real(Psi - P_T)) < -0.5,
                   axis=1)
@@ -609,7 +609,7 @@ def _psi_variant(bun, variant):
     if variant == "scaled":
         return dataclasses.replace(bun, Np=bun.Np._replace(P=1.1 * P_Np))
     if variant == "swapped":
-        return dataclasses.replace(bun, Np=bun.Npp)
+        return dataclasses.replace(bun, Np=bun.Np.conj())
     if variant == "noisy":
         rng = np.random.default_rng(13)
         noise = (rng.standard_normal(P_Np.shape)
@@ -759,8 +759,8 @@ def test_bundle_products_match_broadcast_on_fixtures(fixture_geoms,
             projector_derivatives_broadcast_ref(geom).items():
         P, dP = getattr(bun, field)
         assert _rel_diff(P, P_ref) < TOL and _rel_diff(dP, dP_ref) < TOL
-    fields = [bun.T, bun.taup, bun.taup.conj(), bun.No, bun.Np, bun.Npp,
-              bun.Nc]
+    fields = [bun.T, bun.taup, bun.taup.conj(), bun.No, bun.Np,
+              bun.Np.conj(), bun.Nc]
     for S in fields:
         for target in fields:
             scale = np.prod([np.max(np.abs(a), initial=0.0)

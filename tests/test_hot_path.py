@@ -162,10 +162,9 @@ def test_bundle_layer_calls_no_einsum(monkeypatch):
         gaussmaps.grassmann_invariants(geom.P_T, geom.jet.chart_dim)
         gaussmaps.dgauss_check(geom, dP_T)
         bun = gaussmaps.projector_derivatives(geom)
-        bun.derivative_residuals
+        bun.residuals
         forms.pluriminimal_residual(geom)
         gaussmaps.half_isotropy_residual(geom, bun)
-        gaussmaps.isotropy_orthogonality(bun)
         if ctx.mean_curvature.spherical:
             gaussmaps.gauss_section_check(geom, bun, ctx.mean_curvature)
     assert len(ctxs) == 10
@@ -189,17 +188,18 @@ def test_verify_and_family_verb_compute_r_once_per_geometry(monkeypatch,
                                                           tmp_path):
     """The structure sweep reads GeometryData.R, so a full verify calls
     kernels.gauss_curvature once per admitted fixture, and the family
-    verb once.  Each admitted fixture's bundle checks take one pass of
-    the ten derivative residuals (one _derivative_block per block of
-    grid points: one on 81 points, five on product-spheres' 625)."""
+    verb once.  Each admitted fixture's bundle checks and psi's
+    admission guard take one pass of the eleven bundle residuals (one
+    _residual_block per block of grid points: one on 81 points, five on
+    product-spheres' 625)."""
     calls = _spy(monkeypatch, ((kernels, "gauss_curvature"),
-                               (gaussmaps, "_derivative_block")))
+                               (gaussmaps, "_residual_block")))
     rep = pipeline.run(pipeline.RunConfig())
     admitted = {r.fixture for r in rep.results
                 if r.check == "kaehler" and r.status == pipeline.PASS}
     assert len(admitted) == 10
     assert calls.count("gauss_curvature") == len(admitted)
-    assert calls.count("_derivative_block") == 9 + 5
+    assert calls.count("_residual_block") == 9 + 5
     calls.clear()
     assert cli.main(["family", "--fixture", "catenoid", "--grid", "41",
                      "--sweep-csv", str(tmp_path / "sweep.csv"),
@@ -290,20 +290,20 @@ def product_spheres():
 @pytest.mark.parametrize("body", sorted(PEAK_BOUNDS_MIB))
 def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
     geom, bun = product_spheres.geom, product_spheres.bundles
-    bun.Nc, bun.Npp     # derived before any measurement
+    bun.Nc              # derived before any measurement
 
     def uncached(bun):
-        """bun without its cached derivative pass, so that each read of
+        """bun without its cached residual pass, so that each read of
         the superhorizontality entry runs the pass afresh."""
         out = copy.copy(bun)
-        out.__dict__.pop("derivative_residuals", None)
+        out.__dict__.pop("residuals", None)
         return out
 
     call = {
         "sublemma": lambda: kaehler.sublemma_residual(geom),
         "psi": lambda: family.build_psi(geom, bun,
                                         [*family.THETA_SWEEP, np.pi]),
-        "superhorizontality": lambda: uncached(bun).derivative_residuals[
+        "superhorizontality": lambda: uncached(bun).residuals[
             "superhorizontality"],
         "ppmc": lambda: forms.ppmc_residual(geom),
         "structure-equations": lambda: family.structure_equation_residuals(

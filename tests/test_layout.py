@@ -1,10 +1,14 @@
-"""Layout guard: every public top-level function of the package is used.
+"""Layout guard: every public top-level function and every cached
+property of the package is used.
 
 A public function must be read elsewhere in the package, be a name that
 the benchmark under perfbench/ binds (its files are parsed here, not
 imported), or be listed in TEST_ONLY with the test that holds it.  A
 reader whose one caller could index the data behind it directly fails
-here instead of growing back.
+here instead of growing back.  A functools.cached_property of a class
+must be read as an attribute somewhere in the package outside its own
+body, or be listed in TEST_ONLY_PROPERTIES with the test that reads it:
+a derived field that nothing reads is computed for no one.
 """
 
 import ast
@@ -33,6 +37,11 @@ TEST_ONLY = {
     "superhorizontal_space":
         "test_flags.py::test_superhorizontal_space_shapes",
 }
+
+
+# cached properties that only the tests read: Class.name -> the test
+# that reads each
+TEST_ONLY_PROPERTIES = {}
 
 
 def _parse(path):
@@ -104,7 +113,9 @@ def test_every_public_function_has_a_caller_or_an_entry():
 
 
 def test_each_test_only_entry_names_a_test_that_calls_it():
-    for name, where in TEST_ONLY.items():
+    properties = {key.rsplit(".", 1)[1]: where
+                  for key, where in TEST_ONLY_PROPERTIES.items()}
+    for name, where in {**TEST_ONLY, **properties}.items():
         path, test = where.split("::")
         tree = _parse(ROOT / "tests" / path)
         body = next((node for node in tree.body
@@ -113,3 +124,39 @@ def test_each_test_only_entry_names_a_test_that_calls_it():
         assert body is not None, where
         assert name in _read_names(body), (name, where)
 
+
+def _is_cached_property(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        getattr(dec, "attr", getattr(dec, "id", None)) == "cached_property"
+        for dec in node.decorator_list)
+
+
+def _read_attributes(tree, skip):
+    """The attribute names a tree reads outside the subtree skip: a
+    property is read as an attribute, never as a bare name."""
+    inside = set(map(id, ast.walk(skip)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in inside}
+
+
+def test_every_cached_property_has_a_reader_or_an_entry():
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    props = {f"{mod}.{cls.name}.{prop.name}": prop
+             for mod, tree in trees.items() for cls in tree.body
+             if isinstance(cls, ast.ClassDef)
+             for prop in filter(_is_cached_property, cls.body)}
+    # the search sees the package's classes, so an empty result below is
+    # not an empty search
+    assert {"gaussmaps.Bundles.Nc", "gaussmaps.Bundles.residuals",
+            "forms.GeometryData.RN", "pipeline.FixtureContext.bundles",
+            "flags.Grading.bracket_table"} <= set(props)
+    unread = sorted(key.split(".", 1)[1] for key, prop in props.items()
+                    if not any(prop.name in _read_attributes(tree, prop)
+                               for tree in trees.values()))
+    unlisted = [key for key in unread if key not in TEST_ONLY_PROPERTIES]
+    assert unlisted == [], (
+        "cached properties that nothing in the package reads: derive "
+        "the value where it is read, or list them in "
+        f"TEST_ONLY_PROPERTIES with their test: {unlisted}")
+    # an entry whose property gained a reader, or went, is stale
+    assert unread == sorted(TEST_ONLY_PROPERTIES)

@@ -334,11 +334,10 @@ def test_nan_in_a_bundle_derivative_reads_as_isotropy_error(monkeypatch):
 
 
 def test_nan_in_a_late_projector_pair_reads_as_isotropy_error(monkeypatch):
-    # N'' enters only the second and third orthogonality pairs
+    # N'' = conj N' is formed inside the residual pass, so a NaN in P_N'
+    # reaches the orthogonality pairs of N'' as well as the first
     def edit(bun):
-        P = bun.Np.P.conj()
-        P[0, 0, 0] = np.nan
-        bun.Npp = gaussmaps.Bundle(P, bun.Np.dP.conj())
+        bun.Np.P[0, 0, 0] = np.nan
     _edit_bundles(monkeypatch, edit)
     res = _nan_run("veronese", "isotropy")
     assert res.status == pipeline.ERROR
@@ -433,12 +432,10 @@ SUB_RESIDUAL_NANS = [
      lambda t1: np.nan),
     ("half-isotropy", "veronese", forms, "ppmc_residual",
      lambda ppmc: np.nan),
-    ("isotropy", "veronese", gaussmaps, "isotropy_orthogonality",
-     lambda orth: np.nan),
-    *(("isotropy", "veronese", gaussmaps.Bundles, "derivative_residuals",
+    *(("isotropy", "veronese", gaussmaps.Bundles, "residuals",
        functools.partial(_replaced, key=k))
-      for k in ("parallelity N'", "parallelity N°")),
-    *(("chain", "veronese", gaussmaps.Bundles, "derivative_residuals",
+      for k in ("orthogonality", "parallelity N'", "parallelity N°")),
+    *(("chain", "veronese", gaussmaps.Bundles, "residuals",
        functools.partial(_replaced, key=k)) for k in gaussmaps.CHAIN),
     *(("section", "veronese", gaussmaps, "gauss_section_check",
        functools.partial(_replaced, key=k)) for k in range(3)),
@@ -475,11 +472,63 @@ def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
 
 def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
     # psi's admission guard folds the isotropy residuals like its body
-    _nan_in(monkeypatch, gaussmaps.Bundles, "derivative_residuals",
+    _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
             functools.partial(_replaced, key="parallelity N°"))
     res = _nan_run("veronese", "psi")
     assert res.status == pipeline.SKIPPED
     assert res.message == "psi_theta needs the isotropy decomposition"
+
+
+def test_one_orthogonality_entry_gates_isotropy_and_psi(monkeypatch):
+    """The isotropy row and psi's admission guard read the one
+    orthogonality entry of the bundles' table: a failing value there
+    fails the one and skips the other in the same run."""
+    _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
+            lambda res: {**res, "orthogonality": 1.0})
+    rep = pipeline.run(pipeline.RunConfig(
+        fixtures=["veronese"], checks=["kaehler", "isotropy", "psi"],
+        grid=5))
+    by = {r.check: r for r in rep.results}
+    assert by["isotropy"].status == pipeline.FAIL
+    assert by["isotropy"].extras["orthogonality"] == 1.0
+    assert by["psi"].status == pipeline.SKIPPED
+
+
+# The section check runs where the immersion is spherical, as the
+# sphere reduction computes it, and sphere-reduction's kappa guard takes
+# the tolerance that decides it, so the ledger's "spherical" flag is
+# checked by one row.
+
+def test_a_wrong_spherical_ledger_mismatches_on_sphere_reduction_only():
+    cylinder = get_fixture("cylinder")
+    rec = dataclasses.replace(cylinder, name="spherical-cylinder",
+                              flags={**cylinder.flags, "spherical": True})
+    rep = pipeline.run(pipeline.RunConfig(fixtures=[]),
+                       extra_records=[rec])
+    assert [r.check for r in rep.mismatches] == ["sphere-reduction"]
+    status = {r.check: r.status for r in rep.results}
+    assert status["sphere-reduction"] == pipeline.FAIL
+    assert status["section"] == pipeline.SKIPPED
+
+
+def test_sphere_reduction_reads_a_small_kappa_as_no_sphere(monkeypatch):
+    """kappa = 1e-7 lies above TIER1 but within forms.SPHERE_TOL, where
+    the reduction finds no sphere: sphere-reduction reads inf and FAILs
+    even with A_eta = kappa I exactly."""
+    G, n = 81, 3
+    mc = forms.MeanCurvatureData(
+        eta=np.zeros((G, n)), kappa=1e-7, off_identity=0.0, center=None,
+        center_spread=np.inf, radius=None, radius_spread=np.inf,
+        spherical=False)
+    monkeypatch.setattr(forms, "mean_curvature_and_sphere_reduction",
+                        lambda geom: mc)
+    rep = pipeline.run(pipeline.RunConfig(
+        fixtures=["plane"], checks=["kaehler", "sphere-reduction",
+                                    "section"]))
+    _, sphere, section = rep.results
+    assert sphere.status == pipeline.FAIL and sphere.residual == np.inf
+    assert section.status == pipeline.SKIPPED
+    assert rep.mismatches == []
 
 
 # A NaN in the jets must stop at the regularity gate of both metric
