@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also verify a fixture defined in a text file")
     pv.add_argument("--checks", default="all",
                     help=f"comma-separated subset of: "
-                         f"{', '.join(pipeline.CHECKS)}")
+                         f"{', '.join(pipeline.CHECKS)}; a gated row "
+                         f"reads SKIPPED where its gate is shut, even "
+                         f"when the gate's row is not selected")
     pv.add_argument("--theta", default=None,
                     help="comma-separated rotation angles for the sweep "
                          "(default: k*pi/8 for k = 0..8); accepts 'pi/4'")

@@ -1,13 +1,12 @@
-"""Check runner: executes the verification checks in dependency order
-(kaehler -> forms -> gauss maps -> family -> flag lift) per fixture and
+"""Check runner: evaluates the selected checks on each fixture and
 compares PASS/FAIL statuses against each fixture's expected-flag ledger.
 
 Each check is declared once, as a row of TABLE: its name, its body
 (context -> residual and extras), its threshold (a number: the strict
-tier TIER1, the finite-difference tier TIER2, or a value of its own) and
-its ledger rule (fixture flags -> expected status).  CHECKS maps each
-name to its body; the runner calls the bodies through it and reads the
-threshold and the expectation from the row.
+tier TIER1, the finite-difference tier TIER2, or a value of its own),
+its ledger rule (fixture flags -> expected status) and its gates.  CHECKS
+maps each name to its body; the runner calls the bodies through it and
+reads the rest from the row, so no result depends on the selection.
 """
 
 import functools
@@ -105,8 +104,11 @@ class FixtureContext:
                        lift-grading, pluriminimal's frame route, the
                        isotropy orthogonality and parallelity and the
                        chain; cached on the Bundles, whose table the
-                       check bodies and psi's admission guard index)
+                       check bodies and psi's gate index)
              -> mean_curvature (its spherical flag gates section)
+
+    result(row) is the row's result, evaluated once: the runner reads
+    it for each selected row, the admission gate the kaehler row's.
 
     The point set is the fixture's own grid (rec.grid_per_axis) or else
     cfg.grid points per chart axis; it is the only grid whose geometry
@@ -119,6 +121,12 @@ class FixtureContext:
         self.cfg = cfg
         self.pts = rec.immersion.grid(rec.grid_per_axis or cfg.grid,
                                       margin=0.02)
+        self._results: Dict[str, CheckResult] = {}
+
+    def result(self, row: "Check") -> CheckResult:
+        if row.name not in self._results:
+            self._results[row.name] = _evaluate(row, self)
+        return self._results[row.name]
 
     @functools.cached_property
     def geom(self) -> forms.GeometryData:
@@ -255,22 +263,14 @@ def _chk_sphere_reduction(ctx: FixtureContext):
 
 
 def _chk_section(ctx: FixtureContext):
-    # a wrong "spherical" ledger mismatches on sphere-reduction
-    mc = ctx.mean_curvature
-    if not mc.spherical:
-        raise _Skip("not spherical; no normal section to check")
     normality, tangency, spread = gaussmaps.gauss_section_check(
-        ctx.geom, ctx.bundles, mc)
+        ctx.geom, ctx.bundles, ctx.mean_curvature)
     return (_fold(normality, tangency, spread),
             {"normality": normality, "tau_prime_tangency": tangency,
              "radius_spread": spread})
 
 
 def _chk_psi(ctx: FixtureContext):
-    # psi_theta is built on the decomposition, so it runs exactly where
-    # the isotropy check passes, on the same entries of the table
-    if not _fold(*_isotropy(ctx.bundles)) < TIER1:
-        raise _Skip("psi_theta needs the isotropy decomposition")
     # one sweep over the angles and the full turn
     res, minus_dim = family.build_psi(ctx.geom, ctx.bundles,
                                       [*ctx.cfg.thetas, np.pi])
@@ -286,8 +286,23 @@ def _chk_closedness(ctx: FixtureContext):
     return family.closedness_residual(ctx.geom, np.pi / 2), {}
 
 
-class _Skip(Exception):
-    pass
+def _admitted(ctx: FixtureContext):
+    # every check but kaehler assumes the Kaehler condition
+    if ctx.result(_KAEHLER).status != PASS:
+        return "fixture not admitted as Kaehler"
+
+
+def _spherical(ctx: FixtureContext):
+    # a wrong "spherical" ledger mismatches on sphere-reduction
+    if not ctx.mean_curvature.spherical:
+        return "not spherical; no normal section to check"
+
+
+def _isotropy_split(ctx: FixtureContext):
+    # psi_theta is built on the decomposition, so it runs exactly where
+    # the isotropy check passes, on the same entries of the table
+    if not _fold(*_isotropy(ctx.bundles)) < TIER1:
+        return "psi_theta needs the isotropy decomposition"
 
 
 class Check(NamedTuple):
@@ -296,13 +311,15 @@ class Check(NamedTuple):
     body: Callable[[FixtureContext], Tuple[float, Dict[str, float]]]
     threshold: float
     expect: Callable[[dict], Optional[str]]   # ledger flags -> status
+    gates: Tuple[Callable, ...] = (_admitted,)  # ctx -> skip note or None
 
 
-# ordered: later checks depend on earlier classifications.  The expected
-# status is read before the body runs, so a check that raises still
-# counts against it.
+_KAEHLER = Check("kaehler", _chk_kaehler, TIER1, _ledger("kaehler"), ())
+
+# in report order: a row's gates, not its place, decide where it runs,
+# so its result on a fixture is the same whatever else is selected
 TABLE = (
-    Check("kaehler", _chk_kaehler, TIER1, _ledger("kaehler")),
+    _KAEHLER,
     Check("jets", _chk_jets, 1e-6, _always),
     Check("grassmann", _chk_grassmann, 1e-10, _always),
     Check("eq4", _chk_eq4, TIER2, _always),
@@ -323,13 +340,39 @@ TABLE = (
     Check("chain", _chk_chain, TIER1, _pass_if("isotropic")),
     Check("sphere-reduction", _chk_sphere_reduction, TIER1,
           _ledger("spherical")),
-    Check("section", _chk_section, TIER1, _always),
-    Check("psi", _chk_psi, TIER1, _always),
+    Check("section", _chk_section, TIER1, _always,
+          (_admitted, _spherical)),
+    Check("psi", _chk_psi, TIER1, _always, (_admitted, _isotropy_split)),
     Check("closedness", _chk_closedness, TIER1, _ledger("pluriminimal")),
 )
 
 # name -> body; the runner calls each body through this dict
 CHECKS = {c.name: c.body for c in TABLE}
+
+
+def _evaluate(row: Check, ctx: FixtureContext) -> CheckResult:
+    """The row's result on ctx's fixture, SKIPPED with the note of its
+    first shut gate.  The expected status is read before a gate or the
+    body runs, so a check that raises still counts against it."""
+    t0 = time.perf_counter()
+    expected = row.expect(ctx.rec.flags)
+    res, extras, tol = None, {}, None
+    try:
+        note = next(filter(None, (gate(ctx) for gate in row.gates)), "")
+        if note:
+            status, expected = SKIPPED, None
+        else:
+            (res, extras), tol = CHECKS[row.name](ctx), row.threshold
+            # a NaN compares false with every threshold
+            nan = [k for k, v in [("residual", res), *extras.items()]
+                   if np.isnan(v)]
+            status = ERROR if nan else classify(res, tol)
+            note = f"NaN in {', '.join(nan)}" if nan else ""
+    except Exception as e:  # honest error reporting
+        res, extras, tol, status = None, {}, None, ERROR
+        note = f"{type(e).__name__}: {e}"
+    return CheckResult(ctx.rec.name, row.name, status, res, tol, expected,
+                       extras, time.perf_counter() - t0, note)
 
 
 @dataclass
@@ -368,39 +411,7 @@ def run(config: RunConfig, extra_records=()) -> Report:
     for name in names:
         if names.count(name) > 1:
             raise ValueError(f"fixture {name!r} is selected twice")
-    results: List[CheckResult] = []
-    for name in names:
-        rec = loaded.get(name) or get_fixture(name)  # raises on unknown
-        ctx = FixtureContext(rec, config)
-        admitted = True
-        for row in selected:
-            check = row.name
-            t0 = time.perf_counter()
-            expected = row.expect(rec.flags)
-            try:
-                if check != "kaehler" and not admitted:
-                    raise _Skip("fixture not admitted as Kaehler")
-                res, extras = CHECKS[check](ctx)
-                # a NaN compares false with every threshold
-                nan = [k for k, v in [("residual", res), *extras.items()]
-                       if np.isnan(v)]
-                results.append(CheckResult(
-                    fixture=name, check=check,
-                    status=ERROR if nan else classify(res, row.threshold),
-                    residual=res, threshold=row.threshold, expected=expected,
-                    extras=extras, runtime=time.perf_counter() - t0,
-                    message=f"NaN in {', '.join(nan)}" if nan else ""))
-            except _Skip as s:
-                results.append(CheckResult(
-                    fixture=name, check=check, status=SKIPPED,
-                    residual=None, threshold=None, expected=None,
-                    message=str(s), runtime=time.perf_counter() - t0))
-            except Exception as e:  # honest error reporting
-                results.append(CheckResult(
-                    fixture=name, check=check, status=ERROR,
-                    residual=None, threshold=None, expected=expected,
-                    message=f"{type(e).__name__}: {e}",
-                    runtime=time.perf_counter() - t0))
-            if check == "kaehler" and results[-1].status != PASS:
-                admitted = False
+    ctxs = (FixtureContext(loaded.get(name) or get_fixture(name), config)
+            for name in names)  # one at a time; get_fixture raises on unknown
+    results = [ctx.result(row) for ctx in ctxs for row in selected]
     return Report(config=config, results=results, version=__version__)

@@ -308,7 +308,7 @@ def _with_nan(a, index):
     return a
 
 
-# the entries of the bundles' table that psi's admission guard folds
+# the entries of the bundles' table that psi's split gate folds
 ISOTROPY_KEYS = ("orthogonality", "parallelity N'", "parallelity N°")
 
 
@@ -316,7 +316,7 @@ def _run(monkeypatch, ctx, checks, **layers):
     """pipeline.run on product-spheres with the context's layers
     replaced by the given ones; {check: result}.  Replaced bundles keep
     the isotropy entries of the clean bundles' table, so that psi's
-    admission guard passes and psi itself reads the replaced
+    split gate is open and psi itself reads the replaced
     projectors."""
     if "bundles" in layers:
         clean = ctx.bundles.residuals
@@ -358,7 +358,7 @@ def test_nan_in_n_prime_reaches_the_psi_sweep(monkeypatch, spheres):
     """A NaN imaginary part of P_N' leaves psi_{pi/2} = Re(...) finite,
     so the eigenspace count still runs, and every angle of the sweep
     reads NaN.  The isotropy entries of its own table read NaN too, so
-    _run keeps the clean ones for psi's admission guard."""
+    _run keeps the clean ones for psi's split gate."""
     bun = spheres.bundles
     P = bun.Np.P.copy()
     P[624, 0, 1] = complex(P[624, 0, 1].real, np.nan)

@@ -92,14 +92,29 @@ def test_verify_exit_code_never_wraps_to_zero(monkeypatch, tmp_path):
     def wrong(ctx):
         return 1.0, {}  # FAIL where PASS is expected
 
+    # no gate: the rows run on the plane without a kaehler row
     table = tuple(pipeline.Check(f"wrong-{k}", wrong, pipeline.TIER1,
-                                 lambda flags: pipeline.PASS)
+                                 lambda flags: pipeline.PASS, gates=())
                   for k in range(256))
     monkeypatch.setattr(pipeline, "TABLE", table)
     monkeypatch.setattr(pipeline, "CHECKS", {c.name: c.body for c in table})
     code = cli.main(["verify", "--fixtures", "plane", "--checks", "all",
                      "--report", str(tmp_path / "report.txt")])
     assert code == 125
+
+
+def test_verify_gates_a_non_kaehler_fixture_without_its_kaehler_row(
+        tmp_path):
+    """skewed-plane fails kaehler, so its other rows read SKIPPED whether
+    or not the kaehler row is selected."""
+    rpt = tmp_path / "report.txt"
+    code = cli.main(["verify", "--fixtures", "skewed-plane",
+                     "--checks", "ppmc,closedness", "--report", str(rpt)])
+    text = rpt.read_text()
+    assert code == 0
+    assert text.count("status: SKIPPED") == 2
+    assert text.count("note: fixture not admitted as Kaehler") == 2
+    assert "kaehler:" not in text and "skipped: 2" in text
 
 
 def test_cli_import_leaves_out_sympy():

@@ -24,11 +24,14 @@ def _with_jets(name, label, edit):
     return dataclasses.replace(rec, name=label, immersion=imm)
 
 
-def _d2_perturbed(name, eps=1e-3):
-    """The fixture with eps added to every second derivative of its
-    jets of order 2 and 3; its values and order-1 jets stay exact."""
+def _d2_perturbed(name, eps=1e-2):
+    """The fixture with eps f added to every second derivative of its
+    jets of order 2 and 3; its values and order-1 jets stay exact.  On
+    the unit sphere f is its own unit normal, so the metric and the
+    Christoffel symbols stay exact and only alpha moves."""
     return _with_jets(name, f"{name}-d2-perturbed", lambda jet, order: (
-        jet if order < 2 else dataclasses.replace(jet, d2=jet.d2 + eps)))
+        jet if order < 2 else dataclasses.replace(
+            jet, d2=jet.d2 + eps * jet.value[:, None, None, :])))
 
 
 def _d3_perturbed(name, slots, eps=1e-2):
@@ -66,16 +69,17 @@ def test_eq4_fails_on_perturbed_second_derivatives():
     pts = imm.grid(5)
     assert np.array_equal(imm.jet_fn(pts, 1).d1, exact.jet_fn(pts, 3).d1)
     # eq4 holds alpha, read from the perturbed d2, against the central
-    # differences of the exact first derivatives; the kaehler check is
-    # left out because the perturbed Christoffel symbols fail it
+    # differences of the exact first derivatives
     cfg = pipeline.RunConfig(fixtures=["sphere"],
-                             checks=["jets", "grassmann", "eq4"])
+                             checks=["kaehler", "jets", "grassmann", "eq4"])
     rep = pipeline.run(cfg, extra_records=[rec])
     status = {(r.fixture, r.check): r.status for r in rep.results}
     assert status == {
+        ("sphere", "kaehler"): pipeline.PASS,
         ("sphere", "jets"): pipeline.PASS,
         ("sphere", "grassmann"): pipeline.PASS,
         ("sphere", "eq4"): pipeline.PASS,
+        (rec.name, "kaehler"): pipeline.PASS,
         (rec.name, "jets"): pipeline.PASS,
         (rec.name, "grassmann"): pipeline.PASS,
         (rec.name, "eq4"): pipeline.FAIL,
@@ -291,8 +295,7 @@ CAN_FAIL = {
 def test_every_check_row_can_fail_or_says_why_not():
     assert CAN_FAIL.keys() == {c.name for c in pipeline.TABLE}
     controls = {c: how() for c, how in CAN_FAIL.items() if callable(how)}
-    # only the controls' own checks run on them: the perturbed d2 fails
-    # kaehler, which would leave every other check SKIPPED
+    # only the controls' own checks run on them
     cfg = pipeline.RunConfig(fixtures=[], checks=list(controls))
     reps = [pipeline.run(pipeline.RunConfig()),
             pipeline.run(cfg, extra_records=list(controls.values()))]

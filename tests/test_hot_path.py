@@ -188,8 +188,8 @@ def test_verify_and_family_verb_compute_r_once_per_geometry(monkeypatch,
                                                           tmp_path):
     """The structure sweep reads GeometryData.R, so a full verify calls
     kernels.gauss_curvature once per admitted fixture, and the family
-    verb once.  Each admitted fixture's bundle checks and psi's
-    admission guard take one pass of the eleven bundle residuals (one
+    verb once.  Each admitted fixture's bundle checks and psi's split
+    gate take one pass of the eleven bundle residuals (one
     _residual_block per block of grid points: one on 81 points, five on
     product-spheres' 625)."""
     calls = _spy(monkeypatch, ((kernels, "gauss_curvature"),

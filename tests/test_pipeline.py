@@ -110,6 +110,39 @@ def test_non_kaehler_fixture_skips_downstream():
     assert len(rep.mismatches) == 0  # expected failure + skips
 
 
+@pytest.fixture(scope="module")
+def full_run():
+    return {(r.fixture, r.check): r
+            for r in pipeline.run(pipeline.RunConfig()).results}
+
+
+@pytest.mark.parametrize("row", [c.name for c in pipeline.TABLE])
+def test_a_single_row_run_reads_as_the_full_run(row, full_run):
+    """No result depends on which rows are selected: each gate reads the
+    rows it needs on its own, the kaehler row's result among them."""
+    rep = pipeline.run(pipeline.RunConfig(checks=[row]))
+    assert len(rep.results) == len(registry())
+    for r in rep.results:
+        full = full_run[r.fixture, row]
+        assert ((r.status, r.residual, r.message, r.expected, r.extras)
+                == (full.status, full.residual, full.message,
+                    full.expected, full.extras)), r.fixture
+
+
+@pytest.mark.parametrize("checks", [["kaehler", "ppmc"], ["ppmc"]])
+def test_the_kaehler_body_runs_once_per_fixture(monkeypatch, checks):
+    """The admission gate and the kaehler row read one result."""
+    calls = []
+    residual = kaehler.kaehler_residual
+    monkeypatch.setattr(kaehler, "kaehler_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    rep = pipeline.run(pipeline.RunConfig(checks=checks))
+    assert len(calls) == len(registry())
+    ppmc = {r.fixture: r.status for r in rep.results if r.check == "ppmc"}
+    assert ppmc["skewed-plane"] == pipeline.SKIPPED
+    assert list(ppmc.values()).count(pipeline.SKIPPED) == 1
+
+
 def test_checks_run_in_pipeline_order():
     rep = _subset_run(["catenoid"], ["psi", "kaehler", "ppmc"])
     order = [r.check for r in rep.results]
@@ -471,7 +504,7 @@ def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
 
 
 def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
-    # psi's admission guard folds the isotropy residuals like its body
+    # psi's split gate folds the isotropy residuals like its body
     _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
             functools.partial(_replaced, key="parallelity N°"))
     res = _nan_run("veronese", "psi")
@@ -480,7 +513,7 @@ def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
 
 
 def test_one_orthogonality_entry_gates_isotropy_and_psi(monkeypatch):
-    """The isotropy row and psi's admission guard read the one
+    """The isotropy row and psi's split gate read the one
     orthogonality entry of the bundles' table: a failing value there
     fails the one and skips the other in the same run."""
     _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
