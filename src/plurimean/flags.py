@@ -7,13 +7,16 @@ The complexified algebras are represented concretely: gl(n, C) for the
 unitary case and complex skew-symmetric matrices for the orthogonal
 case, with Hilbert-Schmidt orthonormal bases per grading level.
 
-Every commutator of two basis stacks comes from two matrix products
-(_commutators).  Each grading brackets every pair of its levels once,
-into one table (Grading.bracket_table) of escapes off the target level
-and, for the pairs with a level +-1, coordinates in its basis.  The
-grading and Cartan residuals fold its escapes; the C2 closure grows
-level by level in its coordinates, with no n x n bracket inside a
-round.
+Every commutator of two basis stacks comes from two matrix products,
+and of a stack with itself from one (_commutators).  Each grading
+brackets every pair of its levels once, into one table
+(Grading.bracket_table) of escapes off the target level and, for the
+pairs with a level +-1, coordinates in its basis.  Each bracket is
+projected once onto its target; its Cartan escape takes that remainder
+on through the other levels of the target's parity stack.  The grading
+and Cartan residuals fold its escapes; the C2 closure grows level by
+level in its coordinates, with no n x n bracket inside a round and no
+SVD of a remainder too small to add a direction.
 """
 
 import functools
@@ -194,30 +197,57 @@ class Grading:
         _commutators call per pair; coords has width 0 when j + k is not
         a level, and is None unless j or k is +-1.  Within one level only
         a < b is bracketed and the rest filled antisymmetrically.  Built
-        once, on first read."""
+        once, on first read.
+
+        Each bracket block C is projected once, onto its target T =
+        g_{j+k}: S = C T^H are the coordinates and R = C - S T the
+        escape.  Where T lies in the pair's Cartan stack K, the rest of
+        K (its other levels) finishes the Cartan residual from R, since
+        C K^H K = C T^H T + C K_rest^H K_rest row by row; elsewhere (no
+        target, or a relabelled or half-integer grading that puts T in
+        the other stack) it is C - (C K^H) K."""
         n = self.elem.n
+        flat = {k: v.reshape(-1, n * n) for k, v in self.spaces.items()}
+        flat_h = {k: f.conj().T for k, f in flat.items()}
+        parity = {k: round(k) % 2 for k in flat}
+        rest = {}  # level -> the other levels of its Cartan stack, and ^H
+        for t in flat:
+            K = np.concatenate(
+                [np.zeros((0, n * n), dtype=complex)]
+                + [f for k, f in flat.items()
+                   if k != t and parity[k] == parity[t]])
+            rest[t] = (K, K.conj().T)
         cartan = [c.reshape(-1, n * n) for c in _cartan_parts(self)]
         table = {}
-        for j, k in itertools.combinations_with_replacement(
-                sorted(self.spaces), 2):
+        for j, k in itertools.combinations_with_replacement(sorted(flat), 2):
             C = _commutators(self.spaces[j], self.spaces[k])
             p, q = C.shape[:2]
             if j == k:  # [b, a] = -[a, b] and [a, a] = 0
                 upper = np.triu_indices(p, 1)
                 C = C[upper]
             C = C.reshape(-1, n * n)
-            T = self.space(j + k).reshape(-1, n * n)
-            K = cartan[(round(j) + round(k)) % 2]
-            S = C @ T.conj().T
+            t = next((key for key in flat if abs(key - (j + k)) < _EIG_TOL),
+                     None)
+            if t is None:
+                S, R = np.zeros((C.shape[0], 0), dtype=complex), C
+            else:
+                S = C @ flat_h[t]
+                R = C - S @ flat[t]
+            pair = (parity[j] + parity[k]) % 2
+            if t is not None and parity[t] == pair:
+                K, Kh = rest[t]
+                off = R - (C @ Kh) @ K if K.shape[0] else R
+            else:
+                K = cartan[pair]
+                off = C - (C @ K.conj().T) @ K
             # np.max, not max(): a NaN must reach the caller
-            escapes = [float(np.max(np.abs(C - X), initial=0.0))
-                       for X in (S @ T, (C @ K.conj().T) @ K)]
+            escapes = [float(np.max(np.abs(X), initial=0.0)) for X in (R, off)]
             coords = None
             if min(abs(abs(j) - 1.0), abs(abs(k) - 1.0)) < _EIG_TOL:
                 if j == k:
-                    S, rows = np.zeros((p, p, T.shape[0]), dtype=complex), S
+                    S, rows = np.zeros((p, p, S.shape[1]), dtype=complex), S
                     S[upper], S[upper[::-1]] = rows, -rows
-                coords = S.reshape(p, q, T.shape[0])
+                coords = S.reshape(p, q, S.shape[-1])
             table[j, k] = Bracket(coords, *escapes)
         return table
 
@@ -274,14 +304,17 @@ def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     The p q products a b are one (p n, n) @ (n, q n) product of A's
     stacked rows against B's side-by-side columns, and the products b a
-    one more the other way round.
+    one more the other way round.  A stack with itself (B is A) takes
+    the one product P, as [a_i, a_j] = P[i, j] - P[j, i].
     """
     p, n, _ = A.shape
     q = B.shape[0]
-    AB = A.reshape(p * n, n) @ B.transpose(1, 0, 2).reshape(n, q * n)
+    AB = (A.reshape(p * n, n) @ B.transpose(1, 0, 2).reshape(n, q * n)
+          ).reshape(p, n, q, n).transpose(0, 2, 1, 3)
+    if B is A:
+        return AB - AB.transpose(1, 0, 2, 3)
     BA = B.reshape(q * n, n) @ A.transpose(1, 0, 2).reshape(n, p * n)
-    return (AB.reshape(p, n, q, n).transpose(0, 2, 1, 3)
-            - BA.reshape(q, n, p, n).transpose(2, 0, 1, 3))
+    return AB - BA.reshape(q, n, p, n).transpose(2, 0, 1, 3)
 
 
 def bracket_grading_residual(grading: Grading) -> float:
@@ -311,7 +344,8 @@ def generation_check(grading: Grading) -> C2Report:
     up to a sign that does not change the span.  These are projected
     off W_{k+-1} twice (orthonormal to round-off), and the singular
     directions of the remainder above _RANK_TOL times the round's
-    largest coordinate-row norm are kept; a cut relative to the
+    largest coordinate-row norm are kept (none, with no SVD, where its
+    Frobenius norm is within that cut); a cut relative to the
     remainder would count a saturated closure's round-off as new.
     Brackets at different levels are HS-orthogonal, so the per-level
     singular values together are the round's.  It stops when a round
@@ -365,6 +399,9 @@ def generation_check(grading: Grading) -> C2Report:
             Wk = W.get(k, np.zeros((0, C.shape[1]), dtype=complex))
             for _ in range(2):
                 C = C - (C @ Wk.conj().T) @ Wk
+            # every singular value is at most |C|_F; <=, so a NaN goes on
+            if np.linalg.norm(C) <= _RANK_TOL * scale:
+                continue
             _, s, vh = np.linalg.svd(C, full_matrices=False)
             vh = vh[:int(np.sum(s > _RANK_TOL * scale))]
             if vh.shape[0]:

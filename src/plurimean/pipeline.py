@@ -300,8 +300,12 @@ def _spherical(ctx: FixtureContext):
 
 def _isotropy_split(ctx: FixtureContext):
     # psi_theta is built on the decomposition, so it runs exactly where
-    # the isotropy check passes, on the same entries of the table
-    if not _fold(*_isotropy(ctx.bundles)) < TIER1:
+    # the isotropy check passes, on the same entries of the table; a NaN
+    # there is an ERROR of psi, as of isotropy, not a skip
+    split = _fold(*_isotropy(ctx.bundles))
+    if np.isnan(split):
+        raise ValueError("NaN in the isotropy decomposition")
+    if not split < TIER1:
         return "psi_theta needs the isotropy decomposition"
 
 

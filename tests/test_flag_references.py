@@ -328,3 +328,42 @@ def test_generation_check_refuses_partial_gradings(gradings, label, ref_dim):
     assert generation_check_ref(partial) == (ref_dim, False)
     with pytest.raises(ValueError, match="expected algebra_dim"):
         flags.generation_check(partial)
+
+
+# ------------------------------------------------------------ mechanisms
+
+@pytest.mark.parametrize("label", LABELS)
+def test_a_level_with_itself_takes_one_product(gradings, label):
+    """_commutators(A, A) reads [a_i, a_j] off the one product A A; a
+    copy of A takes the two-product route, to round-off."""
+    for A in gradings[label].spaces.values():
+        one, two = flags._commutators(A, A), flags._commutators(A, A.copy())
+        assert np.max(np.abs(one - two)) < 1e-15
+
+
+def test_a_target_that_is_its_whole_cartan_stack_is_projected_once(gradings):
+    """On u9:4,5 (levels -1, 0, 1) g_0 is all of k, so the pairs bracketing
+    into it, (-1, 1) and (0, 0), read their Cartan escape off the same
+    remainder as their escape, bit for bit."""
+    table = gradings["u9:4,5"].bracket_table
+    for pair in ((-1.0, 1.0), (0.0, 0.0)):
+        assert table[pair].cartan_escape == table[pair].escape
+
+
+def test_closure_takes_no_svd_of_a_negligible_remainder(monkeypatch):
+    """Over the 25 elements, grade takes 151 SVDs and generation_check 75:
+    a projected block whose Frobenius norm is within _RANK_TOL of the
+    round's scale adds no direction without one (68 such blocks)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    gradings = [flags.grade(_build(label)) for label in LABELS]
+    assert len(calls) == 151
+    for grading in gradings:
+        flags.generation_check(grading)
+    assert len(calls) == 151 + 75

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plurimean import forms, gaussmaps, pipeline
+from plurimean import flags, forms, gaussmaps, pipeline
 from plurimean.chartcalc import RankError
 from plurimean.fixtures import registry
 from test_forms import _geom
@@ -235,6 +235,37 @@ def test_lift_grading_residual_reads_the_cross_block():
     dxi[1, 0] += 1.5 * (_skew(0, 2) - _skew(1, 3))
     bun = _lift_bundles(dxi)
     assert bun.residuals["lift-grading"] == 0.75
+
+
+@pytest.mark.parametrize("point", [0, 40, 80])
+def test_lift_grading_matches_the_flag_algebra_route(point):
+    """At a product-spheres point, the flag element of o(6) with tau' at
+    level 1, tau'' = conj tau' at -1 and the real normal space at 0 is
+    xi = i (P_tau' - P_tau'') = -2 Im P_tau'.  flags grades it with one
+    dimension at each of the levels +-2, and d xi = -2 Im dP_tau' has no
+    coordinate there, as the bundles' lift-grading residual says; the
+    real part of g_2's basis element, a real skew tau'' -> tau' block,
+    reads coordinate 1."""
+    geom, bun = _bundles("product-spheres", per_axis=3)
+    n = bun.taup.P.shape[-1]
+    P = bun.taup.P[point]
+    ev, V = np.linalg.eigh(P)
+    evn, Vn = np.linalg.eigh(np.eye(n) - geom.P_T[point])
+    elem = flags.canonical_orthogonal({1.0: V[:, ev > 0.5].T}, n,
+                                      real_frame=Vn[:, evn > 0.5].T)
+    assert np.max(np.abs(elem.xi + 2.0 * P.imag)) < 1e-15
+    grading = flags.grade(elem)
+    assert grading.dims() == {-2.0: 1, -1.0: 4, 0.0: 5, 1.0: 4, 2.0: 1}
+
+    def coords(k, M):
+        return grading.space(k).reshape(1, -1).conj() @ M.reshape(-1, n * n).T
+
+    dxi = -2.0 * bun.taup.dP[point].imag
+    for k in (2.0, -2.0):
+        assert np.max(np.abs(coords(k, dxi))) <= pipeline.TIER1
+    assert bun.residuals["lift-grading"] <= pipeline.TIER1
+    g2 = grading.space(2.0)[0]
+    assert abs(coords(2.0, g2 + g2.conj())[0, 0] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("name,small", [

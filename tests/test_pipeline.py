@@ -503,13 +503,15 @@ def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
     assert np.isnan(res.residual)
 
 
-def test_a_nan_in_the_isotropy_parallelity_skips_psi(monkeypatch):
-    # psi's split gate folds the isotropy residuals like its body
+def test_a_nan_in_the_isotropy_parallelity_is_an_error_of_psi(monkeypatch):
+    # psi's split gate folds the isotropy residuals like the isotropy
+    # body, and a NaN fold raises there rather than skipping psi
     _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
             functools.partial(_replaced, key="parallelity N°"))
     res = _nan_run("veronese", "psi")
-    assert res.status == pipeline.SKIPPED
-    assert res.message == "psi_theta needs the isotropy decomposition"
+    assert res.status == pipeline.ERROR
+    assert res.message == "ValueError: NaN in the isotropy decomposition"
+    assert res.mismatch
 
 
 def test_one_orthogonality_entry_gates_isotropy_and_psi(monkeypatch):
