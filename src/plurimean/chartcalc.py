@@ -15,7 +15,8 @@ so no grid pass rebuilds one.
 A residual that is a max of pointwise values may run block by block of
 grid points through grid_max, which folds the blocks' maxima with
 np.max: its values stay bit for bit those of one full-grid pass, while
-its temporaries shrink to one block's.
+its temporaries shrink to one block's.  A block body skips a product
+whose factor vanishes there (vanishing_factor) and writes its 0.
 """
 
 import functools
@@ -175,6 +176,14 @@ def grid_max(fn: Callable[..., np.ndarray], *fields: np.ndarray):
     # np.max, not max(): a NaN must reach the caller
     return np.max([fn(*(f[s:s + _BLOCK] for f in fields))
                    for s in range(0, max(G, 1), _BLOCK)], axis=0)
+
+
+def vanishing_factor(P: np.ndarray, *others: np.ndarray) -> bool:
+    """Whether every product of P with the other factors is exactly 0,
+    so that it need not be formed: P is all zeros (a NaN counts as
+    nonzero) and every other factor is finite.  A non-finite factor
+    times 0 is NaN, not 0, so there the product is formed as usual."""
+    return not P.any() and all(np.isfinite(f).all() for f in others)
 
 
 def fd_d1(imm: ChartedImmersion, pts: np.ndarray,

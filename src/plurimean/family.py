@@ -18,7 +18,9 @@ The sweep's constant matrices are chart constants, built once per m
 sweep's Codazzi leg run block by block of grid points
 (chartcalc.grid_max), also where the family verb shares the structure
 sweep at 201^2 points; its Gauss and Ricci legs run over the whole
-grid.  rotation_parts,
+grid.  Where N' is exactly 0 (an isotropic immersion), psi_theta = I
+and psi's sweep forms no product of P_N': eq8 alone is left, as the
+angle rows against [alpha - u, -v, -w].  rotation_parts,
 the structure equations and psi_theta rotate alpha^{2,0} by
 e^{2i theta}; df o R_theta, which integrate_family and
 closedness_residual take, is the member at theta/2.
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import forms, kaehler
 from .chartcalc import (ChartedImmersion, chart_constant, form_parts,
-                        grid_max, rotation_parts)
+                        grid_max, rotation_parts, vanishing_factor)
 from .gaussmaps import Bundles
 
 THETA_SWEEP = tuple(k * np.pi / 8 for k in range(9))
@@ -305,30 +307,45 @@ def rigid_match(A: np.ndarray, B: np.ndarray):
 
 # ------------------------------------------------------------- psi_theta
 
-def _psi_sweep(rows, alpha, P, P_Nc) -> np.ndarray:
-    """build_psi's (T, 3) residuals on one block of grid points, each leg
-    one product (_row_max) of its angle rows in rows = (eq8, unitarity,
-    identity on N) with its theta-independent terms: alpha
-    (G, d, d, n), P = P_N' and P_Nc (G, n, n), and Q = P_N'' = conj P."""
-    eq8, unitarity, identity = rows
-    G, d, _, n = alpha.shape
-    out = np.empty((len(eq8), 3))
-    u, v, w = form_parts(alpha).reshape(3, G, d * d, n)
-    alpha = alpha.reshape(G, d * d, n)
-    Pa = alpha @ P.transpose(0, 2, 1)
-    out[:, 0] = _row_max(eq8, np.stack([alpha - 2 * Pa.real - u,
-                                        2 * Pa.real - v, -2 * Pa.imag - w]))
-    del u, v, w, Pa
-
+def _unitarity_terms(P: np.ndarray) -> np.ndarray:
+    """The terms (5, G, n, n) of psi psi* - I = C0 + E C1 + E^2 P Q*
+    + h.c. (build_psi) for P = P_N' and Q = P_N'' = conj P, stacked
+    against the angle rows (1, E, E^2, conj E, conj E^2)."""
     Q = P.conj()
     Ph, Qh = (M.conj().transpose(0, 2, 1) for M in (P, Q))
     PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
     C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
     C1 = P + Qh - PPh_QQh - 2 * PQh
+    return np.stack([C0, C1, PQh, C1.conj().transpose(0, 2, 1),
+                     PQh.conj().transpose(0, 2, 1)])
+
+
+def _psi_sweep(rows, alpha, P, P_Nc) -> np.ndarray:
+    """build_psi's (T, 3) residuals on one block of grid points, each leg
+    one product (_row_max) of its angle rows in rows = (eq8, unitarity,
+    identity on N) with its theta-independent terms: alpha
+    (G, d, d, n), P = P_N' and P_Nc (G, n, n), and Q = P_N'' = conj P.
+
+    Where P vanishes on the block (N' of an isotropic immersion) and
+    alpha and P_Nc are finite (vanishing_factor), psi_theta = I: the
+    unitarity and identity legs are 0, and eq8 is the product of its
+    angle rows with [alpha - u, -v, -w] alone."""
+    eq8, unitarity, identity = rows
+    G, d, _, n = alpha.shape
+    out = np.zeros((len(eq8), 3))
+    u, v, w = form_parts(alpha).reshape(3, G, d * d, n)
+    alpha = alpha.reshape(G, d * d, n)
+    if vanishing_factor(P, alpha, P_Nc):
+        out[:, 0] = _row_max(eq8, np.stack([alpha - u, -v, -w]))
+        return out
+    Pa = alpha @ P.transpose(0, 2, 1)
+    out[:, 0] = _row_max(eq8, np.stack([alpha - 2 * Pa.real - u,
+                                        2 * Pa.real - v, -2 * Pa.imag - w]))
+    del u, v, w, Pa
+
     # the angles in two halves: the (T, G n^2) complex product of all
     # of them at once would be the block's largest temporary
-    terms = np.stack([C0, C1, PQh, C1.conj().transpose(0, 2, 1),
-                      PQh.conj().transpose(0, 2, 1)])
+    terms = _unitarity_terms(P)
     half = (len(unitarity) + 1) // 2
     out[:, 1] = np.concatenate([_row_max(unitarity[:half], terms),
                                 _row_max(unitarity[half:], terms)])

@@ -21,7 +21,9 @@ the derivative of a projector onto a constant-rank span
 d_v alpha (alpha_derivative).  tau' has rank m wherever the metric
 passed its gate, so its pseudo-inverse comes from its m x m Gram
 matrix; N° and N' take an SVD for their rank, and none where the stack
-is negligible against alpha: that stack is rank 0, with P = dP = 0.
+is negligible against alpha: that stack is rank 0, with P = dP = 0, and
+takes no generator derivative (no d alpha where both stacks are, as on
+the plane).
 Only eq4's second route takes a finite difference
 (fd_tangent_projector_derivatives, on the shared stencil
 chartcalc.central_differences); its shifted grids take order-1 jets and
@@ -35,7 +37,10 @@ itself is built over the whole grid; its residuals run block by block
 of grid points (chartcalc.grid_max), all eleven in one pass,
 Bundles.residuals: the one table that the checks of superhorizontality,
 lift-grading, pluriminimal, isotropy and the chain and psi's admission
-guard index.
+guard index.  N' of an isotropic immersion and N° of a pluriminimal one
+are exactly 0, and a zero bundle enters no product of that pass: each
+product with it as a factor is 0 where the other factors are finite
+(chartcalc.vanishing_factor), and is formed only where they are not.
 """
 
 import functools
@@ -47,7 +52,7 @@ import numpy as np
 from . import forms, kaehler
 from .chartcalc import (RankError, _check_boundary, central_differences,
                         contract_slots, eval_jet, grid_max,
-                        holomorphic_basis, type_rows)
+                        holomorphic_basis, type_rows, vanishing_factor)
 
 
 # ----------------------------------------------------------- Grassmannian
@@ -108,6 +113,22 @@ def gauss_levi_residual(geom: forms.GeometryData) -> float:
 _RANK_REL_TOL = 1e-8   # generator rank, relative to the largest value
 
 
+def _negligible(gens: np.ndarray, scale: float) -> bool:
+    """Whether the stack gens (G, K, n) has |gens_p|_F <= _RANK_REL_TOL
+    scale at every point p of a nonempty grid: each singular value is at
+    most that norm, so _ranked_svd's cut keeps none of them (with
+    scale = 0 only an all-zero stack passes, and a NaN fails the test)."""
+    norms = np.sqrt(np.sum(np.abs(gens) ** 2, axis=(1, 2)))
+    return bool(len(gens) and np.max(norms) <= _RANK_REL_TOL * scale)
+
+
+def _rank_zero(G: int, D: int, n: int):
+    """(P, r, dP) of a rank-0 stack: P (G, n, n) and dP (G, D, n, n)
+    zero, formed with no product."""
+    return (np.zeros((G, n, n), complex), 0,
+            np.zeros((G, D, n, n), complex))
+
+
 def _ranked_svd(gens: np.ndarray, scale: float):
     """Thin SVD (u, s, vh) of gens (G, K, n) cut to its numerical rank r:
     the singular values above _RANK_REL_TOL times the larger of the
@@ -116,13 +137,10 @@ def _ranked_svd(gens: np.ndarray, scale: float):
     (for example vanishing alpha^{(2,0)} values) classify as rank 0
     instead of amplifying round-off.
 
-    A stack whose every point has |gens_p|_F <= _RANK_REL_TOL scale is
-    rank 0 without an SVD: each singular value is at most that norm, so
-    the cut keeps none of them (with scale = 0 only an all-zero stack
-    passes, and a NaN fails the test and reaches the SVD)."""
+    A negligible stack (_negligible) is rank 0 without an SVD; a NaN
+    fails that test and reaches the SVD."""
     G, K, n = gens.shape
-    norms = np.sqrt(np.sum(np.abs(gens) ** 2, axis=(1, 2)))
-    if G and np.max(norms) <= _RANK_REL_TOL * scale:
+    if _negligible(gens, scale):
         return (np.zeros((G, K, 0), complex), np.zeros((G, 0)),
                 np.zeros((G, 0, n), complex))
     u, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
@@ -154,8 +172,7 @@ def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
     ur, sr, vr = _ranked_svd(gens, scale)
     G, D, _, n = dgens.shape
     if vr.shape[1] == 0:
-        return (np.zeros((G, n, n), complex), 0,
-                np.zeros((G, D, n, n), complex))
+        return _rank_zero(G, D, n)
     P = _span_projector(vr)
     pinvT = ur.conj() @ (vr.conj() / sr[:, :, None])       # (A+)^T
     return P, vr.shape[1], _span_derivative(P, pinvT, dgens)
@@ -243,7 +260,14 @@ def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     those blocks, |T conj(Y)| = |conj(T) Y|, conjugation being exact.
     Lift-grading takes one more product of tau', of its derivative's
     imaginary part against P_tau'', and orthogonality, last, the mutual
-    products of N', N° and N'' = conj N'."""
+    products of N', N° and N'' = conj N'.
+
+    A source whose projector vanishes on the block, N' of an isotropic
+    immersion or N° of a pluriminimal one, takes no product where the
+    other fields of the block are finite: each of its legs is 0 there
+    (vanishing_factor), and so is each mutual product with a zero
+    factor.  A zero N° subtracts nothing from tau''->N°'s target, which
+    is then frame_route's, so that arrow reads frame_route's value."""
     G, d, n, _ = dtaup.shape
     B = holomorphic_basis(d // 2)
     eye = np.eye(n)
@@ -253,11 +277,13 @@ def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     out["superhorizontality"] = _target_max(taup.conj(), Y)
     Yb, Yc = _directions(B, Y), _directions(B.conj(), Y)
     del Y
-    out["frame_route"] = _target_max(eye - taup, Yc)
-    out["tau''->N°"] = _target_max(eye - taup - No.conj(), Yc)
+    off_taup = eye - taup
+    out["frame_route"] = _target_max(off_taup, Yc)
+    out["tau''->N°"] = (_target_max(off_taup - No.conj(), Yc)
+                        if No.any() else out["frame_route"])
     del Yc
-    out["tau'->N'"] = _target_max(eye - taup - Np, Yb)
-    del Yb
+    out["tau'->N'"] = _target_max(off_taup - Np, Yb)
+    del Yb, off_taup
     # the flag lift xi = i (P_tau' - P_tau'') has d xi = -2 Im dP_tau',
     # real, so its tau'' -> tau' block is the entrywise conjugate of the
     # tau' -> tau'' one, with the same max bit for bit: only the latter
@@ -265,24 +291,35 @@ def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     out["lift-grading"] = _target_max(
         taup, _right_product(-2.0 * dtaup.imag, taup.conj()))
 
-    Y = _right_product(dNp, Np)
-    out["parallelity N'"] = _target_max(Nc - Np, Y)
-    Yb, Yc = _directions(B, Y), _directions(B.conj(), Y)
-    del Y
-    out["N'->0"] = _target_max(eye - Np, Yb)
-    del Yb
-    out["N''->tau''"] = _target_max(eye - Np - taup, Yc)
-    del Yc
+    zero_Np = vanishing_factor(Np, dNp, Nc, taup, No)
+    zero_No = vanishing_factor(No, dNo, Nc, taup, Np)
+    if zero_Np:
+        out["parallelity N'"] = out["N'->0"] = out["N''->tau''"] = 0.0
+    else:
+        Y = _right_product(dNp, Np)
+        out["parallelity N'"] = _target_max(Nc - Np, Y)
+        Yb, Yc = _directions(B, Y), _directions(B.conj(), Y)
+        del Y
+        out["N'->0"] = _target_max(eye - Np, Yb)
+        del Yb
+        out["N''->tau''"] = _target_max(eye - Np - taup, Yc)
+        del Yc
 
-    Y = _right_product(dNo, No)
-    out["parallelity N°"] = _target_max(Nc - No, Y)
-    out["N°->tau'"] = _target_max(eye - No - taup, _directions(B, Y))
-    del Y
+    if zero_No:
+        out["parallelity N°"] = out["N°->tau'"] = 0.0
+    else:
+        Y = _right_product(dNo, No)
+        out["parallelity N°"] = _target_max(Nc - No, Y)
+        out["N°->tau'"] = _target_max(eye - No - taup, _directions(B, Y))
+        del Y
 
     conj_Np = Np.conj()     # P_N''
+    pairs = [] if zero_Np else [(Np, conj_Np)]
+    if not (zero_Np or zero_No):
+        pairs += [(Np, No), (No, conj_Np)]
     # np.max, not max(): a NaN must reach the table
-    out["orthogonality"] = np.max([np.max(np.abs(A @ C)) for A, C in
-                                   ((Np, No), (Np, conj_Np), (No, conj_Np))])
+    out["orthogonality"] = np.max([np.max(np.abs(A @ C)) for A, C in pairs],
+                                  initial=0.0)
     return np.array([out[k] for k in RESIDUALS])
 
 
@@ -406,16 +443,20 @@ def projector_derivatives(geom: forms.GeometryData):
         raise RankError(f"tau' rank below m = {m}: {e}") from e
 
     # the N° and N' generator derivatives kron(B, conj B) d_v alpha and
-    # kron(B, B) d_v alpha, in projector_derivative's (G, D, K, n) layout
-    dalpha = alpha_derivative(geom)
-    K20, K11 = type_rows(m)
-    d11, d20 = (contract_slots(K, dalpha).reshape(G, d, m * m, n)
-                for K in (K11, K20))
+    # kron(B, B) d_v alpha, in projector_derivative's (G, D, K, n) layout,
+    # contracted only for a stack that is not negligible against alpha:
+    # one that is has rank 0, and alpha_derivative runs only if one is not
     alpha_scale = float(np.max(np.abs(geom.alpha)))
-    P_No, r_no, dP_No = projector_derivative(
-        geom.alpha11.reshape(G, m * m, n), d11, scale=alpha_scale)
-    P_Np, r_np, dP_Np = projector_derivative(
-        geom.alpha20.reshape(G, m * m, n), d20, scale=alpha_scale)
+    K20, K11 = type_rows(m)
+    stacks = [(A.reshape(G, m * m, n), K)
+              for A, K in ((geom.alpha11, K11), (geom.alpha20, K20))]
+    live = [not _negligible(A, alpha_scale) for A, _ in stacks]
+    dalpha = alpha_derivative(geom) if any(live) else None
+    (P_No, r_no, dP_No), (P_Np, r_np, dP_Np) = (
+        projector_derivative(
+            A, contract_slots(K, dalpha).reshape(G, d, m * m, n),
+            scale=alpha_scale) if keep else _rank_zero(G, d, n)
+        for (A, K), keep in zip(stacks, live))
     return Bundles(T=Bundle(geom.P_T, dP_T), taup=Bundle(P_taup, dP_taup),
                    No=Bundle(P_No, dP_No), Np=Bundle(P_Np, dP_Np),
                    ranks={"tau'": m, "N°": r_no, "N'": r_np})

@@ -3,11 +3,15 @@
 references: the sublemma, the bundles' residual table,
 psi_theta's sweep, the three-bundle isotropy parallelity, the two-sided
 lift grading and ppmc's (1,1)-part must equal them exactly (==) on
-every registry fixture and on the first 1 and 129 points of
-product-spheres, either side of the block edge.  psi_theta's sweep also
-stays within 1e-12 of its per-angle form.  A NaN in the last, partial
-block of product-spheres' 625 points (625 = 4 * 128 + 113) reaches each
-residual, and the runner reads ERROR."""
+every registry fixture, on the first 1 and 129 points of
+product-spheres, either side of the block edge, and on the z1z2-graph
+control, the one m = 2 record whose N° is 0.  The references form every
+product, also those that the blocked bodies skip where N' or N°
+vanishes.  psi_theta's sweep also stays within 1e-12 of its per-angle
+form.  A NaN in the last, partial block of product-spheres' 625 points
+(625 = 4 * 128 + 113) reaches each residual, also through the products
+of its zero N' that a finite block skips, and the runner reads
+ERROR."""
 
 import dataclasses
 
@@ -18,6 +22,7 @@ from plurimean import chartcalc, family, forms, gaussmaps, kaehler
 from plurimean import pipeline
 from plurimean.chartcalc import form_parts, holomorphic_basis
 from plurimean.fixtures import fixture_names, get_fixture
+from test_controls import CONTROLS
 
 THETAS = [*family.THETA_SWEEP, np.pi]
 
@@ -184,18 +189,30 @@ def ppmc_residual_ref(geom):
 # ------------------------------------------------------------------ cases
 
 SLICES = (1, 129)
-CASES = [*fixture_names(), *(f"product-spheres[:{k}]" for k in SLICES)]
+CASES = [*fixture_names(), *(f"product-spheres[:{k}]" for k in SLICES),
+         "z1z2-graph"]
+
+# the cases whose N° or N' projector is exactly 0: N' of the isotropic
+# ones (alpha^{2,0} = 0), N° of the pluriminimal ones (alpha^{1,1} = 0),
+# both on the planes, whose alpha is 0
+ZERO_BUNDLES = {"plane": {"N°", "N'"}, "skewed-plane": {"N°", "N'"},
+                "sphere": {"N'"},
+                "standard-embedding": {"N'"}, "product-spheres": {"N'"},
+                **{f"product-spheres[:{k}]": {"N'"} for k in SLICES},
+                "catenoid": {"N°"}, "helicoid": {"N°"},
+                "holomorphic-curve": {"N°"}, "z1z2-graph": {"N°"}}
 
 
 @pytest.fixture(scope="module")
 def layers():
-    """case -> (geom, bundles): each registry fixture on its verify grid,
-    and product-spheres on the first k points of that grid."""
+    """case -> (geom, bundles): each registry fixture and the z1z2-graph
+    control on its verify grid, and product-spheres on the first k
+    points of that grid."""
     cfg = pipeline.RunConfig()
     out = {}
-    for name in fixture_names():
-        ctx = pipeline.FixtureContext(get_fixture(name), cfg)
-        out[name] = ctx.geom, ctx.bundles
+    for rec in [*map(get_fixture, fixture_names()), CONTROLS["z1z2-graph"]()]:
+        ctx = pipeline.FixtureContext(rec, cfg)
+        out[rec.name] = ctx.geom, ctx.bundles
     ctx = pipeline.FixtureContext(get_fixture("product-spheres"), cfg)
     assert len(ctx.pts) == 625
     for k in SLICES:
@@ -203,6 +220,16 @@ def layers():
         out[f"product-spheres[:{k}]"] = (
             geom, gaussmaps.projector_derivatives(geom))
     return out
+
+
+def test_zero_bundles_are_the_isotropic_and_pluriminimal_cases(layers):
+    """The cases on which the blocked bodies skip the products of a
+    vanishing N' or N°, so that the exact tests below cover the skip."""
+    assert layers.keys() == set(CASES)
+    for case, (_, bun) in layers.items():
+        zero = {k for k, b in (("N°", bun.No), ("N'", bun.Np))
+                if not b.P.any()}
+        assert zero == ZERO_BUNDLES.get(case, set()), case
 
 
 def test_block_size_splits_product_spheres_with_a_partial_block():
@@ -312,6 +339,13 @@ def _with_nan(a, index):
 ISOTROPY_KEYS = ("orthogonality", "parallelity N'", "parallelity N°")
 
 
+def _same(got, ref):
+    """Whether two residual tables are equal (==), a NaN equal to a
+    NaN."""
+    return got.keys() == ref.keys() and np.array_equal(
+        list(got.values()), list(ref.values()), equal_nan=True)
+
+
 def _run(monkeypatch, ctx, checks, **layers):
     """pipeline.run on product-spheres with the context's layers
     replaced by the given ones; {check: result}.  Replaced bundles keep
@@ -322,6 +356,12 @@ def _run(monkeypatch, ctx, checks, **layers):
         clean = ctx.bundles.residuals
         layers["bundles"].residuals.update(
             {k: clean[k] for k in ISOTROPY_KEYS})
+    return _run_replaced(monkeypatch, ctx, checks, **layers)
+
+
+def _run_replaced(monkeypatch, ctx, checks, **layers):
+    """pipeline.run on product-spheres with the context's layers
+    replaced by the given ones, as they are; {check: result}."""
     for name, value in {"geom": ctx.geom, "bundles": ctx.bundles,
                         **layers}.items():
         monkeypatch.setattr(pipeline.FixtureContext, name,
@@ -366,5 +406,41 @@ def test_nan_in_n_prime_reaches_the_psi_sweep(monkeypatch, spheres):
     out, _ = family.build_psi(spheres.geom, bun, THETAS)
     assert np.isnan(out[:, :2]).all()
     assert np.isnan(bun.residuals["orthogonality"])
+    res = _run(monkeypatch, spheres, ["psi"], bundles=bun)
+    assert res["psi"].status == pipeline.ERROR
+
+
+def test_nan_in_zero_n_prime_derivative_reaches_its_parallelity(
+        monkeypatch, spheres):
+    """product-spheres' N' is 0, and a finite block skips its products;
+    a NaN in dP_N' makes the last block form them, so the NaN reaches
+    the legs of N', as the full-product reference has it, and the
+    isotropy row reads ERROR."""
+    bun = spheres.bundles
+    assert not bun.Np.P.any()
+    bun = dataclasses.replace(bun, Np=bun.Np._replace(
+        dP=_with_nan(bun.Np.dP, (1, 2, 3))))
+    res = bun.residuals
+    assert np.isnan([res[k] for k in ("parallelity N'", "N'->0",
+                                      "N''->tau''")]).all()
+    assert _same(res, residuals_ref(bun))
+    res = _run_replaced(monkeypatch, spheres, ["isotropy"], bundles=bun)
+    assert res["isotropy"].status == pipeline.ERROR
+
+
+def test_nan_in_n_c_reaches_the_psi_identity_leg(monkeypatch, spheres):
+    """With N' = 0, psi_theta = I on a finite block, whose identity leg
+    is 0 with no product; a NaN imaginary part of P_Nc in the last block
+    makes it form P P_Nc, NaN at every angle, as the full-product
+    reference has it.  eq8's and unitarity's legs and psi_{pi/2} =
+    Re(...) stay finite."""
+    bun = dataclasses.replace(spheres.bundles)
+    P = bun.Nc.P.copy()
+    P[624, 0, 1] = complex(P[624, 0, 1].real, np.nan)
+    bun.Nc = bun.Nc._replace(P=P)
+    out, dim = family.build_psi(spheres.geom, bun, THETAS)
+    assert np.isnan(out[:, 2]).all() and np.isfinite(out[:, :2]).all()
+    ref, ref_dim = build_psi_ref(spheres.geom, bun, THETAS)
+    assert np.array_equal(out, ref, equal_nan=True) and dim == ref_dim
     res = _run(monkeypatch, spheres, ["psi"], bundles=bun)
     assert res["psi"].status == pipeline.ERROR

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from plurimean import forms, gaussmaps, pipeline
-from plurimean.chartcalc import RankError, holomorphic_basis
+from plurimean.chartcalc import (RankError, contract_slots,
+                                 holomorphic_basis, type_rows)
 from plurimean.fixtures import fixture_names, get_fixture, registry
 from test_controls import CONTROLS
 from test_forms import _geom
@@ -288,12 +289,23 @@ RANK_ZERO = {("plane", "N°"), ("plane", "N'"), ("sphere", "N'"),
 
 
 def test_rank_zero_stacks_equal_the_svd_route(monkeypatch):
+    """Each N° and N' bundle equals the route through an SVD of its
+    stack; a stack negligible against alpha takes no SVD, and no call of
+    projector_derivative either."""
     seen = set()
     for name in ADMITTED:
-        calls = _captured(monkeypatch, "projector_derivative",
-                          _verify_geometry(name))
-        for field, ((gens, dgens, scale), (P, r, dP)) in zip(("N°", "N'"),
-                                                              calls):
+        geom = _verify_geometry(name)
+        calls = _captured(monkeypatch, "projector_derivative", geom)
+        bun = gaussmaps.projector_derivatives(geom)
+        m = geom.imm.complex_dim
+        G, d, _, n = geom.alpha.shape
+        scale = float(np.max(np.abs(geom.alpha)))
+        dalpha = gaussmaps.alpha_derivative(geom)
+        K20, K11 = type_rows(m)
+        for field, A, K, got in (("N°", geom.alpha11, K11, bun.No),
+                                 ("N'", geom.alpha20, K20, bun.Np)):
+            gens = A.reshape(G, m * m, n)
+            dgens = contract_slots(K, dalpha).reshape(G, d, m * m, n)
             ur, sr, vr = ranked_svd_ref(gens, scale)
             if vr.shape[1] == 0:
                 seen.add((name, field))
@@ -303,10 +315,12 @@ def test_rank_zero_stacks_equal_the_svd_route(monkeypatch):
             monkeypatch.undo()
             P_ref = gaussmaps._span_projector(vr)
             pinvT = ur.conj() @ (vr.conj() / sr[:, :, None])
-            assert r == vr.shape[1]
-            assert np.array_equal(P, P_ref)
-            assert np.array_equal(dP, gaussmaps._span_derivative(
+            assert bun.ranks[field] == vr.shape[1]
+            assert np.array_equal(got.P, P_ref)
+            assert np.array_equal(got.dP, gaussmaps._span_derivative(
                 P_ref, pinvT, dgens))
+        live = [f for f in ("N°", "N'") if (name, f) not in RANK_ZERO]
+        assert len(calls) == len(live)
     assert seen == RANK_ZERO
 
 

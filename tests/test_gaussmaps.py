@@ -1,11 +1,14 @@
 """Projector-valued Gauss maps, normal subbundles, isotropy residuals."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from plurimean import flags, forms, gaussmaps, pipeline
 from plurimean.chartcalc import RankError
 from plurimean.fixtures import registry
+from test_controls import CONTROLS
 from test_forms import _geom
 
 ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
@@ -237,16 +240,33 @@ def test_lift_grading_residual_reads_the_cross_block():
     assert bun.residuals["lift-grading"] == 0.75
 
 
-@pytest.mark.parametrize("point", [0, 40, 80])
-def test_lift_grading_matches_the_flag_algebra_route(point):
-    """At a product-spheres point, the flag element of o(6) with tau' at
-    level 1, tau'' = conj tau' at -1 and the real normal space at 0 is
-    xi = i (P_tau' - P_tau'') = -2 Im P_tau'.  flags grades it with one
-    dimension at each of the levels +-2, and d xi = -2 Im dP_tau' has no
-    coordinate there, as the bundles' lift-grading residual says; the
-    real part of g_2's basis element, a real skew tau'' -> tau' block,
-    reads coordinate 1."""
-    geom, bun = _bundles("product-spheres", per_axis=3)
+def _control_bundles(name):
+    """(geom, bundles) of a control of test_controls on its verify
+    grid."""
+    ctx = pipeline.FixtureContext(CONTROLS[name](), pipeline.RunConfig())
+    return ctx.geom, ctx.bundles
+
+
+# product-spheres on 3^4 points, and the z1z2-graph control (m = 2, not
+# a product) on its 5^4 verify points
+LIFT_POINTS = [
+    *(pytest.param(functools.partial(_bundles, "product-spheres",
+                                     per_axis=3), p, id=str(p))
+      for p in (0, 40, 80)),
+    *(pytest.param(functools.partial(_control_bundles, "z1z2-graph"), p,
+                   id=f"z1z2-graph-{p}") for p in (0, 312, 624))]
+
+
+@pytest.mark.parametrize("layers,point", LIFT_POINTS)
+def test_lift_grading_matches_the_flag_algebra_route(layers, point):
+    """At a grid point of a Kaehler record with m = 2 in R^6, the flag
+    element of o(6) with tau' at level 1, tau'' = conj tau' at -1 and
+    the real normal space at 0 is xi = i (P_tau' - P_tau'') =
+    -2 Im P_tau'.  flags grades it with one dimension at each of the
+    levels +-2, and d xi = -2 Im dP_tau' has no coordinate there, as the
+    bundles' lift-grading residual says; the real part of g_2's basis
+    element, a real skew tau'' -> tau' block, reads coordinate 1."""
+    geom, bun = layers()
     n = bun.taup.P.shape[-1]
     P = bun.taup.P[point]
     ev, V = np.linalg.eigh(P)

@@ -12,7 +12,10 @@ computes ppmc and R once per fixture, and the family verb R once.  The residual 
 of grid points (chartcalc.grid_max) form no multi-MB temporary on
 product-spheres (5^4 = 625 points).  A default verify takes an SVD
 only of the N° and N' generator stacks that are not negligible: tau'
-takes its Gram route."""
+takes its Gram route.  A bundle that is exactly 0 (N' of an isotropic
+fixture, N° of a pluriminimal one) enters no product of the residual
+pass or of psi's sweep, and a negligible stack takes no generator
+derivative."""
 
 import copy
 import tracemalloc
@@ -23,6 +26,7 @@ import pytest
 from plurimean import (chartcalc, cli, family, forms, gaussmaps, kaehler,
                        kernels, pipeline)
 from plurimean.fixtures import get_fixture, get_immersion, registry
+from test_block_references import ZERO_BUNDLES
 
 
 def _spy(monkeypatch, targets):
@@ -218,6 +222,65 @@ def test_verify_takes_svds_of_the_normal_stacks_only(hot_calls):
     assert hot_calls.count("svd") == 12
 
 
+def test_warm_verify_forms_no_product_with_a_zero_bundle(monkeypatch):
+    """The residual pass forms dP_S P_S only for a source S that is not
+    0, and psi's sweep its unitarity terms only for a P_N' that is not
+    0: N' vanishes on the plane, the sphere, product-spheres and the
+    standard embedding, where psi runs with no product of P_N', and N°
+    on the plane, the catenoid, the helicoid and the holomorphic curve.
+    Veronese, with no zero bundle, forms them all."""
+    names = [r.name for r in registry()]
+    for name in names:
+        pipeline.run(pipeline.RunConfig(fixtures=[name]))
+    seen = []
+    for module, name in ((gaussmaps, "_right_product"),
+                         (family, "_unitarity_terms")):
+        def spy(*args, _f=getattr(module, name), _name=name):
+            seen.append((_name, bool(args[-1].any())))
+            return _f(*args)
+        monkeypatch.setattr(module, name, spy)
+    calls = {}
+    for name in names:
+        before = len(seen)
+        rep = pipeline.run(pipeline.RunConfig(fixtures=[name]))
+        assert rep.mismatches == []
+        calls[name] = seen[before:]
+    assert all(nonzero for _, nonzero in seen)
+    # per block of grid points: tau', lift-grading's tau'' and each of
+    # N° and N' that is not 0; the skewed plane builds no bundles
+    for name in names:
+        blocks = 5 if name == "product-spheres" else 1
+        sources = (0 if name == "skewed-plane"
+                   else 4 - len(ZERO_BUNDLES.get(name, ())))
+        assert calls[name].count(("_right_product", True)) == (
+            sources * blocks), name
+    assert {name for name in names
+            if ("_unitarity_terms", True) in calls[name]} == {
+                "holomorphic-curve", "veronese"}
+
+
+def test_bundle_layer_takes_no_derivative_of_a_negligible_stack(
+        monkeypatch):
+    """projector_derivatives contracts d alpha only for an N° or N'
+    stack that is not negligible against alpha, and forms no d alpha on
+    the plane, where both are."""
+    cfg = pipeline.RunConfig()
+    geoms = {r.name: pipeline.FixtureContext(r, cfg).geom
+             for r in registry() if r.flags["kaehler"]}
+    for geom in geoms.values():
+        geom.alpha11, geom.alpha20
+    calls = _spy(monkeypatch, ((gaussmaps, "alpha_derivative"),
+                               (gaussmaps, "contract_slots")))
+    for name, geom in geoms.items():
+        before = len(calls)
+        ranks = gaussmaps.projector_derivatives(geom).ranks
+        live = sum(ranks[k] > 0 for k in ("N°", "N'"))
+        assert calls[before:] == (["alpha_derivative"] * (live > 0)
+                                  + ["contract_slots"] * live), name
+    assert len(geoms) == 10
+    assert calls.count("alpha_derivative") == 9
+
+
 def test_verify_and_large_geometry_call_no_inverse(monkeypatch):
     calls = _spy(monkeypatch, ((np.linalg, "inv"),))
     rep = pipeline.run(pipeline.RunConfig())
@@ -270,13 +333,16 @@ def test_chart_constants_are_built_once_and_read_only(module, name, m):
 
 
 # tracemalloc peaks of one warm call on product-spheres, in MiB, set
-# above the measured peaks (numpy 2.4): sublemma 3.63, build_psi 1.70,
-# the shared derivative pass behind superhorizontality 0.92, ppmc 3.66,
-# and the structure sweep 2.75.  Over the full grid they read 17.2,
-# 7.33, 3.43 (superhorizontality alone) and 7.39 MiB, and the structure
-# sweep with its full-grid Codazzi array 4.81 MiB.
-PEAK_BOUNDS_MIB = {"sublemma": 4.0, "psi": 2.0, "superhorizontality": 1.0,
-                   "ppmc": 4.0, "structure-equations": 3.5}
+# above the measured peaks (numpy 2.4): sublemma 3.63, build_psi 1.51
+# (its N' is 0, so the sweep forms no unitarity terms) and 1.70 with
+# P_N° standing in for P_N' (every leg formed), the shared derivative
+# pass behind superhorizontality 0.92, ppmc 3.66, and the structure
+# sweep 2.75.  Over the full grid they read 17.2, 7.33, 3.43
+# (superhorizontality alone) and 7.39 MiB, and the structure sweep with
+# its full-grid Codazzi array 4.81 MiB.
+PEAK_BOUNDS_MIB = {"sublemma": 4.0, "psi": 2.0, "psi-every-leg": 2.0,
+                   "superhorizontality": 1.0, "ppmc": 4.0,
+                   "structure-equations": 3.5}
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +357,8 @@ def product_spheres():
 def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
     geom, bun = product_spheres.geom, product_spheres.bundles
     bun.Nc              # derived before any measurement
+    every_leg = copy.copy(bun)
+    every_leg.Np = bun.No
 
     def uncached(bun):
         """bun without its cached residual pass, so that each read of
@@ -303,6 +371,8 @@ def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
         "sublemma": lambda: kaehler.sublemma_residual(geom),
         "psi": lambda: family.build_psi(geom, bun,
                                         [*family.THETA_SWEEP, np.pi]),
+        "psi-every-leg": lambda: family.build_psi(
+            geom, every_leg, [*family.THETA_SWEEP, np.pi]),
         "superhorizontality": lambda: uncached(bun).residuals[
             "superhorizontality"],
         "ppmc": lambda: forms.ppmc_residual(geom),
