@@ -48,6 +48,11 @@ def _parse_list(text: str):
     return [t for t in (s.strip() for s in text.split(",")) if t]
 
 
+# flag-demo's options of each algebra, with their defaults
+_DEMO_DEFAULTS = {"unitary": {"dims": "1,2", "lambda0": 0.0, "seed": None},
+                  "orthogonal": {"n": 4, "r": 1}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plurimean",
@@ -98,19 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
                          "another fixture evaluated on the same chart")
     pf.add_argument("--report", metavar="PATH", default=None)
 
-    pd = sub.add_parser("flag-demo",
+    pd = sub.add_parser("flag-demo", argument_default=argparse.SUPPRESS,
                         help="grade a canonical flag-manifold element")
-    pd.add_argument("--algebra", choices=("unitary", "orthogonal"),
-                    default="unitary")
-    pd.add_argument("--dims", default="1,2",
+    pd.add_argument("--algebra", default="unitary", choices=_DEMO_DEFAULTS,
+                    help="default unitary; options of the other are errors")
+    pd.add_argument("--dims",
                     help="unitary eigenspace dimensions (default '1,2')")
-    pd.add_argument("--lambda0", type=float, default=0.0,
+    pd.add_argument("--lambda0", type=float,
                     help="lowest unitary eigenvalue (default 0)")
-    pd.add_argument("--n", type=int, default=4,
+    pd.add_argument("--n", type=int,
                     help="orthogonal matrix size (default 4)")
-    pd.add_argument("--r", type=int, default=1,
+    pd.add_argument("--r", type=int,
                     help="orthogonal isotropic rank (default 1)")
-    pd.add_argument("--seed", type=int, default=None,
+    pd.add_argument("--seed", type=int,
                     help="randomize the unitary frames with this seed")
     pd.add_argument("--report", metavar="PATH", default=None)
 
@@ -186,6 +191,12 @@ def cmd_family(args) -> int:
 
 
 def _demo_element(args):
+    # an option left out is absent from args (argparse.SUPPRESS)
+    other, = set(_DEMO_DEFAULTS) - {args.algebra}
+    given = [key for key in _DEMO_DEFAULTS[other] if key in vars(args)]
+    if given:
+        raise ValueError(f"--{given[0]} applies to --algebra {other} only")
+    args = argparse.Namespace(**_DEMO_DEFAULTS[args.algebra] | vars(args))
     if args.algebra == "unitary":
         dims = [int(d) for d in _parse_list(args.dims)]
         frames = None

@@ -383,12 +383,12 @@ def build_psi(geom: forms.GeometryData, bun: Bundles,
             np.stack([c2 - 1, -s2], axis=1))
     P = bun.Np.P
     out = grid_max(functools.partial(_psi_sweep, rows),
-                   geom.alpha, P, bun.Nc.P)
+                   geom.alpha, P, bun.Nc)
 
     # psi_{pi/2} = Re(P_Nc - 2 (P + Q)), as P + Q = 2 Re P, is real
     # symmetric; on N it is +1 on N° + rest and -1 on the real points of
     # N' + N''
-    half_turn = bun.Nc.P.real - 4 * P.real
+    half_turn = bun.Nc.real - 4 * P.real
     counts = np.sum(np.linalg.eigvalsh(half_turn) < -0.5, axis=1)
     if np.any(counts != counts[0]):
         raise ValueError("(-1)-eigenspace dimension varies over grid")

@@ -7,40 +7,34 @@ derivative residuals are measured gauge-free as
 
     || P_target . (d_v P_source) . P_source ||
 
-which equals the norm of the target-component of the derivative of any
-orthonormal section of the source bundle, independent of the frame
-gauge (for a section s of S: P_T d_v s = P_T (d_v P_S) s).
+the norm of the target-component of the derivative of any orthonormal
+section s of the source bundle S, as P_T d_v s = P_T (d_v P_S) s.
 
 Each projector field travels with its real-chart derivative as one
-Bundle(P, dP); projector_derivatives returns them all as one Bundles,
-which derives N^c = I - P_T once; N'' is conj N' where it is read.
+Bundle(P, dP) of one Bundles (projector_derivatives), which derives the
+projector P_Nc = I - P_T once, alone, with no derivative; N'' = conj N'.
 The derivatives are closed forms in the order-3 jets of the centre
-grid: d_v P_T from alpha, and the generator bundles tau', N°, N' from
-the derivative of a projector onto a constant-rank span
-(_span_derivative) with the generator derivatives built from d2 and
-d_v alpha (alpha_derivative).  tau' has rank m wherever the metric
-passed its gate, so its pseudo-inverse comes from its m x m Gram
-matrix; N° and N' take an SVD for their rank, and none where the stack
-is negligible against alpha: that stack is rank 0, with P = dP = 0, and
-takes no generator derivative (no d alpha where both stacks are, as on
-the plane).
-Only eq4's second route takes a finite difference
-(fd_tangent_projector_derivatives, on the shared stencil
-chartcalc.central_differences); its shifted grids take order-1 jets and
-pass the geometry's regularity gate.
+grid: d_v P_T from alpha, and tau', N°, N' from the derivative of a
+projector onto a constant-rank span (_span_derivative), with generator
+derivatives from d2 and d_v alpha (alpha_derivative).  tau' has rank m
+wherever the metric passed its gate, so its pseudo-inverse comes from
+its m x m Gram matrix; N° and N' take an SVD for their rank.  Rank 0
+is decided without one in one place, projector_derivatives' pre-filter:
+a stack negligible against alpha (_negligible) has P = dP = 0 and takes
+no generator derivative (no d alpha where both are, as on the plane).
+The span formulas cover r = 0 too, their products running over an
+empty axis.  Only eq4's second route takes a finite difference
+(fd_tangent_projector_derivatives, on chartcalc.central_differences).
 
 Every batched product of the bundle layer is one product per grid
 point: the chart directions (or generator fields) are folded into the
-rows or columns of the matmul, never broadcast as one small n x n
-product per point and per direction, and no einsum runs.  The layer
-itself is built over the whole grid; its residuals run block by block
-of grid points (chartcalc.grid_max), all eleven in one pass,
-Bundles.residuals: the one table that the checks of superhorizontality,
-lift-grading, pluriminimal, isotropy and the chain and psi's admission
-guard index.  N' of an isotropic immersion and N° of a pluriminimal one
-are exactly 0, and a zero bundle enters no product of that pass: each
-product with it as a factor is 0 where the other factors are finite
-(chartcalc.vanishing_factor), and is formed only where they are not.
+rows or columns of the matmul, never broadcast per point and direction,
+and no einsum runs.  The residuals run block by block of grid points
+(chartcalc.grid_max), all eleven in one pass, Bundles.residuals: the
+one table that superhorizontality, lift-grading, pluriminimal,
+isotropy, the chain and psi's admission guard index.  A zero N'
+(isotropic) or N° (pluriminimal) enters no product of that pass where
+the other factors are finite (chartcalc.vanishing_factor).
 """
 
 import functools
@@ -116,15 +110,16 @@ _RANK_REL_TOL = 1e-8   # generator rank, relative to the largest value
 def _negligible(gens: np.ndarray, scale: float) -> bool:
     """Whether the stack gens (G, K, n) has |gens_p|_F <= _RANK_REL_TOL
     scale at every point p of a nonempty grid: each singular value is at
-    most that norm, so _ranked_svd's cut keeps none of them (with
-    scale = 0 only an all-zero stack passes, and a NaN fails the test)."""
+    most that norm, so _ranked_svd's cut would keep none (with scale = 0
+    only an all-zero stack passes; a NaN fails).  projector_derivatives'
+    pre-filter, the one place that decides rank 0 without an SVD."""
     norms = np.sqrt(np.sum(np.abs(gens) ** 2, axis=(1, 2)))
     return bool(len(gens) and np.max(norms) <= _RANK_REL_TOL * scale)
 
 
 def _rank_zero(G: int, D: int, n: int):
-    """(P, r, dP) of a rank-0 stack: P (G, n, n) and dP (G, D, n, n)
-    zero, formed with no product."""
+    """(P, r, dP) of a stack the pre-filter finds negligible: P (G, n, n)
+    and dP (G, D, n, n) zero, formed with no product."""
     return (np.zeros((G, n, n), complex), 0,
             np.zeros((G, D, n, n), complex))
 
@@ -135,14 +130,8 @@ def _ranked_svd(gens: np.ndarray, scale: float):
     global largest one and scale.  r must be constant over the grid
     (RankError otherwise).  The scale lets an exactly-degenerate stack
     (for example vanishing alpha^{(2,0)} values) classify as rank 0
-    instead of amplifying round-off.
-
-    A negligible stack (_negligible) is rank 0 without an SVD; a NaN
-    fails that test and reaches the SVD."""
-    G, K, n = gens.shape
-    if _negligible(gens, scale):
-        return (np.zeros((G, K, 0), complex), np.zeros((G, 0)),
-                np.zeros((G, 0, n), complex))
+    instead of amplifying round-off; rank 0 with no SVD is decided only
+    by projector_derivatives' pre-filter (_negligible)."""
     u, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
     smax = float(np.max(sv)) if sv.size else 0.0
     r = 0
@@ -166,13 +155,11 @@ def projector_derivative(gens: np.ndarray, dgens: np.ndarray,
     of gens (G, K, n), its numerical rank r, constant over the grid
     (_ranked_svd, with the caller's scale), and the derivatives dP
     (G, D, n, n) of P along the D derivatives dgens (G, D, K, n) of the
-    generators (_span_derivative), with A+ = V_r S_r^-1 U_r^H.  A rank-0
-    stack has P = 0 and dP = 0, formed with no product.
+    generators (_span_derivative), with A+ = V_r S_r^-1 U_r^H.  At r = 0
+    the span formulas give exact complex zeros, summing over an empty
+    axis, and a NaN in dgens still reaches dP.
     """
     ur, sr, vr = _ranked_svd(gens, scale)
-    G, D, _, n = dgens.shape
-    if vr.shape[1] == 0:
-        return _rank_zero(G, D, n)
     P = _span_projector(vr)
     pinvT = ur.conj() @ (vr.conj() / sr[:, :, None])       # (A+)^T
     return P, vr.shape[1], _span_derivative(P, pinvT, dgens)
@@ -265,13 +252,15 @@ def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     A source whose projector vanishes on the block, N' of an isotropic
     immersion or N° of a pluriminimal one, takes no product where the
     other fields of the block are finite: each of its legs is 0 there
-    (vanishing_factor), and so is each mutual product with a zero
-    factor.  A zero N° subtracts nothing from tau''->N°'s target, which
-    is then frame_route's, so that arrow reads frame_route's value."""
+    (vanishing_factor, tested once per block), and so is each mutual
+    product with a zero factor.  A zero N° subtracts nothing from
+    tau''->N°'s target, frame_route's, whose value that arrow reads."""
     G, d, n, _ = dtaup.shape
     B = holomorphic_basis(d // 2)
     eye = np.eye(n)
     out = {}
+    zero_Np = vanishing_factor(Np, dNp, Nc, taup, No)
+    zero_No = vanishing_factor(No, dNo, Nc, taup, Np)
 
     Y = _right_product(dtaup, taup)
     out["superhorizontality"] = _target_max(taup.conj(), Y)
@@ -279,8 +268,8 @@ def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     del Y
     off_taup = eye - taup
     out["frame_route"] = _target_max(off_taup, Yc)
-    out["tau''->N°"] = (_target_max(off_taup - No.conj(), Yc)
-                        if No.any() else out["frame_route"])
+    out["tau''->N°"] = (out["frame_route"] if zero_No
+                        else _target_max(off_taup - No.conj(), Yc))
     del Yc
     out["tau'->N'"] = _target_max(off_taup - Np, Yb)
     del Yb, off_taup
@@ -291,8 +280,6 @@ def _residual_block(taup, dtaup, No, dNo, Np, dNp, Nc):
     out["lift-grading"] = _target_max(
         taup, _right_product(-2.0 * dtaup.imag, taup.conj()))
 
-    zero_Np = vanishing_factor(Np, dNp, Nc, taup, No)
-    zero_No = vanishing_factor(No, dNo, Nc, taup, Np)
     if zero_Np:
         out["parallelity N'"] = out["N'->0"] = out["N''->tau''"] = 0.0
     else:
@@ -339,9 +326,9 @@ class Bundles:
     """All projector fields of one geometry grid, each with its chart
     derivative.
 
-    Only the independent fields are stored; N^c (I - P_T, with
-    derivative -dP_T) is derived once, on first read, and N'' and tau''
-    are conj N' and conj tau' where they are read."""
+    Only the independent fields are stored; the projector P_Nc = I - P_T
+    is derived once, on first read, and N'' and tau'' are conj N' and
+    conj tau' where they are read."""
 
     T: Bundle        # tangent bundle, real
     taup: Bundle     # tau' = df(T')
@@ -350,10 +337,11 @@ class Bundles:
     ranks: Dict[str, int]
 
     @functools.cached_property
-    def Nc(self) -> Bundle:
-        """Complexified normal bundle."""
+    def Nc(self) -> np.ndarray:
+        """The projector (G, n, n), complex, onto the complexified normal
+        bundle, alone: none of its readers reads a derivative."""
         n = self.T.P.shape[-1]
-        return Bundle(np.eye(n, dtype=complex)[None] - self.T.P, -self.T.dP)
+        return np.eye(n, dtype=complex)[None] - self.T.P
 
     @functools.cached_property
     def residuals(self) -> Dict[str, float]:
@@ -376,7 +364,7 @@ class Bundles:
           of the splitting N^c = N' + N° + N'' (Theorem 8)."""
         res = grid_max(_residual_block, self.taup.P, self.taup.dP,
                        self.No.P, self.No.dP, self.Np.P, self.Np.dP,
-                       self.Nc.P)
+                       self.Nc)
         return dict(zip(RESIDUALS, res.tolist()))
 
 

@@ -80,8 +80,8 @@ def residuals_ref(bun):
 
     out = {"superhorizontality": target(taupp.P, bun.taup),
            "frame_route": target(eye - bun.taup.P, bun.taup, B.conj()),
-           "parallelity N'": target(bun.Nc.P - bun.Np.P, bun.Np),
-           "parallelity N°": target(bun.Nc.P - bun.No.P, bun.No)}
+           "parallelity N'": target(bun.Nc - bun.Np.P, bun.Np),
+           "parallelity N°": target(bun.Nc - bun.No.P, bun.No)}
     chain = [("N''->tau''", Npp, taupp),
              ("tau''->N°", taupp, bun.No),
              ("N°->tau'", bun.No, bun.taup),
@@ -103,7 +103,7 @@ def residuals_ref(bun):
 
 def isotropy_parallelity_ref(bun):
     """The parallelity of N', N° and N'' each, N'' included."""
-    return float(np.max([outside_residual_ref(bun.Nc.P - S.P, S.dP, S.P)
+    return float(np.max([outside_residual_ref(bun.Nc - S.P, S.dP, S.P)
                          for S in (bun.Np, bun.No, bun.Np.conj())]))
 
 
@@ -131,12 +131,12 @@ def _psi_terms(geom, bun):
     PQh, PPh_QQh = P @ Qh, P @ Ph + Q @ Qh
     C0 = 2 * PPh_QQh - P - Qh - Ph - Q + PQh + PQh.conj().transpose(0, 2, 1)
     C1 = P + Qh - PPh_QQh - 2 * PQh
-    return X, C0, C1, PQh, P @ bun.Nc.P
+    return X, C0, C1, PQh, P @ bun.Nc
 
 
 def _minus_one_dim(bun):
     P, Q = bun.Np.P, bun.Np.P.conj()
-    half_turn = np.real(bun.Nc.P - 2 * (P + Q))
+    half_turn = np.real(bun.Nc - 2 * (P + Q))
     counts = np.sum(np.linalg.eigvalsh(half_turn) < -0.5, axis=1)
     if np.any(counts != counts[0]):
         raise ValueError("(-1)-eigenspace dimension varies over grid")
@@ -254,6 +254,39 @@ def test_outside_residuals_equal_full_grid(layers, case):
     ref = residuals_ref(fresh)
     assert fresh.residuals == ref
     assert list(ref) == list(gaussmaps.RESIDUALS)
+
+
+@pytest.mark.parametrize("case", [case for case, zero in
+                                  ZERO_BUNDLES.items() if "N°" in zero])
+def test_tau_pp_to_n_circ_equals_frame_route_where_n_circ_vanishes(
+        layers, case):
+    """With N° = 0, tau''->N°'s target I - P_tau' - conj P_N° is
+    frame_route's, I - P_tau', and the arrow reads frame_route's value
+    bit for bit."""
+    _, bun = layers[case]
+    assert not bun.No.P.any()
+    res = dataclasses.replace(bun).residuals
+    assert res["tau''->N°"] == res["frame_route"]
+
+
+def test_tau_pp_to_n_circ_equals_frame_route_under_a_nan(layers):
+    """A NaN in P_N' makes the zero N° no vanishing factor, so the pass
+    forms tau''->N°'s own target: it still equals frame_route's value,
+    finite, and the full-product reference's.  A NaN in dP_tau' reaches
+    both."""
+    _, bun = layers["catenoid"]
+    P = bun.Np.P.copy()
+    P[5, 0, 1] = np.nan
+    nan_Np = dataclasses.replace(bun, Np=bun.Np._replace(P=P))
+    res = nan_Np.residuals
+    assert np.isnan(res["orthogonality"])
+    assert np.isfinite(res["frame_route"])
+    assert res["tau''->N°"] == res["frame_route"] == residuals_ref(
+        nan_Np)["tau''->N°"]
+    dP = bun.taup.dP.copy()
+    dP[5, 1, 0, 1] = np.nan
+    res = dataclasses.replace(bun, taup=bun.taup._replace(dP=dP)).residuals
+    assert np.isnan([res["tau''->N°"], res["frame_route"]]).all()
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -435,9 +468,9 @@ def test_nan_in_n_c_reaches_the_psi_identity_leg(monkeypatch, spheres):
     reference has it.  eq8's and unitarity's legs and psi_{pi/2} =
     Re(...) stay finite."""
     bun = dataclasses.replace(spheres.bundles)
-    P = bun.Nc.P.copy()
+    P = bun.Nc.copy()
     P[624, 0, 1] = complex(P[624, 0, 1].real, np.nan)
-    bun.Nc = bun.Nc._replace(P=P)
+    bun.Nc = P
     out, dim = family.build_psi(spheres.geom, bun, THETAS)
     assert np.isnan(out[:, 2]).all() and np.isfinite(out[:, :2]).all()
     ref, ref_dim = build_psi_ref(spheres.geom, bun, THETAS)

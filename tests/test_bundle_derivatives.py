@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import inspect
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from test_gaussmaps import _projector
 from test_hot_path import _spy
 
 ADMITTED = [r.name for r in registry() if r.flags["kaehler"]]
-NAMES = ["T", "taup", "Nc", "No", "Np"]   # Bundles fields
+NAMES = ["T", "taup", "No", "Np"]   # the Bundle fields of Bundles
 C = 100.0     # |analytic - FD(h)| <= C h^2; veronese's dP_T needs 31
 
 _cache = {}
@@ -29,8 +30,9 @@ _geom = functools.lru_cache(maxsize=None)(_geom)
 
 
 def _projectors(geom):
-    """The five projector fields of geom, built from the generator
-    stacks alone (projector_derivative with no derivative direction)."""
+    """The four projector fields of geom that carry a derivative, built
+    from the generator stacks alone (projector_derivative with no
+    derivative direction)."""
     m = geom.imm.complex_dim
     G, _, _, n = geom.alpha.shape
     B = holomorphic_basis(m)
@@ -40,8 +42,7 @@ def _projectors(geom):
     scale = float(np.max(np.abs(geom.alpha)))
     P_No, _ = _projector(geom.alpha11.reshape(G, m * m, n), scale=scale)
     P_Np, _ = _projector(geom.alpha20.reshape(G, m * m, n), scale=scale)
-    return {"T": P_T, "taup": P_taup, "Nc": np.eye(n) - P_T, "No": P_No,
-            "Np": P_Np}
+    return {"T": P_T, "taup": P_taup, "No": P_No, "Np": P_Np}
 
 
 def fd_projector_derivatives(name, h):
@@ -290,13 +291,16 @@ RANK_ZERO = {("plane", "N°"), ("plane", "N'"), ("sphere", "N'"),
 
 def test_rank_zero_stacks_equal_the_svd_route(monkeypatch):
     """Each N° and N' bundle equals the route through an SVD of its
-    stack; a stack negligible against alpha takes no SVD, and no call of
-    projector_derivative either."""
+    stack; a stack negligible against alpha takes no SVD in
+    projector_derivatives, and no call of projector_derivative
+    either."""
     seen = set()
     for name in ADMITTED:
         geom = _verify_geometry(name)
         calls = _captured(monkeypatch, "projector_derivative", geom)
+        svds = _spy(monkeypatch, SVD)
         bun = gaussmaps.projector_derivatives(geom)
+        monkeypatch.undo()
         m = geom.imm.complex_dim
         G, d, _, n = geom.alpha.shape
         scale = float(np.max(np.abs(geom.alpha)))
@@ -309,10 +313,6 @@ def test_rank_zero_stacks_equal_the_svd_route(monkeypatch):
             ur, sr, vr = ranked_svd_ref(gens, scale)
             if vr.shape[1] == 0:
                 seen.add((name, field))
-            svds = _spy(monkeypatch, SVD)
-            assert gaussmaps._ranked_svd(gens, scale)[2].shape == vr.shape
-            assert svds == ([] if (name, field) in RANK_ZERO else ["svd"])
-            monkeypatch.undo()
             P_ref = gaussmaps._span_projector(vr)
             pinvT = ur.conj() @ (vr.conj() / sr[:, :, None])
             assert bun.ranks[field] == vr.shape[1]
@@ -321,30 +321,57 @@ def test_rank_zero_stacks_equal_the_svd_route(monkeypatch):
                 P_ref, pinvT, dgens))
         live = [f for f in ("N°", "N'") if (name, f) not in RANK_ZERO]
         assert len(calls) == len(live)
+        assert svds == ["svd"] * len(live)
     assert seen == RANK_ZERO
 
 
 @pytest.mark.parametrize("factor,svds", [(1.0, 0), (1.0 + 1e-9, 1)])
-def test_only_a_stack_within_the_cut_skips_the_svd(monkeypatch, factor,
-                                                   svds):
-    """A stack whose largest point norm is the cut itself is rank 0 with
-    no SVD; one just above it takes the SVD."""
+def test_only_a_stack_within_the_cut_skips_the_svd(factor, svds):
+    """A stack whose largest point norm is the cut itself is negligible,
+    so projector_derivatives' pre-filter makes it rank 0 with no SVD;
+    one just above it is not, and takes the SVD."""
     gens = np.zeros((4, 2, 5), complex)
     gens[:, 0, 0] = 3.0
     gens[2, 1, 1] = 4.0           # |gens_2|_F = 5, the largest
     scale = 5.0 / gaussmaps._RANK_REL_TOL / factor
-    calls = _spy(monkeypatch, SVD)
-    u, s, vh = gaussmaps._ranked_svd(gens, scale)
-    assert len(calls) == svds
-    if not svds:
-        assert (u.shape, s.shape, vh.shape) == ((4, 2, 0), (4, 0),
-                                                (4, 0, 5))
+    assert gaussmaps._negligible(gens, scale) == (not svds)
 
 
 def test_a_nan_stack_reaches_the_svd(monkeypatch):
     gens = np.ones((4, 2, 5), complex)
     gens[1, 0, 3] = np.nan
+    assert not gaussmaps._negligible(gens, 1e30)
     calls = _spy(monkeypatch, SVD)
     with pytest.raises(np.linalg.LinAlgError):
         gaussmaps._ranked_svd(gens, 1e30)
     assert calls == ["svd"]
+
+
+def test_a_rank_zero_stack_past_the_pre_filter_has_zero_bundles(
+        monkeypatch):
+    """Two orthogonal rows of norm a under a cut of 1.2 a: the stack's
+    norm, a sqrt 2, is above the cut, so it is not negligible and takes
+    the SVD, whose cut keeps neither singular value a.  The span
+    formulas then run over an empty rank axis and give exact complex
+    zeros; a NaN in dgens reaches dP (NaN times 0), with no warning."""
+    G, D, n, a = 4, 3, 5, 2.0
+    gens = np.zeros((G, 2, n), complex)
+    gens[:, 0, 0] = a
+    gens[:, 1, 1] = 1j * a
+    scale = 1.2 * a / gaussmaps._RANK_REL_TOL
+    assert not gaussmaps._negligible(gens, scale)
+    dgens = np.random.default_rng(5).standard_normal((G, D, 2, n))
+    calls = _spy(monkeypatch, SVD)
+    P, r, dP = gaussmaps.projector_derivative(gens, dgens, scale=scale)
+    assert calls == ["svd"] and r == 0
+    assert P.shape == (G, n, n) and dP.shape == (G, D, n, n)
+    assert P.dtype == dP.dtype == complex
+    assert not P.any() and not dP.any()
+    dgens[2, 1, 0, 3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, r, dP = gaussmaps.projector_derivative(gens, dgens, scale=scale)
+    assert r == 0
+    assert np.isnan(dP[2, 1]).any()
+    dP[2, 1] = 0.0
+    assert not dP.any()

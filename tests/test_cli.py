@@ -419,6 +419,37 @@ def test_flag_demo_usage_errors_exit_2(argv, named, capsys):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--algebra", "orthogonal", "--seed", "7", "--dims", "3,3",
+      "--lambda0", "0.5"], "--dims applies to --algebra unitary only"),
+    (["--algebra", "orthogonal", "--seed", "7"], "--seed"),
+    (["--algebra", "orthogonal", "--lambda0", "0"], "--lambda0"),
+    (["--n", "9", "--r", "3"], "--n applies to --algebra orthogonal only"),
+    (["--algebra", "unitary", "--r", "1"], "--r"),
+], ids=["unitary-options", "seed", "lambda0-default", "orthogonal-options",
+        "r-default"])
+def test_flag_demo_rejects_an_option_of_the_other_algebra(argv, named,
+                                                          capsys):
+    """An option that the algebra being built does not read is a usage
+    error naming it, also at its default value, and nothing is
+    printed."""
+    assert cli.main(["flag-demo", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("argv,defaults", [
+    ([], ["--dims", "1,2", "--lambda0", "0"]),
+    (["--algebra", "orthogonal"], ["--n", "4", "--r", "1"]),
+], ids=["unitary", "orthogonal"])
+def test_flag_demo_defaults_are_the_algebra_s_own(argv, defaults, capsys):
+    assert cli.main(["flag-demo", *argv]) == 0
+    implicit = capsys.readouterr().out
+    assert cli.main(["flag-demo", *argv, *defaults]) == 0
+    assert capsys.readouterr().out == implicit
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_flag_demo_rejects_a_lambda0_that_is_not_finite(value, capsys):
     assert cli.main(["flag-demo", f"--lambda0={value}"]) == 2

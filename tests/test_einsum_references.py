@@ -175,7 +175,7 @@ def build_psi_ref(geom, bun, theta):
     written out."""
     n = geom.imm.ambient_dim
     eye = np.eye(n, dtype=complex)[None]
-    P_T, P_Nc = bun.T.P, bun.Nc.P
+    P_T, P_Nc = bun.T.P, bun.Nc
     P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Np.P.conj()
     P_rest = P_Nc - P_Np - P_No - P_Npp
     Psi = (P_T + np.exp(2j * theta) * P_Np + P_No
@@ -192,7 +192,7 @@ def build_psi_ref(geom, bun, theta):
 
 def psi_minus_one_dims_ref(bun):
     """The (-1)-eigenspace dimension of psi_{pi/2} on N at each point."""
-    P_T, P_Nc = bun.T.P, bun.Nc.P
+    P_T, P_Nc = bun.T.P, bun.Nc
     P_Np, P_No, P_Npp = bun.Np.P, bun.No.P, bun.Np.P.conj()
     Psi = (P_T - P_Np + P_No - P_Npp + P_Nc - P_Np - P_No - P_Npp)
     return np.sum(np.linalg.eigvalsh(np.real(Psi - P_T)) < -0.5,
@@ -693,7 +693,7 @@ def test_outside_residual_matches_einsum_on_fixtures(fixture_geoms, name):
     P_out = np.eye(n, dtype=complex)[None] - taup.P
     cases = [(taup.P.conj(), taup.dP, taup.P),
              (P_out, np.einsum("ak,gkxy->gaxy", Bc, taup.dP), taup.P),
-             (bun.Nc.P - No.P, No.dP, No.P)]
+             (bun.Nc - No.P, No.dP, No.P)]
     for P_t, dP_s, P_s in cases:
         assert abs(_outside(P_t, dP_s, P_s)
                    - outside_residual_ref(P_t, dP_s, P_s)) < TOL
@@ -767,7 +767,7 @@ def test_bundle_products_match_broadcast_on_fixtures(fixture_geoms,
         P, dP = getattr(bun, field)
         assert _rel_diff(P, P_ref) < TOL and _rel_diff(dP, dP_ref) < TOL
     fields = [bun.T, bun.taup, bun.taup.conj(), bun.No, bun.Np,
-              bun.Np.conj(), bun.Nc]
+              bun.Np.conj()]
     for S in fields:
         for target in fields:
             scale = np.prod([np.max(np.abs(a), initial=0.0)

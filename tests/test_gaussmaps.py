@@ -122,7 +122,7 @@ def test_subbundle_ranks(name):
             bun.ranks["N'"]) == EXPECTED_RANKS[name]
     # tau'' is the conjugate bundle, N^c the full normal complement
     n = geom.imm.ambient_dim
-    total = bun.T.P + bun.Nc.P
+    total = bun.T.P + bun.Nc
     assert np.max(np.abs(total - np.eye(n))) < 1e-10
 
 
@@ -133,12 +133,14 @@ def test_derived_bundles_are_conjugates_and_complement(name):
     for derived, P, dP in ((bun.taup.conj(), bun.taup.P.conj(),
                             bun.taup.dP.conj()),
                            (bun.Np.conj(), bun.Np.P.conj(),
-                            bun.Np.dP.conj()),
-                           (bun.Nc, np.eye(n) - bun.T.P, -bun.T.dP)):
+                            bun.Np.dP.conj())):
         assert isinstance(derived, gaussmaps.Bundle)
         assert np.array_equal(derived.P, P)
         assert np.array_equal(derived.dP, dP)
-    # N^c is derived once per Bundles
+    # N^c is the complex projector I - P_T alone, derived once per
+    # Bundles; the derivative it would carry, -dP_T, is checked as T's
+    assert bun.Nc.dtype == complex
+    assert np.array_equal(bun.Nc, np.eye(n) - bun.T.P)
     assert bun.Nc is bun.Nc
 
 
