@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--checks", default="all",
                     help=f"comma-separated subset of: "
                          f"{', '.join(pipeline.CHECKS)}; a gated row "
-                         f"reads SKIPPED where its gate is shut, even "
-                         f"when the gate's row is not selected")
+                         f"reads SKIPPED where a row it needs does not "
+                         f"PASS, ERROR where that row reads ERROR, "
+                         f"selected or not")
     pv.add_argument("--theta", default=None,
                     help="comma-separated rotation angles for the sweep "
                          "(default: k*pi/8 for k = 0..8); accepts 'pi/4'")

@@ -111,10 +111,12 @@ def _negligible(gens: np.ndarray, scale: float) -> bool:
     """Whether the stack gens (G, K, n) has |gens_p|_F <= _RANK_REL_TOL
     scale at every point p of a nonempty grid: each singular value is at
     most that norm, so _ranked_svd's cut would keep none (with scale = 0
-    only an all-zero stack passes; a NaN fails).  projector_derivatives'
-    pre-filter, the one place that decides rank 0 without an SVD."""
+    only an all-zero stack passes; a NaN or an inf fails, even under an
+    inf scale).  projector_derivatives' pre-filter, the one place that
+    decides rank 0 without an SVD."""
     norms = np.sqrt(np.sum(np.abs(gens) ** 2, axis=(1, 2)))
-    return bool(len(gens) and np.max(norms) <= _RANK_REL_TOL * scale)
+    return bool(len(gens) and np.all(np.isfinite(norms))
+                and np.max(norms) <= _RANK_REL_TOL * scale)
 
 
 def _rank_zero(G: int, D: int, n: int):
@@ -128,11 +130,14 @@ def _ranked_svd(gens: np.ndarray, scale: float):
     """Thin SVD (u, s, vh) of gens (G, K, n) cut to its numerical rank r:
     the singular values above _RANK_REL_TOL times the larger of the
     global largest one and scale.  r must be constant over the grid
-    (RankError otherwise).  The scale lets an exactly-degenerate stack
-    (for example vanishing alpha^{(2,0)} values) classify as rank 0
-    instead of amplifying round-off; rank 0 with no SVD is decided only
-    by projector_derivatives' pre-filter (_negligible)."""
+    (RankError otherwise, and where LAPACK returns a singular value that
+    is not finite, as for an inf entry).  The scale lets an exactly-
+    degenerate stack (for example vanishing alpha^{(2,0)} values) classify
+    as rank 0 instead of amplifying round-off; rank 0 with no SVD is
+    decided only by projector_derivatives' pre-filter (_negligible)."""
     u, sv, vh = np.linalg.svd(gens.astype(complex), full_matrices=False)
+    if not np.all(np.isfinite(sv)):
+        raise RankError("generator singular values not finite")
     smax = float(np.max(sv)) if sv.size else 0.0
     r = 0
     if max(smax, scale) > 0.0:
@@ -316,9 +321,6 @@ class Bundle(NamedTuple):
 
     P: np.ndarray
     dP: np.ndarray
-
-    def conj(self) -> "Bundle":
-        return Bundle(self.P.conj(), self.dP.conj())
 
 
 @dataclass

@@ -4,9 +4,10 @@ compares PASS/FAIL statuses against each fixture's expected-flag ledger.
 Each check is declared once, as a row of TABLE: its name, its body
 (context -> residual and extras), its threshold (a number: the strict
 tier TIER1, the finite-difference tier TIER2, or a value of its own),
-its ledger rule (fixture flags -> expected status) and its gates.  CHECKS
-maps each name to its body; the runner calls the bodies through it and
-reads the rest from the row, so no result depends on the selection.
+its ledger rule (fixture flags -> expected status) and its gates, the
+earlier rows that must PASS for it to run (_shut_gate).  CHECKS maps
+each name to its body; the runner calls the bodies through it and reads
+the rest from the row, so no result depends on the selection.
 """
 
 import functools
@@ -104,11 +105,11 @@ class FixtureContext:
                        lift-grading, pluriminimal's frame route, the
                        isotropy orthogonality and parallelity and the
                        chain; cached on the Bundles, whose table the
-                       check bodies and psi's gate index)
-             -> mean_curvature (its spherical flag gates section)
+                       check bodies index)
+             -> mean_curvature (read by sphere-reduction and section)
 
     result(row) is the row's result, evaluated once: the runner reads
-    it for each selected row, the admission gate the kaehler row's.
+    it for each selected row, a gate for the row it names.
 
     The point set is the fixture's own grid (rec.grid_per_axis) or else
     cfg.grid points per chart axis; it is the only grid whose geometry
@@ -286,27 +287,8 @@ def _chk_closedness(ctx: FixtureContext):
     return family.closedness_residual(ctx.geom, np.pi / 2), {}
 
 
-def _admitted(ctx: FixtureContext):
-    # every check but kaehler assumes the Kaehler condition
-    if ctx.result(_KAEHLER).status != PASS:
-        return "fixture not admitted as Kaehler"
-
-
-def _spherical(ctx: FixtureContext):
-    # a wrong "spherical" ledger mismatches on sphere-reduction
-    if not ctx.mean_curvature.spherical:
-        return "not spherical; no normal section to check"
-
-
-def _isotropy_split(ctx: FixtureContext):
-    # psi_theta is built on the decomposition, so it runs exactly where
-    # the isotropy check passes, on the same entries of the table; a NaN
-    # there is an ERROR of psi, as of isotropy, not a skip
-    split = _fold(*_isotropy(ctx.bundles))
-    if np.isnan(split):
-        raise ValueError("NaN in the isotropy decomposition")
-    if not split < TIER1:
-        return "psi_theta needs the isotropy decomposition"
+# every row but kaehler assumes the Kaehler condition
+_ADMITTED = ("kaehler", "fixture not admitted as Kaehler")
 
 
 class Check(NamedTuple):
@@ -315,15 +297,14 @@ class Check(NamedTuple):
     body: Callable[[FixtureContext], Tuple[float, Dict[str, float]]]
     threshold: float
     expect: Callable[[dict], Optional[str]]   # ledger flags -> status
-    gates: Tuple[Callable, ...] = (_admitted,)  # ctx -> skip note or None
+    gates: Tuple[Tuple[str, str], ...] = (_ADMITTED,)  # (row, skip note)
 
-
-_KAEHLER = Check("kaehler", _chk_kaehler, TIER1, _ledger("kaehler"), ())
 
 # in report order: a row's gates, not its place, decide where it runs,
-# so its result on a fixture is the same whatever else is selected
+# so its result on a fixture is the same whatever else is selected; a
+# gate names an earlier row, so a full run has evaluated it already
 TABLE = (
-    _KAEHLER,
+    Check("kaehler", _chk_kaehler, TIER1, _ledger("kaehler"), ()),
     Check("jets", _chk_jets, 1e-6, _always),
     Check("grassmann", _chk_grassmann, 1e-10, _always),
     Check("eq4", _chk_eq4, TIER2, _always),
@@ -345,13 +326,28 @@ TABLE = (
     Check("sphere-reduction", _chk_sphere_reduction, TIER1,
           _ledger("spherical")),
     Check("section", _chk_section, TIER1, _always,
-          (_admitted, _spherical)),
-    Check("psi", _chk_psi, TIER1, _always, (_admitted, _isotropy_split)),
+          (_ADMITTED, ("sphere-reduction",
+                       "not spherical; no normal section to check"))),
+    Check("psi", _chk_psi, TIER1, _always,
+          (_ADMITTED, ("isotropy",
+                       "psi_theta needs the isotropy decomposition"))),
     Check("closedness", _chk_closedness, TIER1, _ledger("pluriminimal")),
 )
 
 # name -> body; the runner calls each body through this dict
 CHECKS = {c.name: c.body for c in TABLE}
+
+
+def _shut_gate(row: Check, ctx: FixtureContext) -> str:
+    """The skip note of row's first gate whose row does not PASS on ctx's
+    fixture, "" where every one does; a gate row's ERROR raises."""
+    for needed, note in row.gates:
+        gate = ctx.result(next(c for c in TABLE if c.name == needed))
+        if gate.status == ERROR:
+            raise ValueError(f"{needed} reads ERROR: {gate.message}")
+        if gate.status != PASS:
+            return note
+    return ""
 
 
 def _evaluate(row: Check, ctx: FixtureContext) -> CheckResult:
@@ -362,7 +358,7 @@ def _evaluate(row: Check, ctx: FixtureContext) -> CheckResult:
     expected = row.expect(ctx.rec.flags)
     res, extras, tol = None, {}, None
     try:
-        note = next(filter(None, (gate(ctx) for gate in row.gates)), "")
+        note = _shut_gate(row, ctx)
         if note:
             status, expected = SKIPPED, None
         else:

@@ -58,13 +58,18 @@ def outside_residual_ref(P_target, dP, P_source):
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
+def _conj(S):
+    """The conjugate bundle of S: tau'' of tau', N'' of N'."""
+    return gaussmaps.Bundle(*map(np.conj, S))
+
+
 def residuals_ref(bun):
     """Bundles.residuals with each residual's products over the whole
     grid, every source its own field (tau'' and N'' too): Y = dP_S P_S,
     its (1,0) or (0,1) combinations, then the target against them;
     lift-grading's tau' -> tau'' block of d xi; the mutual products of
     the projectors of N', N° and N''."""
-    taupp, Npp = bun.taup.conj(), bun.Np.conj()
+    taupp, Npp = (_conj(S) for S in (bun.taup, bun.Np))
     B = holomorphic_basis(bun.taup.dP.shape[1] // 2)
     n = bun.taup.P.shape[-1]
     eye = np.eye(n, dtype=complex)[None]
@@ -104,13 +109,13 @@ def residuals_ref(bun):
 def isotropy_parallelity_ref(bun):
     """The parallelity of N', N° and N'' each, N'' included."""
     return float(np.max([outside_residual_ref(bun.Nc - S.P, S.dP, S.P)
-                         for S in (bun.Np, bun.No, bun.Np.conj())]))
+                         for S in (bun.Np, bun.No, _conj(bun.Np))]))
 
 
 def lift_grading_ref(bun):
     """The lift grading from both cross blocks, tau' -> tau'' and
     tau'' -> tau', of d xi = i (dP_tau' - dP_tau'')."""
-    taupp = bun.taup.conj()
+    taupp = _conj(bun.taup)
     dxi = 1j * (bun.taup.dP - taupp.dP)
     return float(np.max([outside_residual_ref(bun.taup.P, dxi, taupp.P),
                          outside_residual_ref(taupp.P, dxi, bun.taup.P)]))
@@ -368,7 +373,7 @@ def _with_nan(a, index):
     return a
 
 
-# the entries of the bundles' table that psi's split gate folds
+# the entries of the bundles' table that the isotropy row, psi's gate, folds
 ISOTROPY_KEYS = ("orthogonality", "parallelity N'", "parallelity N°")
 
 
@@ -382,8 +387,8 @@ def _same(got, ref):
 def _run(monkeypatch, ctx, checks, **layers):
     """pipeline.run on product-spheres with the context's layers
     replaced by the given ones; {check: result}.  Replaced bundles keep
-    the isotropy entries of the clean bundles' table, so that psi's
-    split gate is open and psi itself reads the replaced
+    the isotropy entries of the clean bundles' table, so that the
+    isotropy row, psi's gate, PASSes and psi itself reads the replaced
     projectors."""
     if "bundles" in layers:
         clean = ctx.bundles.residuals
@@ -431,7 +436,7 @@ def test_nan_in_n_prime_reaches_the_psi_sweep(monkeypatch, spheres):
     """A NaN imaginary part of P_N' leaves psi_{pi/2} = Re(...) finite,
     so the eigenspace count still runs, and every angle of the sweep
     reads NaN.  The isotropy entries of its own table read NaN too, so
-    _run keeps the clean ones for psi's split gate."""
+    _run keeps the clean ones for psi's isotropy gate."""
     bun = spheres.bundles
     P = bun.Np.P.copy()
     P[624, 0, 1] = complex(P[624, 0, 1].real, np.nan)

@@ -347,6 +347,19 @@ def test_a_nan_stack_reaches_the_svd(monkeypatch):
     assert calls == ["svd"]
 
 
+def test_an_inf_stack_is_a_rank_error_not_rank_zero():
+    """LAPACK returns NaN singular values for an inf entry without
+    raising, and a cut against them would keep none.  The pre-filter
+    passes no inf stack, not even under an inf scale, and the SVD
+    raises on its singular values."""
+    gens = np.ones((4, 2, 5), complex)
+    gens[1, 0, 3] = np.inf
+    assert not gaussmaps._negligible(gens, np.inf)
+    assert not gaussmaps._negligible(np.full((4, 2, 5), np.inf), np.inf)
+    with pytest.raises(RankError, match="not finite"):
+        gaussmaps._ranked_svd(gens, np.inf)
+
+
 def test_a_rank_zero_stack_past_the_pre_filter_has_zero_bundles(
         monkeypatch):
     """Two orthogonal rows of norm a under a cut of 1.2 a: the stack's

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import plurimean
-from plurimean import cli, family, fixtures, pipeline
+from plurimean import cli, family, fixtures, kaehler, pipeline
 
 
 def test_theta_parsing():
@@ -115,6 +115,24 @@ def test_verify_gates_a_non_kaehler_fixture_without_its_kaehler_row(
     assert text.count("status: SKIPPED") == 2
     assert text.count("note: fixture not admitted as Kaehler") == 2
     assert "kaehler:" not in text and "skipped: 2" in text
+
+
+def test_verify_reads_a_kaehler_error_as_an_error_of_each_gated_row(
+        monkeypatch, tmp_path):
+    """A NaN kaehler residual is the kaehler row's ERROR, so the rows it
+    admits read ERROR with a note that names it, not SKIPPED, though
+    the kaehler row is not selected; verify exits non-zero."""
+    monkeypatch.setattr(kaehler, "kaehler_residual",
+                        lambda *args: (np.nan, np.nan))
+    rpt = tmp_path / "report.txt"
+    code = cli.main(["verify", "--fixtures", "sphere",
+                     "--checks", "ppmc,isotropy", "--report", str(rpt)])
+    text = rpt.read_text()
+    assert code == 2  # two ERRORs, each a mismatch
+    assert text.count("status: ERROR") == 2
+    assert text.count("note: ValueError: kaehler reads ERROR: NaN in "
+                      "residual, orthogonality, parallelity") == 2
+    assert "skipped: 0" in text
 
 
 def test_cli_import_leaves_out_sympy():

@@ -281,9 +281,10 @@ CAN_FAIL = {
     "grassmann": _CannotFail("P_T = df g^-1 df^T: a rank-2m projector"),
     "superhorizontality": _CannotFail("it holds on every Kaehler chart"),
     "lift-grading": _CannotFail("superhorizontality in orbit coordinates"),
-    "psi": _CannotFail("it runs only where its isotropy split holds"),
-    "section": _CannotFail("it runs only where f lies on a sphere about c: "
-                           "f - c is normal, of constant length, and "
+    "psi": _CannotFail("it runs only where the isotropy row PASSes"),
+    "section": _CannotFail("it runs only where the sphere-reduction row "
+                           "PASSes, f on a sphere about c: f - c is "
+                           "normal, of constant length, and "
                            "df(T') = tau'"),
     "rn-tprime": _CannotFail(
         "0 at m = 1; no Kaehler, non-ppmc, m >= 2 immersion without "

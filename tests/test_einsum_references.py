@@ -616,7 +616,8 @@ def _psi_variant(bun, variant):
     if variant == "scaled":
         return dataclasses.replace(bun, Np=bun.Np._replace(P=1.1 * P_Np))
     if variant == "swapped":
-        return dataclasses.replace(bun, Np=bun.Np.conj())
+        return dataclasses.replace(
+            bun, Np=gaussmaps.Bundle(*map(np.conj, bun.Np)))
     if variant == "noisy":
         rng = np.random.default_rng(13)
         noise = (rng.standard_normal(P_Np.shape)
@@ -766,8 +767,9 @@ def test_bundle_products_match_broadcast_on_fixtures(fixture_geoms,
             projector_derivatives_broadcast_ref(geom).items():
         P, dP = getattr(bun, field)
         assert _rel_diff(P, P_ref) < TOL and _rel_diff(dP, dP_ref) < TOL
-    fields = [bun.T, bun.taup, bun.taup.conj(), bun.No, bun.Np,
-              bun.Np.conj()]
+    taupp, Npp = (gaussmaps.Bundle(*map(np.conj, S))
+                  for S in (bun.taup, bun.Np))
+    fields = [bun.T, bun.taup, taupp, bun.No, bun.Np, Npp]
     for S in fields:
         for target in fields:
             scale = np.prod([np.max(np.abs(a), initial=0.0)

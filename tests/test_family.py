@@ -247,7 +247,8 @@ def test_psi_with_swapped_half_bundles_breaks_eq8(name, eq8):
     # e^{2it} on N'' and e^{-2it} on N' turn the (2,0)-part of alpha the
     # wrong way; psi stays unitary.  On the verify grid.
     geom, bun = _psi_inputs(name, per_axis=9, margin=0.02)
-    swapped = dataclasses.replace(bun, Np=bun.Np.conj())
+    swapped = dataclasses.replace(
+        bun, Np=gaussmaps.Bundle(*map(np.conj, bun.Np)))
     got, unitarity, _ = family.build_psi(geom, swapped, [np.pi / 4])[0][0]
     assert got == pytest.approx(eq8, rel=1e-6)
     assert unitarity < 1e-10

@@ -504,18 +504,19 @@ def test_a_nan_in_any_sub_residual_is_the_residual(monkeypatch, check,
 
 
 def test_a_nan_in_the_isotropy_parallelity_is_an_error_of_psi(monkeypatch):
-    # psi's split gate folds the isotropy residuals like the isotropy
-    # body, and a NaN fold raises there rather than skipping psi
+    # psi's gate is the isotropy row: its ERROR is psi's, named with the
+    # isotropy row's note, not a skip, though the row is not selected
     _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
             functools.partial(_replaced, key="parallelity N°"))
     res = _nan_run("veronese", "psi")
     assert res.status == pipeline.ERROR
-    assert res.message == "ValueError: NaN in the isotropy decomposition"
+    assert res.message == ("ValueError: isotropy reads ERROR: "
+                           "NaN in residual, parallelity")
     assert res.mismatch
 
 
 def test_one_orthogonality_entry_gates_isotropy_and_psi(monkeypatch):
-    """The isotropy row and psi's split gate read the one
+    """psi's gate is the isotropy row, which reads the one
     orthogonality entry of the bundles' table: a failing value there
     fails the one and skips the other in the same run."""
     _nan_in(monkeypatch, gaussmaps.Bundles, "residuals",
@@ -564,6 +565,58 @@ def test_sphere_reduction_reads_a_small_kappa_as_no_sphere(monkeypatch):
     assert sphere.status == pipeline.FAIL and sphere.residual == np.inf
     assert section.status == pipeline.SKIPPED
     assert rep.mismatches == []
+
+
+def test_section_needs_sphere_reduction_to_pass(monkeypatch):
+    """off_identity = 1e-7 is within forms.SPHERE_TOL, so the reduction
+    calls the sphere spherical, but sphere-reduction reads it
+    INCONCLUSIVE at TIER1: section's gate is that row, so section reads
+    SKIPPED and does not run on it."""
+    G, n = 81, 3
+    mc = forms.MeanCurvatureData(
+        eta=np.zeros((G, n)), kappa=1.0, off_identity=1e-7,
+        center=np.zeros(n), center_spread=0.0, radius=1.0,
+        radius_spread=0.0, spherical=True)
+    monkeypatch.setattr(forms, "mean_curvature_and_sphere_reduction",
+                        lambda geom: mc)
+    monkeypatch.setattr(gaussmaps, "gauss_section_check", None)
+    rep = pipeline.run(pipeline.RunConfig(
+        fixtures=["sphere"], checks=["sphere-reduction", "section"]))
+    sphere, section = rep.results
+    assert sphere.status == pipeline.INCONCLUSIVE
+    assert section.status == pipeline.SKIPPED
+    assert section.message == "not spherical; no normal section to check"
+
+
+def test_every_gate_names_an_earlier_row():
+    """kaehler has no gate and every other row's first is kaehler; each
+    gate names a row before its reader, so no gate recurses through
+    FixtureContext.result, and a full run has evaluated each needed row
+    before the rows that read it."""
+    first, *rest = pipeline.TABLE
+    assert first.name == "kaehler" and first.gates == ()
+    assert all(row.gates[0] == ("kaehler", "fixture not admitted as "
+                                "Kaehler") for row in rest)
+    names = [row.name for row in pipeline.TABLE]
+    for i, row in enumerate(pipeline.TABLE):
+        assert all(needed in names[:i] and note
+                   for needed, note in row.gates), row.name
+
+
+def test_an_inf_in_alpha_is_an_isotropy_error_not_rank_zero(monkeypatch):
+    """An inf in alpha at one point of the sphere's verify grid gives a
+    generator stack of the bundle layer NaN singular values, which
+    LAPACK returns without raising; they raise there, so isotropy reads
+    ERROR, not PASS on ranks of 0."""
+    def edit(geom):
+        geom.alpha[40, 0, 0, :] = np.inf
+    _edit_geometry(monkeypatch, edit)
+    with np.errstate(invalid="ignore"):
+        rep = pipeline.run(pipeline.RunConfig(fixtures=["sphere"],
+                                              checks=["isotropy"]))
+    (res,) = rep.results
+    assert res.status == pipeline.ERROR
+    assert res.message.startswith("RankError:")
 
 
 # A NaN in the jets must stop at the regularity gate of both metric
