@@ -202,14 +202,22 @@ def closedness_residual(geom: forms.GeometryData, theta: float) -> float:
     d_i omega_j = sum_k R_kj d2_ik is summed elementwise in k order,
     the same float operations as an index loop: on the catenoid and the
     helicoid the residual reads exactly 0, where a matrix product
-    leaves round-off.
+    leaves round-off.  The columns d2_ik (G, n) are copied to unit
+    stride once, the n floats of a point moving as one item, so that
+    each term streams contiguous rows.
     """
     R = rotation(geom.imm.J, theta)
-    d2 = geom.jet.d2
-    d = R.shape[0]
+    src = geom.jet.d2
+    G, d, _, n = src.shape
+    cells = src.view(np.dtype((np.void, src.itemsize * n)))[..., 0]
+    d2 = np.ascontiguousarray(cells.transpose(1, 2, 0)).view(
+        src.dtype).reshape(d, d, G, n)
 
     def dw(i, j):
-        return sum(R[k, j] * d2[:, i, k] for k in range(d))
+        out = R[0, j] * d2[i, 0]
+        for k in range(1, d):
+            out += R[k, j] * d2[i, k]
+        return out
 
     # np.max, not max(): a NaN must reach the caller
     return float(np.max([np.max(np.abs(dw(i, j) - dw(j, i)))

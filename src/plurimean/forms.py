@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kaehler
 from .chartcalc import (ChartedImmersion, Jet3, contract_slots, eval_jet,
-                        form_parts, rotation_parts, type_rows)
+                        form_parts, grid_max, rotation_parts, type_rows)
 
 
 @dataclass
@@ -102,15 +102,21 @@ def compute_geometry(imm: ChartedImmersion, pts: np.ndarray) -> GeometryData:
     # minus the two Christoffel corrections.  No derivative of Gamma is
     # needed: the d(Gamma)*d1 term is tangential and dies in the
     # projection.  Each step updates one array in place, so at most two
-    # arrays of D alpha's size are alive at once.
+    # arrays of D alpha's size are alive at once: the Christoffel
+    # correction is written over the tangential part once that is
+    # subtracted.
     P_T = tangent_projector(jet.d1, ginv)
-    Dalpha = jet.d3 - (Gam[:, None] @ jet.d2).reshape(G, d, d, d, n)
+    Dalpha = (Gam[:, None] @ jet.d2).reshape(G, d, d, d, n)
+    np.subtract(jet.d3, Dalpha, out=Dalpha)
     amb = Dalpha.reshape(G, d ** 3, n)
-    amb -= amb @ np.ascontiguousarray(P_T.transpose(0, 2, 1))
+    tangential = amb @ np.ascontiguousarray(P_T.transpose(0, 2, 1))
+    amb -= tangential
     # [k,i,j] = Gamma^l_ki alpha_lj; the second correction
     # Gamma^l_kj alpha_il is its (i, j) transpose, because alpha and
     # Gamma are exactly symmetric in their lower indices
-    corr = (Gam @ alpha.reshape(G, d, d * n)).reshape(G, d, d, d, n)
+    corr = np.matmul(Gam, alpha.reshape(G, d, d * n),
+                     out=tangential.reshape(G, d * d, d * n)
+                     ).reshape(G, d, d, d, n)
     Dalpha -= corr
     Dalpha -= corr.transpose(0, 1, 3, 2, 4)
 
@@ -137,10 +143,14 @@ def ppmc_residual(geom: GeometryData) -> float:
     """sup |D(alpha^{(1,1)})|: covariant derivative of the pluri-mean
     part, the (1,1)-part of D(alpha) in (i,j), since J is parallel.
     Only the u rows of rotation_parts are applied, the rows of
-    form_parts' first part, which round alike."""
-    G, d, _, _, n = geom.Dalpha.shape
-    u = rotation_parts(d // 2)[0] @ geom.Dalpha.reshape(G, d, d * d, n)
-    return float(np.max(np.abs(u)))
+    form_parts' first part, which round alike; block by block of grid
+    points (grid_max)."""
+    _, d, _, _, n = geom.Dalpha.shape
+    K = rotation_parts(d // 2)[0]
+    return float(grid_max(
+        lambda Dalpha: np.max(np.abs(
+            K @ Dalpha.reshape(len(Dalpha), d, d * d, n))),
+        geom.Dalpha))
 
 
 def pluriminimal_residual(geom: GeometryData) -> float:
@@ -149,9 +159,12 @@ def pluriminimal_residual(geom: GeometryData) -> float:
 
 
 def codazzi_residual(geom: GeometryData) -> float:
-    """sup |(D_i alpha)(j,k) - (D_j alpha)(i,k)| (flat ambient space)."""
-    return float(np.max(np.abs(
-        geom.Dalpha - geom.Dalpha.transpose(0, 2, 1, 3, 4))))
+    """sup |(D_i alpha)(j,k) - (D_j alpha)(i,k)| (flat ambient space),
+    block by block of grid points (grid_max)."""
+    return float(grid_max(
+        lambda Dalpha: np.max(np.abs(
+            Dalpha - Dalpha.transpose(0, 2, 1, 3, 4))),
+        geom.Dalpha))
 
 
 @dataclass(frozen=True)

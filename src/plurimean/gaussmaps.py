@@ -97,9 +97,12 @@ def fd_tangent_projector_derivatives(geom: forms.GeometryData,
 
 def gauss_levi_residual(geom: forms.GeometryData) -> float:
     """Levi form of the Gauss map under the df identification:
-    sup |(D_k alpha)(X', Y'')| over (1,0)x(0,1) basis pairs."""
+    sup |(D_k alpha)(X', Y'')| over (1,0)x(0,1) basis pairs, block by
+    block of grid points (grid_max)."""
     _, K11 = type_rows(geom.imm.complex_dim)
-    return float(np.max(np.abs(contract_slots(K11, geom.Dalpha))))
+    return float(grid_max(
+        lambda Dalpha: np.max(np.abs(contract_slots(K11, Dalpha))),
+        geom.Dalpha))
 
 
 # ------------------------------------------------------ projector algebra

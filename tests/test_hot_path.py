@@ -10,12 +10,13 @@ path nor a full verify of a surface in R^3 forms a normal frame
 the family path forms no (p,q)-component of alpha.  A full verify
 computes ppmc and R once per fixture, and the family verb R once.  The residual bodies that run in blocks
 of grid points (chartcalc.grid_max) form no multi-MB temporary on
-product-spheres (5^4 = 625 points).  A default verify takes an SVD
-only of the N° and N' generator stacks that are not negligible: tau'
-takes its Gram route.  A bundle that is exactly 0 (N' of an isotropic
-fixture, N° of a pluriminimal one) enters no product of the residual
-pass or of psi's sweep, and a negligible stack takes no generator
-derivative."""
+product-spheres (5^4 = 625 points), nor does its order-3 jet, whose
+blocks span each sphere's two chart coordinates only.  A default
+verify takes an SVD only of the N° and N' generator stacks that are
+not negligible: tau' takes its Gram route.  A bundle that is exactly
+0 (N' of an isotropic fixture, N° of a pluriminimal one) enters no
+product of the residual pass or of psi's sweep, and a negligible stack
+takes no generator derivative."""
 
 import copy
 import tracemalloc
@@ -336,13 +337,14 @@ def test_chart_constants_are_built_once_and_read_only(module, name, m):
 # above the measured peaks (numpy 2.4): sublemma 3.63, build_psi 1.51
 # (its N' is 0, so the sweep forms no unitarity terms) and 1.70 with
 # P_N° standing in for P_N' (every leg formed), the shared derivative
-# pass behind superhorizontality 0.92, ppmc 3.66, and the structure
-# sweep 2.75.  Over the full grid they read 17.2, 7.33, 3.43
-# (superhorizontality alone) and 7.39 MiB, and the structure sweep with
-# its full-grid Codazzi array 4.81 MiB.
+# pass behind superhorizontality 0.92, ppmc and codazzi 0.75 each,
+# gauss-levi 0.38, and the structure sweep 2.75.  Over the full grid
+# they read 17.2, 7.33, 3.43 (superhorizontality alone), 3.66, 3.66,
+# 1.83 and 7.39 MiB, and the structure sweep with its full-grid Codazzi
+# array 4.81 MiB.
 PEAK_BOUNDS_MIB = {"sublemma": 4.0, "psi": 2.0, "psi-every-leg": 2.0,
-                   "superhorizontality": 1.0, "ppmc": 4.0,
-                   "structure-equations": 3.5}
+                   "superhorizontality": 1.0, "ppmc": 1.0, "codazzi": 1.0,
+                   "gauss-levi": 0.5, "structure-equations": 3.5}
 
 
 @pytest.fixture(scope="module")
@@ -376,14 +378,35 @@ def test_blocked_bodies_form_no_large_temporary(product_spheres, body):
         "superhorizontality": lambda: uncached(bun).residuals[
             "superhorizontality"],
         "ppmc": lambda: forms.ppmc_residual(geom),
+        "codazzi": lambda: forms.codazzi_residual(geom),
+        "gauss-levi": lambda: gaussmaps.gauss_levi_residual(geom),
         "structure-equations": lambda: family.structure_equation_residuals(
             geom, family.THETA_SWEEP),
     }[body]
-    call()      # the layers' lazy fields and the chart constants
+    assert _warm_peak(call) < PEAK_BOUNDS_MIB[body] * 2 ** 20
+
+
+def _warm_peak(call):
+    """tracemalloc peak in bytes of the second of two calls: the first
+    builds the layers' lazy fields and the chart constants."""
+    call()
     tracemalloc.start()
     try:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < PEAK_BOUNDS_MIB[body] * 2 ** 20
+
+
+def test_jets_span_their_supports_only(product_spheres):
+    """Each sphere of product-spheres depends on two of the four chart
+    coordinates, so its Jets carry 2^3 third derivatives, not 4^3: the
+    order-3 jet peaks at 2.87 MiB (numpy 2.4), where jets over every
+    coordinate took 4.95 MiB.  The catenoid's geometry at 201^2 points
+    peaks at 45.31 MiB, as it did with jets over every coordinate."""
+    imm, pts = product_spheres.rec.immersion, product_spheres.pts
+    assert _warm_peak(lambda: imm.jet_fn(pts, 3)) < 3.5 * 2 ** 20
+    catenoid = get_immersion("catenoid")
+    grid = catenoid.grid(201)
+    assert _warm_peak(lambda: forms.compute_geometry(catenoid, grid)) <= (
+        45.32 * 2 ** 20)

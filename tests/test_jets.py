@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from plurimean import forms, jets
-from plurimean.fixtures import (_CATALOG, fixture_names, get_immersion,
-                                immersion)
+from plurimean.fixtures import (_CATALOG, _stereo_sphere, fixture_names,
+                                get_immersion, immersion)
 
 
 def _formula(x1, x2, x3, x4):
@@ -128,7 +128,7 @@ def test_jet_orders_are_1_2_or_3(order):
 
 def test_jet_powers_are_positive_integers():
     u = jets.Jet(np.zeros(1), np.ones((1, 1)), np.zeros((1, 1, 1)),
-                 np.zeros((1, 1, 1, 1)))
+                 np.zeros((1, 1, 1, 1)), (0,))
     for k in (0, 0.5):
         with pytest.raises(ValueError):
             u ** k
@@ -142,9 +142,12 @@ class DenseJet(jets.Jet):
     order: the test oracle for jets.jet, which drops the terms of
     identically zero blocks.  A subclass, so that jets.polyval, the
     ufunc dispatch, reciprocal, division, powers and subtraction route
-    through these rules."""
+    through these rules.  Each spans every chart coordinate."""
 
     __slots__ = ()
+
+    def __init__(self, v, d1, d2=None, d3=None):
+        super().__init__(v, d1, d2, d3, tuple(range(len(d1))))
 
     def __add__(self, other):
         if isinstance(other, jets.Jet):
@@ -250,6 +253,44 @@ def _assert_dense_equal(formula, pts, d, n):
 def test_jets_equal_dense_rules_on_hand_formula():
     pts = np.random.default_rng(6).uniform(0.1, 0.9, size=(9, 4))
     _assert_dense_equal(_hand_formula, pts, 4, 9)
+
+
+def _support_formula(x1, x2, x3, x4):
+    """Binary rules on every kind of support pair: disjoint ((0,) with
+    (1,), (0, 1) with (2, 3), and (0, 2) with (1, 3), which interleave),
+    nested ((1,) in (0, 1)), overlapping ((0, 1) with (1, 2), (0, 2)
+    with (2, 3)), the non-contiguous support (0, 2) as a component, a
+    bare coordinate and a constant."""
+    return [np.sin(x1) * np.cosh(x2),
+            (x1 * x2 + 1.0) * np.cos(x3 * x4),
+            np.sinh(x1 * x3) * (x2 - x4 ** 2),
+            (x1 * x2) * np.sin(x1) + jets.polyval(x2, (1.0, 0.5, -2.0))
+            / (x1 * x2 + 3.0),
+            (x1 * x2 + 2.0) / (x2 * x3 + 2.0),
+            x1 * x3 - np.cos(x3) * x3,
+            np.cos(x1) + np.sinh(x4) + x1 * x3 + x3 * x4,
+            x3, -1.25]
+
+
+def test_support_rules_equal_dense_rules():
+    pts = np.random.default_rng(7).uniform(-0.9, 0.9, size=(11, 4))
+    comps = _support_formula(*jets.coordinates(pts))
+    assert [c.support for c in comps[:-1]] == [
+        (0, 1), (0, 1, 2, 3), (0, 1, 2, 3), (0, 1), (0, 1, 2), (0, 2),
+        (0, 2, 3), (2,)]
+    _assert_dense_equal(_support_formula, pts, 4, 9)
+
+
+def test_sphere_jets_span_two_of_four_coordinates():
+    """The second sphere of product-spheres depends on u2, v2 alone: its
+    Jets carry derivatives along chart coordinates 2 and 3 only."""
+    G = 6
+    pts = np.random.default_rng(8).uniform(-0.6, 0.6, size=(G, 4))
+    _, _, u2, v2 = jets.coordinates(pts)
+    for c in _stereo_sphere(u2, v2):
+        assert c.support == (2, 3)
+        assert c.d1.shape == (2, G) and c.d2.shape == (2, 2, G)
+        assert c.d3.shape == (2, 2, 2, G)
 
 
 @pytest.mark.parametrize("name", fixture_names())
