@@ -61,10 +61,6 @@ class Jet3:
     def chart_dim(self) -> int:
         return self.d1.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.value.shape[1]
-
 
 @dataclass
 class ChartedImmersion:
@@ -322,12 +318,14 @@ def convergence_order(imm: ChartedImmersion, pts: np.ndarray,
     derivatives against the analytic ones, d1 (G, 2m, n) at pts, as
     eval_jet(imm, pts).d1 gives them.
 
-    Returns log2(err_h / err_{h/2}); for fixtures whose chart is affine
-    in some coordinates both errors can hit round-off, in which case the
-    pair of errors below 1e-12 is reported as order 2.
+    Returns log2(err_h / err_{h/2}), each error at least the round-off
+    floor 1e-12 max(1, max |d1|), so no log of 0 or of inf is taken;
+    where the chart is affine in some coordinates both errors can hit
+    round-off, and a pair within the floor is reported as order 2.
     """
-    e1 = float(np.max(np.abs(fd_d1(imm, pts, h) - d1)))
-    e2 = float(np.max(np.abs(fd_d1(imm, pts, h / 2) - d1)))
-    if e1 < 1e-12 and e2 < 1e-12:
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(d1))))
+    e1, e2 = (np.max(np.abs(fd_d1(imm, pts, s) - d1)) for s in (h, h / 2))
+    if e1 <= floor and e2 <= floor:
         return 2.0
-    return float(np.log2(e1 / e2))
+    # np.maximum, not max(): a NaN error must reach the caller
+    return float(np.log2(np.maximum(e1, floor) / np.maximum(e2, floor)))

@@ -179,12 +179,11 @@ def cmd_family(args) -> int:
         tree["mesh"] = args.mesh
     if args.sweep_csv:
         res = family.structure_equation_residuals(geom, family.THETA_SWEEP)
-        rows = []
-        for th, (g, c, r) in zip(family.THETA_SWEEP, res.tolist()):
-            closed = member.closedness if th == theta else \
-                family.closedness_residual(geom, th)
-            rows.append({"fixture": args.fixture, "theta": th, "gauss": g,
-                         "codazzi": c, "ricci": r, "closedness": closed})
+        closed = family.closedness_residual(geom, family.THETA_SWEEP)
+        rows = [{"fixture": args.fixture, "theta": th, "gauss": g,
+                 "codazzi": c, "ricci": r, "closedness": cl}
+                for th, (g, c, r), cl in zip(family.THETA_SWEEP,
+                                             res.tolist(), closed.tolist())]
         report.write_sweep_csv(args.sweep_csv, rows)
         tree["sweep_csv"] = args.sweep_csv
     _emit(report.render_tree(tree) + "\n", args.report)

@@ -195,33 +195,34 @@ def _codazzi_sweep(L: np.ndarray, rows: np.ndarray,
     return _row_max(rows, L @ D.reshape(d ** 3, G * n))
 
 
-def closedness_residual(geom: forms.GeometryData, theta: float) -> float:
+def closedness_residual(geom: forms.GeometryData,
+                        thetas: Sequence[float]) -> np.ndarray:
     """Closedness of omega = df o R_theta (the alpha-family member at
-    theta/2): sup | d_i omega_j - d_j omega_i | over the pairs i < j.
+    theta/2), one per angle: sup | d_i omega_j - d_j omega_i | (i < j).
 
     d_i omega_j = sum_k R_kj d2_ik is summed elementwise in k order,
     the same float operations as an index loop: on the catenoid and the
     helicoid the residual reads exactly 0, where a matrix product
     leaves round-off.  The columns d2_ik (G, n) are copied to unit
-    stride once, the n floats of a point moving as one item, so that
-    each term streams contiguous rows.
+    stride once for all the angles, the n floats of a point moving as
+    one item, so that each term streams contiguous rows.
     """
-    R = rotation(geom.imm.J, theta)
     src = geom.jet.d2
     G, d, _, n = src.shape
     cells = src.view(np.dtype((np.void, src.itemsize * n)))[..., 0]
     d2 = np.ascontiguousarray(cells.transpose(1, 2, 0)).view(
         src.dtype).reshape(d, d, G, n)
 
-    def dw(i, j):
+    def dw(R, i, j):
         out = R[0, j] * d2[i, 0]
         for k in range(1, d):
             out += R[k, j] * d2[i, k]
         return out
 
     # np.max, not max(): a NaN must reach the caller
-    return float(np.max([np.max(np.abs(dw(i, j) - dw(j, i)))
-                         for i in range(d) for j in range(i + 1, d)]))
+    return np.array([np.max([np.max(np.abs(dw(R, i, j) - dw(R, j, i)))
+                             for i in range(d) for j in range(i + 1, d)])
+                     for R in (rotation(geom.imm.J, th) for th in thetas)])
 
 
 @dataclass
@@ -263,7 +264,7 @@ def integrate_family(imm: ChartedImmersion, theta: float,
                          "points per axis")
     pts = imm.grid(per_axis)
     geom = forms.compute_geometry(imm, pts)
-    closed = closedness_residual(geom, theta)
+    closed = float(closedness_residual(geom, [theta])[0])
     if closed > _CLOSEDNESS_TOL:
         raise ValueError(f"{imm.name}: df o R_theta is not closed "
                          f"(residual {closed:.2e}); the fixture is not "

@@ -172,23 +172,23 @@ class MeanCurvatureData:
     eta: np.ndarray            # (G, n)
     kappa: float
     off_identity: float        # sup |A_eta - kappa I|
-    center: Optional[np.ndarray]       # (n,) when spherical
+    center: Optional[np.ndarray]       # (n,) where kappa != 0
     center_spread: float       # grid constancy of f + eta/kappa
     radius: Optional[float]
     radius_spread: float
-    spherical: bool
 
 
-SPHERE_TOL = 1e-6    # A_eta = kappa I and kappa != 0 within this
+_KAPPA_TOL = 1e-6    # |kappa| within this reads as kappa = 0
 _NORMAL_TOL = 1e-9   # relative tangential part eta may have
 
 
 def mean_curvature_and_sphere_reduction(geom: GeometryData
                                         ) -> MeanCurvatureData:
-    """eta = (1/2m) trace_g alpha; if the shape operator A_eta is a
-    multiple kappa of the identity, the point m = f + eta/kappa is a
-    common sphere center and |f - m| the radius.  ValueError if eta has
-    a tangential part (alpha is then not normal-valued) or is not finite."""
+    """eta = (1/2m) trace_g alpha, kappa the grid mean of tr A_eta / 2m.
+    Where kappa != 0, the points f + eta/kappa give a centre m (their
+    mean) and a radius (the mean of |f - m|), each with its spread, both
+    0 on a sphere; where kappa = 0, neither (spreads inf).  ValueError if
+    eta is not normal (alpha is then not normal-valued) or not finite."""
     d = geom.jet.chart_dim
     eta = np.einsum("gij,gijx->gx", geom.ginv, geom.alpha) / d
     tangency = np.max(np.abs(np.einsum("gix,gx->gi", geom.jet.d1, eta)))
@@ -200,8 +200,7 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
                                     eta[:, None])[:, 0]
     kappa = float(np.mean(np.trace(A_eta, axis1=1, axis2=2)) / d)
     off = float(np.max(np.abs(A_eta - kappa * np.eye(d))))
-    spherical = off < SPHERE_TOL and abs(kappa) > SPHERE_TOL
-    if spherical:
+    if abs(kappa) > _KAPPA_TOL:
         centers = geom.jet.value + eta / kappa
         center = centers.mean(axis=0)
         center_spread = float(np.max(np.abs(centers - center)))
@@ -213,8 +212,7 @@ def mean_curvature_and_sphere_reduction(geom: GeometryData
         radius, radius_spread = None, np.inf
     return MeanCurvatureData(eta=eta, kappa=kappa, off_identity=off,
                              center=center, center_spread=center_spread,
-                             radius=radius, radius_spread=radius_spread,
-                             spherical=spherical)
+                             radius=radius, radius_spread=radius_spread)
 
 
 # ------------------------------------------------ cross-factor identities

@@ -20,10 +20,10 @@ derivatives from d2 and d_v alpha (alpha_derivative).  tau' has rank m
 wherever the metric passed its gate, so its pseudo-inverse comes from
 its m x m Gram matrix; N° and N' take an SVD for their rank.  Rank 0
 is decided without one in one place, projector_derivatives' pre-filter:
-a stack negligible against alpha (_negligible) has P = dP = 0 and takes
-no generator derivative (no d alpha where both are, as on the plane).
-The span formulas cover r = 0 too, their products running over an
-empty axis.  Only eq4's second route takes a finite difference
+a stack negligible against alpha and d2 (_negligible) has P = dP = 0,
+takes no generator derivative (no d alpha where both are, as on the
+plane).  The span formulas cover r = 0 too, their products running
+over an empty axis.  Only eq4's second route takes a finite difference
 (fd_tangent_projector_derivatives, on chartcalc.central_differences).
 
 Every batched product of the bundle layer is one product per grid
@@ -437,18 +437,21 @@ def projector_derivatives(geom: forms.GeometryData):
 
     # the N° and N' generator derivatives kron(B, conj B) d_v alpha and
     # kron(B, B) d_v alpha, in projector_derivative's (G, D, K, n) layout,
-    # contracted only for a stack that is not negligible against alpha:
-    # one that is has rank 0, and alpha_derivative runs only if one is not
-    alpha_scale = float(np.max(np.abs(geom.alpha)))
+    # contracted only for a stack that is not negligible: one that is has
+    # rank 0, and alpha_derivative runs only if one is not.  alpha, d2
+    # less its tangential part, rounds at eps |d2|, so the cut's scale
+    # takes max |d2| too: on a flat image max |alpha| is round-off alone
+    scale = float(max(np.max(np.abs(geom.alpha)),
+                      np.max(np.abs(geom.jet.d2))))
     K20, K11 = type_rows(m)
     stacks = [(A.reshape(G, m * m, n), K)
               for A, K in ((geom.alpha11, K11), (geom.alpha20, K20))]
-    live = [not _negligible(A, alpha_scale) for A, _ in stacks]
+    live = [not _negligible(A, scale) for A, _ in stacks]
     dalpha = alpha_derivative(geom) if any(live) else None
     (P_No, r_no, dP_No), (P_Np, r_np, dP_Np) = (
         projector_derivative(
             A, contract_slots(K, dalpha).reshape(G, d, m * m, n),
-            scale=alpha_scale) if keep else _rank_zero(G, d, n)
+            scale=scale) if keep else _rank_zero(G, d, n)
         for (A, K), keep in zip(stacks, live))
     return Bundles(T=Bundle(geom.P_T, dP_T), taup=Bundle(P_taup, dP_taup),
                    No=Bundle(P_No, dP_No), Np=Bundle(P_Np, dP_Np),
@@ -469,11 +472,13 @@ def half_isotropy_residual(geom: forms.GeometryData, bun: Bundles) -> float:
 
 def gauss_section_check(geom: forms.GeometryData, bun: Bundles,
                         mc: forms.MeanCurvatureData):
-    """Forward conditions for a spherical ppmc immersion: f - m is a
-    normal section of constant length whose differential maps T' to
-    tau'.  Returns (normality, holomorphic-tangency, length spread)."""
-    if not mc.spherical:
-        raise ValueError(f"{geom.imm.name}: not spherical; no section")
+    """Forward conditions for a ppmc immersion into a sphere about m: f - m
+    is a normal section of constant length whose differential maps T' to
+    tau'.  Returns (normality, holomorphic-tangency, length spread).
+    A_eta = kappa I is the section row's gate; ValueError at kappa = 0."""
+    if mc.center is None:
+        raise ValueError(f"{geom.imm.name}: kappa = 0; no centre, no "
+                         f"section")
     sec = geom.jet.value - mc.center[None]
     normality = float(np.max(np.abs(geom.jet.d1 @ sec[:, :, None])))
     # d(f - m)(d'_a) = df(d'_a) must lie in tau'

@@ -256,11 +256,10 @@ def _chk_sphere_reduction(ctx: FixtureContext):
     extras = {"kappa": mc.kappa, "off_identity": mc.off_identity,
               "center_spread": mc.center_spread,
               "radius_spread": mc.radius_spread}
-    if mc.radius is not None:
-        extras["radius"] = mc.radius
-    # kappa within the tolerance of mc.spherical: no sphere to reduce to
-    res = mc.off_identity if abs(mc.kappa) > forms.SPHERE_TOL else np.inf
-    return res, extras
+    if mc.center is None:   # kappa = 0: no sphere to reduce to
+        return np.inf, extras
+    extras["radius"] = mc.radius
+    return mc.off_identity, extras
 
 
 def _chk_section(ctx: FixtureContext):
@@ -284,7 +283,7 @@ def _chk_psi(ctx: FixtureContext):
 
 
 def _chk_closedness(ctx: FixtureContext):
-    return family.closedness_residual(ctx.geom, np.pi / 2), {}
+    return float(family.closedness_residual(ctx.geom, [np.pi / 2])[0]), {}
 
 
 # every row but kaehler assumes the Kaehler condition

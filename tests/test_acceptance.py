@@ -37,7 +37,7 @@ def _verdict(num, ok, detail):
 def test_acceptance_01_conjugate_family():
     cat = get_immersion("catenoid")
     geom = _geom("catenoid")
-    closed = family.closedness_residual(geom, np.pi / 2)
+    closed, = family.closedness_residual(geom, [np.pi / 2])
     member = family.integrate_family(cat, np.pi / 2, per_axis=41)
     target = get_immersion("helicoid").evaluate(member.pts)
     _, _, rms = family.rigid_match(member.values, target)

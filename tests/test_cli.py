@@ -297,15 +297,15 @@ def test_family_builds_one_geometry(tmp_path, geometry_calls):
                                                               21 * 21)]
 
 
-def test_family_computes_closedness_once_per_angle(tmp_path, monkeypatch):
-    # the member's own angle pi/2 is in the sweep: the report line and
-    # its sweep row reuse the residual integrate_family computed
+def test_family_sweeps_closedness_in_one_call(tmp_path, monkeypatch):
+    # integrate_family takes the member's own angle pi/2, and the sweep
+    # takes all its angles in one call, which copies d2 once
     calls = []
     closedness = family.closedness_residual
 
-    def spy(geom, theta):
-        calls.append(theta)
-        return closedness(geom, theta)
+    def spy(geom, thetas):
+        calls.append(list(thetas))
+        return closedness(geom, thetas)
 
     monkeypatch.setattr(family, "closedness_residual", spy)
     code = cli.main(["family", "--fixture", "catenoid", "--theta", "pi/2",
@@ -313,7 +313,7 @@ def test_family_computes_closedness_once_per_angle(tmp_path, monkeypatch):
                      "--sweep-csv", str(tmp_path / "sweep.csv"),
                      "--report", str(tmp_path / "fam.txt")])
     assert code == 0
-    assert sorted(calls) == sorted(family.THETA_SWEEP)
+    assert calls == [[np.pi / 2], list(family.THETA_SWEEP)]
 
 
 def test_family_higher_ambient_mesh_comments(tmp_path):

@@ -3,6 +3,7 @@ next to the checks the same immersion must still pass."""
 
 import dataclasses
 import functools
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +125,51 @@ def test_jets_fails_when_the_first_derivatives_leave_the_values():
     assert status == {**{c: pipeline.PASS for c in checks},
                       "jets": pipeline.FAIL,
                       "eq4": pipeline.INCONCLUSIVE}
+
+
+def _curved_chart_plane(u, v, c=0.15):
+    """The plane through the holomorphic chart z -> z + c z^2, z = u + iv:
+    a flat image with d2 of order c, so alpha is round-off alone."""
+    return [u + c * (u * u - v * v), v + 2 * c * u * v, 0.0]
+
+
+def _scaled_plane(u, v):
+    """The plane scaled by 1e3: the central differences of the jets row
+    meet round-off of order 1e-10, above an absolute 1e-12 floor."""
+    return [1e3 * u, 1e3 * v, 0.0]
+
+
+def _plane_statuses(rec):
+    """(rec's statuses, the registry plane's) over every row, with any
+    RuntimeWarning raised as an error, so it reads as ERROR."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = pipeline.run(pipeline.RunConfig(fixtures=["plane"]),
+                           extra_records=[rec])
+    return [{r.check: r.status for r in rep.results if r.fixture == name}
+            for name in (rec.name, "plane")]
+
+
+def test_plane_through_a_curved_chart_reads_the_plane_ledger():
+    """The bundle layer's rank cut is relative to max |d2|, not to
+    alpha's round-off: the plane through z -> z + 0.15 z^2 reads the
+    plane's ledger, with 0 ERROR."""
+    rec = _formula_record("curved-chart-plane", _curved_chart_plane,
+                          [(-0.8, 0.8)] * 2, get_fixture("plane").flags)
+    status, plane = _plane_statuses(rec)
+    assert status == plane
+    assert pipeline.ERROR not in status.values()
+
+
+def test_scaled_plane_jets_reads_order_two_without_a_warning():
+    """Both errors of the jets row fall below the round-off floor
+    1e-12 max |d1| (e1 = 0, e2 about 1e-10): order 2, PASS, like the
+    registry plane, and no log of 0."""
+    rec = _formula_record("scaled-plane", _scaled_plane, [(-1, 1)] * 2,
+                          get_fixture("plane").flags)
+    status, plane = _plane_statuses(rec)
+    assert status["jets"] == plane["jets"] == pipeline.PASS
+    assert status == plane
 
 
 def _inverted_holomorphic_curve(u, v):

@@ -480,17 +480,17 @@ def test_kaehler_curvature_identity_matches_einsum_on_random_tensors(m):
 @pytest.mark.parametrize("name", fixture_names())
 def test_closedness_equals_einsum_exactly(fixture_geoms, name):
     geom = fixture_geoms[name]
-    for theta in family.THETA_SWEEP:
-        assert (family.closedness_residual(geom, theta)
-                == closedness_residual_ref(geom, theta))
+    assert (family.closedness_residual(geom, family.THETA_SWEEP).tolist()
+            == [closedness_residual_ref(geom, theta)
+                for theta in family.THETA_SWEEP])
 
 
 @pytest.mark.parametrize("name", ["catenoid", "helicoid"])
 def test_closedness_reads_exactly_zero_on_minimal_pair(fixture_geoms,
                                                       name):
-    for theta in family.THETA_SWEEP:
-        assert family.closedness_residual(fixture_geoms[name],
-                                          theta) == 0.0
+    closed = family.closedness_residual(fixture_geoms[name],
+                                        family.THETA_SWEEP)
+    assert closed.tolist() == [0.0] * len(family.THETA_SWEEP)
 
 
 @pytest.mark.parametrize("name", ["catenoid", "helicoid",

@@ -89,11 +89,11 @@ def test_structure_equations_fail_on_ellipsoid():
                                   "holomorphic-curve", "plane"])
 @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 2, np.pi])
 def test_closedness_on_pluriminimal_fixtures(name, theta):
-    assert family.closedness_residual(_geom(name), theta) < 1e-10
+    assert family.closedness_residual(_geom(name), [theta])[0] < 1e-10
 
 
 def test_closedness_fails_for_nonminimal_surface():
-    assert family.closedness_residual(_geom("sphere"), np.pi / 2) > 1e-2
+    assert family.closedness_residual(_geom("sphere"), [np.pi / 2])[0] > 1e-2
 
 
 def test_integration_at_theta_zero_recovers_catenoid():

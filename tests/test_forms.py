@@ -91,7 +91,7 @@ def test_ellipsoid_is_an_honest_negative_control():
 ])
 def test_sphere_reduction_on_spherical_fixtures(name, kappa, radius, center):
     mc = forms.mean_curvature_and_sphere_reduction(_geom(name))
-    assert mc.spherical
+    assert mc.center is not None  # kappa != 0
     assert mc.off_identity < 1e-9
     assert mc.kappa == pytest.approx(kappa, abs=1e-9)
     assert mc.radius == pytest.approx(radius, abs=1e-9)
@@ -104,8 +104,10 @@ def test_sphere_reduction_on_spherical_fixtures(name, kappa, radius, center):
                                   "holomorphic-curve", "plane"])
 def test_minimal_fixtures_are_not_spherical(name):
     mc = forms.mean_curvature_and_sphere_reduction(_geom(name))
-    assert not mc.spherical
     assert np.max(np.abs(mc.eta)) < 1e-10  # minimal: eta = 0
+    # kappa = 0: no centre, no radius
+    assert mc.center is None and mc.radius is None
+    assert mc.center_spread == mc.radius_spread == np.inf
 
 
 def test_cross_term_identity_on_product_factors():

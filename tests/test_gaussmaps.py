@@ -357,7 +357,9 @@ def test_gauss_section_on_spherical_fixtures(name):
 
 
 def test_gauss_section_requires_spherical():
+    # the minimal catenoid has kappa = 0, so the reduction has no centre
     geom, bun = _bundles("catenoid")
     mc = forms.mean_curvature_and_sphere_reduction(geom)
-    with pytest.raises(ValueError, match="not spherical"):
+    assert mc.center is None
+    with pytest.raises(ValueError, match="kappa = 0; no centre"):
         gaussmaps.gauss_section_check(geom, bun, mc)

@@ -170,7 +170,7 @@ def test_bundle_layer_calls_no_einsum(monkeypatch):
         bun.residuals
         forms.pluriminimal_residual(geom)
         gaussmaps.half_isotropy_residual(geom, bun)
-        if ctx.mean_curvature.spherical:
+        if ctx.mean_curvature.center is not None:
             gaussmaps.gauss_section_check(geom, bun, ctx.mean_curvature)
     assert len(ctxs) == 10
     assert calls == []

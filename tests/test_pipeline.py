@@ -398,8 +398,8 @@ def test_nan_in_a_curvature_reads_as_structure_equation_error(
 def test_non_finite_alpha_reads_as_sphere_reduction_error(monkeypatch,
                                                             fixture, value):
     # a NaN in eta compares false with the tangency bound, and an inf
-    # makes the bound inf; neither may let the reduction through to
-    # read "not spherical"
+    # makes the bound inf; neither may let the reduction through to a
+    # status of sphere-reduction or section
     def edit(geom):
         geom.alpha[0, 0, 0, 0] = value
     _edit_geometry(monkeypatch, edit)
@@ -530,10 +530,10 @@ def test_one_orthogonality_entry_gates_isotropy_and_psi(monkeypatch):
     assert by["psi"].status == pipeline.SKIPPED
 
 
-# The section check runs where the immersion is spherical, as the
-# sphere reduction computes it, and sphere-reduction's kappa guard takes
-# the tolerance that decides it, so the ledger's "spherical" flag is
-# checked by one row.
+# Sphericity is decided by one row: sphere-reduction's cut on
+# off_identity at TIER1, which gates section.  The reduction's only test
+# is kappa != 0, which gives it a centre, so the ledger's "spherical"
+# flag is checked by that row alone.
 
 def test_a_wrong_spherical_ledger_mismatches_on_sphere_reduction_only():
     cylinder = get_fixture("cylinder")
@@ -547,15 +547,30 @@ def test_a_wrong_spherical_ledger_mismatches_on_sphere_reduction_only():
     assert status["section"] == pipeline.SKIPPED
 
 
+@pytest.mark.parametrize("name", ["ellipsoid", "cylinder"])
+def test_a_curved_non_sphere_fails_on_off_identity_not_on_a_centre(name):
+    """The ellipsoid and the cylinder have kappa != 0, so the reduction
+    gives each a centre and a radius, with spreads far from 0: their
+    sphere-reduction FAIL comes from the row's cut on off_identity, not
+    from a missing centre."""
+    rep = pipeline.run(pipeline.RunConfig(
+        fixtures=[name], checks=["kaehler", "sphere-reduction"]))
+    sphere = rep.results[1]
+    assert sphere.status == pipeline.FAIL
+    assert sphere.residual == sphere.extras["off_identity"] < np.inf
+    assert sphere.extras["radius"] > 1.0
+    assert min(sphere.extras["center_spread"],
+               sphere.extras["radius_spread"]) > 1e-2
+
+
 def test_sphere_reduction_reads_a_small_kappa_as_no_sphere(monkeypatch):
-    """kappa = 1e-7 lies above TIER1 but within forms.SPHERE_TOL, where
-    the reduction finds no sphere: sphere-reduction reads inf and FAILs
-    even with A_eta = kappa I exactly."""
+    """kappa = 1e-7 lies above TIER1 but within the reduction's kappa = 0
+    tolerance, where it gives no centre: sphere-reduction reads inf and
+    FAILs even with A_eta = kappa I exactly."""
     G, n = 81, 3
     mc = forms.MeanCurvatureData(
         eta=np.zeros((G, n)), kappa=1e-7, off_identity=0.0, center=None,
-        center_spread=np.inf, radius=None, radius_spread=np.inf,
-        spherical=False)
+        center_spread=np.inf, radius=None, radius_spread=np.inf)
     monkeypatch.setattr(forms, "mean_curvature_and_sphere_reduction",
                         lambda geom: mc)
     rep = pipeline.run(pipeline.RunConfig(
@@ -568,15 +583,14 @@ def test_sphere_reduction_reads_a_small_kappa_as_no_sphere(monkeypatch):
 
 
 def test_section_needs_sphere_reduction_to_pass(monkeypatch):
-    """off_identity = 1e-7 is within forms.SPHERE_TOL, so the reduction
-    calls the sphere spherical, but sphere-reduction reads it
-    INCONCLUSIVE at TIER1: section's gate is that row, so section reads
-    SKIPPED and does not run on it."""
+    """A reduction with a centre and exact spreads but off_identity =
+    1e-7 reads INCONCLUSIVE on sphere-reduction at TIER1: section's gate
+    is that row, so section reads SKIPPED and does not run on it."""
     G, n = 81, 3
     mc = forms.MeanCurvatureData(
         eta=np.zeros((G, n)), kappa=1.0, off_identity=1e-7,
         center=np.zeros(n), center_spread=0.0, radius=1.0,
-        radius_spread=0.0, spherical=True)
+        radius_spread=0.0)
     monkeypatch.setattr(forms, "mean_curvature_and_sphere_reduction",
                         lambda geom: mc)
     monkeypatch.setattr(gaussmaps, "gauss_section_check", None)
