@@ -313,18 +313,22 @@ def form_parts(T: np.ndarray) -> np.ndarray:
 
 
 def convergence_order(imm: ChartedImmersion, pts: np.ndarray,
-                      d1: np.ndarray, h: float = 1e-3) -> float:
+                      jet: Jet3, h: float = 1e-3) -> float:
     """Measured convergence order of central-difference first
-    derivatives against the analytic ones, d1 (G, 2m, n) at pts, as
-    eval_jet(imm, pts).d1 gives them.
+    derivatives against the analytic ones at pts, from jet =
+    eval_jet(imm, pts): its d1 (G, 2m, n) and its values.
 
     Returns log2(err_h / err_{h/2}), each error at least the round-off
-    floor 1e-12 max(1, max |d1|), so no log of 0 or of inf is taken;
-    where the chart is affine in some coordinates both errors can hit
-    round-off, and a pair within the floor is reported as order 2.
+    floor 1e-12 max(1, max |d1|) + eps max |f| / h, so no log of 0 or of
+    inf is taken.  The second term is the round-off of a central
+    difference at step h/2 of values of size |f|, which a translation
+    of the image raises while d1 stays put.  Where the chart is affine
+    in some coordinates both errors can hit round-off, and a pair within
+    the floor is reported as order 2.
     """
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(d1))))
-    e1, e2 = (np.max(np.abs(fd_d1(imm, pts, s) - d1)) for s in (h, h / 2))
+    floor = (1e-12 * max(1.0, float(np.max(np.abs(jet.d1))))
+             + np.finfo(float).eps * float(np.max(np.abs(jet.value))) / h)
+    e1, e2 = (np.max(np.abs(fd_d1(imm, pts, s) - jet.d1)) for s in (h, h / 2))
     if e1 <= floor and e2 <= floor:
         return 2.0
     # np.maximum, not max(): a NaN error must reach the caller

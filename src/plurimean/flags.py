@@ -7,16 +7,26 @@ The complexified algebras are represented concretely: gl(n, C) for the
 unitary case and complex skew-symmetric matrices for the orthogonal
 case, with Hilbert-Schmidt orthonormal bases per grading level.
 
+A canonical element xi lies in the compact form u(n) or o(n), whose
+conjugation sigma(X) = -X^H commutes with ad xi, so it maps g_k onto
+g_-k and is an automorphism of the bracket (Helgason, Differential
+Geometry, Lie Groups, and Symmetric Spaces, 1978).  grade
+orthonormalises each positive level by SVD and sets g_-k to sigma of
+that basis, exactly; g_0 gets a basis of sigma-fixed elements from one
+real SVD (_sigma_fixed_basis).
+
 Every commutator of two basis stacks comes from two matrix products,
-and of a stack with itself from one (_commutators).  Each grading
-brackets every pair of its levels once, into one table
-(Grading.bracket_table) of escapes off the target level and, for the
-pairs with a level +-1, coordinates in its basis.  Each bracket is
-projected once onto its target; its Cartan escape takes that remainder
-on through the other levels of the target's parity stack.  The grading
-and Cartan residuals fold its escapes; the C2 closure grows level by
-level in its coordinates, with no n x n bracket inside a round and no
-SVD of a remainder too small to add a direction.
+and of a stack with itself from one (_commutators).  Each grading has
+one table (Grading.bracket_table) with an entry per pair of its levels:
+the escapes off the target level and, for the pairs with a level +-1,
+coordinates in its basis.  A sigma-symmetric grading brackets each
+orbit {(j, k), (-k, -j)} once and reads the other pair off it; any
+other grading brackets every pair.  Each bracket is projected once
+onto its target; its Cartan escape takes that remainder on through the
+other levels of the target's parity stack.  The grading and Cartan
+residuals fold its escapes; the C2 closure grows level by level in its
+coordinates, with no n x n bracket inside a round and no SVD of a
+remainder too small to add a direction.
 """
 
 import functools
@@ -193,11 +203,19 @@ class Grading:
 
     @functools.cached_property
     def bracket_table(self) -> Dict[Tuple[float, float], Bracket]:
-        """(j, k) -> Bracket for each pair of levels j <= k, from one
-        _commutators call per pair; coords has width 0 when j + k is not
-        a level, and is None unless j or k is +-1.  Within one level only
-        a < b is bracketed and the rest filled antisymmetrically.  Built
-        once, on first read.
+        """(j, k) -> Bracket for each pair of levels j <= k; coords has
+        width 0 when j + k is not a level, and is None unless j or k is
+        +-1.  Within one level only a < b is bracketed and the rest
+        filled antisymmetrically.  Built once, on first read.
+
+        A sigma-symmetric grading (_sigma_symmetric: g_-k = sigma(g_k)
+        bit for bit and g_0 sigma-fixed, as grade builds them) has
+        [sigma b, sigma a] = -sigma [a, b], and sigma keeps HS norms and
+        conjugates HS inner products.  So each orbit {(j, k), (-k, -j)} is
+        bracketed once, at j + k >= 0, by one _commutators call, and the
+        pair (-k, -j) reads the same escapes and the coordinates
+        -conj(coords) with a and b swapped.  Any other grading, such as a
+        relabelled or tampered one, brackets every pair.
 
         Each bracket block C is projected once, onto its target T =
         g_{j+k}: S = C T^H are the coordinates and R = C - S T the
@@ -218,8 +236,11 @@ class Grading:
                    if k != t and parity[k] == parity[t]])
             rest[t] = (K, K.conj().T)
         cartan = [c.reshape(-1, n * n) for c in _cartan_parts(self)]
+        symmetric = _sigma_symmetric(self.spaces)
         table = {}
         for j, k in itertools.combinations_with_replacement(sorted(flat), 2):
+            if symmetric and j + k < 0:
+                continue  # read off below from (-k, -j)
             C = _commutators(self.spaces[j], self.spaces[k])
             p, q = C.shape[:2]
             if j == k:  # [b, a] = -[a, b] and [a, a] = 0
@@ -249,19 +270,33 @@ class Grading:
                     S[upper], S[upper[::-1]] = rows, -rows
                 coords = S.reshape(p, q, S.shape[-1])
             table[j, k] = Bracket(coords, *escapes)
+        if symmetric:
+            for (j, k), b in list(table.items()):
+                if j + k > 0:  # 0.0 - x: no level is keyed -0.0
+                    table[0.0 - k, 0.0 - j] = b._replace(
+                        coords=None if b.coords is None
+                        else -b.coords.conj().transpose(1, 0, 2))
         return table
 
 
 def grade(elem: CanonicalElement) -> Grading:
     """Eigenspaces of (1/i) ad(xi) on the complexified algebra, built
     from the eigenflag: Hom(E_j, E_k) sits at gap lambda_k - lambda_j
-    (skew-symmetrized in the orthogonal case)."""
+    (skew-symmetrized in the orthogonal case).
+
+    sigma maps Hom(E_j, E_k) onto Hom(E_k, E_j), so only the gaps above
+    -_EIG_TOL are built.  Each positive gap k is orthonormalised by SVD
+    and g_-k is sigma of that basis; the gaps within _EIG_TOL of 0 make
+    g_0, whose basis is sigma-fixed (_sigma_fixed_basis).  A gap that
+    is not a number has no partner and is orthonormalised alone."""
     n = elem.n
     xi = elem.xi
     buckets: Dict[float, List[np.ndarray]] = {}
     for lk, fk in zip(elem.levels, elem.frames):
         for lj, fj in zip(elem.levels, elem.frames):
             gap = lk - lj
+            if gap <= -_EIG_TOL:
+                continue
             # every outer product u w^H, u in E_k, w in E_j, as one stack
             L = (fk[:, None, :, None] * fj.conj()[None, :, None, :]
                  ).reshape(-1, n, n)
@@ -270,19 +305,24 @@ def grade(elem: CanonicalElement) -> Grading:
                 L = L[np.max(np.abs(L), axis=(1, 2)) >= 1e-14]
             if L.shape[0] == 0:
                 continue
-            key = next((k for k in buckets if abs(k - gap) < _EIG_TOL),
-                       gap)
+            key = 0.0 if abs(gap) < _EIG_TOL else next(
+                (k for k in buckets if abs(k - gap) < _EIG_TOL), gap)
             buckets.setdefault(key, []).append(L)
 
     a3, spaces = [0.0], {}
     for k, mats in buckets.items():
-        stack = _orthonormalize_stack(np.concatenate(mats, axis=0))
+        mats = np.concatenate(mats, axis=0)
+        stack = _sigma_fixed_basis(mats, elem.tag) if k == 0.0 \
+            else _orthonormalize_stack(mats)
         if stack.shape[0] == 0:
             continue
+        spaces[k] = stack
+        if k > 0:
+            spaces[-k] = _sigma(stack)
+    for k, stack in spaces.items():
         ad = xi @ stack - stack @ xi
         a3.append(np.max(np.abs(ad - 1j * k * stack)))
         stack.setflags(write=False)
-        spaces[k] = stack
 
     total = sum(v.shape[0] for v in spaces.values())
     if total != elem.algebra_dim:
@@ -292,10 +332,64 @@ def grade(elem: CanonicalElement) -> Grading:
     gaps = np.array(list(spaces))
     c1_dev = float(np.max(np.abs(gaps - np.round(gaps)), initial=0.0))
     c1 = c1_dev <= 1e-9
-    if c1:
-        spaces = {float(round(k)): v for k, v in spaces.items()}
+    spaces = {float(round(k)) if c1 else k: spaces[k] for k in sorted(spaces)}
     return Grading(elem=elem, spaces=MappingProxyType(spaces), c1_pass=c1,
                    c1_deviation=c1_dev, a3_residual=float(np.max(a3)))
+
+
+def _sigma(stack: np.ndarray) -> np.ndarray:
+    """sigma(X) = -X^H on each matrix of a stack (K, n, n): the
+    conjugation of the compact form u(n), or o(n), where it conjugates
+    a skew matrix entrywise.  It commutes with ad xi, so it maps g_k onto
+    g_-k, and [sigma a, sigma b] = sigma [a, b].  It only negates and
+    moves entries, so it is exact."""
+    return np.ascontiguousarray(-stack.conj().transpose(0, 2, 1))
+
+
+def _sigma_symmetric(spaces: Mapping[float, np.ndarray]) -> bool:
+    """Whether every level's partner space is exactly sigma of it, g_0
+    (its own partner) included, as grade builds them."""
+    return all(-k in spaces for k in spaces) and all(
+        np.array_equal(spaces[-k], _sigma(v))
+        for k, v in spaces.items() if k >= 0)
+
+
+def _sigma_fixed_basis(mats: np.ndarray, tag: str) -> np.ndarray:
+    """HS-orthonormal basis of the span of a stack (K, n, n) that sigma
+    maps onto itself up to sign, as the gap-0 outer products of grade,
+    whose elements are exactly sigma-fixed.
+
+    The sigma-fixed parts of W = (1 + i) X are P(X) = (W + sigma W)/2
+    and Q(X) = (W - sigma W)/2i = P(sigma X), so over such a stack the
+    real span of the P alone is the span's sigma-fixed form, and a real
+    orthonormal basis of that spans the whole over C.  P is
+    skew-Hermitian, and one real SVD of the P in coordinates that keep
+    the HS norm gives the basis.  In u(n) these are, per upper entry z,
+    x = Re z + Im z and y = Im z - Re z, and the diagonal's imaginary
+    parts; with X's upper entries a, its lower entries b (transposed)
+    and its diagonal d they are, up to a common factor 2, Re a + Im b,
+    Im a + Re b and Re d + Im d.  In o(n) P is real skew, with the upper
+    entries Re a - Im a.  A matrix unit of u(n) has a coordinate axis as
+    its P, so on standard frames the basis has the entries (+-1 +-i)/2
+    and i, whose products, and so brackets and HS inner products, are
+    exact."""
+    n = mats.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    a, b = mats[:, i, j], mats[:, j, i]
+    if tag == UNITARY:
+        d = np.diagonal(mats, axis1=1, axis2=2)
+        vh = _orthonormalize_stack(np.concatenate(
+            [a.real + b.imag, a.imag + b.real, d.real + d.imag], axis=1))
+        x, y = vh[:, :i.size], vh[:, i.size:2 * i.size]
+        z, diagonal = ((x - y) + 1j * (x + y)) / 2, 1j * vh[:, 2 * i.size:]
+    else:
+        vh = _orthonormalize_stack(a.real - a.imag)
+        # an upper entry counts twice in the HS norm
+        z, diagonal = vh / np.sqrt(2.0), 0.0
+    basis = np.zeros((vh.shape[0], n, n), dtype=complex)
+    basis[:, i, j], basis[:, j, i] = z, -z.conj()
+    basis[:, range(n), range(n)] = diagonal
+    return basis
 
 
 def _commutators(A: np.ndarray, B: np.ndarray) -> np.ndarray:

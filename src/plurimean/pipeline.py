@@ -163,7 +163,7 @@ def _chk_kaehler(ctx: FixtureContext):
 
 
 def _chk_jets(ctx: FixtureContext):
-    order = convergence_order(ctx.rec.immersion, ctx.pts, ctx.geom.jet.d1)
+    order = convergence_order(ctx.rec.immersion, ctx.pts, ctx.geom.jet)
     # status from the shortfall below the expected 2nd order
     return _fold(0.0, 1.9 - order), {"order": order}
 

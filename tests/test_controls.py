@@ -172,6 +172,28 @@ def test_scaled_plane_jets_reads_order_two_without_a_warning():
     assert status == plane
 
 
+def _translated_plane(u, v):
+    """The plane moved to (u + 1e4, v, 0): its values round at about
+    1e-12, so the central differences of the jets row meet round-off of
+    about eps |f| / h = 2e-9 while max |d1| stays 1."""
+    return [u + 1e4, v, 0.0]
+
+
+def test_translated_plane_jets_reads_order_two():
+    """The jets row's round-off floor grows with |f|: the translated
+    plane reads order 2 and PASS, like the registry plane, and every
+    other row as the plane does (a floor of 1e-12 max(1, max |d1|)
+    alone read order -1.19, FAIL)."""
+    rec = _formula_record("translated-plane", _translated_plane,
+                          [(-1, 1)] * 2, get_fixture("plane").flags)
+    status, plane = _plane_statuses(rec)
+    assert status["jets"] == plane["jets"] == pipeline.PASS
+    assert status == plane
+    rep = pipeline.run(pipeline.RunConfig(fixtures=[], checks=["jets"]),
+                       extra_records=[rec])
+    assert rep.results[0].extras["order"] == 2.0
+
+
 def _inverted_holomorphic_curve(u, v):
     """x / |x|^2 for x = (z + 1, (z + 1)^2) in C^2 = R^4, z = u + iv:
     the inversion of a holomorphic curve, conformal, so still Kaehler,

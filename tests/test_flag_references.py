@@ -268,10 +268,11 @@ def test_bracket_table_coordinates_match_reference(gradings, label):
 
 @pytest.mark.parametrize("label", ["u3:1,1,1", "u9:3,3,3", "o8:r4",
                                    "half-gap"])
-def test_residuals_bracket_each_level_pair_once(label, monkeypatch):
+def test_residuals_bracket_each_sigma_orbit_once(label, monkeypatch):
     """The C2 closure, cartan_split and bracket_grading_residual read one
-    table: each unordered pair of levels is bracketed once among them,
-    and nothing else is."""
+    table: grade's gradings are sigma-symmetric, so each orbit
+    {(j, k), (-k, -j)} of level pairs is bracketed once among them, as
+    the pair with j + k >= 0, and nothing else is."""
     calls = []
     commutators = flags._commutators
 
@@ -289,18 +290,27 @@ def test_residuals_bracket_each_level_pair_once(label, monkeypatch):
     pairs = [tuple(sorted(level[id(X)] for X in call)) for call in calls]
     levels = sorted(grading.spaces)
     assert sorted(pairs) == [(j, k) for i, j in enumerate(levels)
-                             for k in levels[i:]]
+                             for k in levels[i:] if j + k >= 0]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("label", ["o6:r3", "o8:r4", "o10:r5"])
+def _rotated(label, seed):
+    """The orthogonal element `label` conjugated by a seeded random
+    rotation, which makes its bases dense."""
+    n, r = (int(x) for x in label[1:].split(":r"))
+    rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return _orthogonal(n, r, rot)
+
+
+ROTATED = [(label, seed) for label in ("o6:r3", "o8:r4", "o10:r5")
+           for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("label,seed", ROTATED)
 def test_saturated_closure_ignores_round_off(label, seed):
     """Conjugated by a random rotation, the orthogonal elements have
     dense bases, so a saturated closure leaves a round-off remainder of
     about 1e-16 in every round; it must not count as new directions."""
-    n, r = (int(x) for x in label[1:].split(":r"))
-    rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    grading = flags.grade(_orthogonal(n, r, rot))
+    grading = flags.grade(_rotated(label, seed))
     rep = flags.generation_check(grading)
     assert rep.closure_dim == SATURATED[label]
     assert not rep.passed
@@ -316,18 +326,119 @@ def test_controls_have_an_empty_closure(label, seed):
 @pytest.mark.parametrize("label,ref_dim", [("u5:1,1,1,1,1", 2),
                                            ("u4:1,3", 3), ("u8:2,3,3", 5)])
 def test_generation_check_refuses_partial_gradings(gradings, label, ref_dim):
-    """With g_1 and g_-1 cut to their first vector the spaces no longer
-    span the algebra, and every bracket of a round can be round-off;
-    the full re-bracketing reference closes on ref_dim, while a
-    round-relative cut would keep the noise, so the closure refuses."""
+    """With g_1 cut to its first vector and g_-1 to its second (the
+    first is sigma of g_1's, and on u8 that pair generates the algebra)
+    the spaces no longer span the algebra, and every bracket of a round
+    can be round-off; the full re-bracketing reference closes on
+    ref_dim, while a round-relative cut would keep the noise, so the
+    closure refuses."""
     grading = gradings[label]
     spaces = dict(grading.spaces)
-    for k in (1.0, -1.0):
-        spaces[k] = spaces[k][:1]
+    spaces[1.0], spaces[-1.0] = spaces[1.0][:1], spaces[-1.0][1:2]
     partial = dataclasses.replace(grading, spaces=spaces)
     assert generation_check_ref(partial) == (ref_dim, False)
     with pytest.raises(ValueError, match="expected algebra_dim"):
         flags.generation_check(partial)
+
+
+# ------------------------------------------------------------------ sigma
+
+def _sigma(stack):
+    """sigma(X) = -X^H on each matrix of a stack."""
+    return -stack.conj().transpose(0, 2, 1)
+
+
+SIGMA_CASES = [pytest.param(label, None, id=label) for label in LABELS] + [
+    pytest.param(label, seed, id=f"{label}-rotated-{seed}")
+    for label, seed in ROTATED]
+
+
+def _sigma_case(gradings, label, seed):
+    return gradings[label] if seed is None \
+        else flags.grade(_rotated(label, seed))
+
+
+@pytest.mark.parametrize("label,seed", SIGMA_CASES)
+def test_grade_sets_each_negative_level_to_sigma_of_its_partner(
+        gradings, label, seed):
+    """Every space grade returns is sigma of its partner exactly (equal
+    values, np.array_equal), and g_0's elements are sigma-fixed."""
+    spaces = _sigma_case(gradings, label, seed).spaces
+    assert sorted(spaces) == sorted(-k for k in spaces)
+    for k, v in spaces.items():
+        assert np.array_equal(spaces[-k], _sigma(v)), k
+    assert np.array_equal(_sigma(spaces[0.0]), spaces[0.0])
+
+
+def _direct_table(grading, monkeypatch):
+    """The bracket table of a copy of the grading with every pair
+    bracketed, as for a grading that is not sigma-symmetric."""
+    with monkeypatch.context() as m:
+        m.setattr(flags, "_sigma_symmetric", lambda spaces: False)
+        return dataclasses.replace(grading).bracket_table
+
+
+@pytest.mark.parametrize("label,seed", SIGMA_CASES)
+def test_entries_read_off_sigma_match_a_direct_bracketing(
+        gradings, label, seed, monkeypatch):
+    """Each entry (-k, -j) read off its orbit's (j, k) holds the escapes
+    and coordinates of bracketing the pair itself, within TOL."""
+    grading = _sigma_case(gradings, label, seed)
+    table, direct = grading.bracket_table, _direct_table(grading, monkeypatch)
+    assert table.keys() == direct.keys()
+    read_off = [pair for pair in table if sum(pair) < 0]
+    assert read_off
+    for pair in read_off:
+        got, want = table[pair], direct[pair]
+        assert abs(got.escape - want.escape) < TOL
+        assert abs(got.cartan_escape - want.cartan_escape) < TOL
+        assert (got.coords is None) == (want.coords is None)
+        if got.coords is not None:
+            assert got.coords.shape == want.coords.shape
+            assert np.max(np.abs(got.coords - want.coords),
+                          initial=0.0) < TOL
+
+
+def _with_g_minus_1(grading, g):
+    return dataclasses.replace(grading, spaces={**grading.spaces, -1.0: g})
+
+
+@pytest.mark.parametrize("label", ["u3:1,1,1", "u9:3,3,3", "o8:r4"])
+def test_another_basis_of_g_minus_1_brackets_every_pair(
+        gradings, label, monkeypatch):
+    """g_-1 in another orthonormal basis of the same space (a seeded
+    unitary mix of sigma(g_1)'s) is not sigma(g_1) bit for bit: the
+    table brackets every pair, and its escapes and closure are still
+    those of a grading."""
+    grading = gradings[label]
+    g = grading.spaces[-1.0]
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.standard_normal((len(g), len(g)))
+                        + 1j * rng.standard_normal((len(g), len(g))))
+    mixed = _with_g_minus_1(grading, np.tensordot(U, g, 1))
+    calls = []
+    commutators = flags._commutators
+    monkeypatch.setattr(flags, "_commutators",
+                        lambda A, B: calls.append(None) or commutators(A, B))
+    levels = len(mixed.spaces)
+    assert flags.bracket_grading_residual(mixed) < 1e-12
+    assert len(calls) == levels * (levels + 1) // 2
+    assert max(flags.cartan_split(mixed)[2].values()) < 1e-12
+    assert flags.generation_check(mixed) == flags.generation_check(grading)
+
+
+@pytest.mark.parametrize("label", ["u3:1,1,1", "u9:3,3,3", "o8:r4"])
+def test_a_wrong_g_minus_1_shows_an_escape(gradings, label):
+    """g_-1 set to a copy of g_1: [g_-1, g_1] = [g_1, g_1] lies in g_2
+    and escapes g_0 by O(1), bracketed directly rather than read off
+    the orbit of (-1, 1)."""
+    grading = gradings[label]
+    wrong = _with_g_minus_1(grading, grading.spaces[1.0].copy())
+    table = wrong.bracket_table
+    assert table[-1.0, 1.0].escape > 0.05
+    assert abs(table[-1.0, 1.0].escape - bracket_rel_ref(
+        wrong.spaces[-1.0], wrong.spaces[1.0], wrong.spaces[0.0])) < TOL
+    assert flags.bracket_grading_residual(wrong) > 0.05
 
 
 # ------------------------------------------------------------ mechanisms
@@ -351,8 +462,9 @@ def test_a_target_that_is_its_whole_cartan_stack_is_projected_once(gradings):
 
 
 def test_closure_takes_no_svd_of_a_negligible_remainder(monkeypatch):
-    """Over the 25 elements, grade takes 151 SVDs and generation_check 75:
-    a projected block whose Frobenius norm is within _RANK_TOL of the
+    """Over the 25 elements, grade takes 88 SVDs, one per positive level
+    and one for g_0 (g_-k is sigma(g_k)), and generation_check 75: a
+    projected block whose Frobenius norm is within _RANK_TOL of the
     round's scale adds no direction without one (68 such blocks)."""
     calls = []
     svd = np.linalg.svd
@@ -363,7 +475,7 @@ def test_closure_takes_no_svd_of_a_negligible_remainder(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     gradings = [flags.grade(_build(label)) for label in LABELS]
-    assert len(calls) == 151
+    assert len(calls) == 88
     for grading in gradings:
         flags.generation_check(grading)
-    assert len(calls) == 151 + 75
+    assert len(calls) == 88 + 75
